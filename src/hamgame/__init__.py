@@ -24,6 +24,7 @@ from .dynamics import (
     IntegratorConfig,
     SystemState,
     Trajectory,
+    consistent_state,
     initial_state,
     read_trajectory_csv,
     reconstructed_motion,
@@ -59,7 +60,6 @@ from .games import (
 from .hamiltonian import (
     EnergyReading,
     StructureReport,
-    consistent_state,
     energy_bipartite,
     energy_generalized,
     energy_generalized_bipartite,

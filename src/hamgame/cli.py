@@ -94,12 +94,23 @@ def _squeeze_batch(y0):
     return tuple(v[0] if v.ndim == 2 and v.shape[0] == 1 else v for v in y0)
 
 
-def _config_from_args(args) -> IntegratorConfig:
+def _config_from_args(args, scheme) -> IntegratorConfig:
     try:
-        return IntegratorConfig(args.scheme, args.eta, args.horizon, args.stride)
+        return IntegratorConfig(scheme, args.eta, args.horizon, args.stride)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+
+
+def _note_rounded_horizon(config: IntegratorConfig):
+    # steps * eta misses a horizon of whole steps by rounding only
+    if abs(config.effective_horizon - config.horizon) > 1e-9 * config.eta:
+        print(
+            f"note: horizon {config.horizon:g} is not a whole number of steps of "
+            f"{config.eta:g}; the run ends at t = {config.effective_horizon:g} "
+            f"({config.steps} steps)",
+            file=sys.stderr,
+        )
 
 
 def cmd_validate(args) -> int:
@@ -139,7 +150,8 @@ def _out_paths(args, loaded, suffix=""):
 
 def cmd_simulate(args) -> int:
     loaded = _load(args.game)
-    config = _config_from_args(args)
+    config = _config_from_args(args, args.scheme)
+    _note_rounded_horizon(config)
     try:
         y0 = _squeeze_batch(_resolve_y0(loaded, args))
         ref = _resolve_ref(loaded, args.ref)
@@ -202,7 +214,7 @@ def _replay(loaded, meta, ref):
 
 
 def _csv_matches_replay(csv_path, traj) -> bool:
-    """Exact match of the stored strategy rows against the replayed run."""
+    """Exact match of every stored row's time and strategies against the replayed run."""
     from .dynamics import read_trajectory_csv
 
     try:
@@ -212,12 +224,9 @@ def _csv_matches_replay(csv_path, traj) -> bool:
     if data.shape[0] != len(traj.states):
         return False
     xs = traj.strategy_matrix()
-    for row in (0, data.shape[0] - 1):
-        if data[row, 0] != traj.states[row].t:
-            return False
-        if not np.array_equal(data[row, 1 : 1 + xs.shape[1]], xs[row]):
-            return False
-    return True
+    return np.array_equal(data[:, 0], traj.times) and np.array_equal(
+        data[:, 1 : 1 + xs.shape[1]], xs
+    )
 
 
 def cmd_analyze(args) -> int:
@@ -286,17 +295,19 @@ def cmd_cloud(args) -> int:
         print("error: cloud size must be at least 10", file=sys.stderr)
         return USAGE_ERROR
     schemes = [s.strip() for s in args.scheme.split(",") if s.strip()]
+    configs = [_config_from_args(args, scheme) for scheme in schemes]
+    if configs:  # every scheme shares eta and horizon
+        _note_rounded_horizon(configs[0])
     cloud = sample_payoff_ball(loaded.y0, args.radius, args.n, args.seed)
 
-    def run(scheme):
-        config = IntegratorConfig(scheme, args.eta, args.horizon, args.stride)
+    def run(scheme, config):
         return scheme, volume_ratio(loaded.game, loaded.regularizers, cloud, config)
 
     results = {}
     try:
         workers = max(1, min(len(schemes), _thread_cap()))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for scheme, report in pool.map(run, schemes):
+            for scheme, report in pool.map(run, schemes, configs):
                 results[scheme] = report
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

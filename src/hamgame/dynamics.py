@@ -74,6 +74,11 @@ class IntegratorConfig:
     def steps(self) -> int:
         return int(round(self.horizon / self.eta))
 
+    @property
+    def effective_horizon(self) -> float:
+        """steps * eta, where a run ends; horizon rounded to whole steps."""
+        return self.steps * self.eta
+
 
 @dataclass(frozen=True)
 class SystemState:
@@ -102,6 +107,19 @@ def initial_state(regs, y0) -> SystemState:
     return SystemState(0.0, y0, X, x, y0)
 
 
+def consistent_state(game: NetworkGame, regs, y0, X, t: float = 0.0) -> SystemState:
+    """State whose motions are exactly the reconstruction from (y0, X, t).
+
+    Useful for probing the structure equations at arbitrary phase-space
+    points without integrating there.
+    """
+    y0 = tuple(np.asarray(v, dtype=float) for v in y0)
+    X = tuple(np.asarray(v, dtype=float) for v in X)
+    y = tuple(reconstructed_motion(game, regs, y0, X, t))
+    x = tuple(choice_map(reg, v) for reg, v in zip(regs, y))
+    return SystemState(t, y, X, x, y0)
+
+
 class PayoffOperator:
     """The block payoff matrix M of a game, acting on flat (batch..., D) arrays.
 
@@ -110,6 +128,8 @@ class PayoffOperator:
     x_j @ A[i, j]' with the game's own matrix, exactly as a per-agent
     field computes it, so two-agent trajectories do not depend on the flat
     layout; one x @ M' over all D columns would sum in a different order.
+    The affine terms b[i, j] of a generalized game are kept by edge, so
+    that the energy variants can weigh them edge by edge.
     """
 
     def __init__(self, game: NetworkGame):
@@ -131,11 +151,19 @@ class PayoffOperator:
                 block[:, s.start - lo : s.stop - lo] = game.payoffs[(i, j)]
             rows.append((slice(lo, hi), block.T))
         self.rows = tuple(rows)
-        self.drift = None
-        if isinstance(game, GeneralizedGame) and game.b:
-            self.drift = np.zeros(bounds[-1])
-            for (i, j), bv in sorted(game.b.items()):
-                self.drift[self.slices[i]] += bv
+        self.b = sorted(game.b.items()) if isinstance(game, GeneralizedGame) else []
+        self.drift = self.weighted_drift(lambda i, j: 1.0)
+
+    def weighted_drift(self, weight):
+        """sum_j weight(i, j) b[i, j] in every agent i's slice; None if no term is nonzero."""
+        out = None
+        for (i, j), bv in self.b:
+            w = weight(i, j)
+            if w:
+                if out is None:
+                    out = np.zeros(self.slices[-1].stop)
+                out[self.slices[i]] += w * bv
+        return out
 
     def join(self, parts):
         return np.concatenate([np.asarray(v, dtype=float) for v in parts], axis=-1)
@@ -326,15 +354,19 @@ class Trajectory:
         return drift, drift / max(1.0, float(np.max(np.abs(h0))))
 
 
-def _instrument_factory(game, regs, ref, energy):
-    """Build the per-state (H, F, D) readers; import here to avoid a cycle."""
+def _instrument_factory(game, regs, y0, ref, energy):
+    """Build the per-snapshot (H, F, D) reader; import here to avoid a cycle.
+
+    read(state, y, X) takes the snapshot and its flat motions and positions;
+    y0 is the run's flat initial motion.
+    """
     from . import hamiltonian as _ham
     from .regularizers import bregman_distance, fenchel_coupling
 
     energy_fn, variant = _ham.select_energy(game, regs, energy)
 
-    def read(state):
-        h = energy_fn(state).value if energy_fn is not None else np.nan
+    def read(state, y, X):
+        h = energy_fn(y, X, y0, state.t).value if energy_fn is not None else np.nan
         if ref is None:
             return h, np.nan, np.nan
         f = sum(
@@ -384,12 +416,13 @@ def simulate(
     kernel = KERNELS[config.scheme]
     flow = _Flow(game, regs, y0)
     ref_components = tuple(ref) if ref is not None else None
-    read, variant = _instrument_factory(game, regs, ref_components, energy)
+    read, variant = _instrument_factory(game, regs, flow.y0, ref_components, energy)
 
     states, H, F, D = [], [], [], []
 
-    def record(s):
-        h, f, d = read(s)
+    def record(t, y, X, x):
+        s = flow.state(t, y, X, x)
+        h, f, d = read(s, y, X)
         states.append(s)
         H.append(h)
         F.append(f)
@@ -398,12 +431,12 @@ def simulate(
     t, y = 0.0, flow.y0
     X = np.zeros_like(y)
     x, force = flow.choice(y), None
-    record(flow.state(t, y, X, x))
+    record(t, y, X, x)
     diagnostics = {"truncated": False, "blow_up_step": None, "reason": None}
     n_steps = config.steps
     for i in range(1, n_steps + 1):
         y, X, force = kernel(flow, t, y, X, x, force, config.eta)
-        t = t + config.eta
+        t = i * config.eta  # not a running sum, whose error would enter the b t drift
         x = None
         reason = _blow_up(y, flow.op.slices)
         if reason is not None:
@@ -411,7 +444,7 @@ def simulate(
             break
         if i % config.stride == 0 or i == n_steps:
             x = flow.choice(y)  # also the next step's first stage
-            record(flow.state(t, y, X, x))
+            record(t, y, X, x)
 
     has_ref = ref_components is not None
     traj = Trajectory(
@@ -424,6 +457,7 @@ def simulate(
             "scheme": config.scheme,
             "eta": config.eta,
             "horizon": config.horizon,
+            "effective_horizon": config.effective_horizon,
             "stride": config.stride,
             "energy_variant": variant,
             "regularizers": [

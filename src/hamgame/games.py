@@ -137,6 +137,8 @@ class GeneralizedGame(NetworkGame):
         for name, length_of in (("b", 0), ("d", 1)):
             cleaned = {}
             for (i, j), v in getattr(self, name).items():
+                if i == j or not (0 <= i < self.n and 0 <= j < self.n):
+                    raise ValueError(f"{name}[{i}, {j}] must join two different agents")
                 v = np.asarray(v, dtype=float)
                 want = self.strategy_counts[(i, j)[length_of]]
                 if v.shape != (want,):
@@ -277,16 +279,25 @@ class BipartiteReduction:
         return {i: vector[..., s] for i, s in self.slices[side].items()}
 
 
-def reduce_bipartite_to_two_agent(game: NetworkGame, partition) -> BipartiteReduction:
-    """Build the block two-agent game for a valid bipartition."""
+def check_partition(game: NetworkGame, partition):
+    """The two sides of a valid bipartition as tuples; raises for an invalid one.
+
+    Valid means every agent lies on exactly one side and no nonzero payoff
+    matrix joins two agents of the same side.
+    """
     side_one, side_two = tuple(partition[0]), tuple(partition[1])
     if sorted(side_one + side_two) != list(range(game.n)):
-        raise ValueError("partition must cover every agent exactly once")
-    for side in (side_one, side_two):
-        inside = set(side)
+        raise ValueError("partition invalid: must cover every agent exactly once")
+    for side in (set(side_one), set(side_two)):
         for (i, j), a in game.payoffs.items():
-            if i in inside and j in inside and np.any(a):
-                raise ValueError(f"edge ({i}, {j}) is nonzero inside one partition side")
+            if i in side and j in side and np.any(a):
+                raise ValueError(f"partition invalid: nonzero edge ({i}, {j}) inside a side")
+    return side_one, side_two
+
+
+def reduce_bipartite_to_two_agent(game: NetworkGame, partition) -> BipartiteReduction:
+    """Build the block two-agent game for a valid bipartition."""
+    side_one, side_two = check_partition(game, partition)
 
     def offsets(side):
         out, pos = {}, 0

@@ -1,42 +1,53 @@
 """Energy functions of the learning dynamics and their structure check.
 
-Every variant has the same shape: a kinetic sum of conjugates of the
-tracked motions plus a potential built from the motions reconstructed out
-of the positions,
+Every variant evaluates one formula on flat (batch..., D) arrays,
 
-    H = sum_i h_i*(y_i)  -  sigma * sum_j h_j*(y_j(0) + sum_i A[j, i] X_i).
+    H = sum_{i in K} h_i*(y_i) - sigma sum_{j in P} h_j*(y0_j + (X M')_j + beta_j t) + X . c,
 
-For two-agent and bipartite games the two sums run over the two sides; for
-the network variant both run over all agents, which double counts the
-zero-sum energy (H = 2 sum h*) and cancels identically for coordination
-networks.  Affine (generalized) games add linear correction terms in X.
+with M the block payoff matrix of dynamics.PayoffOperator, so the argument
+of the second sum is the motion reconstructed from the positions.  A
+variant is data (VARIANTS): the kinetic agents K and potential agents P
+(agents 1 and 2, the two sides of a bipartition, or every agent in both),
+and the weights of the affine terms b[i, j] in the drift beta and in the
+correction c.  With every agent in both sums the zero-sum energy is
+counted twice (H = 2 sum h*) and coordination networks cancel identically,
+so the conserved affine correction weighs every b[i, j] by -(1 - sigma);
+the one-sided reading needs -1 from K to P and +sigma back.
 
-For the affine variants the display that makes Hamilton's equations hold
-instant by instant and the quantity that is conserved along trajectories
-differ by a multiple of sum b[i, j] . X_i: the canonical reading carries
-explicit time dependence through the b t drift inside the conjugate, so
-its partial time derivative, not the flow, accounts for the energy change.
-The energy_* functions below return the conserved reading; the structure
-check differentiates the canonical one.
+For affine games the reading that makes Hamilton's equations hold instant
+by instant (the canonical one) and the conserved one differ by a multiple
+of sum b[i, j] . X_i: the canonical reading carries explicit time
+dependence through the b t drift inside the conjugate, so its partial time
+derivative, not the flow, accounts for the energy change.  The energy_*
+functions return the conserved reading; the structure check
+differentiates the canonical one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemState, reconstructed_motion, vector_field
-from .games import GeneralizedGame, NetworkGame, bipartite_partition
-from .regularizers import choice_map, conjugate_value
+from .dynamics import PayoffOperator, SystemState, vector_field
+from .games import GeneralizedGame, NetworkGame, bipartite_partition, check_partition
+from .regularizers import conjugate_value
 
-VARIANTS = (
-    "two_agent",
-    "bipartite",
-    "network",
-    "generalized",
-    "generalized_bipartite",
-)
+# An edge (i, j) of b is classed by whether i and j are kinetic agents.
+_ALL, _OUT, _BACK = (True, True), (True, False), (False, True)
+
+# variant: (K and P, generalized games only, weights of b[i, j] in beta, in
+# the conserved c, in the canonical c).  Weights are keyed by edge class,
+# and (a, s) stands for the weight a + s * sigma; absent classes weigh 0.
+VARIANTS = {
+    "two_agent": ("pair", False, {}, {}, {}),
+    "bipartite": ("partition", False, {}, {}, {}),
+    "network": ("all", False, {_ALL: (1, 0)}, {}, {}),
+    "generalized": ("all", True, {_ALL: (1, 0)}, {_ALL: (-1, 1)}, {_ALL: (-1, 0)}),
+    "generalized_bipartite": (
+        "partition", True, {_BACK: (1, 0)}, {_OUT: (-1, 0), _BACK: (0, 1)}, {_OUT: (-1, 0)}
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -48,159 +59,121 @@ class EnergyReading:
     correction: float | np.ndarray = 0.0
 
 
-def _require_sigma(game: NetworkGame):
-    if game.sigma not in (-1, 1):
-        raise ValueError("energy undefined: game has no sigma tag (general game)")
+class _Spec:
+    """A variant compiled for one game: the data of the energy formula.
+
+    kinetic and potential hold (regularizer, slice) per agent of K and P,
+    drift is beta (None without affine terms), and correction holds (slice,
+    block of c) per agent whose block is nonzero.  Bipartite variants
+    default to the game's own bipartition.
+    """
+
+    def __init__(self, game: NetworkGame, regs, variant: str, partition=None, canonical=False):
+        if game.sigma not in (-1, 1):
+            raise ValueError("energy undefined: game has no sigma tag (general game)")
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown energy variant {variant!r}")
+        sides, affine, drift, conserved, canon = VARIANTS[variant]
+        if affine and not isinstance(game, GeneralizedGame):
+            raise ValueError("generalized energy needs a generalized game")
+        if sides == "pair":
+            if game.n != 2:
+                raise ValueError("two-agent energy needs exactly two agents")
+            kinetic, potential = (0,), (1,)
+        elif sides == "all":
+            kinetic = potential = tuple(range(game.n))
+        else:
+            if partition is None:
+                partition = bipartite_partition(game)
+                if partition is None:
+                    raise ValueError(f"{variant} energy needs a bipartite game")
+            kinetic, potential = check_partition(game, partition)
+
+        self.variant = variant
+        self.sigma = game.sigma
+        self.op = op = PayoffOperator(game)
+        self.kinetic = tuple((regs[i], op.slices[i]) for i in kinetic)
+        self.potential = tuple((regs[j], op.slices[j]) for j in potential)
+        in_k = set(kinetic)
+
+        def weighted(table):
+            w = {edge: a + s * game.sigma for edge, (a, s) in table.items()}
+            return op.weighted_drift(lambda i, j: w.get((i in in_k, j in in_k), 0))
+
+        self.drift = weighted(drift)
+        c = weighted(canon if canonical else conserved)
+        self.correction = () if c is None else tuple((s, c[s]) for s in op.slices if np.any(c[s]))
 
 
-def _kinetic(regs, ys, agents):
-    return sum(conjugate_value(regs[i], ys[i]) for i in agents)
+def energy_of(spec: _Spec, y, X, y0, t) -> EnergyReading:
+    """The energy of a compiled variant at flat (batch..., D) motions y and positions X."""
+    kin = sum(conjugate_value(reg, y[..., s]) for reg, s in spec.kinetic)
+    z = y0 + spec.op.linear(X)
+    if spec.drift is not None:
+        z = z + spec.drift * t
+    pot = -spec.sigma * sum(conjugate_value(reg, z[..., s]) for reg, s in spec.potential)
+    corr = sum(np.sum(X[..., s] * c, axis=-1) for s, c in spec.correction)
+    return EnergyReading(spec.variant, kin + pot + corr, kin, pot, corr)
+
+
+def _read(variant, state: SystemState, game, regs, partition=None) -> EnergyReading:
+    spec = _Spec(game, regs, variant, partition)
+    join = spec.op.join
+    return energy_of(spec, join(state.y), join(state.X), join(state.y0), state.t)
 
 
 def energy_two_agent(state: SystemState, game: NetworkGame, regs) -> EnergyReading:
     """h_1*(y_1) - sigma h_2*(y_2(0) + A[2, 1] X_1) for a two-agent game."""
-    _require_sigma(game)
-    if game.n != 2:
-        raise ValueError("two-agent energy needs exactly two agents")
-    z2 = state.y0[1] + state.X[0] @ game.matrix(1, 0).T
-    kin = conjugate_value(regs[0], state.y[0])
-    pot = -game.sigma * conjugate_value(regs[1], z2)
-    return EnergyReading("two_agent", kin + pot, kin, pot)
-
-
-def _check_partition(game: NetworkGame, partition):
-    side_one, side_two = tuple(partition[0]), tuple(partition[1])
-    if sorted(side_one + side_two) != list(range(game.n)):
-        raise ValueError("partition invalid: must cover every agent exactly once")
-    for side in (set(side_one), set(side_two)):
-        for (i, j), a in game.payoffs.items():
-            if i in side and j in side and np.any(a):
-                raise ValueError(f"partition invalid: nonzero edge ({i}, {j}) inside a side")
-    return side_one, side_two
+    return _read("two_agent", state, game, regs)
 
 
 def energy_bipartite(state: SystemState, game: NetworkGame, partition, regs) -> EnergyReading:
     """One side's conjugates plus the other side's reconstructed potential."""
-    _require_sigma(game)
-    side_one, side_two = _check_partition(game, partition)
-    kin = _kinetic(regs, state.y, side_one)
-    pot = 0.0
-    for j in side_two:
-        z = np.asarray(state.y0[j], dtype=float)
-        for i in side_one:
-            a = game.payoffs.get((j, i))
-            if a is not None:
-                z = z + state.X[i] @ a.T
-        pot = pot - game.sigma * conjugate_value(regs[j], z)
-    return EnergyReading("bipartite", kin + pot, kin, pot)
+    return _read("bipartite", state, game, regs, partition)
 
 
 def energy_network(state: SystemState, game: NetworkGame, regs) -> EnergyReading:
     """All-perspectives energy; equals 2 sum h*(y) on zero-sum games, 0 on coordination."""
-    _require_sigma(game)
-    agents = range(game.n)
-    kin = _kinetic(regs, state.y, agents)
-    zs = reconstructed_motion(game, regs, state.y0, state.X, state.t)
-    pot = -game.sigma * sum(conjugate_value(regs[j], zs[j]) for j in agents)
-    return EnergyReading("network", kin + pot, kin, pot)
-
-
-def _linear_correction(game: GeneralizedGame, X, agents_i, agents_j):
-    total = 0.0
-    for i in agents_i:
-        for j in agents_j:
-            if j == i:
-                continue
-            bv = game.b.get((i, j))
-            if bv is not None:
-                total = total + np.sum(bv * X[i], axis=-1)
-    return total
+    return _read("network", state, game, regs)
 
 
 def energy_generalized(state: SystemState, game: GeneralizedGame, regs) -> EnergyReading:
-    """Network energy of an affine game, with the conserved drift correction.
-
-    The reconstructed motions include the accumulated drift b t, and the
-    linear correction enters with weight (1 - sigma): that weight is what
-    makes the time derivative vanish along the flow (the zero-sum case
-    needs the correction twice, the coordination case collapses to zero
-    exactly as the plain network energy does).
-    """
-    if not isinstance(game, GeneralizedGame):
-        raise ValueError("generalized energy needs a generalized game")
-    agents = range(game.n)
-    kin = _kinetic(regs, state.y, agents)
-    zs = reconstructed_motion(game, regs, state.y0, state.X, state.t)
-    pot = -game.sigma * sum(conjugate_value(regs[j], zs[j]) for j in agents)
-    corr = -(1 - game.sigma) * _linear_correction(game, state.X, agents, agents)
-    return EnergyReading("generalized", kin + pot + corr, kin, pot, corr)
+    """Network energy of an affine game, with the conserved drift correction."""
+    return _read("generalized", state, game, regs)
 
 
 def energy_generalized_bipartite(
     state: SystemState, game: GeneralizedGame, partition, regs
 ) -> EnergyReading:
-    """One-sided affine energy, conserved for both sigma on bipartite games.
+    """One-sided affine energy, conserved for both sigma on bipartite games."""
+    return _read("generalized_bipartite", state, game, regs, partition)
 
-    Both sides' drift corrections are needed: the first side's with weight
-    one, the second side's with weight -sigma.
-    """
-    if not isinstance(game, GeneralizedGame):
-        raise ValueError("generalized energy needs a generalized game")
-    side_one, side_two = _check_partition(game, partition)
-    kin = _kinetic(regs, state.y, side_one)
-    pot = 0.0
-    for j in side_two:
-        z = np.asarray(state.y0[j], dtype=float)
-        for i in side_one:
-            a = game.payoffs.get((j, i))
-            if a is not None:
-                z = z + state.X[i] @ a.T
-            bv = game.b.get((j, i))
-            if bv is not None:
-                z = z + bv * state.t
-        pot = pot - game.sigma * conjugate_value(regs[j], z)
-    corr = -_linear_correction(game, state.X, side_one, side_two)
-    corr = corr + game.sigma * _linear_correction(game, state.X, side_two, side_one)
-    return EnergyReading("generalized_bipartite", kin + pot + corr, kin, pot, corr)
+
+def _auto_variant(game: NetworkGame) -> str | None:
+    """The default variant of a game (see select_energy); None without a sigma tag."""
+    if game.sigma not in (-1, 1):
+        return None
+    one_sided = game.sigma == 1 and bipartite_partition(game) is not None
+    if isinstance(game, GeneralizedGame):
+        return "generalized_bipartite" if one_sided else "generalized"
+    return "bipartite" if one_sided else "network"
 
 
 def select_energy(game: NetworkGame, regs, mode: str = "auto"):
-    """Pick the instrument energy for a trajectory: (callable, variant name).
+    """Pick the instrument energy for a trajectory: (reader, variant name).
 
-    Zero-sum games use the network energy; coordination games fall back to
-    the one-sided variant when a bipartition exists, because their network
-    energy is identically zero.  Games without a sigma tag have no energy.
+    The variant is compiled once; reader(y, X, y0, t) reads it at flat
+    (batch..., D) arrays.  Zero-sum games use the network energy;
+    coordination games fall back to the one-sided variant when a
+    bipartition exists, because their network energy is identically zero.
+    Games without a sigma tag have no energy, and mode "none" asks for
+    none: both give (None, None).
     """
-    if mode == "none":
+    variant = None if mode == "none" else _auto_variant(game) if mode == "auto" else mode
+    if variant is None:
         return None, None
-    if mode == "auto":
-        if game.sigma not in (-1, 1):
-            return None, None
-        if isinstance(game, GeneralizedGame):
-            mode = "generalized"
-            if game.sigma == 1:
-                part = bipartite_partition(game)
-                if part is not None:
-                    mode = "generalized_bipartite"
-        elif game.sigma == 1:
-            part = bipartite_partition(game)
-            mode = "bipartite" if part is not None else "network"
-        else:
-            mode = "network"
-    if mode == "two_agent":
-        return (lambda s: energy_two_agent(s, game, regs)), mode
-    if mode == "network":
-        return (lambda s: energy_network(s, game, regs)), mode
-    if mode == "generalized":
-        return (lambda s: energy_generalized(s, game, regs)), mode
-    if mode in ("bipartite", "generalized_bipartite"):
-        part = bipartite_partition(game)
-        if part is None:
-            raise ValueError("bipartite energy requested for a non-bipartite game")
-        if mode == "bipartite":
-            return (lambda s: energy_bipartite(s, game, part, regs)), mode
-        return (lambda s: energy_generalized_bipartite(s, game, part, regs)), mode
-    raise ValueError(f"unknown energy variant {mode!r}")
+    spec = _Spec(game, regs, variant)
+    return (lambda y, X, y0, t: energy_of(spec, y, X, y0, t)), variant
 
 
 # ---------------------------------------------------------------------------
@@ -218,45 +191,6 @@ class StructureReport:
         return max(self.residual_position, self.residual_motion)
 
 
-def _canonical_energy(state, game, regs, variant, partition):
-    """The reading whose partial derivatives are the instantaneous field.
-
-    For plain games this is the conserved energy itself.  For affine games
-    the drift correction enters exactly once per side, which restores
-    Hamilton's equations at the price of explicit time dependence.
-    """
-    if variant == "two_agent":
-        return energy_two_agent(state, game, regs).value
-    if variant == "bipartite":
-        return energy_bipartite(state, game, partition, regs).value
-    if variant == "network":
-        return energy_network(state, game, regs).value
-    if variant == "generalized":
-        agents = range(game.n)
-        kin = _kinetic(regs, state.y, agents)
-        zs = reconstructed_motion(game, regs, state.y0, state.X, state.t)
-        pot = -game.sigma * sum(conjugate_value(regs[j], zs[j]) for j in agents)
-        corr = -_linear_correction(game, state.X, agents, agents)
-        return kin + pot + corr
-    if variant == "generalized_bipartite":
-        side_one, side_two = partition
-        kin = _kinetic(regs, state.y, side_one)
-        pot = 0.0
-        for j in side_two:
-            z = np.asarray(state.y0[j], dtype=float)
-            for i in side_one:
-                a = game.payoffs.get((j, i))
-                if a is not None:
-                    z = z + state.X[i] @ a.T
-                bv = game.b.get((j, i))
-                if bv is not None:
-                    z = z + bv * state.t
-            pot = pot - game.sigma * conjugate_value(regs[j], z)
-        corr = -_linear_correction(game, state.X, side_one, side_two)
-        return kin + pot + corr
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 def verify_hamiltonian_structure(
     state: SystemState,
     game: NetworkGame,
@@ -272,33 +206,16 @@ def verify_hamiltonian_structure(
     strategies too close to the boundary are rejected, since the conjugate
     gradients then change too fast across the differencing stencil.
     """
-    _require_sigma(game)
     if state.y[0].ndim > 1:
         raise ValueError("structure check runs on single states, not batches")
-    partition = None
     if variant == "auto":
-        if isinstance(game, GeneralizedGame):
-            variant = "generalized"
-            if game.sigma == 1:
-                partition = bipartite_partition(game)
-                if partition is not None:
-                    variant = "generalized_bipartite"
-        elif game.sigma == -1:
-            variant = "network"
-        else:
-            partition = bipartite_partition(game)
-            if partition is None:
-                raise ValueError(
-                    "coordination network without bipartition has an identically "
-                    "zero energy; no structure check is defined there"
-                )
-            variant = "bipartite"
-    if variant in ("bipartite", "generalized_bipartite") and partition is None:
-        partition = bipartite_partition(game)
-        if partition is None:
-            raise ValueError("bipartite structure check needs a bipartite game")
-    if variant == "two_agent" and game.n != 2:
-        raise ValueError("two-agent structure check needs exactly two agents")
+        variant = _auto_variant(game)
+        if variant == "network" and game.sigma == 1:
+            raise ValueError(
+                "coordination network without bipartition has an identically "
+                "zero energy; no structure check is defined there"
+            )
+    spec = _Spec(game, regs, variant, canonical=True)
 
     for i, (reg, xv) in enumerate(zip(regs, state.x)):
         if getattr(reg, "kind", None) == "entropy" and np.min(xv) < 1e-8:
@@ -308,50 +225,22 @@ def verify_hamiltonian_structure(
                 "for stable differencing"
             )
 
-    if variant in ("two_agent",):
-        tracked = (0,)
-    elif variant in ("bipartite", "generalized_bipartite"):
-        tracked = tuple(partition[0])
-    else:
-        tracked = tuple(range(game.n))
+    join = spec.op.join
+    dX, dy = (join(v) for v in vector_field(state, game, regs))
+    y, X, y0 = join(state.y), join(state.X), join(state.y0)  # copies, perturbed in place
 
-    def value(ys, Xs):
-        probe = replace(state, y=tuple(ys), X=tuple(Xs))
-        return float(_canonical_energy(probe, game, regs, variant, partition))
+    def slope(v, c):
+        """Central difference of the canonical reading along coordinate c of v."""
+        h = fd_step * max(1.0, abs(v[c]))
+        v[c] += h
+        up = float(energy_of(spec, y, X, y0, state.t).value)
+        v[c] -= 2.0 * h
+        down = float(energy_of(spec, y, X, y0, state.t).value)
+        v[c] += h
+        return (up - down) / (2.0 * h)
 
-    dX, dy = vector_field(state, game, regs)
-    res_pos = 0.0
-    res_mot = 0.0
-    ys = [np.array(v, dtype=float) for v in state.y]
-    Xs = [np.array(v, dtype=float) for v in state.X]
-    for i in tracked:
-        for c in range(ys[i].shape[-1]):
-            h = fd_step * max(1.0, abs(ys[i][c]))
-            ys[i][c] += h
-            up = value(ys, Xs)
-            ys[i][c] -= 2.0 * h
-            down = value(ys, Xs)
-            ys[i][c] += h
-            res_pos = max(res_pos, abs((up - down) / (2.0 * h) - dX[i][c]))
-
-            h = fd_step * max(1.0, abs(Xs[i][c]))
-            Xs[i][c] += h
-            up = value(ys, Xs)
-            Xs[i][c] -= 2.0 * h
-            down = value(ys, Xs)
-            Xs[i][c] += h
-            res_mot = max(res_mot, abs((up - down) / (2.0 * h) + dy[i][c]))
+    res_pos = res_mot = 0.0
+    for c in (c for _, s in spec.kinetic for c in range(s.start, s.stop)):
+        res_pos = max(res_pos, abs(slope(y, c) - dX[c]))
+        res_mot = max(res_mot, abs(slope(X, c) + dy[c]))
     return StructureReport(variant, res_pos, res_mot)
-
-
-def consistent_state(game: NetworkGame, regs, y0, X, t: float = 0.0) -> SystemState:
-    """State whose motions are exactly the reconstruction from (y0, X, t).
-
-    Useful for probing the structure equations at arbitrary phase-space
-    points without integrating there.
-    """
-    y0 = tuple(np.asarray(v, dtype=float) for v in y0)
-    X = tuple(np.asarray(v, dtype=float) for v in X)
-    y = tuple(reconstructed_motion(game, regs, y0, X, t))
-    x = tuple(choice_map(reg, v) for reg, v in zip(regs, y))
-    return SystemState(t, y, X, x, y0)

@@ -210,6 +210,22 @@ class TestSimulate:
         assert code == 0
         assert "energy non-decreasing: True" in capsys.readouterr().out
 
+    def test_rounded_horizon_noted_and_recorded(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["--eta", "0.3", "--horizon", "1.0", "--stride", "1", "--out", str(out)]
+        code = main(["simulate", "--game", mp_file(tmp_path), *args])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "not a whole number of steps" in err and "t = 0.9 (3 steps)" in err
+        meta = json.loads((out / "mp_rk4.meta.json").read_text())
+        assert meta["horizon"] == 1.0
+        assert meta["effective_horizon"] == 3 * 0.3
+
+    def test_whole_step_horizon_has_no_note(self, tmp_path, capsys):
+        args = ["--eta", "0.1", "--horizon", "0.3", "--out", str(tmp_path / "out")]
+        assert main(["simulate", "--game", mp_file(tmp_path), *args]) == 0
+        assert "note" not in capsys.readouterr().err
+
     def test_zero_eta_usage_error(self, tmp_path, capsys):
         code = main(
             [
@@ -415,6 +431,18 @@ class TestAnalyze:
         assert code == 1
         assert "replay" in capsys.readouterr().err
 
+    def test_edited_middle_row_rejected(self, tmp_path, capsys):
+        game_path, csv_path = self.simulate_mp(tmp_path)
+        lines = csv_path.read_text().splitlines()
+        middle = len(lines) // 2
+        cells = lines[middle].split(",")
+        cells[1], cells[2] = cells[2], cells[1]
+        lines[middle] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        code = main(["analyze", "--game", game_path, "--traj", str(csv_path)])
+        assert code == 1
+        assert "replay" in capsys.readouterr().err
+
     def test_no_reference_game_still_reports(self, tmp_path, capsys):
         # a game without a fully mixed 2x2 equilibrium: dominant strategies
         doc = {
@@ -467,6 +495,11 @@ class TestCloud:
             ]
         )
         assert code == 1
+
+    def test_rounded_horizon_noted(self, tmp_path, capsys):
+        args = ["--n", "10", "--eta", "0.3", "--horizon", "1.0", "--out", str(tmp_path / "out")]
+        assert main(["cloud", "--game", mp_file(tmp_path), *args]) == 0
+        assert "the run ends at t = 0.9" in capsys.readouterr().err
 
     def test_volume_report(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("HAMGAME_THREADS", "2")

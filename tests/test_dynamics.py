@@ -268,6 +268,17 @@ class TestSimulate:
         assert len(traj.states) == 5
         assert traj.states[-1].t == pytest.approx(1.0, abs=1e-12)
 
+    def test_time_is_step_count_times_eta(self):
+        game, regs, y0 = mp_start()
+        traj = simulate(game, regs, y0, IntegratorConfig("euler", 1e-3, 12.566, 12566), energy="none")
+        assert traj.states[-1].t == 12566 * 1e-3  # a running sum would be off by 1.5e-12
+
+    def test_effective_horizon_recorded(self):
+        game, regs, y0 = mp_start()
+        traj = simulate(game, regs, y0, IntegratorConfig("rk4", 0.3, 1.0, 1))
+        assert traj.metadata["horizon"] == 1.0
+        assert traj.metadata["effective_horizon"] == traj.states[-1].t == 3 * 0.3
+
     def test_closed_orbit_matches_table_phase_portrait(self):
         game, regs, y0 = mp_start("euclidean")
         traj = run(game, regs, y0, scheme="rk4", eta=1e-3, horizon=2 * np.pi, stride=50)
@@ -550,6 +561,7 @@ def test_flat_loop_matches_tuple_steppers(family, counts, seed, batch, scheme, e
     expected = [state]
     for i in range(1, steps + 1):
         state = _ref_step(scheme, game, regs, state, eta)
+        state = (i * eta,) + state[1:]  # simulate keeps time as i * eta, not a running sum
         if i % stride == 0 or i == steps:
             expected.append(state)
 

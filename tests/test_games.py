@@ -291,6 +291,15 @@ class TestReduce2x2:
                 )
                 assert reduced == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize("pair", [(0, 0), (0, 2)])
+    def test_affine_term_must_join_two_agents(self, pair):
+        from hamgame import GeneralizedGame
+
+        with pytest.raises(ValueError, match="two different agents"):
+            GeneralizedGame(
+                (1, 1), {(0, 1): np.eye(1), (1, 0): -np.eye(1)}, sigma=-1, b={pair: np.ones(1)}
+            )
+
     def test_trivial_interaction_rejected(self):
         a = np.array([[1.0, 1.0], [0.0, 0.0]])  # a1 = 0
         game = NetworkGame((2, 2), {(0, 1): a, (1, 0): np.zeros((2, 2))})
