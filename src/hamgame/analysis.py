@@ -11,13 +11,13 @@ and phase-space volume of an evolved cloud of initial conditions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dynamics import IntegratorConfig, Trajectory, simulate
 from .games import GameKind, MixedProfile, NetworkGame, classify_game, verify_nash
-from .regularizers import bregman_distance, conjugate_value, fenchel_coupling
+from .regularizers import bregman_distance, conjugate_value, fenchel_bregman, spans
 
 MONOTONE_SLACK = 1e-10
 
@@ -58,28 +58,13 @@ class SeriesReport:
     max_gap: float
 
 
-def _per_snapshot(traj, regs, ref, func, use_y):
-    values = []
-    for state in traj.states:
-        vecs = state.y if use_y else state.x
-        try:
-            values.append(
-                sum(func(reg, xr, v) for reg, xr, v in zip(regs, ref, vecs))
-            )
-        except ValueError:
-            values.append(np.nan)
-    return np.asarray(values, dtype=float)
-
-
 def fenchel_bregman_series(traj: Trajectory, game: NetworkGame, regs, ref) -> SeriesReport:
     """F(x*, y(t)) and D(x*, x(t)) at every snapshot.
 
     On interior snapshots the two agree; the report records the largest gap
     and whether the identity held everywhere it was defined.
     """
-    ref = tuple(ref)
-    F = _per_snapshot(traj, regs, ref, fenchel_coupling, use_y=True)
-    D = _per_snapshot(traj, regs, ref, bregman_distance, use_y=False)
+    F, D = fenchel_bregman(regs, tuple(ref), traj.stacked("y"), traj.stacked("x"))
     defined = ~np.isnan(D)
     gap = np.abs(F[defined] - D[defined]) if np.any(defined) else np.array([0.0])
     diffs = np.diff(D[defined]) if np.sum(defined) > 1 else np.array([0.0])
@@ -209,12 +194,8 @@ def monotone_energy_check(traj: Trajectory, game: NetworkGame, regs) -> Monotone
         raise ValueError("monotone energy statement covers Euler trajectories only")
     if game.sigma != -1 and classify_game(game).kind != GameKind.ZERO_SUM:
         raise ValueError("monotone energy statement covers zero-sum games only")
-    H = np.array(
-        [
-            sum(conjugate_value(reg, yv) for reg, yv in zip(regs, s.y))
-            for s in traj.states
-        ]
-    )
+    y = traj.stacked("y")
+    H = sum(conjugate_value(reg, y[..., s]) for reg, s in spans(regs))
     diffs = np.diff(H, axis=0)
     max_decrease = float(max(0.0, -np.min(diffs))) if diffs.size else 0.0
     total = float(np.sum(np.maximum(diffs, 0.0))) if diffs.size else 0.0
@@ -308,7 +289,8 @@ def volume_ratio(game: NetworkGame, regs, cloud, config: IntegratorConfig) -> Vo
     if n < 10:
         raise ValueError("cloud too small for a covariance volume estimate (need >= 10)")
     before = _cloud_volume(cloud)
-    traj = simulate(game, regs, cloud, config, energy="none")
+    # only the start and the end are read, so only they are recorded
+    traj = simulate(game, regs, cloud, replace(config, stride=max(1, config.steps)), energy="none")
     after = _cloud_volume(traj.states[-1].y)
     ratio = after / before if before > 0 else float("nan")
     note = f"covariance-determinant estimate from {n} samples"

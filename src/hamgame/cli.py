@@ -94,9 +94,9 @@ def _squeeze_batch(y0):
     return tuple(v[0] if v.ndim == 2 and v.shape[0] == 1 else v for v in y0)
 
 
-def _config_from_args(args, scheme) -> IntegratorConfig:
+def _config_from_args(args, scheme, stride) -> IntegratorConfig:
     try:
-        return IntegratorConfig(scheme, args.eta, args.horizon, args.stride)
+        return IntegratorConfig(scheme, args.eta, args.horizon, stride)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
@@ -150,7 +150,7 @@ def _out_paths(args, loaded, suffix=""):
 
 def cmd_simulate(args) -> int:
     loaded = _load(args.game)
-    config = _config_from_args(args, args.scheme)
+    config = _config_from_args(args, args.scheme, args.stride)
     _note_rounded_horizon(config)
     try:
         y0 = _squeeze_batch(_resolve_y0(loaded, args))
@@ -295,7 +295,8 @@ def cmd_cloud(args) -> int:
         print("error: cloud size must be at least 10", file=sys.stderr)
         return USAGE_ERROR
     schemes = [s.strip() for s in args.scheme.split(",") if s.strip()]
-    configs = [_config_from_args(args, scheme) for scheme in schemes]
+    # volume_ratio records only the start and the end, so no stride is asked for
+    configs = [_config_from_args(args, scheme, 1) for scheme in schemes]
     if configs:  # every scheme shares eta and horizon
         _note_rounded_horizon(configs[0])
     cloud = sample_payoff_ball(loaded.y0, args.radius, args.n, args.seed)
@@ -356,11 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scheme", default="rk4", help="euler, rk4, or leapfrog")
         p.add_argument("--eta", type=float, default=1e-3, help="integrator step size")
         p.add_argument("--horizon", type=float, default=10.0, help="simulated time span")
-        p.add_argument("--stride", type=int, default=10, help="record every n-th step")
 
     p = sub.add_parser("simulate", help="run one trajectory and write CSV + metadata")
     p.add_argument("--game", required=True)
     common_run_flags(p)
+    p.add_argument("--stride", type=int, default=10, help="record every n-th step")
     p.add_argument("--seed", type=int, default=None, help="draw y0 from a seeded ball")
     p.add_argument("--radius", type=float, default=0.1, help="radius of the seeded ball")
     p.add_argument("--y0", default=None, help="inline JSON (or @file / path) overriding the game file")

@@ -38,17 +38,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dataclass_field
 from math import isfinite
+from time import perf_counter
 
 import numpy as np
 
 from .fileio import game_fingerprint
 from .games import GeneralizedGame, NetworkGame
-from .regularizers import BlockChoiceMap, choice_map
+from .regularizers import BlockChoiceMap, choice_map, fenchel_bregman
 
 SCHEMES = ("euler", "rk4", "symplectic_leapfrog")
 SCHEME_ALIASES = {"leapfrog": "symplectic_leapfrog"}
 
 BLOW_UP_LIMIT = 1e12
+SCHEMA_VERSION = 1  # of the trajectory metadata and its JSON sidecar
 
 
 @dataclass(frozen=True)
@@ -321,7 +323,8 @@ class Trajectory:
 
     energy, fenchel and bregman are arrays aligned with states (NaN where a
     reading is unavailable: no sigma tag, no reference profile, or a
-    boundary strategy under an entropy regularizer).
+    boundary strategy under an entropy regularizer).  fenchel and bregman
+    are None without a reference profile.
     """
 
     states: list[SystemState]
@@ -338,11 +341,15 @@ class Trajectory:
     def batched(self) -> bool:
         return self.states[0].y[0].ndim > 1
 
+    def stacked(self, part: str) -> np.ndarray:
+        """One part of the state ("y", "X" or "x") as a (snapshots, batch..., D) array."""
+        return np.stack([np.concatenate(getattr(s, part), axis=-1) for s in self.states])
+
     def strategy_matrix(self) -> np.ndarray:
         """Snapshots-by-coordinates matrix of the concatenated strategies."""
         if self.batched:
             raise ValueError("strategy matrix is only defined for single trajectories")
-        return np.array([np.concatenate(s.x) for s in self.states])
+        return self.stacked("x")
 
     def energy_drift(self) -> tuple[float, float]:
         """(max |H - H(0)|, relative drift) over the recorded snapshots."""
@@ -354,35 +361,22 @@ class Trajectory:
         return drift, drift / max(1.0, float(np.max(np.abs(h0))))
 
 
-def _instrument_factory(game, regs, y0, ref, energy):
-    """Build the per-snapshot (H, F, D) reader; import here to avoid a cycle.
+def _read_instruments(energy_fn, regs, y0, ref, t, y, X, x):
+    """H, F and D of a whole run, read once on its stacked snapshots.
 
-    read(state, y, X) takes the snapshot and its flat motions and positions;
-    y0 is the run's flat initial motion.
+    t, y, X and x are the snapshot sequences; they are stacked into
+    (snapshots, batch..., D) arrays only when a reading is asked for.
+    Returns the readings and the stacked y, X and x (None if nothing was
+    stacked).
     """
-    from . import hamiltonian as _ham
-    from .regularizers import bregman_distance, fenchel_coupling
-
-    energy_fn, variant = _ham.select_energy(game, regs, energy)
-
-    def read(state, y, X):
-        h = energy_fn(y, X, y0, state.t).value if energy_fn is not None else np.nan
-        if ref is None:
-            return h, np.nan, np.nan
-        f = sum(
-            fenchel_coupling(reg, xr, yv)
-            for reg, xr, yv in zip(regs, ref, state.y)
-        )
-        try:
-            d = sum(
-                bregman_distance(reg, xr, xv)
-                for reg, xr, xv in zip(regs, ref, state.x)
-            )
-        except ValueError:  # entropy gradient undefined at a boundary strategy
-            d = np.nan
-        return h, f, d
-
-    return read, variant
+    H = np.full(len(t), np.nan)
+    if energy_fn is None and ref is None:
+        return H, None, None, None
+    Y, XX, XS = np.stack(y), np.stack(X), np.stack(x)
+    if energy_fn is not None:  # t as a (snapshots, 1, ...) column against the states
+        H = energy_fn(Y, XX, y0, np.reshape(t, (-1,) + (1,) * (Y.ndim - 1))).value
+    F, D = (None, None) if ref is None else fenchel_bregman(regs, ref, Y, XS)
+    return H, F, D, (Y, XX, XS)
 
 
 def _blow_up(y, slices):
@@ -407,52 +401,62 @@ def simulate(
 ) -> Trajectory:
     """Iterate the configured stepper from (t=0, X=0, y=y0).
 
-    Records every stride-th state (plus the first and last) together with
-    instrument readings; deterministic given its inputs.  A non-finite or
-    exploding state truncates the trajectory and leaves a diagnostic in the
-    metadata instead of raising: discrete-time divergence is expected
-    behavior, not an error.
+    Records every stride-th state (plus the first and last); deterministic
+    given its inputs.  The instruments (H, and F and D against ref) are
+    read once per run, after the loop, on the recorded snapshots stacked
+    into (snapshots, batch..., D) arrays.  A non-finite or exploding state
+    truncates the trajectory and leaves a diagnostic in the metadata
+    instead of raising: discrete-time divergence is expected behavior, not
+    an error.  The last finite state then ends the record.  The metadata's
+    timing block holds the wall time of the stepping loop and of the
+    readings, and the steps taken per second of stepping.
     """
+    from .hamiltonian import select_energy  # here: hamiltonian imports this module
+
     kernel = KERNELS[config.scheme]
     flow = _Flow(game, regs, y0)
     ref_components = tuple(ref) if ref is not None else None
-    read, variant = _instrument_factory(game, regs, flow.y0, ref_components, energy)
+    energy_fn, variant = select_energy(game, regs, energy)
 
-    states, H, F, D = [], [], [], []
-
-    def record(t, y, X, x):
-        s = flow.state(t, y, X, x)
-        h, f, d = read(s, y, X)
-        states.append(s)
-        H.append(h)
-        F.append(f)
-        D.append(d)
-
+    start = perf_counter()
     t, y = 0.0, flow.y0
     X = np.zeros_like(y)
     x, force = flow.choice(y), None
-    record(t, y, X, x)
+    snaps = [(t, y, X, x)]  # the loop's own arrays, recorded without copies
     diagnostics = {"truncated": False, "blow_up_step": None, "reason": None}
-    n_steps = config.steps
+    n_steps, i = config.steps, 0
     for i in range(1, n_steps + 1):
+        last = t, y, X
         y, X, force = kernel(flow, t, y, X, x, force, config.eta)
         t = i * config.eta  # not a running sum, whose error would enter the b t drift
         x = None
         reason = _blow_up(y, flow.op.slices)
         if reason is not None:
             diagnostics.update(truncated=True, blow_up_step=i, reason=reason)
+            if (i - 1) % config.stride:  # the last finite state ends the record
+                snaps.append(last + (flow.choice(last[1]),))
             break
         if i % config.stride == 0 or i == n_steps:
             x = flow.choice(y)  # also the next step's first stage
-            record(t, y, X, x)
+            snaps.append((t, y, X, x))
+    step_s = perf_counter() - start
+
+    start = perf_counter()
+    t, y, X, x = zip(*snaps)
+    H, F, D, stacks = _read_instruments(energy_fn, regs, flow.y0, ref_components, t, y, X, x)
+    if stacks is not None:  # the states become views of the stacks
+        y, X, x = stacks
+    states = [flow.state(*snap) for snap in zip(t, y, X, x)]
+    instruments_s = perf_counter() - start
 
     has_ref = ref_components is not None
-    traj = Trajectory(
+    return Trajectory(
         states=states,
-        energy=np.asarray(H),
-        fenchel=np.asarray(F) if has_ref else None,
-        bregman=np.asarray(D) if has_ref else None,
+        energy=H,
+        fenchel=F,
+        bregman=D,
         metadata={
+            "schema_version": SCHEMA_VERSION,
             "game_hash": game_fingerprint(game),
             "scheme": config.scheme,
             "eta": config.eta,
@@ -472,9 +476,13 @@ def simulate(
             "y0": [np.asarray(v).tolist() for v in y0],
             "ref": [np.asarray(v).tolist() for v in ref_components] if has_ref else None,
             "diagnostics": diagnostics,
+            "timing": {
+                "step_s": step_s,
+                "instruments_s": instruments_s,
+                "steps_per_s": i / step_s if step_s > 0 else 0.0,
+            },
         },
     )
-    return traj
 
 
 def sample_payoff_ball(center, radius: float, n: int, seed: int):

@@ -77,13 +77,18 @@ class ProductRegularizer:
         return sum(b.dim for b in self.blocks)
 
     def slices(self):
-        start = 0
-        for b in self.blocks:
-            yield b, slice(start, start + b.dim)
-            start += b.dim
+        return spans(self.blocks)
 
 
 AnyRegularizer = Regularizer | ProductRegularizer
+
+
+def spans(regs):
+    """(regularizer, slice) pairs of blocks laid side by side on the last axis."""
+    start = 0
+    for reg in regs:
+        yield reg, slice(start, start + reg.dim)
+        start += reg.dim
 
 
 def _softmax(u):
@@ -124,17 +129,29 @@ def project_simplex(v):
     return np.maximum(v - tau, 0.0)
 
 
+def _outside(reg: Regularizer, x):
+    """Points (leading axes) of x outside the domain beyond DOMAIN_TOL."""
+    if reg.domain == "simplex":
+        return (np.abs(np.sum(x, axis=-1) - 1.0) > DOMAIN_TOL) | np.any(
+            x < -DOMAIN_TOL, axis=-1
+        )
+    return np.any((x < -DOMAIN_TOL) | (x > 1.0 + DOMAIN_TOL), axis=-1)
+
+
+def _on_boundary(reg: Regularizer, x):
+    """Points where an entropy gradient is undefined: a coordinate at 0 (or at 1 on the box)."""
+    if reg.kind != "entropy":
+        return np.zeros(x.shape[:-1], dtype=bool)
+    if reg.domain == "simplex":
+        return np.any(x <= 0.0, axis=-1)
+    return np.any((x <= 0.0) | (x >= 1.0), axis=-1)
+
+
 def _check_domain(reg: Regularizer, x):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != reg.dim:
         raise ValueError(f"point has dimension {x.shape[-1]}, expected {reg.dim}")
-    if reg.domain == "simplex":
-        bad = (np.abs(np.sum(x, axis=-1) - 1.0) > DOMAIN_TOL) | np.any(
-            x < -DOMAIN_TOL, axis=-1
-        )
-    else:
-        bad = np.any((x < -DOMAIN_TOL) | (x > 1.0 + DOMAIN_TOL), axis=-1)
-    if np.any(bad):
+    if np.any(_outside(reg, x)):
         raise ValueError(f"point outside {reg.domain} domain beyond {DOMAIN_TOL}")
     return x
 
@@ -271,13 +288,12 @@ def gradient_h(reg: AnyRegularizer, x):
             [gradient_h(b, x[..., s]) for b, s in reg.slices()], axis=-1
         )
     x = _check_domain(reg, x)
+    if np.any(_on_boundary(reg, x)):
+        where = "zero coordinate" if reg.domain == "simplex" else "coordinate at 0 or 1"
+        raise ValueError(f"gradient undefined on boundary ({where})")
     if reg.kind == "entropy":
         if reg.domain == "simplex":
-            if np.any(x <= 0.0):
-                raise ValueError("gradient undefined on boundary (zero coordinate)")
             return reg.scale * (1.0 + np.log(x))
-        if np.any((x <= 0.0) | (x >= 1.0)):
-            raise ValueError("gradient undefined on boundary (coordinate at 0 or 1)")
         return reg.scale * (np.log(x) - np.log(1.0 - x))
     if reg.domain == "simplex":
         return 2.0 * reg.scale * x
@@ -309,6 +325,36 @@ def fenchel_coupling(reg: AnyRegularizer, x_ref, y):
     x_ref = np.asarray(x_ref, dtype=float)
     y = np.asarray(y, dtype=float)
     return conjugate_value(reg, y) - np.sum(y * x_ref, axis=-1) + h_value(reg, x_ref)
+
+
+def _undefined(reg: AnyRegularizer, x):
+    """Points (leading axes) where bregman_distance(reg, ., x) raises."""
+    if isinstance(reg, ProductRegularizer):
+        return np.any([_undefined(b, x[..., s]) for b, s in reg.slices()], axis=0)
+    return _outside(reg, x) | _on_boundary(reg, x)
+
+
+def fenchel_bregman(regs, ref, y, x):
+    """Summed F(ref_i, y_i) and D(ref_i, x_i) over agents, row by row.
+
+    y and x are stacks of rows (first axis, any batch axes next) holding
+    the agents' blocks side by side on the last axis; the work loops over
+    agents, not rows.  F raises ValueError as fenchel_coupling does.  D is
+    NaN on every row where bregman_distance would raise for some agent and
+    batch entry: an entropy strategy on the boundary, or a point outside
+    the domain.
+    """
+    F, bad = 0, np.zeros(len(x), dtype=bool)
+    for (reg, s), xr in zip(spans(regs), ref):
+        F = F + fenchel_coupling(reg, xr, y[..., s])
+        bad |= _undefined(reg, x[..., s]).reshape(len(x), -1).any(axis=1)
+    D = np.full(np.shape(F), np.nan)
+    if not bad.all():
+        good = x[~bad]
+        D[~bad] = sum(
+            bregman_distance(reg, xr, good[..., s]) for (reg, s), xr in zip(spans(regs), ref)
+        )
+    return F, D
 
 
 def restrict_to_interval(reg: Regularizer) -> Regularizer:

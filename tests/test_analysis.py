@@ -6,6 +6,7 @@ import pytest
 from hamgame import (
     IntegratorConfig,
     MixedProfile,
+    NetworkGame,
     boundary_approach,
     bregman_distance,
     build_report,
@@ -18,6 +19,7 @@ from hamgame import (
     recurrence_report,
     reduce_2x2_to_generalized,
     sample_payoff_ball,
+    simulate,
     solve_2x2_fully_mixed_nash,
     volume_ratio,
 )
@@ -294,6 +296,21 @@ class TestVolume:
         config = IntegratorConfig("rk4", 1e-2, 1.0, 1)
         with pytest.raises(ValueError, match="cloud too small"):
             volume_ratio(red.game, red.regularizers, cloud, config)
+
+    def test_truncated_cloud_ends_at_last_finite_state(self):
+        # agent 1's payoff grows by 7e10 a step whatever agent 2 plays: |y| > 1e12 at step 15
+        a = 7e10 * np.array([[1.0, 1.0], [-1.0, -1.0]])
+        game = NetworkGame((2, 2), {(0, 1): a, (1, 0): -a.T}, sigma=-1)
+        regs = default_regularizers(game, "euclidean")
+        y0 = (np.array([3.0, -3.0]), np.array([2.0, 1.0]))
+        config = IntegratorConfig("euler", 1.0, 30.0, 10)
+        traj = simulate(game, regs, y0, config, energy="none")
+        diag = traj.metadata["diagnostics"]
+        assert diag["truncated"] and diag["blow_up_step"] == 15
+        assert [s.t for s in traj.states] == [0.0, 10.0, 14.0]
+        report = volume_ratio(game, regs, sample_payoff_ball(y0, 0.1, 20, 0), config)
+        assert "truncated at step 15" in report.note
+        assert "t in [0, 14] only" in report.note
 
     def test_full_coordinates_match_reduced_picture(self):
         # the same expansion shows up in the four-dimensional chart

@@ -382,6 +382,16 @@ class TestTrajectoryFiles:
         assert meta["snapshots"] == len(traj.states)
         assert meta["regularizers"][0]["kind"] == "entropy"
 
+    def test_metadata_schema_and_timing(self, tmp_path):
+        game, regs, y0 = mp_start("entropy")
+        traj = run(game, regs, y0, scheme="rk4", eta=0.1, horizon=1.0, stride=5)
+        meta_path = tmp_path / "orbit.meta.json"
+        write_trajectory_metadata(traj, "deadbeef", meta_path)
+        for meta in (traj.metadata, json.loads(meta_path.read_text())):
+            assert meta["schema_version"] == 1
+            assert set(meta["timing"]) == {"step_s", "instruments_s", "steps_per_s"}
+            assert all(v >= 0.0 for v in meta["timing"].values())
+
 
 class TestIntegratorConfig:
     def test_rejects_bad_eta(self):
