@@ -15,6 +15,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -166,7 +167,9 @@ def cmd_simulate(args) -> int:
         ref=ref.profile if ref else None,
     )
     csv_path, meta_path = _out_paths(args, loaded)
+    start = perf_counter()
     write_trajectory_csv(traj, loaded.game, csv_path)
+    traj.metadata["timing"]["io_s"] = perf_counter() - start
     write_trajectory_metadata(traj, game_fingerprint(loaded.game), meta_path)
     drift_abs, drift_rel = traj.energy_drift()
     final_t = traj.states[-1].t

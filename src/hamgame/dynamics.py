@@ -22,8 +22,8 @@ compiles the game once into the block payoff operator M (M[s_i, s_j] =
 A[i, j]) plus, for affine games, the summed drift b, so the field is
 x @ M' (+ b) and the motion reconstructed from the positions is
 y0 + X @ M' (+ b t).  The choice maps act blockwise, one call per group of
-blocks with the same kind, domain and dimension; a product regularizer
-contributes its blocks.  One loop in simulate serves every scheme and
+blocks with the same kind and domain (regularizers.BlockChoiceMap); a
+product regularizer contributes its blocks.  One loop in simulate serves every scheme and
 batched clouds alike, and it evaluates x only where a stage or a recorded
 snapshot needs it.  SystemState is the per-snapshot view: per-agent slices
 of the flat arrays.  The public steppers are thin wrappers that flatten a
@@ -36,6 +36,7 @@ conditions evolves as one vectorized trajectory.
 from __future__ import annotations
 
 import json
+import platform
 from dataclasses import dataclass, field as dataclass_field
 from math import isfinite
 from time import perf_counter
@@ -50,7 +51,7 @@ SCHEMES = ("euler", "rk4", "symplectic_leapfrog")
 SCHEME_ALIASES = {"leapfrog": "symplectic_leapfrog"}
 
 BLOW_UP_LIMIT = 1e12
-SCHEMA_VERSION = 1  # of the trajectory metadata and its JSON sidecar
+SCHEMA_VERSION = 2  # of the trajectory metadata and its JSON sidecar
 
 
 @dataclass(frozen=True)
@@ -409,7 +410,9 @@ def simulate(
     instead of raising: discrete-time divergence is expected behavior, not
     an error.  The last finite state then ends the record.  The metadata's
     timing block holds the wall time of the stepping loop and of the
-    readings, and the steps taken per second of stepping.
+    readings, and the steps taken per second of stepping; its io_s, the
+    time spent writing the trajectory, is 0 until a writer fills it in.
+    The metadata also names the Python and numpy versions of the run.
     """
     from .hamiltonian import select_energy  # here: hamiltonian imports this module
 
@@ -457,6 +460,8 @@ def simulate(
         bregman=D,
         metadata={
             "schema_version": SCHEMA_VERSION,
+            "python_version": platform.python_version(),
+            "numpy_version": np.__version__,
             "game_hash": game_fingerprint(game),
             "scheme": config.scheme,
             "eta": config.eta,
@@ -479,6 +484,7 @@ def simulate(
             "timing": {
                 "step_s": step_s,
                 "instruments_s": instruments_s,
+                "io_s": 0.0,
                 "steps_per_s": i / step_s if step_s > 0 else 0.0,
             },
         },

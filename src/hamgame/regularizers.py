@@ -115,9 +115,22 @@ def _xlogx(x):
 def project_simplex(v):
     """Euclidean projection of v onto the probability simplex (last axis).
 
-    Exact O(k log k) sorted-threshold rule; no iteration, no tolerance.
+    Exact sorted-threshold rule; no iteration, no tolerance.  With u the
+    entries in decreasing order, the thresholds are (u_1 + ... + u_j - 1) / j,
+    rho counts the entries above their threshold and tau is the rho-th
+    threshold; the projection is max(v - tau, 0).  Two coordinates a, b take
+    no sort: the thresholds are max(a, b) - 1 and (a + b - 1) / 2, and tau is
+    the second exactly when min(a, b) exceeds it.  These are the sorted
+    rule's own operations, so the bits are the same.  An entry of -inf sorts
+    last, its threshold is -inf, which never counts toward rho, and it maps
+    to 0; BlockChoiceMap pads narrow blocks with it.
     """
     v = np.asarray(v, dtype=float)
+    if v.shape[-1] == 2:
+        a, b = v[..., 0], v[..., 1]
+        wide = (a + b - 1.0) / 2
+        tau = np.where(np.minimum(a, b) > wide, wide, np.maximum(a, b) - 1.0)
+        return np.maximum(v - tau[..., None], 0.0)
     u = -np.sort(-v, axis=-1)
     k = np.arange(1, v.shape[-1] + 1)
     thresholds = (u.cumsum(axis=-1) - 1.0) / k
@@ -175,21 +188,25 @@ def h_value(reg: AnyRegularizer, x):
     return reg.scale * val
 
 
-def _project_half(u):
-    return project_simplex(u / 2.0)
+def _clip_centered(u):
+    return np.clip(u + 0.5, 0.0, 1.0)
 
 
-def _clip_quarter(u):
-    return np.clip(u / 4.0 + 0.5, 0.0, 1.0)
-
-
-# choice maps at scale 1, by (kind, domain); scale s acts as y -> y / s
+# choice maps at scale 1, by (kind, domain), each after the prescale below;
+# scale s acts as y -> y / (s * prescale)
 _UNIT_CHOICE = {
     ("entropy", "simplex"): _softmax,
     ("entropy", "box"): _sigmoid,
-    ("euclidean", "simplex"): _project_half,
-    ("euclidean", "box"): _clip_quarter,
+    ("euclidean", "simplex"): project_simplex,
+    ("euclidean", "box"): _clip_centered,
 }
+# y / (2 s) rounds as (y / s) / 2 does, barring subnormals: a power of two
+# folds into the scale without changing bits
+_PRESCALE = {("euclidean", "simplex"): 2.0, ("euclidean", "box"): 4.0}
+
+# numpy sums fewer than 8 terms in order and more pairwise, so trailing
+# zeros (the softmax of -inf padding) keep a sum's bits only below 8 terms
+_PAD_BELOW = 8
 
 
 def _leaves(regs):
@@ -200,51 +217,81 @@ def _leaves(regs):
             yield reg
 
 
+def _factor(reg: Regularizer) -> float:
+    return reg.scale * _PRESCALE.get((reg.kind, reg.domain), 1.0)
+
+
 class BlockChoiceMap:
     """Choice maps of several regularizers on one concatenated payoff vector.
 
     The last axis of y is the concatenation of one block per regularizer
-    (product regularizers contribute their blocks).  Blocks that share kind,
-    domain and dimension are mapped in one call on a (..., count, dim)
-    array, with the scales divided out coordinate by coordinate; box maps
-    act coordinatewise, so box blocks count as blocks of dimension one.
-    Every row is mapped exactly as the block alone would be.
+    (product regularizers contribute their blocks).  All blocks of one kind
+    and domain are mapped in one call on a (..., count, width) array, with
+    the scales (and the prescales of the euclidean maps) divided out
+    coordinate by coordinate; box maps act coordinatewise, so box blocks
+    count as blocks of width one.  A simplex block narrower than its
+    group's widest is padded with -inf, which keeps every bit: the row max
+    does not change, exp(-inf) adds trailing +0.0 terms to the softmax sum,
+    and the sorted projection rule never counts a -inf entry (see
+    project_simplex); the padded outputs are dropped.  Blocks of 8 or more
+    coordinates group by dimension, since numpy sums 8 or more terms
+    pairwise, in another order.  The outputs are gathered back into one
+    C-ordered array: PayoffOperator.linear multiplies slices of it, and BLAS
+    sums an F-ordered operand in another order.  Every row is mapped exactly
+    as the block alone would be.
     """
 
     def __init__(self, regs):
         groups, start = {}, 0
         for reg in _leaves(regs):
-            width = 1 if reg.domain == "box" else reg.dim
-            coords, scales = groups.setdefault((reg.kind, reg.domain, width), ([], []))
-            coords.extend(range(start, start + reg.dim))
-            scales.extend([reg.scale] * reg.dim)
+            box = reg.domain == "box"  # coordinatewise: one block per coordinate
+            blocks = [(c, 1) for c in range(start, start + reg.dim)] if box else [(start, reg.dim)]
+            wide = 0 if box or reg.dim < _PAD_BELOW else reg.dim
+            group = groups.setdefault((reg.kind, reg.domain, wide), [])
+            group.extend((first, dim, _factor(reg)) for first, dim in blocks)
             start += reg.dim
-        plans = []
-        for (kind, domain, width), (coords, scales) in groups.items():
-            index = np.array(coords)
-            if coords == list(range(coords[0], coords[-1] + 1)):
-                index = slice(coords[0], coords[-1] + 1)  # a view, no gather
-            scale = None if all(v == 1.0 for v in scales) else np.array(scales)
-            shape = (len(coords) // width, width)
-            plans.append((index, scale, shape, _UNIT_CHOICE[kind, domain]))
+        plans, back, offset = [], np.empty(start, dtype=np.intp), 0
+        for (kind, domain, _), blocks in groups.items():
+            width = max(dim for _, dim, _ in blocks)
+            index, scales, pad = [], [], []
+            for first, dim, factor in blocks:
+                back[first : first + dim] = range(offset + len(index), offset + len(index) + dim)
+                pad.extend(range(len(index) + dim, len(index) + width))
+                index.extend(range(first, first + dim))
+                index.extend([first] * (width - dim))  # any coordinate; set to -inf
+                scales.extend([factor] * width)
+            offset += len(index)
+            if pad:
+                index, pad = np.array(index), np.array(pad)
+            elif index == list(range(index[0], index[-1] + 1)):
+                index, pad = slice(index[0], index[-1] + 1), None  # a view, no gather
+            else:
+                index, pad = np.array(index), None
+            if all(v == scales[0] for v in scales):
+                scale = None if scales[0] == 1.0 else scales[0]
+            else:
+                scale = np.array(scales)
+            plans.append((index, scale, pad, (len(blocks), width), _UNIT_CHOICE[kind, domain]))
         self.plans = tuple(plans)
+        # None when the groups' outputs, concatenated, already are x in order
+        self.back = None if np.array_equal(back, np.arange(offset)) else back
 
     def __call__(self, y):
         if not isfinite(y.sum()):  # one reduction; nan/inf both poison the sum
             raise ValueError("choice map requires finite payoff vector")
         lead = y.shape[:-1]
         parts = []
-        for index, scale, shape, unit_map in self.plans:
+        for index, scale, pad, shape, unit_map in self.plans:
             u = y[..., index]
             if scale is not None:
                 u = u / scale
-            parts.append((index, unit_map(u.reshape(lead + shape)).reshape(lead + (-1,))))
-        if len(parts) == 1:  # one group holds every coordinate, in order
-            return parts[0][1]
-        x = np.empty(y.shape)
-        for index, part in parts:
-            x[..., index] = part
-        return x
+            if pad is not None:  # u is a gathered copy here, never a view of y
+                u[..., pad] = -np.inf
+            parts.append(unit_map(u.reshape(lead + shape)).reshape(lead + (-1,)))
+        x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        if self.back is not None:
+            x = x[..., self.back]
+        return np.ascontiguousarray(x)  # a batched gather is F-ordered
 
 
 def choice_map(reg: AnyRegularizer, y):
@@ -256,7 +303,8 @@ def choice_map(reg: AnyRegularizer, y):
         return BlockChoiceMap(reg.blocks)(y)
     if not isfinite(y.sum()):
         raise ValueError("choice map requires finite payoff vector")
-    return _UNIT_CHOICE[reg.kind, reg.domain](y if reg.scale == 1.0 else y / reg.scale)
+    factor = _factor(reg)
+    return _UNIT_CHOICE[reg.kind, reg.domain](y if factor == 1.0 else y / factor)
 
 
 def conjugate_value(reg: AnyRegularizer, y):

@@ -1,6 +1,8 @@
 """Vector field, steppers, simulation loop, and trajectory files."""
 
 import json
+import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from hamgame import (
     write_trajectory_csv,
     write_trajectory_metadata,
 )
+from hamgame.cli import main
 
 from conftest import (
     MP_MATRIX,
@@ -388,9 +391,17 @@ class TestTrajectoryFiles:
         meta_path = tmp_path / "orbit.meta.json"
         write_trajectory_metadata(traj, "deadbeef", meta_path)
         for meta in (traj.metadata, json.loads(meta_path.read_text())):
-            assert meta["schema_version"] == 1
-            assert set(meta["timing"]) == {"step_s", "instruments_s", "steps_per_s"}
+            assert meta["schema_version"] == 2
+            assert meta["python_version"] == platform.python_version()
+            assert meta["numpy_version"] == np.__version__
+            assert set(meta["timing"]) == {"step_s", "instruments_s", "io_s", "steps_per_s"}
             assert all(v >= 0.0 for v in meta["timing"].values())
+        game_file = Path(__file__).resolve().parent.parent / "games" / "matching_pennies.json"
+        argv = ["simulate", "--game", str(game_file), "--scheme", "rk4", "--eta", "0.1",
+                "--horizon", "1.0", "--out", str(tmp_path)]
+        assert main(argv) == 0  # the command fills in the time of its CSV write
+        meta = json.loads((tmp_path / "matching_pennies_rk4.meta.json").read_text())
+        assert meta["schema_version"] == 2 and meta["timing"]["io_s"] > 0.0
 
 
 class TestIntegratorConfig:
