@@ -267,10 +267,7 @@ class BlockChoiceMap:
                 index, pad = slice(index[0], index[-1] + 1), None  # a view, no gather
             else:
                 index, pad = np.array(index), None
-            if all(v == scales[0] for v in scales):
-                scale = None if scales[0] == 1.0 else scales[0]
-            else:
-                scale = np.array(scales)
+            scale = None if all(v == 1.0 for v in scales) else np.array(scales)
             plans.append((index, scale, pad, (len(blocks), width), _UNIT_CHOICE[kind, domain]))
         self.plans = tuple(plans)
         # None when the groups' outputs, concatenated, already are x in order

@@ -165,19 +165,15 @@ def test_block_choice_map_matches_frozen_copy(regs, lead, data):
     y = data.draw(payoffs(lead, dim))
     block, ref = BlockChoiceMap(regs), _RefBlockChoiceMap(regs)
     for v in _layouts(y):
-        x = block(v)
+        x, expected = block(v), ref(v)
         assert x.shape == v.shape
         assert x.flags.c_contiguous  # a matmul on an F-ordered x sums in another order
-        np.testing.assert_array_equal(x, ref(v))
-        assert np.array_equal(np.signbit(x), np.signbit(ref(v)))
-    for reg, s in zip(regs, _spans(regs)):
-        np.testing.assert_array_equal(choice_map(reg, y[..., s]), _ref_choice_map(reg, y[..., s]))
-
-
-def _spans(regs):
+        np.testing.assert_array_equal(x, expected)
+        assert np.array_equal(np.signbit(x), np.signbit(expected))
     start = 0
     for reg in regs:
-        yield slice(start, start + reg.dim)
+        part = y[..., start : start + reg.dim]
+        np.testing.assert_array_equal(choice_map(reg, part), _ref_choice_map(reg, part))
         start += reg.dim
 
 
