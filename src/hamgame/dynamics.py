@@ -23,9 +23,9 @@ A[i, j]) plus, for affine games, the summed drift b, so the field is
 x @ M' (+ b) and the motion reconstructed from the positions is
 y0 + X @ M' (+ b t).  The choice maps act blockwise, one call per group of
 blocks with the same kind and domain (regularizers.BlockChoiceMap); a
-product regularizer contributes its blocks.  One loop in simulate serves every scheme and
-batched clouds alike, and it evaluates x only where a stage or a recorded
-snapshot needs it.  SystemState is the per-snapshot view: per-agent slices
+product regularizer contributes its blocks.  One loop in simulate serves
+every scheme and batched clouds alike, and it evaluates x only where a
+stage or a recorded snapshot needs it.  SystemState is the per-snapshot view: per-agent slices
 of the flat arrays.  The public steppers are thin wrappers that flatten a
 SystemState, take one flat step and split the result again.
 
