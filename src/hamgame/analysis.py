@@ -264,6 +264,7 @@ class VolumeReport:
     final_volume: float
     size: int
     note: str
+    timing: dict = field(default_factory=dict)  # the batched run's, as in its metadata
 
 
 def _cloud_volume(ys) -> float:
@@ -300,7 +301,7 @@ def volume_ratio(game: NetworkGame, regs, cloud, config: IntegratorConfig) -> Vo
             f"; truncated at step {diag['blow_up_step']} ({diag['reason']}), "
             f"ratio covers t in [0, {traj.states[-1].t:g}] only"
         )
-    return VolumeReport(ratio, before, after, n, note)
+    return VolumeReport(ratio, before, after, n, note, traj.metadata["timing"])
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -37,6 +38,7 @@ from .games import (
 
 USAGE_ERROR = 1
 BLOW_UP_ERROR = 2
+CLOUD_SCHEMA_VERSION = 1  # of the *_cloud.json report
 
 
 def _thread_cap() -> int:
@@ -317,6 +319,9 @@ def cmd_cloud(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     doc = {
+        "schema_version": CLOUD_SCHEMA_VERSION,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
         "game_hash": game_fingerprint(loaded.game),
         "n": args.n,
         "radius": args.radius,
@@ -325,6 +330,10 @@ def cmd_cloud(args) -> int:
         "horizon": args.horizon,
         "volume": {
             scheme: {"ratio": rep.ratio, "note": rep.note} for scheme, rep in results.items()
+        },
+        "timing": {  # per scheme, one batched run of all n starts
+            scheme: {key: rep.timing[key] for key in ("step_s", "steps_per_s")}
+            for scheme, rep in results.items()
         },
     }
     out = Path(args.out)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .fileio import game_fingerprint
 from .games import GeneralizedGame, NetworkGame
-from .regularizers import BlockChoiceMap, choice_map, fenchel_bregman
+from .regularizers import BlockChoiceMap, choice_map, fenchel_bregman, payoff_limit
 
 SCHEMES = ("euler", "rk4", "symplectic_leapfrog")
 SCHEME_ALIASES = {"leapfrog": "symplectic_leapfrog"}
@@ -138,21 +138,22 @@ class PayoffOperator:
     def __init__(self, game: NetworkGame):
         bounds = np.cumsum((0,) + tuple(game.strategy_counts)).tolist()
         self.slices = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
-        rows = []
+        self.dim = bounds[-1]
+        rows = []  # (input span, A' on it, output slice) per row block
         for i, k in enumerate(game.strategy_counts):
             cols = [j for j in range(game.n) if (i, j) in game.payoffs]
             if not cols:
-                rows.append((slice(0, 0), np.zeros((0, k))))
+                rows.append((slice(0, 0), np.zeros((0, k)), self.slices[i]))
                 continue
             if len(cols) == 1:
-                rows.append((self.slices[cols[0]], game.payoffs[(i, cols[0])].T))
+                rows.append((self.slices[cols[0]], game.payoffs[(i, cols[0])].T, self.slices[i]))
                 continue
             lo, hi = self.slices[cols[0]].start, self.slices[cols[-1]].stop
             block = np.zeros((k, hi - lo))
             for j in cols:
                 s = self.slices[j]
                 block[:, s.start - lo : s.stop - lo] = game.payoffs[(i, j)]
-            rows.append((slice(lo, hi), block.T))
+            rows.append((slice(lo, hi), block.T, self.slices[i]))
         self.rows = tuple(rows)
         self.b = sorted(game.b.items()) if isinstance(game, GeneralizedGame) else []
         self.drift = self.weighted_drift(lambda i, j: 1.0)
@@ -164,7 +165,7 @@ class PayoffOperator:
             w = weight(i, j)
             if w:
                 if out is None:
-                    out = np.zeros(self.slices[-1].stop)
+                    out = np.zeros(self.dim)
                 out[self.slices[i]] += w * bv
         return out
 
@@ -175,8 +176,16 @@ class PayoffOperator:
         return tuple(flat[..., s] for s in self.slices)
 
     def linear(self, x):
-        """x @ M': sum_j A[i, j] x_j for every agent i, without drift."""
-        return np.concatenate([x[..., span] @ mt for span, mt in self.rows], axis=-1)
+        """x @ M': sum_j A[i, j] x_j for every agent i, without drift.
+
+        Each row block is multiplied straight into its slice of one output;
+        the slice keeps a BLAS-able stride, so the bits are those of a
+        separate x_span @ A' per block.
+        """
+        out = np.empty(x.shape[:-1] + (self.dim,))
+        for span, mt, s in self.rows:
+            np.matmul(x[..., span], mt, out=out[..., s])
+        return out
 
     def field(self, x):
         """dy/dt at strategies x."""
@@ -205,6 +214,10 @@ class _Flow:
         self.field = self.op.field
         self.y0 = self.op.join(self.y0_parts)
         self.sigma = game.sigma
+        # per agent, the |y| past which a step counts as a blow-up; limit is
+        # their minimum, checked against the whole of y once per step
+        self.limits = tuple(min(BLOW_UP_LIMIT, payoff_limit(reg)) for reg in regs)
+        self.limit = min(self.limits)
 
     def kick(self, X, t):
         """The leapfrog force: the field at the motions reconstructed from X."""
@@ -380,15 +393,17 @@ def _read_instruments(energy_fn, regs, y0, ref, t, y, X, x):
     return H, F, D, (Y, XX, XS)
 
 
-def _blow_up(y, slices):
-    if float(np.abs(y).max()) <= BLOW_UP_LIMIT:  # False for nan and inf too
+def _blow_up(y, flow):
+    if float(np.abs(y).max()) <= flow.limit:  # False for nan and inf too
         return None
-    for s in slices:  # the first offending agent names the reason
-        peak = float(np.abs(y[..., s]).max())
+    for agent, (s, limit) in enumerate(zip(flow.op.slices, flow.limits), 1):
+        peak = float(np.abs(y[..., s]).max())  # the first offending agent names the reason
         if not np.isfinite(peak):
             return "non-finite payoff vector"
         if peak > BLOW_UP_LIMIT:
             return f"|y| exceeded {BLOW_UP_LIMIT:g}"
+        if peak > limit:
+            return f"agent {agent}: |y| exceeded {limit:g}, past the precision of its euclidean projection"
     return None
 
 
@@ -408,7 +423,10 @@ def simulate(
     into (snapshots, batch..., D) arrays.  A non-finite or exploding state
     truncates the trajectory and leaves a diagnostic in the metadata
     instead of raising: discrete-time divergence is expected behavior, not
-    an error.  The last finite state then ends the record.  The metadata's
+    an error.  Exploding means |y| past BLOW_UP_LIMIT, or, for an agent
+    with a euclidean simplex block of small scale, past the lower
+    regularizers.payoff_limit, where its projection stops landing on the
+    simplex.  The last finite state then ends the record.  The metadata's
     timing block holds the wall time of the stepping loop and of the
     readings, and the steps taken per second of stepping; its io_s, the
     time spent writing the trajectory, is 0 until a writer fills it in.
@@ -433,7 +451,7 @@ def simulate(
         y, X, force = kernel(flow, t, y, X, x, force, config.eta)
         t = i * config.eta  # not a running sum, whose error would enter the b t drift
         x = None
-        reason = _blow_up(y, flow.op.slices)
+        reason = _blow_up(y, flow)
         if reason is not None:
             diagnostics.update(truncated=True, blow_up_step=i, reason=reason)
             if (i - 1) % config.stride:  # the last finite state ends the record

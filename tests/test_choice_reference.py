@@ -1,11 +1,14 @@
-"""Differential test: the choice maps against a frozen copy of the earlier code.
+"""Differential test: the choice maps and payoff operator against frozen copies.
 
 `BlockChoiceMap` makes one call per (kind, domain), padding narrower simplex
 blocks with -inf; `project_simplex` takes a sort-free path on two
-coordinates; the euclidean maps' power-of-two prescales are folded into the
-scales.  The reference below is a frozen copy of the code before those
-changes, which grouped blocks by (kind, domain, dimension), always sorted,
-and divided by 2 or 4 inside the unit maps.  Outputs must agree bit for bit.
+coordinates and sorts many short rows by a compare-exchange network; the
+euclidean maps' power-of-two prescales are folded into the scales; and
+`PayoffOperator.linear` multiplies each row block into its slice of one
+output.  The references below are frozen copies of the code before those
+changes, which grouped blocks by (kind, domain, dimension), always sorted
+with np.sort, divided by 2 or 4 inside the unit maps and joined the row
+blocks' products with np.concatenate.  Outputs must agree bit for bit.
 """
 
 from math import isfinite
@@ -15,8 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamgame import ProductRegularizer, Regularizer, choice_map, project_simplex
+from hamgame import (
+    GeneralizedGame,
+    NetworkGame,
+    ProductRegularizer,
+    Regularizer,
+    choice_map,
+    project_simplex,
+)
+from hamgame.dynamics import PayoffOperator
 from hamgame.regularizers import BlockChoiceMap
+
+from conftest import MP_MATRIX, zero_sum_from_edges
 
 
 def _ref_project_simplex(v):
@@ -103,6 +116,31 @@ class _RefBlockChoiceMap:
         return x
 
 
+class _RefPayoffOperator:
+    def __init__(self, game):
+        bounds = np.cumsum((0,) + tuple(game.strategy_counts)).tolist()
+        slices = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+        rows = []
+        for i, k in enumerate(game.strategy_counts):
+            cols = [j for j in range(game.n) if (i, j) in game.payoffs]
+            if not cols:
+                rows.append((slice(0, 0), np.zeros((0, k))))
+                continue
+            if len(cols) == 1:
+                rows.append((slices[cols[0]], game.payoffs[(i, cols[0])].T))
+                continue
+            lo, hi = slices[cols[0]].start, slices[cols[-1]].stop
+            block = np.zeros((k, hi - lo))
+            for j in cols:
+                s = slices[j]
+                block[:, s.start - lo : s.stop - lo] = game.payoffs[(i, j)]
+            rows.append((slice(lo, hi), block.T))
+        self.rows = tuple(rows)
+
+    def linear(self, x):
+        return np.concatenate([x[..., span] @ mt for span, mt in self.rows], axis=-1)
+
+
 def _ref_choice_map(reg, y):
     y = np.asarray(y, dtype=float)
     if isinstance(reg, ProductRegularizer):
@@ -177,14 +215,34 @@ def test_block_choice_map_matches_frozen_copy(regs, lead, data):
         start += reg.dim
 
 
-@settings(max_examples=200, deadline=None)
-@given(dim=st.integers(1, 6), lead=st.sampled_from([(), (3,), (2000,)]), data=st.data())
+# project_simplex sorts by a network from 96 rows at width 3 to 672 at
+# width 7: leads on both sides of each
+LEADS = [(), (3,), (95,), (96,), (48, 2), (191,), (320,), (479,), (671,), (672,), (2000,)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 7), lead=st.sampled_from(LEADS), data=st.data())
 def test_project_simplex_matches_frozen_copy(dim, lead, data):
     v = data.draw(payoffs(lead, dim))
     for w in _layouts(v):
         out, ref = project_simplex(w), _ref_project_simplex(w)
         np.testing.assert_array_equal(out, ref)
         assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
+@pytest.mark.parametrize("rows", [95, 96, 671, 672, 2000])
+@pytest.mark.parametrize("width", [3, 4, 5, 6, 7])
+def test_project_simplex_padded_batch(width, rows):
+    # rows padded with -inf as BlockChoiceMap pads narrow blocks, with ties
+    rng = np.random.default_rng(100 * width + rows)
+    v = rng.normal(size=(rows, width)) * rng.choice([1e-3, 1.0, 1e6], size=(rows, 1))
+    v[rng.uniform(size=v.shape) < 0.2] = 0.5
+    v[:, 1:][np.arange(1, width) >= rng.integers(1, width + 1, size=(rows, 1))] = -np.inf
+    for w in _layouts(v):
+        out, ref = project_simplex(w), _ref_project_simplex(w)
+        np.testing.assert_array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+    np.testing.assert_allclose(project_simplex(v).sum(axis=-1), 1.0)
 
 
 def test_two_coordinate_ties_and_signed_zeros():
@@ -211,3 +269,37 @@ def test_non_finite_input_raises(bad, lead):
     y[..., 1] = bad
     with pytest.raises(ValueError, match="finite"):
         BlockChoiceMap(regs)(y)
+
+
+def _affine_box_game(rng):
+    counts, spaces = (1, 3, 1, 2), ("box", "simplex", "box", "simplex")
+    payoffs = {}
+    for i, j in [(0, 1), (1, 2), (2, 3), (0, 2)]:
+        a = rng.normal(size=(counts[i], counts[j]))
+        payoffs[(i, j)], payoffs[(j, i)] = a, -a.T
+    b = {(0, 1): rng.normal(size=1), (2, 3): rng.normal(size=1), (3, 2): rng.normal(size=2)}
+    return GeneralizedGame(counts, payoffs, sigma=-1, b=b, spaces=spaces)
+
+
+GAMES = {
+    "matching_pennies": lambda rng: NetworkGame((2, 2), {(0, 1): MP_MATRIX, (1, 0): -MP_MATRIX.T}, sigma=-1),
+    "two_agent_3x4": lambda rng: zero_sum_from_edges((3, 4), [(0, 1)], rng),
+    # the cloud benchmark's shape: a four-agent ring plus one chord
+    "ring_plus_chord": lambda rng: zero_sum_from_edges((3, 2, 4, 3), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)], rng),
+    "isolated_agent": lambda rng: zero_sum_from_edges((2, 3, 2), [(0, 2)], rng),
+    "affine_box": _affine_box_game,
+}
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,), (2000,), (4, 5)])
+@pytest.mark.parametrize("name", sorted(GAMES))
+def test_payoff_operator_matches_frozen_copy(name, lead):
+    rng = np.random.default_rng(7)
+    game = GAMES[name](rng)
+    op, ref = PayoffOperator(game), _RefPayoffOperator(game)
+    x = rng.uniform(size=lead + (sum(game.strategy_counts),)) * rng.choice([1e-3, 1.0, 1e6])
+    for v in _layouts(x):
+        out, expected = op.linear(v), ref.linear(v)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))

@@ -1,6 +1,7 @@
 """Command-line interface: validation, simulation runs, reports, clouds."""
 
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -529,3 +530,12 @@ class TestCloud:
         report = json.loads((tmp_path / "out" / "mp_cloud.json").read_text())
         assert 0.95 <= report["volume"]["rk4"]["ratio"] <= 1.05
         assert report["volume"]["euler"]["ratio"] > 1.1
+        assert report["schema_version"] == 1
+        assert report["python_version"] == platform.python_version()
+        assert report["numpy_version"] == np.__version__
+        assert set(report["timing"]) == {"rk4", "euler"}
+        for timing in report["timing"].values():
+            assert set(timing) == {"step_s", "steps_per_s"}
+            assert timing["step_s"] > 0
+            # 314 batched steps of all 200 starts
+            assert timing["steps_per_s"] == pytest.approx(314 / timing["step_s"])

@@ -308,6 +308,25 @@ class TestSimulate:
         assert diag["blow_up_step"] is not None
         assert len(traj.states) < 6
 
+    def test_payoffs_past_projection_precision_truncate(self):
+        # at scale 1e-6 the projection works on y / 2e-6, which passes 2^52
+        # at |y| = 9.007e9, far below BLOW_UP_LIMIT; a little further its
+        # output leaves the simplex and the energy reading would raise
+        a = 1e12 * MP_MATRIX
+        game = NetworkGame((2, 2), {(0, 1): a, (1, 0): -a.T}, sigma=-1)
+        regs = tuple(Regularizer("euclidean", dim=2, scale=1e-6) for _ in range(2))
+        y0 = (np.array([3e-6, -3e-6]), np.array([2e-6, 1e-6]))
+        for lead in ((), (3,)):
+            start = tuple(np.broadcast_to(v, lead + v.shape) for v in y0)
+            traj = simulate(game, regs, start, IntegratorConfig("euler", 1e-3, 0.5, 1))
+            diag = traj.metadata["diagnostics"]
+            assert diag["truncated"] and 1 < diag["blow_up_step"] < 500
+            assert diag["reason"] == (
+                "agent 1: |y| exceeded 9.0072e+09, past the precision of its euclidean projection"
+            )
+            assert np.all(np.isfinite(traj.energy))
+            assert np.abs(traj.stacked("y")).max() <= 2.0**52 * 2e-6
+
     def test_overflowing_step_truncates_as_non_finite(self):
         a = 1e308 * MP_MATRIX
         game = NetworkGame((2, 2), {(0, 1): a, (1, 0): -a.T}, sigma=-1)
