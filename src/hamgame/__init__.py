@@ -26,7 +26,6 @@ from .dynamics import (
     Trajectory,
     consistent_state,
     initial_state,
-    read_trajectory_csv,
     reconstructed_motion,
     sample_payoff_ball,
     simulate,
@@ -34,10 +33,9 @@ from .dynamics import (
     step_rk4,
     step_symplectic,
     vector_field,
-    write_trajectory_csv,
-    write_trajectory_metadata,
 )
 from .fileio import GameFileError, LoadedGame, game_fingerprint, load_game_file
+from .fileio import read_trajectory_csv, write_trajectory_csv, write_trajectory_metadata
 from .games import (
     BipartiteReduction,
     Classification,

@@ -61,10 +61,16 @@ class SeriesReport:
 def fenchel_bregman_series(traj: Trajectory, game: NetworkGame, regs, ref) -> SeriesReport:
     """F(x*, y(t)) and D(x*, x(t)) at every snapshot.
 
-    On interior snapshots the two agree; the report records the largest gap
-    and whether the identity held everywhere it was defined.
+    Taken from the trajectory when its instruments were read against this
+    same profile (metadata["ref"]), read here otherwise.  On interior
+    snapshots the two agree; the report records the largest gap and whether
+    the identity held everywhere it was defined.
     """
-    F, D = fenchel_bregman(regs, tuple(ref), traj.stacked("y"), traj.stacked("x"))
+    ref = tuple(ref)
+    if traj.fenchel is not None and traj.metadata.get("ref") == [np.asarray(v).tolist() for v in ref]:
+        F, D = traj.fenchel, traj.bregman
+    else:
+        F, D = fenchel_bregman(regs, ref, traj.y, traj.x)
     defined = ~np.isnan(D)
     gap = np.abs(F[defined] - D[defined]) if np.any(defined) else np.array([0.0])
     diffs = np.diff(D[defined]) if np.sum(defined) > 1 else np.array([0.0])
@@ -194,8 +200,7 @@ def monotone_energy_check(traj: Trajectory, game: NetworkGame, regs) -> Monotone
         raise ValueError("monotone energy statement covers Euler trajectories only")
     if game.sigma != -1 and classify_game(game).kind != GameKind.ZERO_SUM:
         raise ValueError("monotone energy statement covers zero-sum games only")
-    y = traj.stacked("y")
-    H = sum(conjugate_value(reg, y[..., s]) for reg, s in spans(regs))
+    H = sum(conjugate_value(reg, traj.y[..., s]) for reg, s in spans(regs))
     diffs = np.diff(H, axis=0)
     max_decrease = float(max(0.0, -np.min(diffs))) if diffs.size else 0.0
     total = float(np.sum(np.maximum(diffs, 0.0))) if diffs.size else 0.0
@@ -267,9 +272,8 @@ class VolumeReport:
     timing: dict = field(default_factory=dict)  # the batched run's, as in its metadata
 
 
-def _cloud_volume(ys) -> float:
-    flat = np.concatenate([np.asarray(v, dtype=float) for v in ys], axis=-1)
-    cov = np.cov(flat, rowvar=False)
+def _cloud_volume(y) -> float:
+    cov = np.cov(y, rowvar=False)
     sign, logdet = np.linalg.slogdet(np.atleast_2d(cov))
     if sign <= 0:
         return 0.0
@@ -289,17 +293,17 @@ def volume_ratio(game: NetworkGame, regs, cloud, config: IntegratorConfig) -> Vo
     n = cloud[0].shape[0]
     if n < 10:
         raise ValueError("cloud too small for a covariance volume estimate (need >= 10)")
-    before = _cloud_volume(cloud)
+    before = _cloud_volume(np.concatenate(cloud, axis=-1))
     # only the start and the end are read, so only they are recorded
     traj = simulate(game, regs, cloud, replace(config, stride=max(1, config.steps)), energy="none")
-    after = _cloud_volume(traj.states[-1].y)
+    after = _cloud_volume(traj.y[-1])
     ratio = after / before if before > 0 else float("nan")
     note = f"covariance-determinant estimate from {n} samples"
     diag = traj.metadata["diagnostics"]
     if diag["truncated"]:
         note += (
             f"; truncated at step {diag['blow_up_step']} ({diag['reason']}), "
-            f"ratio covers t in [0, {traj.states[-1].t:g}] only"
+            f"ratio covers t in [0, {traj.t[-1]:g}] only"
         )
     return VolumeReport(ratio, before, after, n, note, traj.metadata["timing"])
 

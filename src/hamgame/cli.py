@@ -10,6 +10,7 @@ payoff vectors the CSV does not store.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -21,14 +22,15 @@ from time import perf_counter
 import numpy as np
 
 from .analysis import build_report, make_reference, volume_ratio
-from .dynamics import (
-    IntegratorConfig,
-    sample_payoff_ball,
-    simulate,
+from .dynamics import IntegratorConfig, sample_payoff_ball, simulate
+from .fileio import (
+    GameFileError,
+    game_fingerprint,
+    load_game_file,
+    read_trajectory_csv,
     write_trajectory_csv,
     write_trajectory_metadata,
 )
-from .fileio import GameFileError, game_fingerprint, load_game_file
 from .games import (
     GameKind,
     MixedProfile,
@@ -161,22 +163,15 @@ def cmd_simulate(args) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    traj = simulate(
-        loaded.game,
-        loaded.regularizers,
-        y0,
-        config,
-        ref=ref.profile if ref else None,
-    )
+    traj = simulate(loaded.game, loaded.regularizers, y0, config, ref=ref.profile if ref else None)
     csv_path, meta_path = _out_paths(args, loaded)
     start = perf_counter()
     write_trajectory_csv(traj, loaded.game, csv_path)
     traj.metadata["timing"]["io_s"] = perf_counter() - start
     write_trajectory_metadata(traj, game_fingerprint(loaded.game), meta_path)
     drift_abs, drift_rel = traj.energy_drift()
-    final_t = traj.states[-1].t
     print(
-        f"wrote {csv_path} ({len(traj.states)} snapshots, final t={final_t:g}, "
+        f"wrote {csv_path} ({len(traj.t)} snapshots, final t={traj.t[-1]:g}, "
         f"scheme={config.scheme})"
     )
     if drift_abs == drift_abs:
@@ -200,38 +195,26 @@ def cmd_simulate(args) -> int:
 
 
 def _replay(loaded, meta, ref):
-    config = IntegratorConfig(
-        meta["scheme"], meta["eta"], meta["horizon"], meta["stride"]
-    )
+    config = IntegratorConfig(meta["scheme"], meta["eta"], meta["horizon"], meta["stride"])
     y0 = tuple(np.asarray(v, dtype=float) for v in meta["y0"])
     stored_ref = meta.get("ref")
     if ref is None and stored_ref is not None:
         ref = make_reference(loaded.game, MixedProfile(tuple(np.asarray(v) for v in stored_ref)))
-    traj = simulate(
-        loaded.game,
-        loaded.regularizers,
-        y0,
-        config,
-        ref=ref.profile if ref else None,
-        energy=meta.get("energy_variant") or "auto",
-    )
+    traj = simulate(loaded.game, loaded.regularizers, y0, config,
+                    ref=ref.profile if ref else None, energy=meta.get("energy_variant") or "auto")
     return traj, ref
 
 
 def _csv_matches_replay(csv_path, traj) -> bool:
     """Exact match of every stored row's time and strategies against the replayed run."""
-    from .dynamics import read_trajectory_csv
-
     try:
         _, data = read_trajectory_csv(csv_path)
     except (OSError, ValueError):
         return False
-    if data.shape[0] != len(traj.states):
+    if data.shape[0] != len(traj.t):
         return False
     xs = traj.strategy_matrix()
-    return np.array_equal(data[:, 0], traj.times) and np.array_equal(
-        data[:, 1 : 1 + xs.shape[1]], xs
-    )
+    return np.array_equal(data[:, 0], traj.t) and np.array_equal(data[:, 1 : 1 + xs.shape[1]], xs)
 
 
 def cmd_analyze(args) -> int:
@@ -402,9 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process; parse_args leaves it as built
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as err:

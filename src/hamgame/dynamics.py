@@ -25,9 +25,9 @@ y0 + X @ M' (+ b t).  The choice maps act blockwise, one call per group of
 blocks with the same kind and domain (regularizers.BlockChoiceMap); a
 product regularizer contributes its blocks.  One loop in simulate serves
 every scheme and batched clouds alike, and it evaluates x only where a
-stage or a recorded snapshot needs it.  SystemState is the per-snapshot view: per-agent slices
-of the flat arrays.  The public steppers are thin wrappers that flatten a
-SystemState, take one flat step and split the result again.
+stage or a recorded snapshot needs it.  SystemState is the per-agent view
+of one phase-space point.  The public steppers are thin wrappers that
+flatten a SystemState, take one flat step and split the result again.
 
 Everything broadcasts over leading batch axes of y, so a cloud of initial
 conditions evolves as one vectorized trajectory.
@@ -35,8 +35,8 @@ conditions evolves as one vectorized trajectory.
 
 from __future__ import annotations
 
-import json
 import platform
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 from math import isfinite
 from time import perf_counter
@@ -89,8 +89,8 @@ class SystemState:
 
     x is derived (x_i = choice map of y_i) and y0 is the fixed initial
     motion, carried along because the energy functions reconstruct the
-    opponents' motions as y0 + A X.  Snapshots recorded by simulate hold
-    per-agent views into that snapshot's flat arrays.
+    opponents' motions as y0 + A X.  A trajectory's snapshots hold
+    per-agent views into its flat arrays.
     """
 
     t: float
@@ -223,12 +223,6 @@ class _Flow:
         """The leapfrog force: the field at the motions reconstructed from X."""
         return self.field(self.choice(self.op.motion(self.y0, X, t)))
 
-    def state(self, t, y, X, x=None) -> SystemState:
-        if x is None:
-            x = self.choice(y)
-        split = self.op.split
-        return SystemState(t, split(y), split(X), split(x), self.y0_parts)
-
 
 # Flat kernels: (flow, t, y, X, x, force, eta) -> (y, X, force).  x is the
 # choice map of y when the caller already has it (None otherwise); force is
@@ -290,7 +284,8 @@ def _step(scheme, state, game, regs, eta, x=None):
     if x is not None:
         x = flow.op.join(x)
     y, X, _ = KERNELS[scheme](flow, state.t, y, X, x, None, eta)
-    return flow.state(state.t + eta, y, X)
+    split = flow.op.split
+    return SystemState(state.t + eta, split(y), split(X), split(flow.choice(y)), flow.y0_parts)
 
 
 def step_euler(state: SystemState, game: NetworkGame, regs, eta: float) -> SystemState:
@@ -331,17 +326,38 @@ def step_symplectic(state: SystemState, game: NetworkGame, regs, eta: float) -> 
     return _step("symplectic_leapfrog", state, game, regs, eta)
 
 
+@dataclass(frozen=True)
+class _Snapshots(Sequence):
+    """A trajectory's snapshots as SystemStates, each built when it is asked for."""
+
+    traj: Trajectory
+
+    def __len__(self) -> int:
+        return len(self.traj.t)
+
+    def __getitem__(self, k: int) -> SystemState:  # past the end, tr.y[k] raises IndexError
+        tr = self.traj
+        y, X, x, y0 = (tuple(a[..., s] for s in tr.slices) for a in (tr.y[k], tr.X[k], tr.x[k], tr.y[0]))
+        return SystemState(float(tr.t[k]), y, X, x, y0)
+
+
 @dataclass
 class Trajectory:
-    """Recorded snapshots plus per-snapshot instrument readings.
+    """Recorded snapshots as arrays, plus the instrument readings.
 
-    energy, fenchel and bregman are arrays aligned with states (NaN where a
-    reading is unavailable: no sigma tag, no reference profile, or a
-    boundary strategy under an entropy regularizer).  fenchel and bregman
-    are None without a reference profile.
+    t is (snapshots,); y, X and x are (snapshots, batch..., D), agent i
+    owning the coordinates slices[i], and y[0] is the start.  energy,
+    fenchel and bregman are aligned with t (NaN where a reading is
+    unavailable: no sigma tag, no reference profile, or a boundary strategy
+    under an entropy regularizer); fenchel and bregman are None without the
+    reference profile that metadata["ref"] records.
     """
 
-    states: list[SystemState]
+    t: np.ndarray
+    y: np.ndarray
+    X: np.ndarray
+    x: np.ndarray
+    slices: tuple[slice, ...]
     energy: np.ndarray
     fenchel: np.ndarray | None
     bregman: np.ndarray | None
@@ -349,21 +365,22 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+        return self.t
+
+    @property
+    def states(self) -> Sequence[SystemState]:
+        """The snapshots as per-agent SystemState views, built on access."""
+        return _Snapshots(self)
 
     @property
     def batched(self) -> bool:
-        return self.states[0].y[0].ndim > 1
-
-    def stacked(self, part: str) -> np.ndarray:
-        """One part of the state ("y", "X" or "x") as a (snapshots, batch..., D) array."""
-        return np.stack([np.concatenate(getattr(s, part), axis=-1) for s in self.states])
+        return self.y.ndim > 2
 
     def strategy_matrix(self) -> np.ndarray:
         """Snapshots-by-coordinates matrix of the concatenated strategies."""
         if self.batched:
             raise ValueError("strategy matrix is only defined for single trajectories")
-        return self.stacked("x")
+        return self.x
 
     def energy_drift(self) -> tuple[float, float]:
         """(max |H - H(0)|, relative drift) over the recorded snapshots."""
@@ -373,24 +390,6 @@ class Trajectory:
         h0 = h[0]
         drift = float(np.max(np.abs(h - h0)))
         return drift, drift / max(1.0, float(np.max(np.abs(h0))))
-
-
-def _read_instruments(energy_fn, regs, y0, ref, t, y, X, x):
-    """H, F and D of a whole run, read once on its stacked snapshots.
-
-    t, y, X and x are the snapshot sequences; they are stacked into
-    (snapshots, batch..., D) arrays only when a reading is asked for.
-    Returns the readings and the stacked y, X and x (None if nothing was
-    stacked).
-    """
-    H = np.full(len(t), np.nan)
-    if energy_fn is None and ref is None:
-        return H, None, None, None
-    Y, XX, XS = np.stack(y), np.stack(X), np.stack(x)
-    if energy_fn is not None:  # t as a (snapshots, 1, ...) column against the states
-        H = energy_fn(Y, XX, y0, np.reshape(t, (-1,) + (1,) * (Y.ndim - 1))).value
-    F, D = (None, None) if ref is None else fenchel_bregman(regs, ref, Y, XS)
-    return H, F, D, (Y, XX, XS)
 
 
 def _blow_up(y, flow):
@@ -417,24 +416,24 @@ def simulate(
 ) -> Trajectory:
     """Iterate the configured stepper from (t=0, X=0, y=y0).
 
-    Records every stride-th state (plus the first and last); deterministic
-    given its inputs.  The instruments (H, and F and D against ref) are
-    read once per run, after the loop, on the recorded snapshots stacked
-    into (snapshots, batch..., D) arrays.  A non-finite or exploding state
+    Records every stride-th state (plus the first and last) into rows of
+    preallocated (snapshots, batch..., D) arrays; deterministic given its
+    inputs.  The instruments (H, and F and D against ref) are read once per
+    run, after the loop, on those arrays.  A non-finite or exploding state
     truncates the trajectory and leaves a diagnostic in the metadata
     instead of raising: discrete-time divergence is expected behavior, not
     an error.  Exploding means |y| past BLOW_UP_LIMIT, or, for an agent
-    with a euclidean simplex block of small scale, past the lower
-    regularizers.payoff_limit, where its projection stops landing on the
-    simplex.  The last finite state then ends the record.  The metadata's
-    timing block holds the wall time of the stepping loop and of the
-    readings, and the steps taken per second of stepping; its io_s, the
-    time spent writing the trajectory, is 0 until a writer fills it in.
-    The metadata also names the Python and numpy versions of the run.
+    with a euclidean simplex block, past the lower
+    regularizers.payoff_limit, where its projection can miss the simplex.
+    The last finite state then ends the record.  The metadata's timing
+    block holds the wall time of the stepping loop and of the readings, and
+    the steps taken per second of stepping; its io_s, the time spent
+    writing the trajectory, is 0 until a writer fills it in.  The metadata
+    also names the Python and numpy versions of the run.
     """
     from .hamiltonian import select_energy  # here: hamiltonian imports this module
 
-    kernel = KERNELS[config.scheme]
+    kernel, eta, stride = KERNELS[config.scheme], config.eta, config.stride
     flow = _Flow(game, regs, y0)
     ref_components = tuple(ref) if ref is not None else None
     energy_fn, variant = select_energy(game, regs, energy)
@@ -443,36 +442,45 @@ def simulate(
     t, y = 0.0, flow.y0
     X = np.zeros_like(y)
     x, force = flow.choice(y), None
-    snaps = [(t, y, X, x)]  # the loop's own arrays, recorded without copies
-    diagnostics = {"truncated": False, "blow_up_step": None, "reason": None}
     n_steps, i = config.steps, 0
+    rows = n_steps // stride + 1 + (n_steps % stride != 0)
+    ts, ys, Xs, xs = (np.empty((rows,) + np.shape(v)) for v in (t, y, X, x))
+    ts[0], ys[0], Xs[0], xs[0] = t, y, X, x
+    k = 1  # rows written
+    diagnostics = {"truncated": False, "blow_up_step": None, "reason": None}
     for i in range(1, n_steps + 1):
         last = t, y, X
-        y, X, force = kernel(flow, t, y, X, x, force, config.eta)
-        t = i * config.eta  # not a running sum, whose error would enter the b t drift
+        y, X, force = kernel(flow, t, y, X, x, force, eta)
+        t = i * eta  # not a running sum, whose error would enter the b t drift
         x = None
         reason = _blow_up(y, flow)
         if reason is not None:
             diagnostics.update(truncated=True, blow_up_step=i, reason=reason)
-            if (i - 1) % config.stride:  # the last finite state ends the record
-                snaps.append(last + (flow.choice(last[1]),))
+            if (i - 1) % stride:  # the last finite state ends the record
+                ts[k], ys[k], Xs[k], xs[k] = last + (flow.choice(last[1]),)
+                k += 1
             break
-        if i % config.stride == 0 or i == n_steps:
+        if i % stride == 0 or i == n_steps:
             x = flow.choice(y)  # also the next step's first stage
-            snaps.append((t, y, X, x))
+            ts[k], ys[k], Xs[k], xs[k] = t, y, X, x
+            k += 1
+    ts, ys, Xs, xs = ts[:k], ys[:k], Xs[:k], xs[:k]
     step_s = perf_counter() - start
 
     start = perf_counter()
-    t, y, X, x = zip(*snaps)
-    H, F, D, stacks = _read_instruments(energy_fn, regs, flow.y0, ref_components, t, y, X, x)
-    if stacks is not None:  # the states become views of the stacks
-        y, X, x = stacks
-    states = [flow.state(*snap) for snap in zip(t, y, X, x)]
+    H = np.full(k, np.nan)
+    if energy_fn is not None:  # t as a (snapshots, 1, ...) column against the states
+        H = energy_fn(ys, Xs, flow.y0, np.reshape(ts, (-1,) + (1,) * (ys.ndim - 1))).value
+    F, D = (None, None) if ref_components is None else fenchel_bregman(regs, ref_components, ys, xs)
     instruments_s = perf_counter() - start
 
     has_ref = ref_components is not None
     return Trajectory(
-        states=states,
+        t=ts,
+        y=ys,
+        X=Xs,
+        x=xs,
+        slices=flow.op.slices,
         energy=H,
         fenchel=F,
         bregman=D,
@@ -488,12 +496,8 @@ def simulate(
             "stride": config.stride,
             "energy_variant": variant,
             "regularizers": [
-                {
-                    "kind": getattr(r, "kind", "product"),
-                    "domain": getattr(r, "domain", "product"),
-                    "dim": r.dim,
-                    "scale": getattr(r, "scale", 1.0),
-                }
+                {"kind": getattr(r, "kind", "product"), "domain": getattr(r, "domain", "product"),
+                 "dim": r.dim, "scale": getattr(r, "scale", 1.0)}
                 for r in regs
             ],
             "y0": [np.asarray(v).tolist() for v in y0],
@@ -528,58 +532,3 @@ def sample_payoff_ball(center, radius: float, n: int, seed: int):
         out.append(v[None, :] + points[:, start : start + k])
         start += k
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# trajectory files: CSV of (t, strategies, instruments) plus a JSON sidecar
-
-
-def csv_columns(game: NetworkGame) -> list[str]:
-    cols = ["t"]
-    for i, k in enumerate(game.strategy_counts):
-        cols.extend(f"x_{i + 1}_{s + 1}" for s in range(k))
-    cols.extend(["H", "F", "D"])
-    return cols
-
-
-def _fmt(v: float) -> str:
-    if v != v:  # NaN marks an unavailable reading
-        return ""
-    return format(float(v), ".17g")
-
-
-def write_trajectory_csv(traj: Trajectory, game: NetworkGame, path):
-    if traj.batched:
-        raise ValueError("CSV output is defined for single trajectories only")
-    xs = traj.strategy_matrix()
-    t = traj.times
-    H = np.asarray(traj.energy, dtype=float)
-    F = traj.fenchel if traj.fenchel is not None else np.full(len(t), np.nan)
-    D = traj.bregman if traj.bregman is not None else np.full(len(t), np.nan)
-    with open(path, "w") as handle:
-        handle.write(",".join(csv_columns(game)) + "\n")
-        for row in range(len(t)):
-            cells = [_fmt(t[row])]
-            cells.extend(_fmt(v) for v in xs[row])
-            cells.extend([_fmt(H[row]), _fmt(F[row]), _fmt(D[row])])
-            handle.write(",".join(cells) + "\n")
-
-
-def write_trajectory_metadata(traj: Trajectory, game_hash: str, path):
-    meta = dict(traj.metadata)
-    meta["game_hash"] = game_hash
-    meta["snapshots"] = len(traj.states)
-    with open(path, "w") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def read_trajectory_csv(path):
-    """Columns of a trajectory file as arrays (empty cells become NaN)."""
-    with open(path) as handle:
-        header = handle.readline().strip().split(",")
-        rows = [line.rstrip("\n").split(",") for line in handle if line.strip()]
-    data = np.array(
-        [[float(cell) if cell else np.nan for cell in row] for row in rows]
-    )
-    return header, data

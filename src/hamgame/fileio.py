@@ -1,7 +1,10 @@
-"""Game specification files and content hashing.
+"""Game specification files, trajectory files and content hashing.
 
-A game file is JSON with per-agent strategy counts, regularizer kinds and
-initial payoff vectors, plus one entry per ordered edge:
+A trajectory file is a CSV of one row per snapshot (t, the strategies, H,
+F and D at 17 significant digits, so values round trip exactly) plus a
+JSON sidecar with the run's metadata.  A game file is JSON with per-agent
+strategy counts, regularizer kinds and initial payoff vectors, plus one
+entry per ordered edge:
 
     {
       "agents": [
@@ -171,3 +174,45 @@ def game_fingerprint(game: NetworkGame) -> str:
         doc["spaces"] = list(game.spaces)
     blob = json.dumps(doc, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def csv_columns(game: NetworkGame) -> list[str]:
+    cols = ["t"]
+    for i, k in enumerate(game.strategy_counts):
+        cols.extend(f"x_{i + 1}_{s + 1}" for s in range(k))
+    cols.extend(["H", "F", "D"])
+    return cols
+
+
+def write_trajectory_csv(traj, game: NetworkGame, path):
+    """A single dynamics.Trajectory as CSV, with one %-format per row.
+
+    '%.17g' % v prints what format(v, '.17g') prints, and only NaN, the
+    mark of an unavailable reading, prints 'nan'; its cells are left empty.
+    """
+    if traj.batched:
+        raise ValueError("CSV output is defined for single trajectories only")
+    nan = np.full(len(traj.t), np.nan)
+    F, D = (nan if v is None else v for v in (traj.fenchel, traj.bregman))
+    table = np.column_stack([traj.t, traj.strategy_matrix(), traj.energy, F, D])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    body = "".join([row % tuple(values) for values in table.tolist()])
+    with open(path, "w") as handle:
+        handle.write(",".join(csv_columns(game)) + "\n" + body.replace("nan", ""))
+
+
+def write_trajectory_metadata(traj, game_hash: str, path):
+    meta = dict(traj.metadata)
+    meta["game_hash"] = game_hash
+    meta["snapshots"] = len(traj.t)
+    with open(path, "w") as handle:
+        json.dump(meta, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def read_trajectory_csv(path):
+    """Columns of a trajectory file as arrays (empty cells become NaN)."""
+    with open(path) as handle:
+        header = handle.readline().strip().split(",")
+        rows = [line.rstrip("\n").split(",") for line in handle if line.strip()]
+    return header, np.array([[float(cell) if cell else np.nan for cell in row] for row in rows])

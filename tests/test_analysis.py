@@ -299,9 +299,10 @@ class TestVolume:
 
     def test_truncated_cloud_ends_at_last_finite_state(self):
         # agent 1's payoff grows by 7e10 a step whatever agent 2 plays: |y| > 1e12 at step 15
+        # (entropy agents: a euclidean one would stop far earlier, at its payoff_limit)
         a = 7e10 * np.array([[1.0, 1.0], [-1.0, -1.0]])
         game = NetworkGame((2, 2), {(0, 1): a, (1, 0): -a.T}, sigma=-1)
-        regs = default_regularizers(game, "euclidean")
+        regs = default_regularizers(game, "entropy")
         y0 = (np.array([3.0, -3.0]), np.array([2.0, 1.0]))
         config = IntegratorConfig("euler", 1.0, 30.0, 10)
         traj = simulate(game, regs, y0, config, energy="none")

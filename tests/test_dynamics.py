@@ -31,6 +31,7 @@ from hamgame import (
     write_trajectory_metadata,
 )
 from hamgame.cli import main
+from hamgame.regularizers import payoff_limit
 
 from conftest import (
     MP_MATRIX,
@@ -309,10 +310,10 @@ class TestSimulate:
         assert len(traj.states) < 6
 
     def test_payoffs_past_projection_precision_truncate(self):
-        # at scale 1e-6 the projection works on y / 2e-6, which passes 2^52
-        # at |y| = 9.007e9, far below BLOW_UP_LIMIT; a little further its
-        # output leaves the simplex and the energy reading would raise
-        a = 1e12 * MP_MATRIX
+        # at scale 1e-6 the projection of a row of 2 keeps its sum within
+        # DOMAIN_TOL only up to |y| = 2e-6 * DOMAIN_TOL * 2^52 / 2^2 =
+        # 2.2518, far below BLOW_UP_LIMIT (see regularizers.payoff_limit)
+        a = 1e3 * MP_MATRIX
         game = NetworkGame((2, 2), {(0, 1): a, (1, 0): -a.T}, sigma=-1)
         regs = tuple(Regularizer("euclidean", dim=2, scale=1e-6) for _ in range(2))
         y0 = (np.array([3e-6, -3e-6]), np.array([2e-6, 1e-6]))
@@ -322,10 +323,30 @@ class TestSimulate:
             diag = traj.metadata["diagnostics"]
             assert diag["truncated"] and 1 < diag["blow_up_step"] < 500
             assert diag["reason"] == (
-                "agent 1: |y| exceeded 9.0072e+09, past the precision of its euclidean projection"
+                "agent 1: |y| exceeded 2.2518, past the precision of its euclidean projection"
             )
             assert np.all(np.isfinite(traj.energy))
-            assert np.abs(traj.stacked("y")).max() <= 2.0**52 * 2e-6
+            assert payoff_limit(regs[0]) == 2e-6 * 1e-9 * 2.0**52 / 4
+            assert np.abs(traj.y).max() <= payoff_limit(regs[0])
+
+    def test_near_tie_payoffs_past_limit_truncate_instead_of_raising(self):
+        # every payoff row gains the same c per step, so the rows stay near
+        # ties, where all three entries count toward the projection's
+        # threshold; near |y| = 1e7 their sums miss 1 by more than
+        # DOMAIN_TOL and the H reading would raise "outside simplex domain"
+        a = 1e5 * np.ones((3, 3))
+        game = NetworkGame((3, 3), {(0, 1): a, (1, 0): -a.T}, sigma=-1)
+        regs = tuple(Regularizer("euclidean", dim=3) for _ in range(2))
+        rng = np.random.default_rng(3)
+        for lead in ((), (2000,)):
+            y0 = tuple(0.2 * rng.uniform(-1, 1, size=lead + (3,)) for _ in range(2))
+            traj = simulate(game, regs, y0, IntegratorConfig("euler", 1.0, 200.0, 1))
+            diag = traj.metadata["diagnostics"]
+            assert diag["truncated"] and diag["blow_up_step"] == 11
+            assert diag["reason"] == (
+                "agent 1: |y| exceeded 1.0008e+06, past the precision of its euclidean projection"
+            )
+            assert len(traj.t) == 11 and np.all(np.isfinite(traj.energy))
 
     def test_overflowing_step_truncates_as_non_finite(self):
         a = 1e308 * MP_MATRIX

@@ -21,6 +21,8 @@ from hamgame import (
     restrict_to_interval,
 )
 
+from hamgame.regularizers import DOMAIN_TOL, payoff_limit
+
 from conftest import grid_argmax
 
 ENTROPY = Regularizer("entropy", dim=2)
@@ -216,6 +218,32 @@ def test_choice_map_stays_on_simplex(y):
         x = choice_map(Regularizer(kind, dim=len(y)), np.asarray(y))
         assert abs(float(np.sum(x)) - 1.0) <= 1e-12
         assert np.all(x >= 0.0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    width=st.integers(2, 10),
+    scale=st.sampled_from([1e-3, 0.5, 1.0, 7.0]),
+    sign=st.sampled_from([1.0, -1.0]),
+    spread=st.sampled_from([1e-9, 0.3, 1.0]),
+    rows=st.sampled_from([None, 3, 2000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_projection_within_domain_tol_below_payoff_limit(width, scale, sign, spread, rows, seed):
+    # near-tie rows just inside |y| <= payoff_limit: with the entries less
+    # than 1 / width apart in u = y / (2 s) every one counts toward rho, the
+    # case with the largest rounding error; 2000 rows of up to 7 take the
+    # compare-exchange network, wider or fewer rows the sort
+    reg = Regularizer("euclidean", dim=width, scale=scale)
+    limit = payoff_limit(reg)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-0.5, 0.5, size=(rows or 1, width)) * spread / width
+    y = sign * (limit - 2.0 * scale) + 2.0 * scale * u
+    assert np.abs(y).max() <= limit
+    x = choice_map(reg, y if rows else y[0])
+    assert np.abs(np.sum(x, axis=-1) - 1.0).max() <= DOMAIN_TOL
+    assert np.all(x >= 0.0)
+    assert np.all(np.isfinite(h_value(reg, x)))  # raises outside the domain
 
 
 class TestProjection:

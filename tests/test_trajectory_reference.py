@@ -1,0 +1,250 @@
+"""Differential tests: trajectories as stacked arrays, from the loop to the report.
+
+`simulate` writes each recorded snapshot into rows of preallocated
+(snapshots, batch..., D) arrays, `Trajectory.states` builds SystemState
+views only on access, the CSV writer formats whole rows, and
+`fenchel_bregman_series` reuses readings taken against the same
+reference.  The references below are frozen copies of the code this
+replaced: the per-cell CSV writer, and the loop that kept the snapshots in
+a list and built one SystemState per snapshot.
+"""
+
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hamgame import (
+    EquilibriumReference,
+    IntegratorConfig,
+    MixedProfile,
+    NetworkGame,
+    Regularizer,
+    SystemState,
+    Trajectory,
+    build_report,
+    fenchel_bregman_series,
+    simulate,
+    write_trajectory_csv,
+)
+from hamgame.dynamics import KERNELS, _blow_up, _Flow
+from hamgame.fileio import csv_columns
+
+from conftest import MP_MATRIX, mp_start, triangle_zero_sum, uniform_profile
+from test_dynamics import _random_case
+
+
+def _ref_fmt(v: float) -> str:
+    if v != v:  # NaN marks an unavailable reading
+        return ""
+    return format(float(v), ".17g")
+
+
+def _ref_write_csv(traj, game, path):
+    """The per-cell writer: one format() call per value."""
+    xs = traj.strategy_matrix()
+    t = traj.times
+    H = np.asarray(traj.energy, dtype=float)
+    F = traj.fenchel if traj.fenchel is not None else np.full(len(t), np.nan)
+    D = traj.bregman if traj.bregman is not None else np.full(len(t), np.nan)
+    with open(path, "w") as handle:
+        handle.write(",".join(csv_columns(game)) + "\n")
+        for row in range(len(t)):
+            cells = [_ref_fmt(t[row])]
+            cells.extend(_ref_fmt(v) for v in xs[row])
+            cells.extend([_ref_fmt(H[row]), _ref_fmt(F[row]), _ref_fmt(D[row])])
+            handle.write(",".join(cells) + "\n")
+
+
+def _ref_states(game, regs, y0, config):
+    """The snapshot loop that listed (t, y, X, x) and built a SystemState per snapshot."""
+    kernel = KERNELS[config.scheme]
+    flow = _Flow(game, regs, y0)
+    t, y = 0.0, flow.y0
+    X = np.zeros_like(y)
+    x, force = flow.choice(y), None
+    snaps = [(t, y, X, x)]
+    for i in range(1, config.steps + 1):
+        last = t, y, X
+        y, X, force = kernel(flow, t, y, X, x, force, config.eta)
+        t = i * config.eta
+        x = None
+        if _blow_up(y, flow) is not None:
+            if (i - 1) % config.stride:
+                snaps.append(last + (flow.choice(last[1]),))
+            break
+        if i % config.stride == 0 or i == config.steps:
+            x = flow.choice(y)
+            snaps.append((t, y, X, x))
+    split = flow.op.split
+    return [SystemState(t, split(y), split(X), split(x), flow.y0_parts) for t, y, X, x in snaps]
+
+
+def _assert_same_states(traj, expected):
+    assert len(traj.states) == len(expected)
+    got_all = list(traj.states)
+    for k, want in enumerate(expected):
+        for got in (traj.states[k], traj.states[k - len(expected)], got_all[k]):
+            assert type(got.t) is float and got.t == want.t
+            for part in ("y", "X", "x", "y0"):
+                a, b = getattr(got, part), getattr(want, part)
+                assert len(a) == len(b)
+                for u, v in zip(a, b):
+                    assert u.shape == v.shape
+                    np.testing.assert_array_equal(u, v)
+    with pytest.raises(IndexError):
+        traj.states[len(expected)]
+
+
+# ---------------------------------------------------------------------------
+# SystemState views against the per-snapshot construction
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["zero_sum", "coordination", "affine", "bipartite_fold"]),
+    counts=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.sampled_from([None, 3]),
+    scheme=st.sampled_from(["euler", "rk4", "symplectic_leapfrog"]),
+    steps=st.integers(0, 12),
+    stride=st.integers(1, 5),
+)
+def test_states_match_per_snapshot_construction(family, counts, seed, batch, scheme, steps, stride):
+    if family == "bipartite_fold" and len(counts) < 3:
+        counts = counts + [2]
+    game, regs, y0 = _random_case(family, counts, seed, batch)
+    config = IntegratorConfig(scheme, 0.05, steps * 0.05, stride)
+    traj = simulate(game, regs, y0, config, energy="none")
+    _assert_same_states(traj, _ref_states(game, regs, y0, config))
+    assert traj.batched == (batch is not None)
+    assert traj.y.shape == traj.X.shape == traj.x.shape == (len(traj.t),) + traj.y.shape[1:]
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_truncated_states_match_per_snapshot_construction(lead, stride):
+    # the projection's precision limit stops this run at step 4; at stride
+    # 2 the last finite state (step 3) ends the record, at 1 and 3 it is
+    # already recorded
+    a = 1e3 * MP_MATRIX
+    game = NetworkGame((2, 2), {(0, 1): a, (1, 0): -a.T}, sigma=-1)
+    regs = tuple(Regularizer("euclidean", dim=2, scale=1e-6) for _ in range(2))
+    y0 = tuple(np.broadcast_to(v, lead + (2,)) for v in ([3e-6, -3e-6], [2e-6, 1e-6]))
+    config = IntegratorConfig("euler", 1e-3, 0.5, stride)
+    traj = simulate(game, regs, y0, config)
+    assert traj.metadata["diagnostics"]["blow_up_step"] == 4
+    _assert_same_states(traj, _ref_states(game, regs, y0, config))
+    assert len(traj.t) == len(traj.energy) == 1 + 3 // stride + (3 % stride != 0)
+
+
+# ---------------------------------------------------------------------------
+# whole-row CSV formatting against the per-cell writer
+
+_SPECIAL = [np.nan, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-300, -3.7e-301,
+            1e300, -1.7976931348623157e308, 0.1, 1.0 / 3.0, np.inf, -np.inf]
+
+
+def _table_traj(values, dims, with_ref):
+    """A single trajectory holding the given values, row by row."""
+    n_cols = 1 + sum(dims) + 3
+    rows = max(1, -(-len(values) // n_cols))
+    table = np.resize(np.asarray(values, dtype=float), (rows, n_cols))
+    bounds = np.cumsum((0,) + tuple(dims))
+    t, x, H, F, D = table[:, 0], table[:, 1:-3], table[:, -3], table[:, -2], table[:, -1]
+    return Trajectory(
+        t=t, y=x.copy(), X=x.copy(), x=x,
+        slices=tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])),
+        energy=H, fenchel=F if with_ref else None, bregman=D if with_ref else None,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL)), min_size=1, max_size=60),
+    dims=st.sampled_from([(2, 2), (3, 1, 2), (1, 1)]),
+    with_ref=st.booleans(),
+)
+@example(values=_SPECIAL, dims=(2, 2), with_ref=True)
+@example(values=[np.nan] * 7, dims=(1, 1), with_ref=True)
+def test_csv_rows_match_per_cell_writer(tmp_path_factory, values, dims, with_ref):
+    game = NetworkGame(dims, {})
+    traj = _table_traj(values, dims, with_ref)
+    out = tmp_path_factory.mktemp("csv")
+    write_trajectory_csv(traj, game, out / "rows.csv")
+    _ref_write_csv(traj, game, out / "cells.csv")
+    assert (out / "rows.csv").read_bytes() == (out / "cells.csv").read_bytes()
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+@pytest.mark.parametrize("with_ref", [False, True])
+def test_simulated_csv_matches_per_cell_writer(tmp_path, scheme, with_ref):
+    game, regs, y0 = mp_start("entropy")
+    ref = uniform_profile(game) if with_ref else None
+    traj = simulate(game, regs, y0, IntegratorConfig(scheme, 0.05, 3.0, 1), ref=ref)
+    write_trajectory_csv(traj, game, tmp_path / "rows.csv")
+    _ref_write_csv(traj, game, tmp_path / "cells.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# readings reused against the same reference, recomputed against another
+
+
+def _triangle_run(scheme, ref):
+    game = triangle_zero_sum()
+    regs = (Regularizer("entropy", dim=2), Regularizer("euclidean", dim=3, scale=0.7),
+            Regularizer("entropy", dim=2, scale=1.3))
+    rng = np.random.default_rng(11)
+    y0 = tuple(0.4 * rng.normal(size=k) for k in game.strategy_counts)
+    traj = simulate(game, regs, y0, IntegratorConfig(scheme, 0.05, 4.0, 1), ref=ref)
+    return game, regs, traj
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4", "symplectic_leapfrog"])
+def test_report_reuses_readings_as_recomputed(scheme):
+    game = triangle_zero_sum()
+    ref = EquilibriumReference(MixedProfile(uniform_profile(game)), True)
+    game, regs, traj = _triangle_run(scheme, ref.profile)
+    # without the record of its reference the trajectory's series are read again
+    stripped = replace(traj, metadata=dict(traj.metadata, ref=None))
+
+    reused = fenchel_bregman_series(traj, game, regs, ref.profile)
+    assert reused.fenchel is traj.fenchel and reused.bregman is traj.bregman
+    again = fenchel_bregman_series(stripped, game, regs, ref.profile)
+    np.testing.assert_array_equal(reused.fenchel, again.fenchel)
+    np.testing.assert_array_equal(reused.bregman, again.bregman)
+
+    report = build_report(traj, game, regs, ref=ref, recurrence_epsilon=0.05)
+    forced = build_report(stripped, game, regs, ref=ref, recurrence_epsilon=0.05)
+    assert report.to_json() == forced.to_json()
+    assert json.loads(report.to_json())["fenchel"] is not None
+
+
+def test_report_against_another_reference_recomputes():
+    game = triangle_zero_sum()
+    ref = EquilibriumReference(MixedProfile(uniform_profile(game)), True)
+    other = EquilibriumReference(
+        MixedProfile((np.array([0.3, 0.7]), np.array([0.2, 0.5, 0.3]), np.array([0.6, 0.4]))), True
+    )
+    game, regs, traj = _triangle_run("rk4", ref.profile)
+    _, _, other_traj = _triangle_run("rk4", other.profile)
+
+    series = fenchel_bregman_series(traj, game, regs, other.profile)
+    assert series.fenchel is not traj.fenchel
+    np.testing.assert_array_equal(series.fenchel, other_traj.fenchel)
+    np.testing.assert_array_equal(series.bregman, other_traj.bregman)
+    assert not np.array_equal(series.fenchel, traj.fenchel)
+
+    report = build_report(traj, game, regs, ref=other)
+    assert report.to_json() == build_report(other_traj, game, regs, ref=other).to_json()
+    assert report.to_json() != build_report(traj, game, regs, ref=ref).to_json()
+
+    unread = simulate(game, regs, traj.states[0].y0, IntegratorConfig("rk4", 0.05, 4.0, 1))
+    assert unread.fenchel is None and unread.metadata["ref"] is None
+    series = fenchel_bregman_series(unread, game, regs, ref.profile)
+    np.testing.assert_array_equal(series.fenchel, traj.fenchel)
+    np.testing.assert_array_equal(series.bregman, traj.bregman)
