@@ -66,8 +66,8 @@ def fenchel_bregman_series(traj: Trajectory, game: NetworkGame, regs, ref) -> Se
     snapshots the two agree; the report records the largest gap and whether
     the identity held everywhere it was defined.
     """
-    ref = tuple(ref)
-    if traj.fenchel is not None and traj.metadata.get("ref") == [np.asarray(v).tolist() for v in ref]:
+    ref, read = tuple(ref), traj.metadata.get("ref") or ()
+    if traj.fenchel is not None and len(read) == len(ref) and all(map(np.array_equal, read, ref)):
         F, D = traj.fenchel, traj.bregman
     else:
         F, D = fenchel_bregman(regs, ref, traj.y, traj.x)
@@ -289,14 +289,12 @@ def volume_ratio(game: NetworkGame, regs, cloud, config: IntegratorConfig) -> Vo
     measure-theoretic certificate.  Conservative integrators should return
     a ratio near one, the Euler update a ratio above it.
     """
-    cloud = tuple(np.asarray(v, dtype=float) for v in cloud)
-    n = cloud[0].shape[0]
+    n = len(cloud[0])
     if n < 10:
         raise ValueError("cloud too small for a covariance volume estimate (need >= 10)")
-    before = _cloud_volume(np.concatenate(cloud, axis=-1))
     # only the start and the end are read, so only they are recorded
     traj = simulate(game, regs, cloud, replace(config, stride=max(1, config.steps)), energy="none")
-    after = _cloud_volume(traj.y[-1])
+    before, after = _cloud_volume(traj.y[0]), _cloud_volume(traj.y[-1])
     ratio = after / before if before > 0 else float("nan")
     note = f"covariance-determinant estimate from {n} samples"
     diag = traj.metadata["diagnostics"]

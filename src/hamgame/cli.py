@@ -196,11 +196,10 @@ def cmd_simulate(args) -> int:
 
 def _replay(loaded, meta, ref):
     config = IntegratorConfig(meta["scheme"], meta["eta"], meta["horizon"], meta["stride"])
-    y0 = tuple(np.asarray(v, dtype=float) for v in meta["y0"])
     stored_ref = meta.get("ref")
     if ref is None and stored_ref is not None:
         ref = make_reference(loaded.game, MixedProfile(tuple(np.asarray(v) for v in stored_ref)))
-    traj = simulate(loaded.game, loaded.regularizers, y0, config,
+    traj = simulate(loaded.game, loaded.regularizers, meta["y0"], config,
                     ref=ref.profile if ref else None, energy=meta.get("energy_variant") or "auto")
     return traj, ref
 

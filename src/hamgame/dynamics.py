@@ -236,20 +236,28 @@ def _euler(flow, t, y, X, x, force, eta):
 
 
 def _rk4(flow, t, y, X, x, force, eta):
-    k1x = flow.choice(y) if x is None else x
-    k1y = flow.field(k1x)
-    k2x = flow.choice(y + 0.5 * eta * k1y)
-    k2y = flow.field(k2x)
-    k3x = flow.choice(y + 0.5 * eta * k2y)
-    k3y = flow.field(k3x)
-    k4x = flow.choice(y + eta * k3y)
-    k4y = flow.field(k4x)
+    # k1 + 2 k2 + 2 k3 + k4 as two running sums, added in that order (the same
+    # bits); each stage is released before the next choice map runs
+    sx = flow.choice(y) if x is None else x
+    sy = flow.field(sx)
+    kx = flow.choice(y + 0.5 * eta * sy)
+    ky = flow.field(kx)
+    sx = sx + 2.0 * kx  # a new array: x may be the caller's
+    sy += 2.0 * ky
+    del kx
+    ky = y + 0.5 * eta * ky  # the third stage's point
+    kx = flow.choice(ky)
+    ky = flow.field(kx)
+    sx += 2.0 * kx
+    sy += 2.0 * ky
+    del kx
+    ky = y + eta * ky  # the fourth stage's point
+    kx = flow.choice(ky)
+    sx += kx
+    sy += flow.field(kx)
+    del kx, ky
     sixth = eta / 6.0
-    return (
-        y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-        X + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-        None,
-    )
+    return y + sixth * sy, X + sixth * sx, None
 
 
 def _leapfrog(flow, t, y, X, x, force, eta):
@@ -429,13 +437,15 @@ def simulate(
     block holds the wall time of the stepping loop and of the readings, and
     the steps taken per second of stepping; its io_s, the time spent
     writing the trajectory, is 0 until a writer fills it in.  The metadata
-    also names the Python and numpy versions of the run.
+    also names the Python and numpy versions of the run; its y0 are views of
+    the start row y[0] and its ref float copies, which the sidecar writer
+    turns into lists.
     """
     from .hamiltonian import select_energy  # here: hamiltonian imports this module
 
     kernel, eta, stride = KERNELS[config.scheme], config.eta, config.stride
     flow = _Flow(game, regs, y0)
-    ref_components = tuple(ref) if ref is not None else None
+    ref = None if ref is None else [np.array(v, dtype=float) for v in ref]  # small copies
     energy_fn, variant = select_energy(game, regs, energy)
 
     start = perf_counter()
@@ -446,20 +456,20 @@ def simulate(
     rows = n_steps // stride + 1 + (n_steps % stride != 0)
     ts, ys, Xs, xs = (np.empty((rows,) + np.shape(v)) for v in (t, y, X, x))
     ts[0], ys[0], Xs[0], xs[0] = t, y, X, x
+    flow.y0 = y = ys[0]  # the start row serves as y0: no second copy lives through the run
     k = 1  # rows written
     diagnostics = {"truncated": False, "blow_up_step": None, "reason": None}
     for i in range(1, n_steps + 1):
-        last = t, y, X
-        y, X, force = kernel(flow, t, y, X, x, force, eta)
-        t = i * eta  # not a running sum, whose error would enter the b t drift
+        y_next, X_next, force = kernel(flow, t, y, X, x, force, eta)
         x = None
-        reason = _blow_up(y, flow)
+        reason = _blow_up(y_next, flow)
         if reason is not None:
             diagnostics.update(truncated=True, blow_up_step=i, reason=reason)
             if (i - 1) % stride:  # the last finite state ends the record
-                ts[k], ys[k], Xs[k], xs[k] = last + (flow.choice(last[1]),)
+                ts[k], ys[k], Xs[k], xs[k] = t, y, X, flow.choice(y)
                 k += 1
             break
+        t, y, X = i * eta, y_next, X_next  # t: no running sum, whose error would enter b t
         if i % stride == 0 or i == n_steps:
             x = flow.choice(y)  # also the next step's first stage
             ts[k], ys[k], Xs[k], xs[k] = t, y, X, x
@@ -471,19 +481,11 @@ def simulate(
     H = np.full(k, np.nan)
     if energy_fn is not None:  # t as a (snapshots, 1, ...) column against the states
         H = energy_fn(ys, Xs, flow.y0, np.reshape(ts, (-1,) + (1,) * (ys.ndim - 1))).value
-    F, D = (None, None) if ref_components is None else fenchel_bregman(regs, ref_components, ys, xs)
+    F, D = (None, None) if ref is None else fenchel_bregman(regs, ref, ys, xs)
     instruments_s = perf_counter() - start
 
-    has_ref = ref_components is not None
     return Trajectory(
-        t=ts,
-        y=ys,
-        X=Xs,
-        x=xs,
-        slices=flow.op.slices,
-        energy=H,
-        fenchel=F,
-        bregman=D,
+        ts, ys, Xs, xs, flow.op.slices, energy=H, fenchel=F, bregman=D,
         metadata={
             "schema_version": SCHEMA_VERSION,
             "python_version": platform.python_version(),
@@ -500,8 +502,8 @@ def simulate(
                  "dim": r.dim, "scale": getattr(r, "scale", 1.0)}
                 for r in regs
             ],
-            "y0": [np.asarray(v).tolist() for v in y0],
-            "ref": [np.asarray(v).tolist() for v in ref_components] if has_ref else None,
+            "y0": list(flow.op.split(ys[0])),  # views of the recorded start
+            "ref": ref,
             "diagnostics": diagnostics,
             "timing": {
                 "step_s": step_s,

@@ -202,9 +202,10 @@ def write_trajectory_csv(traj, game: NetworkGame, path):
 
 
 def write_trajectory_metadata(traj, game_hash: str, path):
-    meta = dict(traj.metadata)
-    meta["game_hash"] = game_hash
-    meta["snapshots"] = len(traj.t)
+    meta = dict(traj.metadata, game_hash=game_hash, snapshots=len(traj.t))
+    for key in ("y0", "ref"):  # arrays in the metadata, lists in the sidecar
+        if meta.get(key) is not None:
+            meta[key] = [np.asarray(v).tolist() for v in meta[key]]
     with open(path, "w") as handle:
         json.dump(meta, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -324,15 +324,10 @@ def reduce_bipartite_to_two_agent(game: NetworkGame, partition) -> BipartiteRedu
 
 def payoff_fields(game: NetworkGame, profile) -> list[np.ndarray]:
     """Per-agent payoff vectors sum_j A[i, j] x_j at the given profile."""
-    xs = [np.asarray(x, dtype=float) for x in profile]
-    fields = []
-    for i in range(game.n):
-        v = np.zeros(game.strategy_counts[i])
-        for j in range(game.n):
-            if j != i and (i, j) in game.payoffs:
-                v = v + game.payoffs[(i, j)] @ xs[j]
-        fields.append(v)
-    return fields
+    from .dynamics import PayoffOperator  # here: dynamics imports this module
+
+    op = PayoffOperator(game)
+    return list(op.split(op.linear(op.join(profile))))
 
 
 def verify_nash(game: NetworkGame, profile: MixedProfile, fully_mixed: bool = False) -> float:

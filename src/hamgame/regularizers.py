@@ -183,9 +183,11 @@ def project_simplex(v):
                 t /= j
             rho += (uj > t).view(np.int8)
             thresholds.append(t)
+        del u, csum  # not read past rho: released to lower the call's peak
         tau = 0.0  # the sort's pick when nothing counts, as below
         for j, t in enumerate(thresholds, 1):
             tau = np.where(rho == j, t, tau)
+        del thresholds
         out = v - tau[..., None]
         return np.maximum(out, 0.0, out=out)
     u = np.negative(v)
@@ -368,7 +370,9 @@ class BlockChoiceMap:
             if pad is not None:  # u is a gathered copy here, never a view of y
                 u[..., pad] = -np.inf
             parts.append(unit_map(u.reshape(lead + shape)).reshape(lead + (-1,)))
+            del u  # each group's input is released once it is mapped
         x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        del parts
         if self.back is not None:
             x = x[self.back] if single else x[..., self.back]
         return x if single else np.ascontiguousarray(x)  # a batched gather is F-ordered

@@ -339,6 +339,16 @@ class TestReduce2x2:
             assert float(rs.x[1][0]) == pytest.approx(float(s.x[1][0]), abs=1e-9)
 
 
+def _drifted_triangle():
+    """The centered triangle plus antisymmetric edge constants: a drift to shift away."""
+    base = triangle_zero_sum()
+    payoffs = dict(base.payoffs)
+    for (i, j), c in {(0, 1): 0.7, (1, 2): -0.4, (0, 2): 0.2}.items():
+        payoffs[(i, j)] = base.matrix(i, j) + c
+        payoffs[(j, i)] = base.matrix(j, i) - c
+    return NetworkGame(base.strategy_counts, payoffs, sigma=-1)
+
+
 class TestDriftShift:
     def test_zero_drift_game_unchanged(self):
         game = triangle_zero_sum()  # centered: uniform profile has zero fields
@@ -347,15 +357,9 @@ class TestDriftShift:
         assert out is game
 
     def test_removes_drift(self, rng):
-        base = triangle_zero_sum()
-        profile = MixedProfile(uniform_profile(base))
-        # add antisymmetric constants: keeps zero-sum and the equilibrium
-        payoffs = dict(base.payoffs)
-        shifts = {(0, 1): 0.7, (1, 2): -0.4, (0, 2): 0.2}
-        for (i, j), c in shifts.items():
-            payoffs[(i, j)] = base.matrix(i, j) + c
-            payoffs[(j, i)] = base.matrix(j, i) - c
-        game = NetworkGame(base.strategy_counts, payoffs, sigma=-1)
+        # antisymmetric constants keep the game zero-sum and the equilibrium
+        game = _drifted_triangle()
+        profile = MixedProfile(uniform_profile(game))
         assert verify_nash(game, profile, fully_mixed=True) <= 1e-12
         drifted = payoff_fields(game, profile)
         assert max(float(np.max(np.abs(v))) for v in drifted) > 0.1
@@ -377,3 +381,90 @@ class TestMixedProfile:
     def test_fully_mixed_flag(self):
         assert MixedProfile((np.array([0.5, 0.5]),)).is_fully_mixed()
         assert not MixedProfile((np.array([1.0, 0.0]),)).is_fully_mixed()
+
+
+# ---------------------------------------------------------------------------
+# payoff_fields through the payoff operator, against the per-edge loop
+
+
+def _loop_payoff_fields(game, profile):
+    """The per-edge loop payoff_fields replaced: one A[i, j] @ x_j per stored edge."""
+    xs = [np.asarray(x, dtype=float) for x in profile]
+    fields = []
+    for i in range(game.n):
+        v = np.zeros(game.strategy_counts[i])
+        for j in range(game.n):
+            if j != i and (i, j) in game.payoffs:
+                v = v + game.payoffs[(i, j)] @ xs[j]
+        fields.append(v)
+    return fields
+
+
+def _random_network(rng, n):
+    """Random payoffs on a random edge set: agents may be isolated or have one strategy."""
+    counts = tuple(int(k) for k in rng.integers(1, 6, size=n))
+    payoffs = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.uniform() < 0.6:
+                payoffs[(i, j)] = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=(counts[i], counts[j]))
+    profile = tuple(rng.dirichlet(np.ones(k)) for k in counts)
+    return NetworkGame(counts, payoffs), profile
+
+
+def test_payoff_fields_match_edge_loop():
+    rng = np.random.default_rng(157)
+    seen = {"isolated": 0, "one_strategy": 0}
+    for n in (2, 2, 3, 4, 5, 6) * 40:
+        game, profile = _random_network(rng, n)
+        got, want = payoff_fields(game, profile), _loop_payoff_fields(game, profile)
+        assert len(got) == game.n
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g.shape == w.shape == (game.strategy_counts[i],)
+            if n == 2:  # one neighbour per agent: the same product, the same bits
+                np.testing.assert_array_equal(g, w)
+            else:
+                np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(w), initial=0.0)))
+        seen["isolated"] += sum(not any(i in e for e in game.payoffs) for i in range(game.n))
+        seen["one_strategy"] += game.strategy_counts.count(1)
+    assert seen["isolated"] > 0 and seen["one_strategy"] > 0
+
+
+def _shift_or_error(game, profile):
+    """The shifted game, or the error's text without its violation figure."""
+    try:
+        return shift_payoffs_to_zero_drift(game, profile)
+    except ValueError as err:
+        return str(err).split(" (")[0]
+
+
+@pytest.mark.parametrize(
+    "make", [matching_pennies, triangle_zero_sum, four_cycle_zero_sum, star_zero_sum, _drifted_triangle]
+)
+def test_equilibrium_checks_unchanged_by_payoff_operator(monkeypatch, make):
+    """verify_nash and the drift shift read the same fields as with the loop:
+    the same bits on two agents, within 1e-12 on more."""
+    import hamgame.games as games
+
+    game = make()
+    rng = np.random.default_rng(5)
+    profiles = [MixedProfile(uniform_profile(game)),
+                MixedProfile(tuple(rng.dirichlet(np.ones(k)) for k in game.strategy_counts))]
+
+    def readings():
+        checks = [verify_nash(game, p, fully_mixed=m) for p in profiles for m in (False, True)]
+        return checks, _shift_or_error(game, profiles[0])
+
+    now, shifted = readings()
+    monkeypatch.setattr(games, "payoff_fields", _loop_payoff_fields)
+    before, expected = readings()
+    tol = 0.0 if game.n == 2 else 1e-12
+    np.testing.assert_allclose(now, before, rtol=0.0, atol=tol)
+    assert type(shifted) is type(expected)
+    if isinstance(expected, str):  # not an interior equilibrium: rejected both ways
+        assert shifted == expected
+        return
+    assert (shifted is game) == (expected is game)
+    assert shifted.payoffs.keys() == expected.payoffs.keys()
+    for edge, a in expected.payoffs.items():
+        np.testing.assert_allclose(shifted.payoffs[edge], a, rtol=0.0, atol=tol)

@@ -4,9 +4,11 @@
 (snapshots, batch..., D) arrays, `Trajectory.states` builds SystemState
 views only on access, the CSV writer formats whole rows, and
 `fenchel_bregman_series` reuses readings taken against the same
-reference.  The references below are frozen copies of the code this
-replaced: the per-cell CSV writer, and the loop that kept the snapshots in
-a list and built one SystemState per snapshot.
+reference.  The metadata holds y0 as views of the start row and ref as
+arrays; only the sidecar writer turns them into lists.  The references
+below are frozen copies of the code this replaced: the per-cell CSV
+writer, the sidecar writer fed list-valued metadata, and the loop that
+kept the snapshots in a list and built one SystemState per snapshot.
 """
 
 import json
@@ -16,6 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from pathlib import Path
 
 from hamgame import (
     EquilibriumReference,
@@ -27,11 +31,16 @@ from hamgame import (
     Trajectory,
     build_report,
     fenchel_bregman_series,
+    load_game_file,
+    make_reference,
+    sample_payoff_ball,
     simulate,
+    solve_2x2_fully_mixed_nash,
     write_trajectory_csv,
 )
+from hamgame.cli import main
 from hamgame.dynamics import KERNELS, _blow_up, _Flow
-from hamgame.fileio import csv_columns
+from hamgame.fileio import csv_columns, game_fingerprint
 
 from conftest import MP_MATRIX, mp_start, triangle_zero_sum, uniform_profile
 from test_dynamics import _random_case
@@ -218,6 +227,20 @@ def test_report_reuses_readings_as_recomputed(scheme):
     np.testing.assert_array_equal(reused.fenchel, again.fenchel)
     np.testing.assert_array_equal(reused.bregman, again.bregman)
 
+    # the record holds float copies of the profile, compared component by
+    # component: lists read back from a sidecar match too
+    recorded = traj.metadata["ref"]
+    assert all(isinstance(r, np.ndarray) and r is not u for r, u in zip(recorded, ref.profile))
+    as_lists = replace(traj, metadata=dict(traj.metadata, ref=[r.tolist() for r in recorded]))
+    assert fenchel_bregman_series(as_lists, game, regs, ref.profile).fenchel is traj.fenchel
+    # a record that misses a component or differs in one is not this reference
+    for other in (recorded[:-1], recorded[:-1] + [np.flip(recorded[-1]) + [0.25, -0.25]]):
+        assert len(other) < len(recorded) or not np.array_equal(other[-1], recorded[-1])
+        moved = replace(traj, metadata=dict(traj.metadata, ref=other))
+        series = fenchel_bregman_series(moved, game, regs, ref.profile)
+        assert series.fenchel is not traj.fenchel
+        np.testing.assert_array_equal(series.fenchel, again.fenchel)
+
     report = build_report(traj, game, regs, ref=ref, recurrence_epsilon=0.05)
     forced = build_report(stripped, game, regs, ref=ref, recurrence_epsilon=0.05)
     assert report.to_json() == forced.to_json()
@@ -248,3 +271,88 @@ def test_report_against_another_reference_recomputes():
     series = fenchel_bregman_series(unread, game, regs, ref.profile)
     np.testing.assert_array_equal(series.fenchel, traj.fenchel)
     np.testing.assert_array_equal(series.bregman, traj.bregman)
+
+
+# ---------------------------------------------------------------------------
+# metadata: arrays in the trajectory, lists in the sidecar
+
+GAMES = Path(__file__).resolve().parent.parent / "games"
+
+
+def _ref_write_metadata(meta, game_hash, snapshots, path):
+    """The sidecar writer as it was, fed metadata whose y0 and ref are lists."""
+    meta = dict(meta)
+    meta["game_hash"] = game_hash
+    meta["snapshots"] = snapshots
+    with open(path, "w") as handle:
+        json.dump(meta, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def _network_file(tmp_path):
+    """The triangle with entropy and euclidean agents, and its uniform equilibrium."""
+    game = triangle_zero_sum()
+    agents = [{"id": i + 1, "strategies": k, "regularizer": kind, "scale": scale, "y0": [0.1 * (i + 1)] * k}
+              for i, (k, kind, scale) in enumerate(zip(game.strategy_counts, ("entropy", "euclidean", "entropy"),
+                                                        (1.0, 0.7, 1.3)))]
+    edges = [{"i": i + 1, "j": j + 1, "A": a.tolist()} for (i, j), a in sorted(game.payoffs.items())]
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"agents": agents, "edges": edges, "sigma": -1}))
+    return path, json.dumps([v.tolist() for v in uniform_profile(game)])
+
+
+@pytest.mark.parametrize("network", [False, True])
+@pytest.mark.parametrize("with_ref", [False, True])
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_simulate_sidecar_matches_list_metadata_writer(tmp_path, network, with_ref, seed, scheme):
+    if network:
+        game_path, ref_arg = _network_file(tmp_path)
+    else:
+        game_path, ref_arg = GAMES / "matching_pennies_replicator.json", "solve2x2"
+    argv = ["simulate", "--game", str(game_path), "--scheme", scheme, "--eta", "0.05",
+            "--horizon", "1.0", "--stride", "3", "--out", str(tmp_path / "out")]
+    argv += ["--ref", ref_arg] if with_ref else []
+    argv += ["--seed", str(seed)] if seed is not None else []
+    assert main(argv) == 0
+    written = (tmp_path / "out" / f"{game_path.stem}_{scheme}.meta.json").read_bytes()
+
+    loaded = load_game_file(game_path)
+    y0 = loaded.y0 if seed is None else tuple(v[0] for v in sample_payoff_ball(loaded.y0, 0.1, 1, seed))
+    ref = None
+    if with_ref:
+        if network:
+            profile = MixedProfile(tuple(np.asarray(v, dtype=float) for v in json.loads(ref_arg)))
+        else:
+            profile = solve_2x2_fully_mixed_nash(loaded.game)
+        ref = make_reference(loaded.game, profile).profile
+    traj = simulate(loaded.game, loaded.regularizers, y0, IntegratorConfig(scheme, 0.05, 1.0, 3), ref=ref)
+    lists = dict(traj.metadata, timing=json.loads(written)["timing"],
+                 y0=[np.asarray(v).tolist() for v in y0],
+                 ref=None if ref is None else [np.asarray(v).tolist() for v in ref])
+    _ref_write_metadata(lists, game_fingerprint(loaded.game), len(traj.t), tmp_path / "lists.meta.json")
+    assert (tmp_path / "lists.meta.json").read_bytes() == written
+
+
+@pytest.mark.parametrize("lead", [(), (4,)])
+def test_metadata_y0_views_the_start_row(lead):
+    game = triangle_zero_sum()
+    regs = (Regularizer("entropy", dim=2), Regularizer("euclidean", dim=3, scale=0.7),
+            Regularizer("entropy", dim=2, scale=1.3))
+    rng = np.random.default_rng(2)
+    y0 = tuple(0.3 * rng.normal(size=lead + (k,)) for k in game.strategy_counts)
+    kept = tuple(v.copy() for v in y0)
+    traj = simulate(game, regs, y0, IntegratorConfig("rk4", 0.05, 1.0, 4), ref=uniform_profile(game))
+    parts = traj.metadata["y0"]
+    assert len(parts) == game.n
+    for part, s, v in zip(parts, traj.slices, kept):
+        assert np.shares_memory(part, traj.y[0])
+        np.testing.assert_array_equal(part, traj.y[0][..., s])
+        np.testing.assert_array_equal(part, v)
+    for v in y0:  # a later write to the caller's arrays does not reach the record
+        v += 1.0
+    for part, v in zip(parts, kept):
+        np.testing.assert_array_equal(part, v)
+    for r, u in zip(traj.metadata["ref"], uniform_profile(game)):
+        assert isinstance(r, np.ndarray) and r.dtype == float
+        np.testing.assert_array_equal(r, u)
