@@ -11,15 +11,26 @@ and phase-space volume of an evolved cloud of initial conditions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .dynamics import IntegratorConfig, Trajectory, simulate
 from .games import GameKind, MixedProfile, NetworkGame, classify_game, verify_nash
-from .regularizers import bregman_distance, conjugate_value, fenchel_bregman, spans
+from .regularizers import bregman_distance, conjugate_value, fenchel_bregman, project_simplex, spans
 
 MONOTONE_SLACK = 1e-10
+
+
+def largest_drop(series) -> float:
+    """Largest single decrease of a series along axis 0; 0.0 for fewer than two rows.
+
+    A series is non-decreasing when this is at most MONOTONE_SLACK.  A NaN
+    step gives NaN, which fails that test.
+    """
+    if len(series) < 2:
+        return 0.0
+    return float(np.maximum(0.0, -np.min(np.diff(series, axis=0))))
 
 
 @dataclass(frozen=True)
@@ -28,7 +39,6 @@ class EquilibriumReference:
 
     profile: MixedProfile
     fully_mixed: bool
-    floor: float | None = None  # smallest boundary Bregman distance, if estimated
 
     def __iter__(self):
         return iter(self.profile)
@@ -53,9 +63,7 @@ class SeriesReport:
     bregman: np.ndarray  # NaN where an entropy strategy touched the boundary
     min_bregman: float
     max_fenchel_deviation: float
-    max_bregman_increase: float
     coupling_equals_distance: bool  # F == D held at every interior snapshot
-    max_gap: float
 
 
 def fenchel_bregman_series(traj: Trajectory, game: NetworkGame, regs, ref) -> SeriesReport:
@@ -63,8 +71,8 @@ def fenchel_bregman_series(traj: Trajectory, game: NetworkGame, regs, ref) -> Se
 
     Taken from the trajectory when its instruments were read against this
     same profile (metadata["ref"]), read here otherwise.  On interior
-    snapshots the two agree; the report records the largest gap and whether
-    the identity held everywhere it was defined.
+    snapshots the two agree; the report records whether the identity held
+    everywhere it was defined.
     """
     ref, read = tuple(ref), traj.metadata.get("ref") or ()
     if traj.fenchel is not None and len(read) == len(ref) and all(map(np.array_equal, read, ref)):
@@ -72,26 +80,22 @@ def fenchel_bregman_series(traj: Trajectory, game: NetworkGame, regs, ref) -> Se
     else:
         F, D = fenchel_bregman(regs, ref, traj.y, traj.x)
     defined = ~np.isnan(D)
-    gap = np.abs(F[defined] - D[defined]) if np.any(defined) else np.array([0.0])
-    diffs = np.diff(D[defined]) if np.sum(defined) > 1 else np.array([0.0])
     return SeriesReport(
         fenchel=F,
         bregman=D,
         min_bregman=float(np.min(D[defined])) if np.any(defined) else float("nan"),
         max_fenchel_deviation=float(np.max(np.abs(F - F[0]))),
-        max_bregman_increase=float(np.max(diffs)) if diffs.size else 0.0,
-        coupling_equals_distance=bool(np.all(gap <= 1e-8)),
-        max_gap=float(np.max(gap)),
+        coupling_equals_distance=bool(np.all(np.abs(F[defined] - D[defined]) <= 1e-8)),
     )
 
 
 @dataclass(frozen=True)
 class FloorEstimate:
-    """Sampled lower estimate of the boundary Bregman distance.
+    """Smallest Bregman distance from the reference to the boundary.
 
-    value is the smallest divergence found on (or, for entropy, at distance
-    `resolution` from) any face of any agent's simplex; it is an estimate
-    at the reported resolution, not a certificate.
+    value is the exact minimum over the faces of every agent's simplex of
+    the divergence from the reference; for entropy agents, whose divergence
+    is infinite on the faces, over the shells {x_f = resolution} instead.
     """
 
     value: float
@@ -99,86 +103,39 @@ class FloorEstimate:
     note: str
 
 
-def _face_points(dim: int, face: int, resolution: float, offset: float):
-    """Grid over the face {x_face = offset} of the dim-simplex.
-
-    With a nonzero offset (the entropy shell) every coordinate is kept at
-    least offset away from zero, so the divergence stays finite.
-    """
-    rest = [s for s in range(dim) if s != face]
-    budget = 1.0 - offset - (dim - 1) * offset
-    if dim == 2:
-        weights = [np.array([1.0])]
-    elif dim == 3:
-        grid = np.linspace(0.0, 1.0, max(2, int(round(1.0 / resolution)) + 1))
-        weights = [np.array([w, 1.0 - w]) for w in grid]
-    else:
-        # a single start; coordinate descent refines it
-        weights = [np.full(dim - 1, 1.0 / (dim - 1))]
-    for w in weights:
-        x = np.empty(dim)
-        x[face] = offset
-        x[rest] = offset + w * budget
-        yield x
-
-
-def _refine_on_face(reg, x_ref, x0, face, floor, steps=200):
-    """Greedy mass-shuffling descent for faces of dimension two and higher."""
-    x = np.array(x0)
-    rest = [s for s in range(len(x)) if s != face]
-    step = 0.25
-    best = bregman_distance(reg, x_ref, x)
-    for _ in range(steps):
-        improved = False
-        for a in rest:
-            for b in rest:
-                if a == b:
-                    continue
-                move = min(step, x[a] - floor)
-                if move <= 0:
-                    continue
-                trial = np.array(x)
-                trial[a] -= move
-                trial[b] += move
-                val = bregman_distance(reg, x_ref, trial)
-                if val < best:
-                    best, x, improved = val, trial, True
-        if not improved:
-            step *= 0.5
-            if step < 1e-6:
-                break
-    return float(best)
-
-
 def floor_distance(game: NetworkGame, regs, ref: EquilibriumReference, resolution: float = 1e-3) -> FloorEstimate:
     """Smallest Bregman distance from the reference to the profile boundary.
 
     The joint boundary is reached by pinning a single agent to a face while
     the others sit at the reference, so the joint floor is the smallest
-    per-agent face minimum.  Entropy divergences blow up on the faces
-    themselves; those are probed on a shell at the grid resolution, making
-    the result a resolution-dependent estimate of the approach behavior.
+    per-agent face minimum.  Each has a closed form.  On the euclidean face
+    {x_f = 0} the nearest point is the rest of the reference projected onto
+    its simplex.  Entropy divergences blow up on the faces themselves, so
+    they are read on the shell {x_f = resolution}, where the KL minimizer
+    keeps the other coordinates in the reference's proportions.
     """
     if not ref.fully_mixed:
         raise ValueError("boundary floor needs a fully mixed reference (it is 0 otherwise)")
-    best = np.inf
-    entropy_involved = False
+    values, entropy_involved = [], False
     for reg, x_ref in zip(regs, ref):
-        offset = 0.0
-        if getattr(reg, "kind", None) == "entropy":
-            offset = resolution
-            entropy_involved = True
-        dim = x_ref.shape[-1]
-        for face in range(dim):
-            for x in _face_points(dim, face, resolution, offset):
-                val = float(bregman_distance(reg, x_ref, x))
-                if dim > 3:
-                    val = min(val, _refine_on_face(reg, x_ref, x, face, offset))
-                best = min(best, val)
-    note = "grid estimate on faces"
+        if getattr(reg, "domain", "product") != "simplex":
+            raise ValueError("boundary floor is defined for simplex regularizers only")
+        if x_ref.shape[-1] < 2:
+            continue  # a single strategy has no face
+        entropy_involved |= reg.kind == "entropy"
+        for face in range(x_ref.shape[-1]):
+            rest = np.delete(x_ref, face)
+            if reg.kind == "entropy":
+                x = np.insert((1.0 - resolution) * rest / (1.0 - x_ref[face]), face, resolution)
+            else:
+                x = np.insert(project_simplex(rest), face, 0.0)
+            values.append(float(bregman_distance(reg, x_ref, x)))
+    if not values:
+        raise ValueError("boundary floor needs an agent with two or more strategies")
+    note = "exact minimum over faces"
     if entropy_involved:
         note += "; entropy faces probed on a shell at the stated resolution (true boundary value is infinite)"
-    return FloorEstimate(float(best), resolution, note)
+    return FloorEstimate(min(values), resolution, note)
 
 
 @dataclass
@@ -201,9 +158,8 @@ def monotone_energy_check(traj: Trajectory, game: NetworkGame, regs) -> Monotone
     if game.sigma != -1 and classify_game(game).kind != GameKind.ZERO_SUM:
         raise ValueError("monotone energy statement covers zero-sum games only")
     H = sum(conjugate_value(reg, traj.y[..., s]) for reg, s in spans(regs))
-    diffs = np.diff(H, axis=0)
-    max_decrease = float(max(0.0, -np.min(diffs))) if diffs.size else 0.0
-    total = float(np.sum(np.maximum(diffs, 0.0))) if diffs.size else 0.0
+    max_decrease = largest_drop(H)
+    total = float(np.sum(np.maximum(np.diff(H, axis=0), 0.0)))
     return MonotoneReport(max_decrease <= MONOTONE_SLACK, max_decrease, total)
 
 
@@ -240,26 +196,21 @@ class BoundaryReport:
     min_coordinate: float
     running_min: np.ndarray
     fenchel_nondecreasing: bool | None
-    max_fenchel_decrease: float | None
 
 
 def boundary_approach(traj: Trajectory) -> BoundaryReport:
     """Running minimum strategy coordinate, plus the coupling trend.
 
     For Euler runs with a registered reference the recorded Fenchel series
-    must itself be non-decreasing; the report carries its largest single
-    drop so callers can assert that.
+    must itself be non-decreasing.
     """
     xs = traj.strategy_matrix()
     per_snapshot_min = np.min(xs, axis=1)
     running = np.minimum.accumulate(per_snapshot_min)
     nondec = None
-    max_drop = None
     if traj.fenchel is not None and not np.any(np.isnan(traj.fenchel)):
-        diffs = np.diff(traj.fenchel)
-        max_drop = float(max(0.0, -np.min(diffs))) if diffs.size else 0.0
-        nondec = max_drop <= MONOTONE_SLACK
-    return BoundaryReport(float(running[-1]), running, nondec, max_drop)
+        nondec = largest_drop(traj.fenchel) <= MONOTONE_SLACK
+    return BoundaryReport(float(running[-1]), running, nondec)
 
 
 @dataclass
@@ -319,15 +270,7 @@ class AnalysisReport:
     checks: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "energy_drift": self.energy_drift,
-            "fenchel": self.fenchel,
-            "bregman": self.bregman,
-            "recurrence": self.recurrence,
-            "boundary": self.boundary,
-            "volume": self.volume,
-            "checks": self.checks,
-        }
+        return asdict(self)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, **kwargs)
@@ -337,9 +280,20 @@ class AnalysisReport:
         return all(c["passed"] for c in self.checks.values())
 
 
-def _monotone_flag(series) -> bool:
-    diffs = np.diff(series)
-    return bool(diffs.size == 0 or np.min(diffs) >= -MONOTONE_SLACK)
+def _check(value, tolerance) -> dict:
+    return {"passed": bool(value <= tolerance), "value": value, "tolerance": tolerance}
+
+
+def _summary(values) -> dict:
+    """Extremes, largest single increase and monotone flag of a series (axis 0 is time)."""
+    if not values.size:
+        return {"min": None, "max": None, "max_increase": 0.0, "monotone": None}
+    return {
+        "min": float(np.min(values)),
+        "max": float(np.max(values)),
+        "max_increase": float(np.max(np.diff(values, axis=0))) if len(values) > 1 else 0.0,
+        "monotone": largest_drop(values) <= MONOTONE_SLACK,
+    }
 
 
 def build_report(
@@ -369,54 +323,27 @@ def build_report(
     zero_sum = game.sigma == -1 or classify_game(game).kind == GameKind.ZERO_SUM
 
     if scheme in ("rk4", "symplectic_leapfrog") and drift_abs == drift_abs:
-        report.checks["energy_invariance"] = {
-            "passed": bool(drift_rel <= energy_tolerance),
-            "value": drift_rel,
-            "tolerance": energy_tolerance,
-        }
+        report.checks["energy_invariance"] = _check(drift_rel, energy_tolerance)
 
     if ref is not None:
         series = fenchel_bregman_series(traj, game, regs, ref.profile)
-        report.fenchel = {
-            "min": float(np.min(series.fenchel)),
-            "max": float(np.max(series.fenchel)),
-            "max_increase": float(np.max(np.diff(series.fenchel)))
-            if series.fenchel.size > 1
-            else 0.0,
-            "max_deviation": series.max_fenchel_deviation,
-            "monotone": _monotone_flag(series.fenchel),
-        }
-        defined = series.bregman[~np.isnan(series.bregman)]
-        report.bregman = {
-            "min": float(np.min(defined)) if defined.size else None,
-            "max": float(np.max(defined)) if defined.size else None,
-            "max_increase": series.max_bregman_increase,
-            "monotone": _monotone_flag(defined) if defined.size else None,
-            "equals_coupling_on_interior": series.coupling_equals_distance,
-            "unavailable_snapshots": int(np.sum(np.isnan(series.bregman))),
-        }
+        report.fenchel = dict(_summary(series.fenchel), max_deviation=series.max_fenchel_deviation)
+        D = series.bregman  # in a batched run, unavailable snapshots are whole NaN rows
+        report.bregman = dict(
+            _summary(D[~np.isnan(D)].reshape((-1,) + D.shape[1:])),
+            equals_coupling_on_interior=series.coupling_equals_distance,
+            unavailable_snapshots=int(np.sum(np.isnan(D))),
+        )
         if scheme in ("rk4", "symplectic_leapfrog") and zero_sum and ref.fully_mixed:
-            report.checks["fenchel_invariance"] = {
-                "passed": bool(series.max_fenchel_deviation <= fenchel_tolerance),
-                "value": series.max_fenchel_deviation,
-                "tolerance": fenchel_tolerance,
-            }
+            deviation = series.max_fenchel_deviation
+            report.checks["fenchel_invariance"] = _check(deviation, fenchel_tolerance)
         if scheme == "euler" and zero_sum and ref.fully_mixed:
-            diffs = np.diff(series.fenchel)
-            drop = float(max(0.0, -np.min(diffs))) if diffs.size else 0.0
-            report.checks["fenchel_nondecreasing"] = {
-                "passed": drop <= MONOTONE_SLACK,
-                "value": drop,
-                "tolerance": MONOTONE_SLACK,
-            }
+            drop = largest_drop(series.fenchel)
+            report.checks["fenchel_nondecreasing"] = _check(drop, MONOTONE_SLACK)
 
     if scheme == "euler" and zero_sum:
         mono = monotone_energy_check(traj, game, regs)
-        report.checks["energy_nondecreasing"] = {
-            "passed": mono.monotone,
-            "value": mono.max_decrease,
-            "tolerance": MONOTONE_SLACK,
-        }
+        report.checks["energy_nondecreasing"] = _check(mono.max_decrease, MONOTONE_SLACK)
 
     if not traj.batched:
         if recurrence_epsilon is not None:

@@ -21,7 +21,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .analysis import build_report, make_reference, volume_ratio
+from .analysis import MONOTONE_SLACK, build_report, largest_drop, make_reference, volume_ratio
 from .dynamics import IntegratorConfig, sample_payoff_ball, simulate
 from .fileio import (
     GameFileError,
@@ -180,8 +180,7 @@ def cmd_simulate(args) -> int:
             f"(relative {drift_rel:.3e})"
         )
     if config.scheme == "euler" and traj.energy.size and not np.any(np.isnan(traj.energy)):
-        diffs = np.diff(traj.energy)
-        nondec = diffs.size == 0 or float(np.min(diffs)) >= -1e-10
+        nondec = largest_drop(traj.energy) <= MONOTONE_SLACK
         total = float(traj.energy[-1] - traj.energy[0])
         print(f"euler energy non-decreasing: {nondec}, total increase {total:.6g}")
     diag = traj.metadata["diagnostics"]

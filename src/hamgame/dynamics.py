@@ -43,7 +43,6 @@ from time import perf_counter
 
 import numpy as np
 
-from .fileio import game_fingerprint
 from .games import GeneralizedGame, NetworkGame
 from .regularizers import BlockChoiceMap, choice_map, fenchel_bregman, payoff_limit
 
@@ -490,7 +489,6 @@ def simulate(
             "schema_version": SCHEMA_VERSION,
             "python_version": platform.python_version(),
             "numpy_version": np.__version__,
-            "game_hash": game_fingerprint(game),
             "scheme": config.scheme,
             "eta": config.eta,
             "horizon": config.horizon,

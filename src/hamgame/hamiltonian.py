@@ -31,7 +31,7 @@ import numpy as np
 
 from .dynamics import PayoffOperator, SystemState, vector_field
 from .games import GeneralizedGame, NetworkGame, bipartite_partition, check_partition
-from .regularizers import conjugate_value
+from .regularizers import _leaves, conjugate_value, spans
 
 # An edge (i, j) of b is classed by whether i and j are kinetic agents.
 _ALL, _OUT, _BACK = (True, True), (True, False), (False, True)
@@ -218,12 +218,13 @@ def verify_hamiltonian_structure(
     spec = _Spec(game, regs, variant, canonical=True)
 
     for i, (reg, xv) in enumerate(zip(regs, state.x)):
-        if getattr(reg, "kind", None) == "entropy" and np.min(xv) < 1e-8:
-            coord = int(np.argmin(xv))
-            raise ValueError(
-                f"agent {i} coordinate {coord} too close to the boundary "
-                "for stable differencing"
-            )
+        for block, s in spans(_leaves([reg])):  # a product regularizer's blocks, side by side
+            if block.kind == "entropy" and np.min(xv[s]) < 1e-8:
+                coord = s.start + int(np.argmin(xv[s]))
+                raise ValueError(
+                    f"agent {i} coordinate {coord} too close to the boundary "
+                    "for stable differencing"
+                )
 
     join = spec.op.join
     dX, dy = (join(v) for v in vector_field(state, game, regs))

@@ -376,6 +376,25 @@ class TestStructure:
         with pytest.raises(ValueError, match="boundary"):
             verify_hamiltonian_structure(state, game, regs)
 
+    def test_entropy_boundary_rejected_in_product_blocks(self):
+        # the folded meta-agents' ProductRegularizers hold the same entropy blocks
+        game = four_cycle_zero_sum()
+        partition = bipartite_partition(game)
+        red = reduce_bipartite_to_two_agent(game, partition)
+        regs = default_regularizers(game, "entropy")
+        agent = partition[0][-1]
+        y0 = [np.zeros(k) for k in game.strategy_counts]
+        y0[agent][-1] = -40.0  # x of that strategy ~ 4e-18
+        zeros = [np.zeros(k) for k in game.strategy_counts]
+        last = game.strategy_counts[agent] - 1
+        with pytest.raises(ValueError, match=f"agent {agent} coordinate {last} too close to the boundary"):
+            verify_hamiltonian_structure(consistent_state(game, regs, y0, zeros), game, regs)
+        meta_regs = red.meta_regularizers(regs)
+        meta = consistent_state(red.game, meta_regs, red.meta_vectors(y0), red.meta_vectors(zeros))
+        last = red.slices[0][agent].stop - 1
+        with pytest.raises(ValueError, match=f"agent 0 coordinate {last} too close to the boundary"):
+            verify_hamiltonian_structure(meta, red.game, meta_regs)
+
 
 class TestSelectEnergy:
     def test_zero_sum_uses_network(self):
