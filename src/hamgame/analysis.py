@@ -45,8 +45,14 @@ class EquilibriumReference:
 
 
 def make_reference(game: NetworkGame, profile, tolerance: float = 1e-9) -> EquilibriumReference:
-    if not isinstance(profile, MixedProfile):
-        profile = MixedProfile(tuple(profile))
+    """The profile as a reference, once verify_nash finds it an equilibrium.
+
+    Each component must lie on its agent's domain: the simplex, or the unit
+    box for a GeneralizedGame's box agents.
+    """
+    spaces = getattr(game, "spaces", ())
+    if not isinstance(profile, MixedProfile) or profile.spaces != spaces:
+        profile = MixedProfile(tuple(profile), spaces)
     violation = verify_nash(game, profile)
     if violation > tolerance:
         raise ValueError(
@@ -332,7 +338,7 @@ def build_report(
         report.bregman = dict(
             _summary(D[~np.isnan(D)].reshape((-1,) + D.shape[1:])),
             equals_coupling_on_interior=series.coupling_equals_distance,
-            unavailable_snapshots=int(np.sum(np.isnan(D))),
+            unavailable_snapshots=int(np.sum(np.isnan(D).reshape(len(D), -1).any(axis=1))),
         )
         if scheme in ("rk4", "symplectic_leapfrog") and zero_sum and ref.fully_mixed:
             deviation = series.max_fenchel_deviation

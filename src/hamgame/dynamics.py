@@ -21,9 +21,10 @@ D = sum k_i, with agent i owning the coordinates slices[i].  Each run
 compiles the game once into the block payoff operator M (M[s_i, s_j] =
 A[i, j]) plus, for affine games, the summed drift b, so the field is
 x @ M' (+ b) and the motion reconstructed from the positions is
-y0 + X @ M' (+ b t).  The choice maps act blockwise, one call per group of
-blocks with the same kind and domain (regularizers.BlockChoiceMap); a
-product regularizer contributes its blocks.  One loop in simulate serves
+y0 + X @ M' (+ b t).  The choice maps act blockwise
+(regularizers.BlockChoiceMap): on a batch, one call per group of blocks
+with the same kind and domain; on a single trajectory, on Python floats.
+A product regularizer contributes its blocks.  One loop in simulate serves
 every scheme and batched clouds alike, and it evaluates x only where a
 stage or a recorded snapshot needs it.  SystemState is the per-agent view
 of one phase-space point.  The public steppers are thin wrappers that

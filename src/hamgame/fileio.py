@@ -212,8 +212,18 @@ def write_trajectory_metadata(traj, game_hash: str, path):
 
 
 def read_trajectory_csv(path):
-    """Columns of a trajectory file as arrays (empty cells become NaN)."""
+    """Columns of a trajectory file as arrays (empty cells become NaN).
+
+    Every cell is converted in one np.array call, which parses a string as
+    float() does, so '%.17g' reads back to the same bits.  A ragged row or
+    a cell that float() rejects raises ValueError.
+    """
     with open(path) as handle:
         header = handle.readline().strip().split(",")
-        rows = [line.rstrip("\n").split(",") for line in handle if line.strip()]
-    return header, np.array([[float(cell) if cell else np.nan for cell in row] for row in rows])
+        rows = [line.rstrip("\n") for line in handle if line.strip()]
+    if not rows:
+        return header, np.array([])
+    if len({row.count(",") for row in rows}) > 1:
+        raise ValueError(f"{path}: rows of different lengths")
+    cells = ",".join(rows).split(",")
+    return header, np.array([cell or "nan" for cell in cells], dtype=float).reshape(len(rows), -1)

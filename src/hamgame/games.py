@@ -148,18 +148,31 @@ class GeneralizedGame(NetworkGame):
 
 @dataclass(frozen=True)
 class MixedProfile:
-    """One mixed strategy per agent; each lies on its simplex within 1e-12."""
+    """One strategy per agent, each on its agent's domain.
+
+    By default every domain is a simplex, and each component lies on it
+    within 1e-12.  spaces tags agents as "simplex" or "box", as a
+    GeneralizedGame does; a box component lies in [0, 1]^k.
+    """
 
     components: tuple[np.ndarray, ...]
+    spaces: tuple[str, ...] = ()
 
     def __post_init__(self):
-        comps = tuple(np.asarray(x, dtype=float) for x in self.components)
-        for idx, x in enumerate(comps):
+        object.__setattr__(self, "components", tuple(np.asarray(x, dtype=float) for x in self.components))
+        for idx, (x, space) in enumerate(zip(self.components, self.domains)):
             if x.ndim != 1:
                 raise ValueError(f"component {idx} must be a vector")
-            if abs(float(np.sum(x)) - 1.0) > 1e-12 or np.any(x < 0.0):
+            if space == "box":
+                if np.any((x < 0.0) | (x > 1.0)):
+                    raise ValueError(f"component {idx} is not in the unit box")
+            elif abs(float(np.sum(x)) - 1.0) > 1e-12 or np.any(x < 0.0):
                 raise ValueError(f"component {idx} is not on the simplex")
-        object.__setattr__(self, "components", comps)
+
+    @property
+    def domains(self) -> tuple[str, ...]:
+        """Each agent's domain: spaces, or "simplex" for every agent when spaces is empty."""
+        return self.spaces or ("simplex",) * len(self.components)
 
     def __iter__(self):
         return iter(self.components)
@@ -168,7 +181,11 @@ class MixedProfile:
         return self.components[i]
 
     def is_fully_mixed(self) -> bool:
-        return all(np.all(x > 0.0) for x in self.components)
+        """Every simplex entry positive and every box entry strictly inside (0, 1)."""
+        return all(
+            np.all(x > 0.0) and (space != "box" or np.all(x < 1.0))
+            for x, space in zip(self.components, self.domains)
+        )
 
 
 def classify_game(game: NetworkGame) -> Classification:
@@ -333,26 +350,36 @@ def payoff_fields(game: NetworkGame, profile) -> list[np.ndarray]:
 def verify_nash(game: NetworkGame, profile: MixedProfile, fully_mixed: bool = False) -> float:
     """Largest unilateral gain from a pure deviation; <= 0 means equilibrium.
 
-    With fully_mixed set, also requires every entry strictly positive and
-    folds in the spread of each payoff vector (all components must agree at
-    a fully mixed equilibrium).
+    A simplex agent deviates to its best pure strategy.  A box agent (a
+    GeneralizedGame's "box" spaces) deviates to its best vertex of
+    [0, 1]^k, which gains the sum of the positive field entries minus
+    <x, v>.  A generalized game's fields include its affine terms b.  With
+    fully_mixed set, also requires every entry strictly inside its domain
+    and folds in the spread of each simplex payoff vector (all components
+    must agree at a fully mixed equilibrium), or the largest |v| of a box
+    agent's (which must vanish at an interior point).
     """
-    if not isinstance(profile, MixedProfile):
-        profile = MixedProfile(tuple(profile))
+    from .dynamics import PayoffOperator  # here: dynamics imports this module
+
+    spaces = getattr(game, "spaces", ())
+    if not isinstance(profile, MixedProfile) or profile.spaces != spaces:
+        profile = MixedProfile(tuple(profile), spaces)
     if len(profile.components) != game.n:
         raise ValueError("profile does not cover every agent")
     for i, x in enumerate(profile):
         if x.shape != (game.strategy_counts[i],):
             raise ValueError(f"component {i} has the wrong dimension")
-    fields = payoff_fields(game, profile)
+    op = PayoffOperator(game)
+    fields = op.split(op.field(op.join(profile)))
     violation = 0.0
-    for x, v in zip(profile, fields):
-        violation = max(violation, float(np.max(v) - np.dot(x, v)))
+    for x, v, space in zip(profile, fields, profile.domains):
+        best = np.sum(np.maximum(v, 0.0)) if space == "box" else np.max(v)
+        violation = max(violation, float(best - np.dot(x, v)))
     if fully_mixed:
         if not profile.is_fully_mixed():
-            raise ValueError("profile is not fully mixed (zero coordinate present)")
-        for v in fields:
-            violation = max(violation, float(np.max(v) - np.min(v)))
+            raise ValueError("profile is not fully mixed (coordinate on the boundary)")
+        for v, space in zip(fields, profile.domains):
+            violation = max(violation, float(np.max(np.abs(v)) if space == "box" else np.max(v) - np.min(v)))
     return violation
 
 

@@ -20,6 +20,10 @@ simplex turns into under the substitution x2 = 1 - x1.
 
 Every operation broadcasts over leading batch axes: the last axis is the
 strategy dimension, anything in front of it is carried through unchanged.
+BlockChoiceMap, which the steppers call, maps a batch with numpy and a
+single payoff vector on Python floats, with the same bits: IEEE
+arithmetic rounds alike in both, and numpy keeps the exp, the tanh and
+the sums of 8 or more terms.
 """
 
 from __future__ import annotations
@@ -305,34 +309,74 @@ def payoff_limit(reg: AnyRegularizer) -> float:
     return min((_factor(leaf) * DOMAIN_TOL * 2.0**52 / leaf.dim**2 for leaf in leaves), default=float("inf"))
 
 
+def _project_floats(u):
+    """project_simplex on a list of floats: the sorted rule, operation for operation.
+
+    The running sum and the thresholds round as np.add.accumulate and the
+    division by the counts do.  A zero's sign in the running sum can differ
+    from numpy's, but it is lost in the - 1.0.  rho = 0 picks tau = 0.0,
+    as the batched pick does; max(d, 0.0) is written d if d > 0.0 else 0.0,
+    which turns -0.0 into +0.0 as np.maximum does.
+    """
+    thresholds, csum, rho = [], 0.0, 0
+    for j, c in enumerate(sorted(u, reverse=True), 1):
+        csum += c
+        t = (csum - 1.0) / j
+        rho += c > t
+        thresholds.append(t)
+    tau = thresholds[rho - 1] if rho else 0.0
+    return [d if (d := c - tau) > 0.0 else 0.0 for c in u]
+
+
 class BlockChoiceMap:
     """Choice maps of several regularizers on one concatenated payoff vector.
 
     The last axis of y is the concatenation of one block per regularizer
-    (product regularizers contribute their blocks).  All blocks of one kind
-    and domain are mapped in one call on a (..., count, width) array, with
-    the scales (and the prescales of the euclidean maps) divided out
-    coordinate by coordinate; box maps act coordinatewise, so box blocks
-    count as blocks of width one.  A simplex block narrower than its
-    group's widest is padded with -inf, which keeps every bit: the row max
-    does not change, exp(-inf) adds trailing +0.0 terms to the softmax sum,
-    and the sorted projection rule never counts a -inf entry (see
-    project_simplex); the padded outputs are dropped.  Blocks of 8 or more
-    coordinates group by dimension, since numpy sums 8 or more terms
-    pairwise, in another order.  The outputs are gathered back into one
-    C-ordered array: PayoffOperator.linear multiplies slices of it, and BLAS
-    sums an F-ordered operand in another order.  Every row is mapped exactly
-    as the block alone would be.
+    (product regularizers contribute their blocks).  Every row is mapped
+    exactly as the block alone would be, on either of two paths chosen by
+    y's number of axes.
+
+    A 1-D y (one trajectory) is mapped on Python floats: the scale
+    division, the row max and the shift, the softmax sums below 8 terms
+    (numpy adds those left to right), the division by the sum, the sorted
+    projection and the box clip are single IEEE operations, which round the
+    same in Python as in numpy.  numpy keeps what Python cannot redo bit for
+    bit: one np.exp call for all entropy-simplex coordinates and one
+    np.tanh call for all entropy-box coordinates (numpy's exp and tanh may
+    differ from libm's), and np.add.reduce for entropy blocks of 8 or more
+    coordinates, which numpy sums pairwise.  Each block is one list
+    operation or a few, with no numpy call per block: the per-call cost of
+    numpy on a handful of floats is what this path saves.
+
+    A batched y (leading axes) maps all blocks of one kind and domain in one
+    call on a (..., count, width) array, with the scales (and the
+    prescales of the euclidean maps) divided out coordinate by coordinate;
+    box maps act coordinatewise, so box blocks count as blocks of width
+    one.  A simplex block narrower than its group's widest is padded with
+    -inf, which keeps every bit: the row max does not change, exp(-inf)
+    adds trailing +0.0 terms to the softmax sum, and the sorted projection
+    rule never counts a -inf entry (see project_simplex); the padded
+    outputs are dropped.  Blocks of 8 or more coordinates group by
+    dimension, since numpy sums 8 or more terms pairwise, in another order.
+    The outputs are gathered back into one C-ordered array:
+    PayoffOperator.linear multiplies slices of it, and BLAS sums an
+    F-ordered operand in another order.
+
+    A euclidean simplex block of one or two coordinates takes
+    project_simplex's two-coordinate rule when its group is two wide, as the
+    batched group does; it differs from the sorted rule only once
+    |y| / (2 s) reaches 2^53, far past payoff_limit.
     """
 
     def __init__(self, regs):
-        groups, start = {}, 0
+        groups, single, start = {}, {key: [] for key in _UNIT_CHOICE}, 0
         for reg in _leaves(regs):
             box = reg.domain == "box"  # coordinatewise: one block per coordinate
             blocks = [(c, 1) for c in range(start, start + reg.dim)] if box else [(start, reg.dim)]
             wide = 0 if box or reg.dim < _PAD_BELOW else reg.dim
             group = groups.setdefault((reg.kind, reg.domain, wide), [])
             group.extend((first, dim, _factor(reg)) for first, dim in blocks)
+            single[reg.kind, reg.domain].extend((first, first + dim, float(_factor(reg))) for first, dim in blocks)
             start += reg.dim
         plans, back, offset = [], np.empty(start, dtype=np.intp), 0
         for (kind, domain, _), blocks in groups.items():
@@ -356,15 +400,26 @@ class BlockChoiceMap:
         self.plans = tuple(plans)
         # None when the groups' outputs, concatenated, already are x in order
         self.back = None if np.array_equal(back, np.arange(offset)) else back
+        # the 1-D path's (first, stop, factor) blocks by map, box coordinates
+        # one by one; a euclidean simplex block takes the two-coordinate rule
+        # where its batched group does
+        self.softmax = tuple(single["entropy", "simplex"])
+        self.sigmoid = tuple(single["entropy", "box"])
+        self.clip = tuple(single["euclidean", "box"])
+        pair = max((dim for _, dim, _ in groups.get(("euclidean", "simplex", 0), ())), default=0) == 2
+        euclid = single["euclidean", "simplex"]
+        self.pair = tuple(b for b in euclid if pair and b[1] - b[0] <= 2)
+        self.sort = tuple(b for b in euclid if not (pair and b[1] - b[0] <= 2))
 
     def __call__(self, y):
         if not isfinite(np.add.reduce(y, axis=None)):  # one reduction; nan/inf both poison the sum
             raise ValueError("choice map requires finite payoff vector")
-        single = y.ndim == 1  # y[index] gathers a 1-D y several times faster than y[..., index]
+        if y.ndim == 1:
+            return self._single(y)
         lead = y.shape[:-1]
         parts = []
         for index, scale, pad, shape, unit_map in self.plans:
-            u = y[index] if single else y[..., index]
+            u = y[..., index]
             if scale is not None:
                 u = u / scale
             if pad is not None:  # u is a gathered copy here, never a view of y
@@ -374,8 +429,51 @@ class BlockChoiceMap:
         x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
         del parts
         if self.back is not None:
-            x = x[self.back] if single else x[..., self.back]
-        return x if single else np.ascontiguousarray(x)  # a batched gather is F-ordered
+            x = x[..., self.back]
+        # a gathered group maps to an F-ordered output, and so does the
+        # gather back; np.take would first copy x into C order
+        return np.ascontiguousarray(x)
+
+    def _single(self, y):
+        v = y.tolist()
+        x = v[:]  # every entry is overwritten
+        for first, stop, f in self.pair:
+            if stop - first == 2:
+                a, b = v[first] / f, v[first + 1] / f
+                wide = (a + b - 1.0) / 2
+                tau = wide if (a if a < b else b) > wide else (b if a < b else a) - 1.0
+                d, e = a - tau, b - tau
+                x[first], x[first + 1] = d if d > 0.0 else 0.0, e if e > 0.0 else 0.0
+            else:  # padded with -inf: wide is -inf, tau is a - 1
+                a = v[first] / f
+                d = a - (a - 1.0)
+                x[first] = d if d > 0.0 else 0.0
+        for first, stop, f in self.sort:
+            x[first:stop] = _project_floats([c / f for c in v[first:stop]])
+        for i, _, f in self.clip:
+            x[i] = min(max(v[i] / f + 0.5, 0.0), 1.0)
+        if self.sigmoid:
+            t = np.tanh([0.5 * (v[i] / f) for i, _, f in self.sigmoid]).tolist()
+            for (i, _, _), c in zip(self.sigmoid, t):
+                x[i] = 0.5 * (1.0 + c)
+        if self.softmax:
+            shifted = []
+            for first, stop, f in self.softmax:
+                m = max(v[first:stop]) / f  # the scaled row's max: division by f > 0 keeps order
+                shifted += [c / f - m for c in v[first:stop]]
+            e = np.exp(shifted)
+            el, pos = e.tolist(), 0
+            for first, stop, f in self.softmax:
+                end = pos + stop - first
+                if end - pos < _PAD_BELOW:
+                    s = 0.0
+                    for c in el[pos:end]:
+                        s += c
+                else:
+                    s = np.add.reduce(e[pos:end]).item()
+                x[first:stop] = [c / s for c in el[pos:end]]
+                pos = end
+        return np.array(x)
 
 
 def choice_map(reg: AnyRegularizer, y):

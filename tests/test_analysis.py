@@ -113,6 +113,27 @@ class TestFenchelBregmanSeries:
         bound = min(floor, float(series.bregman[0]))
         assert series.min_bregman >= bound - 1e-8
 
+    @pytest.mark.parametrize("kind", ["euclidean", "entropy"])
+    def test_reduced_game_box_reference(self, kind):
+        # the affine box game of a 2x2 reduction has its equilibrium inside [0, 1]^2
+        game, regs, y0 = mp_start(kind)
+        red = reduce_2x2_to_generalized(game, regs, y0)
+        ref = make_reference(red.game, ([0.5], [0.5]))
+        assert ref.fully_mixed
+        traj = run(red.game, red.regularizers, red.y0, eta=1e-2, horizon=5.0, stride=10)
+        series = fenchel_bregman_series(traj, red.game, red.regularizers, ref.profile)
+        interior = np.all((traj.x > 0.0) & (traj.x < 1.0), axis=-1)
+        assert interior.all() and not np.isnan(series.bregman).any()
+        np.testing.assert_allclose(series.fenchel, series.bregman, rtol=0.0, atol=1e-12)
+        assert series.coupling_equals_distance
+        assert series.max_fenchel_deviation <= 1e-8  # rk4 keeps F against the interior equilibrium
+        with pytest.raises(ValueError, match="not an equilibrium"):
+            make_reference(red.game, ([0.3], [0.8]))
+        with pytest.raises(ValueError, match="unit box"):
+            make_reference(red.game, ([1.5], [0.5]))
+        with pytest.raises(ValueError, match="unit box"):
+            make_reference(red.game, ([-0.1], [0.5]))
+
 
 class TestFloorDistance:
     def test_euclidean_two_by_two(self):

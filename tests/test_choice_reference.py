@@ -1,9 +1,10 @@
 """Differential test: the choice maps and payoff operator against frozen copies.
 
-`BlockChoiceMap` makes one call per (kind, domain), padding narrower simplex
-blocks with -inf; `project_simplex` takes a sort-free path on two
-coordinates and sorts many short rows by a compare-exchange network; the
-euclidean maps' power-of-two prescales are folded into the scales; and
+`BlockChoiceMap` maps a 1-D payoff vector on Python floats, and a batch
+with one call per (kind, domain), padding narrower simplex blocks with
+-inf; `project_simplex` takes a sort-free path on two coordinates and
+sorts many short rows by a compare-exchange network; the euclidean maps'
+power-of-two prescales are folded into the scales; and
 `PayoffOperator.linear` multiplies each row block into its slice of one
 output.  The references below are frozen copies of the code before those
 changes, which grouped blocks by (kind, domain, dimension), always sorted
@@ -159,7 +160,7 @@ def regularizers(draw):
 
     def leaf():
         domain = draw(st.sampled_from(["simplex", "box"]))
-        dim = draw(st.integers(1, 6) if domain == "simplex" else st.integers(1, 3))
+        dim = draw(st.integers(1, 12) if domain == "simplex" else st.integers(1, 3))
         return Regularizer(draw(st.sampled_from(["entropy", "euclidean"])), domain, dim, draw(SCALES))
 
     regs = []
@@ -253,11 +254,12 @@ def test_two_coordinate_ties_and_signed_zeros():
 
 def test_wide_blocks_group_by_dimension():
     # numpy sums 8 or more terms pairwise, so -inf padding past 8 columns
-    # would reorder the softmax sum; such blocks keep a group per dimension
+    # would reorder the softmax sum; such blocks keep a group per dimension.
+    # A 1-D row sums such a block with np.add.reduce, its one numpy reduction
     regs = [Regularizer("entropy", "simplex", d, 0.7) for d in (2, 7, 8, 9, 12, 5)]
     rng = np.random.default_rng(4)
     y = 3.0 * rng.normal(size=(500, sum(r.dim for r in regs)))
-    for v in _layouts(y):
+    for v in (*_layouts(y), y[0], y[1]):
         np.testing.assert_array_equal(BlockChoiceMap(regs)(v), _RefBlockChoiceMap(regs)(v))
 
 

@@ -117,7 +117,8 @@ def _ref_report_json(traj, game, regs, ref=None, recurrence_epsilon=None,
             "max_increase": series["max_bregman_increase"],
             "monotone": _ref_monotone_flag(defined) if defined.size else None,
             "equals_coupling_on_interior": series["coupling_equals_distance"],
-            "unavailable_snapshots": int(np.sum(np.isnan(series["bregman"]))),
+            # rows, not cells: a batched run's unavailable snapshot is a whole NaN row
+            "unavailable_snapshots": int(np.sum(np.isnan(series["bregman"]).reshape(len(F), -1).any(axis=1))),
         }
         deviation = series["max_fenchel_deviation"]
         if scheme in ("rk4", "symplectic_leapfrog") and zero_sum and ref.fully_mixed:
@@ -237,6 +238,16 @@ def test_batched_run_reports_match_frozen_copy(name, scheme):
                 for doc in (got, want):
                     doc["checks"].pop("fenchel_nondecreasing", None)
             assert got == want
+
+
+def test_batched_unavailable_snapshots_count_rows():
+    # 5 starts over 101 snapshots; the softmax underflows on 32 of them for
+    # some start, and each such snapshot counts once, not once per start
+    game, regs, y0, ref, _ = _case("matching_pennies_near_boundary")
+    traj = _run(game, regs, y0, "rk4", True, None)
+    assert traj.y.shape[:2] == (101, 5)
+    report = build_report(traj, game, regs, ref=ref)
+    assert report.bregman["unavailable_snapshots"] == 32
 
 
 def test_largest_drop():

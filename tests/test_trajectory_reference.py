@@ -5,10 +5,11 @@
 views only on access, the CSV writer formats whole rows, and
 `fenchel_bregman_series` reuses readings taken against the same
 reference.  The metadata holds y0 as views of the start row and ref as
-arrays; only the sidecar writer turns them into lists.  The references
-below are frozen copies of the code this replaced: the per-cell CSV
-writer, the sidecar writer fed list-valued metadata, and the loop that
-kept the snapshots in a list and built one SystemState per snapshot.
+arrays; only the sidecar writer turns them into lists.  The CSV reader
+converts every cell in one call.  The references below are frozen copies
+of the code this replaced: the per-cell CSV writer and reader, the
+sidecar writer fed list-valued metadata, and the loop that kept the
+snapshots in a list and built one SystemState per snapshot.
 """
 
 import json
@@ -33,6 +34,7 @@ from hamgame import (
     fenchel_bregman_series,
     load_game_file,
     make_reference,
+    read_trajectory_csv,
     sample_payoff_ball,
     simulate,
     solve_2x2_fully_mixed_nash,
@@ -197,6 +199,84 @@ def test_simulated_csv_matches_per_cell_writer(tmp_path, scheme, with_ref):
     write_trajectory_csv(traj, game, tmp_path / "rows.csv")
     _ref_write_csv(traj, game, tmp_path / "cells.csv")
     assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the one-call CSV reader against the per-cell reader
+
+
+def _ref_read_csv(path):
+    """The per-cell reader: one float() call per cell."""
+    with open(path) as handle:
+        header = handle.readline().strip().split(",")
+        rows = [line.rstrip("\n").split(",") for line in handle if line.strip()]
+    return header, np.array([[float(cell) if cell else np.nan for cell in row] for row in rows])
+
+
+def _assert_same_read(path):
+    header, data = read_trajectory_csv(path)
+    ref_header, ref_data = _ref_read_csv(path)
+    assert header == ref_header
+    assert data.shape == ref_data.shape and data.dtype == ref_data.dtype
+    assert data.tobytes() == ref_data.tobytes()  # every bit: NaN, signed zeros, subnormals
+
+
+_HUGE = st.floats(1e290, 1.7976931348623157e308) | st.floats(-1.7976931348623157e308, -1e290)
+_TINY = st.floats(5e-324, 1e-290) | st.floats(-1e-290, -5e-324)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL), _HUGE, _TINY), min_size=1, max_size=60),
+    dims=st.sampled_from([(2, 2), (3, 1, 2), (1, 1)]),
+    with_ref=st.booleans(),
+)
+@example(values=_SPECIAL, dims=(2, 2), with_ref=True)
+@example(values=[np.nan] * 7, dims=(1, 1), with_ref=True)
+def test_csv_reader_matches_per_cell_reader(tmp_path_factory, values, dims, with_ref):
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    write_trajectory_csv(_table_traj(values, dims, with_ref), NetworkGame(dims, {}), path)
+    _assert_same_read(path)
+
+
+@pytest.mark.parametrize("case", ["mp_euler", "mp_rk4_ref", "near_boundary", "triangle"])
+def test_csv_reader_matches_per_cell_reader_on_simulate_output(tmp_path, case):
+    if case == "triangle":
+        game, _, traj = _triangle_run("rk4", uniform_profile(triangle_zero_sum()))
+    else:
+        game, regs, y0 = mp_start("entropy")
+        if case == "near_boundary":  # the softmax underflows: D is unavailable on some rows
+            y0 = (y0[0] + np.array([373.0, -373.0]), y0[1])
+        scheme = "euler" if case == "mp_euler" else "rk4"
+        traj = simulate(game, regs, y0, IntegratorConfig(scheme, 0.05, 3.0, 1),
+                        ref=None if case == "mp_euler" else uniform_profile(game))
+    write_trajectory_csv(traj, game, tmp_path / "run.csv")
+    _assert_same_read(tmp_path / "run.csv")
+    if case == "near_boundary":
+        assert np.isnan(read_trajectory_csv(tmp_path / "run.csv")[1][:, -1]).any()
+
+
+@pytest.mark.parametrize("body", [
+    "1,2,3\n4,5\n",  # ragged
+    "1,2\n3,abc\n",  # not a number
+    "1,2\n3, \n",  # a blank cell is not an empty one
+    "1,2\n#3,4\n",  # no comment lines
+    "1,2\n3,0x10\n",
+])
+def test_csv_reader_rejects_what_the_per_cell_reader_rejects(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b\n" + body)
+    with pytest.raises(ValueError):
+        _ref_read_csv(path)
+    with pytest.raises(ValueError):
+        read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("body", ["", "\n \n", "1.5\n\n2\n", "1,,\n,2,\n", " 1 ,2\r\n3,4\r\n", "1_0,2\n"])
+def test_csv_reader_edge_layouts_match_per_cell_reader(tmp_path, body):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(b"a,b\n" + body.encode())
+    _assert_same_read(path)
 
 
 # ---------------------------------------------------------------------------
