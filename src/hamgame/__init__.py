@@ -26,13 +26,8 @@ from .dynamics import (
     Trajectory,
     consistent_state,
     initial_state,
-    reconstructed_motion,
     sample_payoff_ball,
     simulate,
-    step_euler,
-    step_rk4,
-    step_symplectic,
-    vector_field,
 )
 from .fileio import GameFileError, LoadedGame, game_fingerprint, load_game_file
 from .fileio import read_trajectory_csv, write_trajectory_csv, write_trajectory_metadata

@@ -9,29 +9,25 @@ The continuous field is
     dX_i/dt = x_i = grad h_i*(y_i)
     dy_i/dt = sum_{j != i} A[i, j] x_j            (+ b[i, j] terms, affine games)
 
-Three steppers are provided.  The explicit Euler step IS the discrete-time
-update of the learning rule and is deliberately left first-order; rk4 is
-the high-fidelity reference for the continuous flow; the leapfrog splits
-the conserved energy into a y-part and an X-part and alternates exact
-shears, which keeps long-run energy error bounded and every step exactly
-reversible.
+IntegratorConfig chooses one of three schemes and simulate runs it: the
+explicit Euler step, which IS the learning rule's discrete-time update; rk4,
+the high-fidelity reference for the continuous flow; and the leapfrog, which
+splits the conserved energy into a y-part and an X-part and alternates exact
+shears, so long-run energy error stays bounded and every step is reversible.
 
 Integration runs on flat arrays: y and X are single (batch..., D) arrays,
 D = sum k_i, with agent i owning the coordinates slices[i].  Each run
 compiles the game once into the block payoff operator M (M[s_i, s_j] =
-A[i, j]) plus, for affine games, the summed drift b, so the field is
-x @ M' (+ b) and the motion reconstructed from the positions is
-y0 + X @ M' (+ b t).  The choice maps act blockwise
+A[i, j]) plus, for affine games, the summed drift b, so the field dy/dt is
+PayoffOperator.field, x @ M' (+ b), and the motion reconstructed from the
+positions is y0 + X @ M' (+ b t).  The choice maps act blockwise
 (regularizers.BlockChoiceMap): on a batch, one call per group of blocks
 with the same kind and domain; on a single trajectory, on Python floats.
 A product regularizer contributes its blocks.  One loop in simulate serves
-every scheme and batched clouds alike, and it evaluates x only where a
-stage or a recorded snapshot needs it.  SystemState is the per-agent view
-of one phase-space point.  The public steppers are thin wrappers that
-flatten a SystemState, take one flat step and split the result again.
-
-Everything broadcasts over leading batch axes of y, so a cloud of initial
-conditions evolves as one vectorized trajectory.
+every scheme, and it evaluates x only where a stage or a recorded snapshot
+needs it.  Everything broadcasts over leading batch axes of y, so a cloud of
+initial conditions evolves as one vectorized trajectory.  SystemState is the
+per-agent view of one phase-space point.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ from __future__ import annotations
 import platform
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
-from math import isfinite
 from time import perf_counter
 
 import numpy as np
@@ -118,7 +113,8 @@ def consistent_state(game: NetworkGame, regs, y0, X, t: float = 0.0) -> SystemSt
     """
     y0 = tuple(np.asarray(v, dtype=float) for v in y0)
     X = tuple(np.asarray(v, dtype=float) for v in X)
-    y = tuple(reconstructed_motion(game, regs, y0, X, t))
+    op = PayoffOperator(game)
+    y = op.split(op.motion(op.join(y0), op.join(X), t))
     x = tuple(choice_map(reg, v) for reg, v in zip(regs, y))
     return SystemState(t, y, X, x, y0)
 
@@ -204,15 +200,13 @@ class _Flow:
     def __init__(self, game: NetworkGame, regs, y0):
         if tuple(r.dim for r in regs) != tuple(game.strategy_counts):
             raise ValueError("regularizer dimensions do not match the game's strategy counts")
-        self.y0_parts = tuple(np.asarray(v, dtype=float) for v in y0)
-        if len(self.y0_parts) != len(regs) or any(
-            v.shape[-1] != reg.dim for reg, v in zip(regs, self.y0_parts)
-        ):
+        y0 = tuple(np.asarray(v, dtype=float) for v in y0)
+        if len(y0) != len(regs) or any(v.shape[-1] != reg.dim for reg, v in zip(regs, y0)):
             raise ValueError("initial payoff vector does not match the regularizer")
         self.op = PayoffOperator(game)
         self.choice = BlockChoiceMap(regs)
         self.field = self.op.field
-        self.y0 = self.op.join(self.y0_parts)
+        self.y0 = self.op.join(y0)
         self.sigma = game.sigma
         # per agent, the |y| past which a step counts as a blow-up; limit is
         # their minimum, checked against the whole of y once per step
@@ -230,12 +224,20 @@ class _Flow:
 
 
 def _euler(flow, t, y, X, x, force, eta):
+    """Explicit Euler, the learning rule itself: X advances with the pre-step x.
+
+    Deliberately first-order: the monotone-energy statements are about this map.
+    """
     if x is None:
         x = flow.choice(y)
     return y + eta * flow.field(x), X + eta * x, None
 
 
 def _rk4(flow, t, y, X, x, force, eta):
+    """Classical RK4 on the joint (X, y) field, which depends on y only.
+
+    Each stage's choice map serves both dX and dy: y = y0 + sum A X holds to rounding.
+    """
     # k1 + 2 k2 + 2 k3 + k4 as two running sums, added in that order (the same
     # bits); each stage is released before the next choice map runs
     sx = flow.choice(y) if x is None else x
@@ -261,6 +263,12 @@ def _rk4(flow, t, y, X, x, force, eta):
 
 
 def _leapfrog(flow, t, y, X, x, force, eta):
+    """Kick-drift-kick leapfrog: kicks move y by the force at the positions alone
+    (the motions y0 + A X), the drift moves X by the choice map of the kicked y.
+
+    Each is a shear, so a step is volume-preserving, time-symmetric and second-order.
+    It needs sigma in {-1, +1}: only then is the kick force a gradient.
+    """
     if flow.sigma not in (-1, 1):
         raise ValueError("no Hamiltonian structure certified: game has no sigma tag")
     half = 0.5 * eta
@@ -273,65 +281,6 @@ def _leapfrog(flow, t, y, X, x, force, eta):
 
 
 KERNELS = {"euler": _euler, "rk4": _rk4, "symplectic_leapfrog": _leapfrog}
-
-
-def vector_field(state: SystemState, game: NetworkGame, regs):
-    """(dX/dt, dy/dt) at the given state."""
-    op = PayoffOperator(game)
-    if not isfinite(op.join(state.y).sum()):
-        raise ValueError("vector field undefined: non-finite payoff vector")
-    return tuple(state.x), op.split(op.field(op.join(state.x)))
-
-
-def _step(scheme, state, game, regs, eta, x=None):
-    """One flat step from a SystemState; x, if given, replaces choice(y)."""
-    flow = _Flow(game, regs, state.y0)
-    y, X = flow.op.join(state.y), flow.op.join(state.X)
-    if not isfinite(y.sum()):
-        raise ValueError("vector field undefined: non-finite payoff vector")
-    if x is not None:
-        x = flow.op.join(x)
-    y, X, _ = KERNELS[scheme](flow, state.t, y, X, x, None, eta)
-    split = flow.op.split
-    return SystemState(state.t + eta, split(y), split(X), split(flow.choice(y)), flow.y0_parts)
-
-
-def step_euler(state: SystemState, game: NetworkGame, regs, eta: float) -> SystemState:
-    """One explicit Euler step; this is the discrete-time learning rule.
-
-    X advances with the pre-step strategies, matching the definition of the
-    discrete update.  Do not replace with a higher-order scheme: the
-    monotone-energy statements are about exactly this map.
-    """
-    return _step("euler", state, game, regs, eta, x=state.x)
-
-
-def step_rk4(state: SystemState, game: NetworkGame, regs, eta: float) -> SystemState:
-    """Classical fourth-order Runge-Kutta step on the joint (X, y) field.
-
-    The field depends on y only, so each stage evaluates the choice maps
-    once and reuses them for both dX and dy; this keeps the linear relation
-    y(t) = y0 + sum A X(t) exact to rounding.
-    """
-    return _step("rk4", state, game, regs, eta)
-
-
-def reconstructed_motion(game: NetworkGame, regs, y0, X, t):
-    """y0_j + sum_i A[j, i] X_i (+ b[j, i] t), the position-side motions."""
-    op = PayoffOperator(game)
-    return list(op.split(op.motion(op.join(y0), op.join(X), t)))
-
-
-def step_symplectic(state: SystemState, game: NetworkGame, regs, eta: float) -> SystemState:
-    """Kick-drift-kick leapfrog for the separable conserved energy.
-
-    The kick moves y using the force derived from positions alone (the
-    motions reconstructed as y0 + A X), the drift moves X using the choice
-    map of the updated y.  Each sub-step is a shear, so the composition is
-    volume-preserving, time-symmetric and second-order.  Requires a game
-    with sigma in {-1, +1}: only then is the kick force a gradient.
-    """
-    return _step("symplectic_leapfrog", state, game, regs, eta)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PayoffOperator, SystemState, vector_field
+from .dynamics import PayoffOperator, SystemState
 from .games import GeneralizedGame, NetworkGame, bipartite_partition, check_partition
 from .regularizers import _leaves, conjugate_value, spans
 
@@ -227,8 +227,10 @@ def verify_hamiltonian_structure(
                 )
 
     join = spec.op.join
-    dX, dy = (join(v) for v in vector_field(state, game, regs))
     y, X, y0 = join(state.y), join(state.X), join(state.y0)  # copies, perturbed in place
+    if not np.all(np.isfinite(y)):
+        raise ValueError("structure check undefined: non-finite payoff vector y")
+    dX, dy = join(state.x), spec.op.field(join(state.x))
 
     def slope(v, c):
         """Central difference of the canonical reading along coordinate c of v."""

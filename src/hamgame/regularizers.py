@@ -200,10 +200,8 @@ def project_simplex(v):
     k = _counts(width)
     thresholds = (np.add.accumulate(u, axis=-1) - 1.0) / k
     rho = np.add.reduce(u > thresholds, axis=-1, keepdims=True)
-    if v.ndim == 1:
-        tau = thresholds[rho - 1]
-    else:  # picks the rho-th threshold; every other summand is an exact zero
-        tau = np.add.reduce(np.where(k == rho, thresholds, 0.0), axis=-1, keepdims=True)
+    # the rho-th threshold, or 0.0 at rho = 0, in 1-D too; the other summands are exact zeros
+    tau = np.add.reduce(np.where(k == rho, thresholds, 0.0), axis=-1, keepdims=True)
     out = v - tau
     return np.maximum(out, 0.0, out=out)
 

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from hamgame import (
+    GeneralizedGame,
     IntegratorConfig,
     NetworkGame,
+    ProductRegularizer,
     Regularizer,
     default_regularizers,
     payoffs_from_profile,
+    reduce_bipartite_to_two_agent,
     simulate,
 )
+from hamgame.dynamics import KERNELS, _Flow
 
 MP_MATRIX = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -90,6 +94,19 @@ def run(game, regs, y0, scheme="rk4", eta=1e-3, horizon=10.0, stride=10, **kw):
     return simulate(game, regs, y0, IntegratorConfig(scheme, eta, horizon, stride), **kw)
 
 
+def leapfrog_there_and_back(game, regs, y0, eta, n):
+    """(y, X) after n leapfrog steps of eta and n of -eta.
+
+    IntegratorConfig takes only positive steps, so this drives the kernel directly.
+    """
+    flow, kernel = _Flow(game, regs, y0), KERNELS["symplectic_leapfrog"]
+    t, y, X, force = 0.0, flow.y0, np.zeros_like(flow.y0), None
+    for h in (eta,) * n + (-eta,) * n:
+        y, X, force = kernel(flow, t, y, X, None, force, h)
+        t += h
+    return flow.op.split(y), flow.op.split(X)
+
+
 # ---------------------------------------------------------------------------
 # oracles
 
@@ -145,6 +162,110 @@ def scalar_payoff(a, u, v):
     xu = np.array([u, 1.0 - u])
     xv = np.array([v, 1.0 - v])
     return float(xu @ a @ xv)
+
+
+# Frozen per-agent copies of the choice maps, the payoff field and the
+# reconstructed motions, with their own loops over the edge dictionaries:
+# they share no arithmetic with the flat code under test.
+
+
+def _ref_project_simplex(v):
+    u = np.flip(np.sort(v, axis=-1), axis=-1)
+    css = np.cumsum(u, axis=-1)
+    k = np.arange(1, v.shape[-1] + 1)
+    rho = np.sum(u > (css - 1.0) / k, axis=-1, keepdims=True)
+    tau = (np.take_along_axis(css, rho - 1, axis=-1) - 1.0) / rho
+    return np.maximum(v - tau, 0.0)
+
+
+def _ref_choice(reg, y):
+    if isinstance(reg, ProductRegularizer):
+        return np.concatenate([_ref_choice(b, y[..., s]) for b, s in reg.slices()], axis=-1)
+    u = y / reg.scale
+    if reg.kind == "entropy":
+        if reg.domain == "simplex":
+            e = np.exp(u - u.max(axis=-1, keepdims=True))
+            return e / e.sum(axis=-1, keepdims=True)
+        return 0.5 * (1.0 + np.tanh(0.5 * u))
+    if reg.domain == "simplex":
+        return _ref_project_simplex(u / 2.0)
+    return np.clip(u / 4.0 + 0.5, 0.0, 1.0)
+
+
+def _ref_field(game, xs):
+    out = []
+    for i in range(game.n):
+        total = np.zeros_like(xs[i])
+        for j in range(game.n):
+            if j == i:
+                continue
+            a = game.payoffs.get((i, j))
+            if a is not None:
+                total += xs[j] @ a.T
+            if isinstance(game, GeneralizedGame):
+                bv = game.b.get((i, j))
+                if bv is not None:
+                    total += bv
+        out.append(total)
+    return out
+
+
+def _ref_motion(game, y0, X, t):
+    out = []
+    for j in range(game.n):
+        z = y0[j]
+        for i in range(game.n):
+            if i == j:
+                continue
+            a = game.payoffs.get((j, i))
+            if a is not None:
+                z = z + X[i] @ a.T
+            if isinstance(game, GeneralizedGame):
+                bv = game.b.get((j, i))
+                if bv is not None:
+                    z = z + bv * t
+        out.append(z)
+    return out
+
+
+def _random_case(family, counts, seed, batch):
+    """A random game of the family, with regularizers and a start y0 (batched when batch is set)."""
+    rng = np.random.default_rng(seed)
+    n = len(counts)
+    kinds = rng.choice(["entropy", "euclidean"], size=n)
+    scales = rng.choice([1.0, 0.5, 2.0], size=n)
+    if family == "bipartite_fold":
+        side = [i % 2 for i in range(n)]
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if side[i] != side[j]]
+    else:
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = [e for e in edges if rng.uniform() < 0.7] or edges[:1]
+    sigma = 1 if family == "coordination" else -1
+    if family in ("affine", "bipartite_fold"):
+        sigma = int(rng.choice([-1, 1]))
+    payoffs = {}
+    for i, j in edges:
+        a = rng.normal(size=(counts[i], counts[j]))
+        payoffs[(i, j)] = a
+        payoffs[(j, i)] = sigma * a.T
+    if family == "affine":
+        spaces = tuple(rng.choice(["simplex", "box"], size=n))
+        b = {e: rng.normal(size=counts[e[0]]) for e in payoffs if rng.uniform() < 0.7}
+        game = GeneralizedGame(tuple(counts), payoffs, sigma=sigma, b=b, spaces=spaces)
+    else:
+        spaces = ("simplex",) * n
+        game = NetworkGame(tuple(counts), payoffs, sigma=sigma)
+    regs = tuple(
+        Regularizer(str(kd), domain=str(sp), dim=k, scale=float(sc))
+        for kd, sp, k, sc in zip(kinds, spaces, counts, scales)
+    )
+    lead = () if batch is None else (batch,)
+    y0 = tuple(0.7 * rng.normal(size=lead + (k,)) for k in counts)
+    if family == "bipartite_fold":
+        partition = tuple([i for i in range(n) if side[i] == s] for s in (0, 1))
+        red = reduce_bipartite_to_two_agent(game, partition)
+        return red.game, red.meta_regularizers(regs), red.meta_vectors(y0)
+    return game, regs, y0
 
 
 @pytest.fixture

@@ -39,10 +39,8 @@ def _ref_project_simplex(v):
     k = np.arange(1, v.shape[-1] + 1)
     thresholds = (u.cumsum(axis=-1) - 1.0) / k
     rho = (u > thresholds).sum(axis=-1, keepdims=True)
-    if v.ndim == 1:
-        tau = thresholds[rho - 1]
-    else:
-        tau = np.where(k == rho, thresholds, 0.0).sum(axis=-1, keepdims=True)
+    # one pick for every shape: tau = 0 where no entry counts toward rho
+    tau = np.where(k == rho, thresholds, 0.0).sum(axis=-1, keepdims=True)
     return np.maximum(v - tau, 0.0)
 
 
@@ -244,6 +242,32 @@ def test_project_simplex_padded_batch(width, rows):
         np.testing.assert_array_equal(out, ref)
         assert np.array_equal(np.signbit(out), np.signbit(ref))
     np.testing.assert_allclose(project_simplex(v).sum(axis=-1), 1.0)
+
+
+def _assert_rows_match_batch(v):
+    out = project_simplex(v)
+    for row, want in zip(v, out):
+        got = project_simplex(row)
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 12),
+    lead=st.sampled_from([(1,), (3,), (700,)]),
+    big=st.sampled_from([1.0, 1e17]),
+    data=st.data(),
+)
+def test_project_simplex_row_equals_batch(width, lead, big, data):
+    # at 1e17 many rows have no entry that counts toward rho (c - 1 == c)
+    _assert_rows_match_batch(big * data.draw(payoffs(lead, width)))
+
+
+def test_project_simplex_row_equals_batch_where_nothing_counts():
+    v = np.array([[1e17, 5.0, 3.0]])  # rho = 0: tau is 0.0 for the row and the batch
+    _assert_rows_match_batch(v)
+    np.testing.assert_array_equal(project_simplex(v[0]), v[0])
 
 
 def test_two_coordinate_ties_and_signed_zeros():

@@ -1,4 +1,4 @@
-"""Vector field, steppers, simulation loop, and trajectory files."""
+"""Payoff field, stepping schemes, simulation loop, and trajectory files."""
 
 import json
 import platform
@@ -10,32 +10,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamgame import (
-    GeneralizedGame,
     IntegratorConfig,
     NetworkGame,
-    ProductRegularizer,
     Regularizer,
     choice_map,
     conjugate_value,
     default_regularizers,
     initial_state,
     read_trajectory_csv,
-    reconstructed_motion,
-    reduce_bipartite_to_two_agent,
     simulate,
-    step_euler,
-    step_rk4,
-    step_symplectic,
-    vector_field,
+    verify_hamiltonian_structure,
     write_trajectory_csv,
     write_trajectory_metadata,
 )
 from hamgame.cli import main
+from hamgame.dynamics import PayoffOperator
 from hamgame.regularizers import payoff_limit
 
 from conftest import (
     MP_MATRIX,
+    _random_case,
+    _ref_choice,
+    _ref_field,
+    _ref_motion,
     harmonic_orbit,
+    leapfrog_there_and_back,
     mp_start,
     run,
     triangle_zero_sum,
@@ -47,10 +46,21 @@ def mp_center_state(kind="euclidean"):
     return game, regs, initial_state(regs, y0)
 
 
+def payoff_field(game, xs):
+    """dy/dt at per-agent strategies xs, one vector per agent."""
+    op = PayoffOperator(game)
+    return op.split(op.field(op.join(xs)))
+
+
+def step_once(scheme, game, regs, y0, eta):
+    """The state after one step of the scheme from (t=0, X=0, y=y0)."""
+    return simulate(game, regs, y0, IntegratorConfig(scheme, eta, eta, 1)).states[-1]
+
+
 class TestVectorField:
     def test_center_is_fixed_point_of_motion(self):
         game, regs, state = mp_center_state()
-        dX, dy = vector_field(state, game, regs)
+        dy = payoff_field(game, state.x)
         np.testing.assert_allclose(dy[0], [0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(dy[1], [0.0, 0.0], atol=1e-15)
 
@@ -58,7 +68,7 @@ class TestVectorField:
         game, regs, _ = mp_center_state()
         y0 = (np.array([0.0, 0.0]), np.array([50.0, -50.0]))  # x2 -> (1, 0)
         state = initial_state(regs, y0)
-        _, dy = vector_field(state, game, regs)
+        dy = payoff_field(game, state.x)
         np.testing.assert_allclose(dy[0], MP_MATRIX[:, 0], atol=1e-15)
 
     def test_zero_sum_identity(self, rng):
@@ -67,7 +77,7 @@ class TestVectorField:
         for _ in range(20):
             y0 = tuple(rng.normal(size=k) for k in game.strategy_counts)
             state = initial_state(regs, y0)
-            _, dy = vector_field(state, game, regs)
+            dy = payoff_field(game, state.x)
             total = sum(float(x @ g) for x, g in zip(state.x, dy))
             assert total == pytest.approx(0.0, abs=1e-12)
 
@@ -76,14 +86,14 @@ class TestVectorField:
         bad = state.__class__(
             state.t, (np.array([np.inf, 0.0]), state.y[1]), state.X, state.x, state.y0
         )
-        with pytest.raises(ValueError, match="non-finite"):
-            vector_field(bad, game, regs)
+        with pytest.raises(ValueError, match="non-finite payoff vector y"):
+            verify_hamiltonian_structure(bad, game, regs)
 
 
 class TestEuler:
     def test_fixed_point_moves_only_time(self):
         game, regs, state = mp_center_state()
-        out = step_euler(state, game, regs, 0.1)
+        out = step_once("euler", game, regs, state.y, 0.1)
         assert out.t == pytest.approx(0.1)
         np.testing.assert_array_equal(out.y[0], state.y[0])
         np.testing.assert_allclose(out.x[0], state.x[0], atol=1e-15)
@@ -92,23 +102,20 @@ class TestEuler:
         game, regs, _ = mp_center_state()
         for _ in range(25):
             y0 = tuple(rng.normal(size=2) for _ in range(2))
-            state = initial_state(regs, y0)
-            before = sum(conjugate_value(r, v) for r, v in zip(regs, state.y))
-            after_state = step_euler(state, game, regs, 0.1)
+            before = sum(conjugate_value(r, v) for r, v in zip(regs, y0))
+            after_state = step_once("euler", game, regs, y0, 0.1)
             after = sum(conjugate_value(r, v) for r, v in zip(regs, after_state.y))
             assert after >= before - 1e-12
 
     def test_first_order_consistency(self):
         game, regs, y0 = mp_start("entropy", x1=(0.55, 0.45), x2=(0.45, 0.55))
-        state = initial_state(regs, y0)
 
         def local_error(eta):
-            coarse = step_euler(state, game, regs, eta)
-            fine = state
-            for _ in range(100):  # rk4 truth at eta/100: error negligible
-                fine = step_rk4(fine, game, regs, eta / 100)
+            coarse = step_once("euler", game, regs, y0, eta)
+            # rk4 truth: one run of 100 steps of eta/100, error negligible
+            fine = run(game, regs, y0, scheme="rk4", eta=eta / 100, horizon=eta, stride=100)
             return max(
-                float(np.max(np.abs(a - b))) for a, b in zip(coarse.y, fine.y)
+                float(np.max(np.abs(a - b))) for a, b in zip(coarse.y, fine.states[-1].y)
             )
 
         e1, e2 = local_error(0.1), local_error(0.05)
@@ -119,7 +126,7 @@ class TestEuler:
 class TestRk4:
     def test_fixed_point(self):
         game, regs, state = mp_center_state()
-        out = step_rk4(state, game, regs, 0.1)
+        out = step_once("rk4", game, regs, state.y, 0.1)
         np.testing.assert_allclose(out.y[0], state.y[0], atol=1e-15)
 
     def test_period_two_pi(self):
@@ -156,29 +163,23 @@ class TestRk4:
 class TestLeapfrog:
     def test_fixed_point(self):
         game, regs, state = mp_center_state()
-        out = step_symplectic(state, game, regs, 0.1)
+        out = step_once("leapfrog", game, regs, state.y, 0.1)
         np.testing.assert_allclose(out.y[0], state.y[0], atol=1e-15)
 
     def test_reversibility(self):
         game, regs, y0 = mp_start("entropy", x1=(0.62, 0.38), x2=(0.45, 0.55))
-        state = initial_state(regs, y0)
-        for _ in range(5):
-            state = step_symplectic(state, game, regs, 0.05)
-        back = state
-        for _ in range(5):
-            back = step_symplectic(back, game, regs, -0.05)
-        for v, v0 in zip(back.y, initial_state(regs, y0).y):
+        y, X = leapfrog_there_and_back(game, regs, y0, 0.05, 5)
+        for v, v0 in zip(y, initial_state(regs, y0).y):
             np.testing.assert_allclose(v, v0, atol=1e-12)
-        for p in back.X:
+        for p in X:
             np.testing.assert_allclose(p, np.zeros_like(p), atol=1e-12)
 
     def test_rejects_untagged_game(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         game = NetworkGame((2, 2), {(0, 1): a, (1, 0): np.zeros((2, 2))})
         regs = default_regularizers(game, "entropy")
-        state = initial_state(regs, (np.zeros(2), np.zeros(2)))
         with pytest.raises(ValueError, match="no Hamiltonian structure"):
-            step_symplectic(state, game, regs, 0.1)
+            step_once("leapfrog", game, regs, (np.zeros(2), np.zeros(2)), 0.1)
 
     def test_bounded_energy_error_while_rk4_drifts(self):
         game, regs, y0 = mp_start("euclidean")
@@ -203,12 +204,8 @@ class TestLeapfrog:
 class TestStepperConsistency:
     def test_one_step_agreement(self):
         game, regs, y0 = mp_start("entropy", x1=(0.6, 0.4), x2=(0.45, 0.55))
-        state = initial_state(regs, y0)
         eta = 1e-3
-        outs = [
-            step(state, game, regs, eta)
-            for step in (step_euler, step_rk4, step_symplectic)
-        ]
+        outs = [step_once(scheme, game, regs, y0, eta) for scheme in ("euler", "rk4", "leapfrog")]
         for a in outs:
             for b in outs:
                 dev = max(
@@ -236,7 +233,7 @@ class TestStepperConsistency:
         def residual(scheme, eta):
             traj = run(game, regs, y0, scheme=scheme, eta=eta, horizon=4.0, stride=10**9)
             s = traj.states[-1]
-            z = reconstructed_motion(game, regs, s.y0, s.X, s.t)
+            z = _ref_motion(game, s.y0, s.X, s.t)
             return max(float(np.max(np.abs(a - b))) for a, b in zip(s.y, z))
 
         # rk4 and euler satisfy the relation stage by stage: rounding only
@@ -248,8 +245,6 @@ class TestStepperConsistency:
         assert 3.0 <= r1 / r2 <= 6.0
 
     def test_derived_strategies_recomputed_exactly(self):
-        from hamgame import choice_map
-
         game, regs, y0 = mp_start("entropy", x1=(0.6, 0.4), x2=(0.45, 0.55))
         traj = run(game, regs, y0, scheme="rk4", eta=1e-2, horizon=1.0, stride=7)
         for s in traj.states:
@@ -459,70 +454,12 @@ class TestIntegratorConfig:
 
 # ---------------------------------------------------------------------------
 # Differential test: simulate integrates on flat (batch..., D) arrays.  The
-# reference below is a frozen copy of the earlier per-agent tuple steppers,
-# choice maps included, so it shares no arithmetic with the code under test.
+# reference below is a frozen copy of the earlier per-agent tuple steppers, on
+# the per-agent choice maps, field and motions of conftest, so it shares no
+# arithmetic with the code under test.
 
 
-def _ref_project_simplex(v):
-    u = np.flip(np.sort(v, axis=-1), axis=-1)
-    css = np.cumsum(u, axis=-1)
-    k = np.arange(1, v.shape[-1] + 1)
-    rho = np.sum(u > (css - 1.0) / k, axis=-1, keepdims=True)
-    tau = (np.take_along_axis(css, rho - 1, axis=-1) - 1.0) / rho
-    return np.maximum(v - tau, 0.0)
-
-
-def _ref_choice(reg, y):
-    if isinstance(reg, ProductRegularizer):
-        return np.concatenate([_ref_choice(b, y[..., s]) for b, s in reg.slices()], axis=-1)
-    u = y / reg.scale
-    if reg.kind == "entropy":
-        if reg.domain == "simplex":
-            e = np.exp(u - u.max(axis=-1, keepdims=True))
-            return e / e.sum(axis=-1, keepdims=True)
-        return 0.5 * (1.0 + np.tanh(0.5 * u))
-    if reg.domain == "simplex":
-        return _ref_project_simplex(u / 2.0)
-    return np.clip(u / 4.0 + 0.5, 0.0, 1.0)
-
-
-def _ref_field(game, xs):
-    out = []
-    for i in range(game.n):
-        total = np.zeros_like(xs[i])
-        for j in range(game.n):
-            if j == i:
-                continue
-            a = game.payoffs.get((i, j))
-            if a is not None:
-                total += xs[j] @ a.T
-            if isinstance(game, GeneralizedGame):
-                bv = game.b.get((i, j))
-                if bv is not None:
-                    total += bv
-        out.append(total)
-    return out
-
-
-def _ref_motion(game, y0, X, t):
-    out = []
-    for j in range(game.n):
-        z = y0[j]
-        for i in range(game.n):
-            if i == j:
-                continue
-            a = game.payoffs.get((j, i))
-            if a is not None:
-                z = z + X[i] @ a.T
-            if isinstance(game, GeneralizedGame):
-                bv = game.b.get((j, i))
-                if bv is not None:
-                    z = z + bv * t
-        out.append(z)
-    return out
-
-
-def _ref_step(scheme, game, regs, state, eta):
+def _ref_stepper(scheme, game, regs, state, eta):
     t, y, X, x, y0 = state
     cmap = lambda ys: [_ref_choice(r, v) for r, v in zip(regs, ys)]  # noqa: E731
     if scheme == "euler":
@@ -557,45 +494,6 @@ def _ref_step(scheme, game, regs, state, eta):
     return t + eta, y, X, cmap(y), y0
 
 
-def _random_case(family, counts, seed, batch):
-    rng = np.random.default_rng(seed)
-    n = len(counts)
-    kinds = rng.choice(["entropy", "euclidean"], size=n)
-    scales = rng.choice([1.0, 0.5, 2.0], size=n)
-    if family == "bipartite_fold":
-        side = [i % 2 for i in range(n)]
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if side[i] != side[j]]
-    else:
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        edges = [e for e in edges if rng.uniform() < 0.7] or edges[:1]
-    sigma = 1 if family == "coordination" else -1
-    if family in ("affine", "bipartite_fold"):
-        sigma = int(rng.choice([-1, 1]))
-    payoffs = {}
-    for i, j in edges:
-        a = rng.normal(size=(counts[i], counts[j]))
-        payoffs[(i, j)] = a
-        payoffs[(j, i)] = sigma * a.T
-    if family == "affine":
-        spaces = tuple(rng.choice(["simplex", "box"], size=n))
-        b = {e: rng.normal(size=counts[e[0]]) for e in payoffs if rng.uniform() < 0.7}
-        game = GeneralizedGame(tuple(counts), payoffs, sigma=sigma, b=b, spaces=spaces)
-    else:
-        spaces = ("simplex",) * n
-        game = NetworkGame(tuple(counts), payoffs, sigma=sigma)
-    regs = tuple(
-        Regularizer(str(kd), domain=str(sp), dim=k, scale=float(sc))
-        for kd, sp, k, sc in zip(kinds, spaces, counts, scales)
-    )
-    lead = () if batch is None else (batch,)
-    y0 = tuple(0.7 * rng.normal(size=lead + (k,)) for k in counts)
-    if family == "bipartite_fold":
-        partition = tuple([i for i in range(n) if side[i] == s] for s in (0, 1))
-        red = reduce_bipartite_to_two_agent(game, partition)
-        return red.game, red.meta_regularizers(regs), red.meta_vectors(y0)
-    return game, regs, y0
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     family=st.sampled_from(["zero_sum", "coordination", "affine", "bipartite_fold"]),
@@ -621,7 +519,7 @@ def test_flat_loop_matches_tuple_steppers(family, counts, seed, batch, scheme, e
     state = (0.0, y0, [np.zeros_like(v) for v in y0], x0, y0)
     expected = [state]
     for i in range(1, steps + 1):
-        state = _ref_step(scheme, game, regs, state, eta)
+        state = _ref_stepper(scheme, game, regs, state, eta)
         state = (i * eta,) + state[1:]  # simulate keeps time as i * eta, not a running sum
         if i % stride == 0 or i == steps:
             expected.append(state)

@@ -2,14 +2,16 @@
 
 The reference below is a frozen copy of the earlier hand-written energies:
 one function per variant with its own loops over the edge dictionaries,
-the canonical reading of the structure check, and the check itself.  The
-code under test evaluates one formula whose variants are data.  On
-two-agent games both do the same operations, so the readings must agree
-bit for bit; elsewhere sums over several edges run in another order, and
-the readings must agree within 1e-12.  The structure check's residuals are
-central differences (up - down) / 2h with h >= 1e-6, which divide the
-rounding differences of the readings by 2h: readings that agree within
-1e-14 give residuals that agree within 1e-8.
+the canonical reading of the structure check, and the check itself.  Its
+reconstructed motions and payoff field are the per-agent oracles of
+conftest, so it shares no arithmetic with the code under test, which
+evaluates one formula whose variants are data.  On two-agent games both do
+the same operations, so the readings must agree bit for bit; elsewhere
+sums over several edges run in another order, and the readings must agree
+within 1e-12.  The structure check's residuals are central differences
+(up - down) / 2h with h >= 1e-6, which divide the rounding differences of
+the readings by 2h: readings that agree within 1e-14 give residuals that
+agree within 1e-8.
 """
 
 from dataclasses import replace
@@ -31,11 +33,11 @@ from hamgame import (
     energy_generalized_bipartite,
     energy_network,
     energy_two_agent,
-    reconstructed_motion,
-    vector_field,
     verify_hamiltonian_structure,
 )
 from hamgame import hamiltonian
+
+from conftest import _ref_field, _ref_motion
 
 TOL = 1e-12
 RESIDUAL_TOL = 1e-8
@@ -93,7 +95,7 @@ def _ref_energy(variant, state, game, regs, partition=None):
     if variant in ("network", "generalized"):
         agents = range(game.n)
         kin = _ref_kinetic(regs, state.y, agents)
-        zs = reconstructed_motion(game, regs, state.y0, state.X, state.t)
+        zs = _ref_motion(game, state.y0, state.X, state.t)
         pot = -game.sigma * sum(conjugate_value(regs[j], zs[j]) for j in agents)
         if variant == "network":
             return kin + pot, kin, pot, 0.0
@@ -114,7 +116,7 @@ def _ref_canonical(variant, state, game, regs, partition):
     if variant == "generalized":
         agents = range(game.n)
         kin = _ref_kinetic(regs, state.y, agents)
-        zs = reconstructed_motion(game, regs, state.y0, state.X, state.t)
+        zs = _ref_motion(game, state.y0, state.X, state.t)
         pot = -game.sigma * sum(conjugate_value(regs[j], zs[j]) for j in agents)
         return kin + pot - _ref_linear_correction(game, state.X, agents, agents)
     if variant == "generalized_bipartite":
@@ -141,7 +143,7 @@ def _ref_structure(state, game, regs, variant, partition, fd_step=1e-6):
         probe = replace(state, y=tuple(ys), X=tuple(Xs))
         return float(_ref_canonical(variant, probe, game, regs, partition))
 
-    dX, dy = vector_field(state, game, regs)
+    dX, dy = state.x, _ref_field(game, state.x)
     res_pos = res_mot = 0.0
     ys = [np.array(v, dtype=float) for v in state.y]
     Xs = [np.array(v, dtype=float) for v in state.X]

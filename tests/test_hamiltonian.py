@@ -27,6 +27,7 @@ from conftest import (
     coordination_triangle,
     four_cycle_zero_sum,
     interior_start,
+    leapfrog_there_and_back,
     matching_pennies,
     mp_start,
     run,
@@ -217,16 +218,10 @@ class TestAffineStar:
         np.testing.assert_allclose(h, 0.0, atol=1e-10)
 
     def test_leapfrog_reversible_with_drift_force(self):
-        from hamgame import step_symplectic
-
         game, y0 = affine_star(-1)
         regs = default_regularizers(game, "entropy")
-        state = initial_state(regs, y0)
-        for _ in range(10):
-            state = step_symplectic(state, game, regs, 0.05)
-        for _ in range(10):
-            state = step_symplectic(state, game, regs, -0.05)
-        for v, v0 in zip(state.y, y0):
+        y, _ = leapfrog_there_and_back(game, regs, y0, 0.05, 10)
+        for v, v0 in zip(y, y0):
             np.testing.assert_allclose(v, v0, atol=1e-12)
 
     def test_structure_residual(self, rng):

@@ -28,8 +28,7 @@ from hamgame import (
     simulate,
 )
 
-from conftest import MP_MATRIX
-from test_dynamics import _random_case, _ref_choice
+from conftest import MP_MATRIX, _random_case, _ref_choice
 
 TOL = 1e-12
 

@@ -44,8 +44,7 @@ from hamgame.cli import main
 from hamgame.dynamics import KERNELS, _blow_up, _Flow
 from hamgame.fileio import csv_columns, game_fingerprint
 
-from conftest import MP_MATRIX, mp_start, triangle_zero_sum, uniform_profile
-from test_dynamics import _random_case
+from conftest import MP_MATRIX, _random_case, mp_start, triangle_zero_sum, uniform_profile
 
 
 def _ref_fmt(v: float) -> str:
@@ -91,7 +90,8 @@ def _ref_states(game, regs, y0, config):
             x = flow.choice(y)
             snaps.append((t, y, X, x))
     split = flow.op.split
-    return [SystemState(t, split(y), split(X), split(x), flow.y0_parts) for t, y, X, x in snaps]
+    y0 = tuple(np.asarray(v, dtype=float) for v in y0)
+    return [SystemState(t, split(y), split(X), split(x), y0) for t, y, X, x in snaps]
 
 
 def _assert_same_states(traj, expected):
