@@ -22,7 +22,7 @@ from time import perf_counter
 import numpy as np
 
 from .analysis import MONOTONE_SLACK, build_report, largest_drop, make_reference, volume_ratio
-from .dynamics import IntegratorConfig, sample_payoff_ball, simulate
+from .dynamics import SCHEMA_VERSION, IntegratorConfig, sample_payoff_ball, simulate
 from .fileio import (
     GameFileError,
     game_fingerprint,
@@ -241,6 +241,11 @@ def cmd_analyze(args) -> int:
                 f"(hash {meta.get('game_hash')} != {game_hash})",
                 file=sys.stderr,
             )
+            return USAGE_ERROR
+        version = meta.get("schema_version")
+        if version != SCHEMA_VERSION:  # schema 3 changed the bits of single runs
+            print(f"error: {meta_path} has sidecar schema {version}; analyze replays schema "
+                  f"{SCHEMA_VERSION} runs only: re-run simulate to record the run again", file=sys.stderr)
             return USAGE_ERROR
         traj, used_ref = _replay(loaded, meta, ref)
         if not _csv_matches_replay(csv_path, traj):

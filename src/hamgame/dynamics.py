@@ -15,19 +15,19 @@ the high-fidelity reference for the continuous flow; and the leapfrog, which
 splits the conserved energy into a y-part and an X-part and alternates exact
 shears, so long-run energy error stays bounded and every step is reversible.
 
-Integration runs on flat arrays: y and X are single (batch..., D) arrays,
-D = sum k_i, with agent i owning the coordinates slices[i].  Each run
-compiles the game once into the block payoff operator M (M[s_i, s_j] =
-A[i, j]) plus, for affine games, the summed drift b, so the field dy/dt is
+Integration runs on flat state: y and X are (batch..., D) arrays, D = sum
+k_i, with agent i owning the coordinates slices[i].  Each run compiles the
+game once into the block payoff operator M (M[s_i, s_j] = A[i, j]) plus,
+for affine games, the summed drift b, so the field dy/dt is
 PayoffOperator.field, x @ M' (+ b), and the motion reconstructed from the
 positions is y0 + X @ M' (+ b t).  The choice maps act blockwise
-(regularizers.BlockChoiceMap): on a batch, one call per group of blocks
-with the same kind and domain; on a single trajectory, on Python floats.
-A product regularizer contributes its blocks.  One loop in simulate serves
-every scheme, and it evaluates x only where a stage or a recorded snapshot
-needs it.  Everything broadcasts over leading batch axes of y, so a cloud of
-initial conditions evolves as one vectorized trajectory.  SystemState is the
-per-agent view of one phase-space point.
+(regularizers.BlockChoiceMap); a product regularizer contributes its
+blocks.  One loop in simulate serves every scheme, and it evaluates x only
+where a stage or a recorded snapshot needs it.  A cloud of initial
+conditions evolves as one vectorized trajectory; one start steps on lists
+of Python floats, as numpy's per-call cost on 2 to 20 floats dominates, and
+numpy keeps only the choice map's exp and tanh, the recorded rows and the
+readings.  SystemState is the per-agent view of one phase-space point.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import platform
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
+from operator import itemgetter, mul
 from time import perf_counter
 
 import numpy as np
@@ -46,7 +47,7 @@ SCHEMES = ("euler", "rk4", "symplectic_leapfrog")
 SCHEME_ALIASES = {"leapfrog": "symplectic_leapfrog"}
 
 BLOW_UP_LIMIT = 1e12
-SCHEMA_VERSION = 2  # of the trajectory metadata and its JSON sidecar
+SCHEMA_VERSION = 3  # of the trajectory metadata and its JSON sidecar
 
 
 @dataclass(frozen=True)
@@ -120,15 +121,17 @@ def consistent_state(game: NetworkGame, regs, y0, X, t: float = 0.0) -> SystemSt
 
 
 class PayoffOperator:
-    """The block payoff matrix M of a game, acting on flat (batch..., D) arrays.
+    """The block payoff matrix M of a game, acting on flat (batch..., D) arrays
+    or on one flat list of Python floats.
 
-    Row block i is stored over the narrowest column span that holds every
-    stored A[i, j].  When that span is a single neighbour j, the product is
-    x_j @ A[i, j]' with the game's own matrix, exactly as a per-agent
-    field computes it, so two-agent trajectories do not depend on the flat
-    layout; one x @ M' over all D columns would sum in a different order.
-    The affine terms b[i, j] of a generalized game are kept by edge, so
-    that the energy variants can weigh them edge by edge.
+    On arrays, row block i is stored over the narrowest column span that
+    holds every stored A[i, j]; over a single neighbour j, the product is
+    x_j @ A[i, j]' with the game's own matrix, as a per-agent field computes
+    it.  On a list, output r of agent i is s = 0.0, then s += A[i, j][r, c]
+    * x_j[c] over the stored entries, neighbours j and columns c ascending:
+    a fixed order, unlike BLAS on a handful of floats.  The affine terms
+    b[i, j] of a generalized game are kept by edge, so that the energy
+    variants can weigh them edge by edge.
     """
 
     def __init__(self, game: NetworkGame):
@@ -136,8 +139,14 @@ class PayoffOperator:
         self.slices = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
         self.dim = bounds[-1]
         rows = []  # (input span, A' on it, output slice) per row block
+        terms = []  # (gather of the stored columns, coefficient rows) per row block
         for i, k in enumerate(game.strategy_counts):
             cols = [j for j in range(game.n) if (i, j) in game.payoffs]
+            index = [c for j in cols for c in range(self.slices[j].start, self.slices[j].stop)]
+            lo, hi = (index[0], index[-1] + 1) if index else (0, 0)
+            take = itemgetter(slice(lo, hi)) if hi - lo == len(index) else itemgetter(*index)
+            coefs = tuple(tuple(a for j in cols for a in game.payoffs[(i, j)][r].tolist()) for r in range(k))
+            terms.append((take, coefs))
             if not cols:
                 rows.append((slice(0, 0), np.zeros((0, k)), self.slices[i]))
                 continue
@@ -150,9 +159,10 @@ class PayoffOperator:
                 s = self.slices[j]
                 block[:, s.start - lo : s.stop - lo] = game.payoffs[(i, j)]
             rows.append((slice(lo, hi), block.T, self.slices[i]))
-        self.rows = tuple(rows)
+        self.rows, self.terms = tuple(rows), tuple(terms)
         self.b = sorted(game.b.items()) if isinstance(game, GeneralizedGame) else []
         self.drift = self.weighted_drift(lambda i, j: 1.0)
+        self.drift_floats = None if self.drift is None else self.drift.tolist()
 
     def weighted_drift(self, weight):
         """sum_j weight(i, j) b[i, j] in every agent i's slice; None if no term is nonzero."""
@@ -174,10 +184,20 @@ class PayoffOperator:
     def linear(self, x):
         """x @ M': sum_j A[i, j] x_j for every agent i, without drift.
 
-        Each row block is multiplied straight into its slice of one output;
-        the slice keeps a BLAS-able stride, so the bits are those of a
-        separate x_span @ A' per block.
+        On arrays, each row block is multiplied straight into its slice of
+        one output; the slice keeps a BLAS-able stride, so the bits are
+        those of a separate x_span @ A' per block.
         """
+        if isinstance(x, list):
+            out = []
+            for take, coefs in self.terms:
+                v = take(x)
+                for row in coefs:
+                    s = 0.0
+                    for p in map(mul, row, v):
+                        s += p
+                    out.append(s)
+            return out
         out = np.empty(x.shape[:-1] + (self.dim,))
         for span, mt, s in self.rows:
             np.matmul(x[..., span], mt, out=out[..., s])
@@ -186,16 +206,38 @@ class PayoffOperator:
     def field(self, x):
         """dy/dt at strategies x."""
         out = self.linear(x)
-        return out if self.drift is None else out + self.drift
+        if self.drift is None:
+            return out
+        return [s + b for s, b in zip(out, self.drift_floats)] if isinstance(out, list) else out + self.drift
 
     def motion(self, y0, X, t):
         """y0 + X @ M' (+ b t): the motions reconstructed from positions."""
-        z = y0 + self.linear(X)
-        return z if self.drift is None else z + self.drift * t
+        z = self.linear(X)
+        if not isinstance(z, list):
+            z = y0 + z
+            return z if self.drift is None else z + self.drift * t
+        if self.drift is None:
+            return [a + s for a, s in zip(y0, z)]
+        return [a + s + b * t for a, s, b in zip(y0, z, self.drift_floats)]
+
+
+def _shift(u, h, v):  # u + h v, a new array
+    return u + h * v
+
+
+def _accumulate(u, h, v):  # u + h v in place, the same bits; no product at h = 1
+    u += v if h == 1.0 else h * v
+    return u
+
+
+def _shift_floats(u, h, v):  # u + h v on lists of floats, a new list
+    return [a + h * b for a, b in zip(u, v)]
 
 
 class _Flow:
-    """A game, its regularizers and a start y0, compiled for flat stepping."""
+    """A game, its regularizers and a start y0, compiled for flat stepping: a 1-D
+    start on lists of Python floats, a batched one on arrays, with shift and
+    accumulate the kernels' vector arithmetic on either."""
 
     def __init__(self, game: NetworkGame, regs, y0):
         if tuple(r.dim for r in regs) != tuple(game.strategy_counts):
@@ -206,12 +248,18 @@ class _Flow:
         self.op = PayoffOperator(game)
         self.choice = BlockChoiceMap(regs)
         self.field = self.op.field
-        self.y0 = self.op.join(y0)
+        y0 = self.op.join(y0)
+        self.y0 = y0.tolist() if y0.ndim == 1 else y0
+        self.shift, self.accumulate = (_shift_floats,) * 2 if y0.ndim == 1 else (_shift, _accumulate)
         self.sigma = game.sigma
         # per agent, the |y| past which a step counts as a blow-up; limit is
         # their minimum, checked against the whole of y once per step
         self.limits = tuple(min(BLOW_UP_LIMIT, payoff_limit(reg)) for reg in regs)
         self.limit = min(self.limits)
+
+    def zeros(self):
+        """The positions X at t = 0, in the layout of y0."""
+        return [0.0] * len(self.y0) if isinstance(self.y0, list) else np.zeros_like(self.y0)
 
     def kick(self, X, t):
         """The leapfrog force: the field at the motions reconstructed from X."""
@@ -220,7 +268,7 @@ class _Flow:
 
 # Flat kernels: (flow, t, y, X, x, force, eta) -> (y, X, force).  x is the
 # choice map of y when the caller already has it (None otherwise); force is
-# the leapfrog kick at (X, t) carried over from the previous step.
+# the leapfrog's last kick, (time, kick at X), carried over from the previous step.
 
 
 def _euler(flow, t, y, X, x, force, eta):
@@ -230,7 +278,7 @@ def _euler(flow, t, y, X, x, force, eta):
     """
     if x is None:
         x = flow.choice(y)
-    return y + eta * flow.field(x), X + eta * x, None
+    return flow.shift(y, eta, flow.field(x)), flow.shift(X, eta, x), None
 
 
 def _rk4(flow, t, y, X, x, force, eta):
@@ -240,26 +288,27 @@ def _rk4(flow, t, y, X, x, force, eta):
     """
     # k1 + 2 k2 + 2 k3 + k4 as two running sums, added in that order (the same
     # bits); each stage is released before the next choice map runs
+    shift, accumulate = flow.shift, flow.accumulate
     sx = flow.choice(y) if x is None else x
     sy = flow.field(sx)
-    kx = flow.choice(y + 0.5 * eta * sy)
+    kx = flow.choice(shift(y, 0.5 * eta, sy))
     ky = flow.field(kx)
-    sx = sx + 2.0 * kx  # a new array: x may be the caller's
-    sy += 2.0 * ky
+    sx = shift(sx, 2.0, kx)  # a new array: x may be the caller's
+    sy = accumulate(sy, 2.0, ky)
     del kx
-    ky = y + 0.5 * eta * ky  # the third stage's point
+    ky = shift(y, 0.5 * eta, ky)  # the third stage's point
     kx = flow.choice(ky)
     ky = flow.field(kx)
-    sx += 2.0 * kx
-    sy += 2.0 * ky
+    sx = accumulate(sx, 2.0, kx)
+    sy = accumulate(sy, 2.0, ky)
     del kx
-    ky = y + eta * ky  # the fourth stage's point
+    ky = shift(y, eta, ky)  # the fourth stage's point
     kx = flow.choice(ky)
-    sx += kx
-    sy += flow.field(kx)
+    sx = accumulate(sx, 1.0, kx)
+    sy = accumulate(sy, 1.0, flow.field(kx))
     del kx, ky
     sixth = eta / 6.0
-    return y + sixth * sy, X + sixth * sx, None
+    return shift(y, sixth, sy), shift(X, sixth, sx), None
 
 
 def _leapfrog(flow, t, y, X, x, force, eta):
@@ -272,12 +321,12 @@ def _leapfrog(flow, t, y, X, x, force, eta):
     if flow.sigma not in (-1, 1):
         raise ValueError("no Hamiltonian structure certified: game has no sigma tag")
     half = 0.5 * eta
-    if force is None:
-        force = flow.kick(X, t)
-    y_half = y + half * force
-    X = X + eta * flow.choice(y_half)
-    force = flow.kick(X, t + eta)
-    return y_half + half * force, X, force
+    if force is None or force[0] != t and flow.op.drift is not None:  # t - eta + eta may not be t
+        force = (t, flow.kick(X, t))
+    y_half = flow.shift(y, half, force[1])
+    X = flow.shift(X, eta, flow.choice(y_half))
+    force = (t + eta, flow.kick(X, t + eta))
+    return flow.shift(y_half, half, force[1]), X, force
 
 
 KERNELS = {"euler": _euler, "rk4": _rk4, "symplectic_leapfrog": _leapfrog}
@@ -350,8 +399,9 @@ class Trajectory:
 
 
 def _blow_up(y, flow):
-    if float(np.abs(y).max()) <= flow.limit:  # False for nan and inf too
-        return None
+    if all(map(flow.limit.__ge__, map(abs, y))) if isinstance(y, list) else np.abs(y).max() <= flow.limit:
+        return None  # nan and inf compare False, so they are diagnosed below
+    y = np.asarray(y)
     for agent, (s, limit) in enumerate(zip(flow.op.slices, flow.limits), 1):
         peak = float(np.abs(y[..., s]).max())  # the first offending agent names the reason
         if not np.isfinite(peak):
@@ -398,14 +448,14 @@ def simulate(
     energy_fn, variant = select_energy(game, regs, energy)
 
     start = perf_counter()
-    t, y = 0.0, flow.y0
-    X = np.zeros_like(y)
+    t, y, X = 0.0, flow.y0, flow.zeros()
     x, force = flow.choice(y), None
     n_steps, i = config.steps, 0
     rows = n_steps // stride + 1 + (n_steps % stride != 0)
     ts, ys, Xs, xs = (np.empty((rows,) + np.shape(v)) for v in (t, y, X, x))
     ts[0], ys[0], Xs[0], xs[0] = t, y, X, x
-    flow.y0 = y = ys[0]  # the start row serves as y0: no second copy lives through the run
+    if not isinstance(y, list):
+        flow.y0 = y = ys[0]  # the start row serves as y0: no second copy lives through the run
     k = 1  # rows written
     diagnostics = {"truncated": False, "blow_up_step": None, "reason": None}
     for i in range(1, n_steps + 1):
@@ -429,7 +479,7 @@ def simulate(
     start = perf_counter()
     H = np.full(k, np.nan)
     if energy_fn is not None:  # t as a (snapshots, 1, ...) column against the states
-        H = energy_fn(ys, Xs, flow.y0, np.reshape(ts, (-1,) + (1,) * (ys.ndim - 1))).value
+        H = energy_fn(ys, Xs, ys[0], np.reshape(ts, (-1,) + (1,) * (ys.ndim - 1))).value
     F, D = (None, None) if ref is None else fenchel_bregman(regs, ref, ys, xs)
     instruments_s = perf_counter() - start
 

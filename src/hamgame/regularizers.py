@@ -20,10 +20,10 @@ simplex turns into under the substitution x2 = 1 - x1.
 
 Every operation broadcasts over leading batch axes: the last axis is the
 strategy dimension, anything in front of it is carried through unchanged.
-BlockChoiceMap, which the steppers call, maps a batch with numpy and a
-single payoff vector on Python floats, with the same bits: IEEE
-arithmetic rounds alike in both, and numpy keeps the exp, the tanh and
-the sums of 8 or more terms.
+BlockChoiceMap, which the steppers call, maps an array with numpy and a
+single trajectory's list of Python floats on floats, with the same bits:
+IEEE arithmetic rounds alike in both, the list path sums in numpy's order
+(_add_reduce), and numpy keeps the exp and the tanh.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache
 from math import isfinite
+from operator import add, truediv
 
 import numpy as np
 
@@ -307,6 +308,28 @@ def payoff_limit(reg: AnyRegularizer) -> float:
     return min((_factor(leaf) * DOMAIN_TOL * 2.0**52 / leaf.dim**2 for leaf in leaves), default=float("inf"))
 
 
+def _add_reduce(v):
+    """np.add.reduce of a list of floats, bit for bit (builtin sum() compensates).
+
+    numpy adds to 0.0: below 8 terms left to right; up to 128, eight sums r_j
+    of the terms j mod 8, as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+    then the rest in order; above 128, two halves, the first n // 2 rounded
+    down to a multiple of 8."""
+    n = len(v)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _add_reduce(v[:half]) + _add_reduce(v[half:])
+    s, end = 0.0, n - n % 8
+    if end:
+        r = v[:8]
+        for i in range(8, end, 8):
+            r = list(map(add, r, v[i : i + 8]))
+        s += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for c in v[end:]:
+        s += c
+    return s
+
+
 def _project_floats(u):
     """project_simplex on a list of floats: the sorted rule, operation for operation.
 
@@ -332,21 +355,18 @@ class BlockChoiceMap:
     The last axis of y is the concatenation of one block per regularizer
     (product regularizers contribute their blocks).  Every row is mapped
     exactly as the block alone would be, on either of two paths chosen by
-    y's number of axes.
+    y's type, and both give the same bits.
 
-    A 1-D y (one trajectory) is mapped on Python floats: the scale
-    division, the row max and the shift, the softmax sums below 8 terms
-    (numpy adds those left to right), the division by the sum, the sorted
-    projection and the box clip are single IEEE operations, which round the
-    same in Python as in numpy.  numpy keeps what Python cannot redo bit for
-    bit: one np.exp call for all entropy-simplex coordinates and one
-    np.tanh call for all entropy-box coordinates (numpy's exp and tanh may
-    differ from libm's), and np.add.reduce for entropy blocks of 8 or more
-    coordinates, which numpy sums pairwise.  Each block is one list
-    operation or a few, with no numpy call per block: the per-call cost of
-    numpy on a handful of floats is what this path saves.
+    A list of Python floats (one trajectory) is mapped on floats, into a
+    list, with no numpy call per block.  The scale division, the row max
+    and shift, the division by the softmax sum, the sorted projection and
+    the box clip are single IEEE operations, which round alike in Python
+    and numpy, and every sum, the finiteness check's too, follows numpy's
+    order (_add_reduce).  numpy keeps one np.exp call for all entropy-simplex
+    coordinates and one np.tanh call for all entropy-box ones, since
+    numpy's exp and tanh may differ from libm's.
 
-    A batched y (leading axes) maps all blocks of one kind and domain in one
+    An array y, 1-D or batched, maps all blocks of one kind and domain in one
     call on a (..., count, width) array, with the scales (and the
     prescales of the euclidean maps) divided out coordinate by coordinate;
     box maps act coordinatewise, so box blocks count as blocks of width
@@ -360,9 +380,9 @@ class BlockChoiceMap:
     PayoffOperator.linear multiplies slices of it, and BLAS sums an
     F-ordered operand in another order.
 
-    A euclidean simplex block of one or two coordinates takes
+    On a list, a euclidean simplex block of one or two coordinates takes
     project_simplex's two-coordinate rule when its group is two wide, as the
-    batched group does; it differs from the sorted rule only once
+    array group does; it differs from the sorted rule only once
     |y| / (2 s) reaches 2^53, far past payoff_limit.
     """
 
@@ -374,7 +394,7 @@ class BlockChoiceMap:
             wide = 0 if box or reg.dim < _PAD_BELOW else reg.dim
             group = groups.setdefault((reg.kind, reg.domain, wide), [])
             group.extend((first, dim, _factor(reg)) for first, dim in blocks)
-            single[reg.kind, reg.domain].extend((first, first + dim, float(_factor(reg))) for first, dim in blocks)
+            single[reg.kind, reg.domain].extend((first, first + dim) for first, dim in blocks)
             start += reg.dim
         plans, back, offset = [], np.empty(start, dtype=np.intp), 0
         for (kind, domain, _), blocks in groups.items():
@@ -398,21 +418,23 @@ class BlockChoiceMap:
         self.plans = tuple(plans)
         # None when the groups' outputs, concatenated, already are x in order
         self.back = None if np.array_equal(back, np.arange(offset)) else back
-        # the 1-D path's (first, stop, factor) blocks by map, box coordinates
-        # one by one; a euclidean simplex block takes the two-coordinate rule
-        # where its batched group does
+        # the list path's factor per coordinate and (first, stop) blocks by map, box coordinates
+        # one by one; a euclidean simplex block takes the two-coordinate rule where its group does
+        self.factors = tuple(float(_factor(reg)) for reg in _leaves(regs) for _ in range(reg.dim))
         self.softmax = tuple(single["entropy", "simplex"])
-        self.sigmoid = tuple(single["entropy", "box"])
-        self.clip = tuple(single["euclidean", "box"])
+        self.sigmoid = tuple(i for i, _ in single["entropy", "box"])
+        self.clip = tuple(i for i, _ in single["euclidean", "box"])
         pair = max((dim for _, dim, _ in groups.get(("euclidean", "simplex", 0), ())), default=0) == 2
         euclid = single["euclidean", "simplex"]
         self.pair = tuple(b for b in euclid if pair and b[1] - b[0] <= 2)
         self.sort = tuple(b for b in euclid if not (pair and b[1] - b[0] <= 2))
 
     def __call__(self, y):
-        if not isfinite(np.add.reduce(y, axis=None)):  # one reduction; nan/inf both poison the sum
+        floats = isinstance(y, list)
+        # one reduction, in numpy's order on either path; nan and inf both poison the sum
+        if not isfinite(_add_reduce(y) if floats else np.add.reduce(y, axis=None)):
             raise ValueError("choice map requires finite payoff vector")
-        if y.ndim == 1:
+        if floats:
             return self._single(y)
         lead = y.shape[:-1]
         parts = []
@@ -432,46 +454,39 @@ class BlockChoiceMap:
         # gather back; np.take would first copy x into C order
         return np.ascontiguousarray(x)
 
-    def _single(self, y):
-        v = y.tolist()
-        x = v[:]  # every entry is overwritten
-        for first, stop, f in self.pair:
+    def _single(self, v):
+        u = list(map(truediv, v, self.factors))  # the scaled payoffs
+        x = u[:]  # every entry is overwritten
+        for first, stop in self.pair:
             if stop - first == 2:
-                a, b = v[first] / f, v[first + 1] / f
+                a, b = u[first], u[first + 1]
                 wide = (a + b - 1.0) / 2
                 tau = wide if (a if a < b else b) > wide else (b if a < b else a) - 1.0
                 d, e = a - tau, b - tau
                 x[first], x[first + 1] = d if d > 0.0 else 0.0, e if e > 0.0 else 0.0
             else:  # padded with -inf: wide is -inf, tau is a - 1
-                a = v[first] / f
+                a = u[first]
                 d = a - (a - 1.0)
                 x[first] = d if d > 0.0 else 0.0
-        for first, stop, f in self.sort:
-            x[first:stop] = _project_floats([c / f for c in v[first:stop]])
-        for i, _, f in self.clip:
-            x[i] = min(max(v[i] / f + 0.5, 0.0), 1.0)
+        for first, stop in self.sort:
+            x[first:stop] = _project_floats(u[first:stop])
+        for i in self.clip:
+            x[i] = min(max(u[i] + 0.5, 0.0), 1.0)
         if self.sigmoid:
-            t = np.tanh([0.5 * (v[i] / f) for i, _, f in self.sigmoid]).tolist()
-            for (i, _, _), c in zip(self.sigmoid, t):
+            for i, c in zip(self.sigmoid, np.tanh([0.5 * u[i] for i in self.sigmoid]).tolist()):
                 x[i] = 0.5 * (1.0 + c)
         if self.softmax:
             shifted = []
-            for first, stop, f in self.softmax:
-                m = max(v[first:stop]) / f  # the scaled row's max: division by f > 0 keeps order
-                shifted += [c / f - m for c in v[first:stop]]
-            e = np.exp(shifted)
-            el, pos = e.tolist(), 0
-            for first, stop, f in self.softmax:
+            for first, stop in self.softmax:
+                m = max(u[first:stop])
+                shifted += [c - m for c in u[first:stop]]
+            e, pos = np.exp(shifted).tolist(), 0
+            for first, stop in self.softmax:
                 end = pos + stop - first
-                if end - pos < _PAD_BELOW:
-                    s = 0.0
-                    for c in el[pos:end]:
-                        s += c
-                else:
-                    s = np.add.reduce(e[pos:end]).item()
-                x[first:stop] = [c / s for c in el[pos:end]]
+                s = _add_reduce(e[pos:end])
+                x[first:stop] = [c / s for c in e[pos:end]]
                 pos = end
-        return np.array(x)
+        return x
 
 
 def choice_map(reg: AnyRegularizer, y):

@@ -97,14 +97,15 @@ def run(game, regs, y0, scheme="rk4", eta=1e-3, horizon=10.0, stride=10, **kw):
 def leapfrog_there_and_back(game, regs, y0, eta, n):
     """(y, X) after n leapfrog steps of eta and n of -eta.
 
-    IntegratorConfig takes only positive steps, so this drives the kernel directly.
+    IntegratorConfig takes only positive steps, so this drives the kernel
+    directly, in the flow's own layout: lists of floats for a 1-D start.
     """
     flow, kernel = _Flow(game, regs, y0), KERNELS["symplectic_leapfrog"]
-    t, y, X, force = 0.0, flow.y0, np.zeros_like(flow.y0), None
+    t, y, X, force = 0.0, flow.y0, flow.zeros(), None
     for h in (eta,) * n + (-eta,) * n:
         y, X, force = kernel(flow, t, y, X, None, force, h)
         t += h
-    return flow.op.split(y), flow.op.split(X)
+    return flow.op.split(np.asarray(y)), flow.op.split(np.asarray(X))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Differential test: the choice maps and payoff operator against frozen copies.
 
-`BlockChoiceMap` maps a 1-D payoff vector on Python floats, and a batch
-with one call per (kind, domain), padding narrower simplex blocks with
--inf; `project_simplex` takes a sort-free path on two coordinates and
-sorts many short rows by a compare-exchange network; the euclidean maps'
-power-of-two prescales are folded into the scales; and
+`BlockChoiceMap` maps a list of floats (one trajectory) on Python floats,
+and an array with one call per (kind, domain), padding narrower simplex
+blocks with -inf; `project_simplex` takes a sort-free path on two
+coordinates and sorts many short rows by a compare-exchange network; the
+euclidean maps' power-of-two prescales are folded into the scales; and
 `PayoffOperator.linear` multiplies each row block into its slice of one
 output.  The references below are frozen copies of the code before those
 changes, which grouped blocks by (kind, domain, dimension), always sorted
 with np.sort, divided by 2 or 4 inside the unit maps and joined the row
 blocks' products with np.concatenate.  Outputs must agree bit for bit.
+
+On a list, `PayoffOperator` sums in a fixed order instead of BLAS's, and
+`_add_reduce` replays numpy's pairwise sum; both are checked against
+explicit loops or numpy itself.
 """
 
 from math import isfinite
@@ -28,7 +32,7 @@ from hamgame import (
     project_simplex,
 )
 from hamgame.dynamics import PayoffOperator
-from hamgame.regularizers import BlockChoiceMap
+from hamgame.regularizers import BlockChoiceMap, _add_reduce
 
 from conftest import MP_MATRIX, zero_sum_from_edges
 
@@ -207,11 +211,21 @@ def test_block_choice_map_matches_frozen_copy(regs, lead, data):
         assert x.flags.c_contiguous  # a matmul on an F-ordered x sums in another order
         np.testing.assert_array_equal(x, expected)
         assert np.array_equal(np.signbit(x), np.signbit(expected))
+    if lead == ():  # one trajectory's list of floats
+        x = block(y.tolist())
+        assert type(x) is list and all(type(c) is float for c in x)
+        _assert_same_bits(np.array(x), ref(y))
     start = 0
     for reg in regs:
         part = y[..., start : start + reg.dim]
         np.testing.assert_array_equal(choice_map(reg, part), _ref_choice_map(reg, part))
         start += reg.dim
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64)), (a, b)
 
 
 # project_simplex sorts by a network from 96 rows at width 3 to 672 at
@@ -279,12 +293,14 @@ def test_two_coordinate_ties_and_signed_zeros():
 def test_wide_blocks_group_by_dimension():
     # numpy sums 8 or more terms pairwise, so -inf padding past 8 columns
     # would reorder the softmax sum; such blocks keep a group per dimension.
-    # A 1-D row sums such a block with np.add.reduce, its one numpy reduction
+    # A list sums such a block in numpy's pairwise order (_add_reduce)
     regs = [Regularizer("entropy", "simplex", d, 0.7) for d in (2, 7, 8, 9, 12, 5)]
     rng = np.random.default_rng(4)
     y = 3.0 * rng.normal(size=(500, sum(r.dim for r in regs)))
     for v in (*_layouts(y), y[0], y[1]):
         np.testing.assert_array_equal(BlockChoiceMap(regs)(v), _RefBlockChoiceMap(regs)(v))
+    for v in y[:50]:
+        _assert_same_bits(BlockChoiceMap(regs)(v.tolist()), _RefBlockChoiceMap(regs)(v))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -295,6 +311,42 @@ def test_non_finite_input_raises(bad, lead):
     y[..., 1] = bad
     with pytest.raises(ValueError, match="finite"):
         BlockChoiceMap(regs)(y)
+    if lead == ():  # one trajectory's list of floats
+        with pytest.raises(ValueError, match="finite"):
+            BlockChoiceMap(regs)(y.tolist())
+
+
+def test_overflowing_sum_raises_on_both_paths():
+    # finite entries whose sum overflows: the check is numpy's sum, in numpy's order
+    regs = [Regularizer("entropy", dim=3), Regularizer("euclidean", dim=2, scale=0.5)]
+    y = np.array([1e308, 1e308, 0.0, -1e308, 0.0])
+    for v in (y, y.tolist()):
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            BlockChoiceMap(regs)(v)
+
+
+def test_add_reduce_matches_numpy():
+    # below 8 terms, 8 to 128 (eight running sums) and above 128 (halves),
+    # with overflow partway, signed zeros and cancellation
+    rng = np.random.default_rng(12)
+    for width in range(1, 301):
+        signs = rng.choice([-1.0, 1.0], size=width)
+        cases = [
+            rng.normal(size=width) * 10.0 ** rng.uniform(-20, 20, size=width),
+            signs * rng.uniform(0.5, 1.0, size=width) * 1.7e308,
+            rng.choice([0.0, -0.0, 1e308, -1e308, 1.0, -1.0, 5e-324], size=width),
+            np.where(rng.uniform(size=width) < 0.5, 0.0, -0.0),
+            np.full(width, -0.0),
+        ]
+        for v in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.add.reduce(v, axis=None)
+            got = _add_reduce(v.tolist())
+            assert type(got) is float
+            if np.isnan(want):
+                assert np.isnan(got), (width, v)
+            else:
+                _assert_same_bits(got, want)
 
 
 def _affine_box_game(rng):
@@ -329,3 +381,43 @@ def test_payoff_operator_matches_frozen_copy(name, lead):
         assert out.flags.c_contiguous
         np.testing.assert_array_equal(out, expected)
         assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+
+def _ref_linear_floats(game, x):
+    """x @ M' on a list as an explicit loop: s = 0.0, then s += A[i, j][r, c] * x_j[c]
+    over neighbours j, then columns c, in ascending order."""
+    starts = np.cumsum((0,) + tuple(game.strategy_counts)).tolist()
+    out = []
+    for i, k in enumerate(game.strategy_counts):
+        for r in range(k):
+            s = 0.0
+            for j in range(game.n):
+                a = game.payoffs.get((i, j))
+                if a is not None:
+                    for c in range(a.shape[1]):
+                        s += float(a[r, c]) * x[starts[j] + c]
+            out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GAMES))
+def test_float_payoff_product_fixed_order(name):
+    rng = np.random.default_rng(7)
+    game = GAMES[name](rng)
+    op = PayoffOperator(game)
+    drift = np.zeros(op.dim) if op.drift is None else op.drift
+    for scale in (1e-3, 1.0, 1e6):
+        x = scale * rng.uniform(-1.0, 1.0, size=(50, op.dim))
+        x[:5] = np.where(rng.uniform(size=(5, op.dim)) < 0.5, 0.0, -0.0)
+        y0, t = rng.normal(size=op.dim), float(rng.uniform(0.0, 10.0))
+        rows = []
+        for v in x:
+            got = op.linear(v.tolist())
+            assert type(got) is list and all(type(c) is float for c in got)
+            want = _ref_linear_floats(game, v.tolist())
+            _assert_same_bits(got, want)
+            _assert_same_bits(op.field(v.tolist()), np.array(want) + drift)
+            _assert_same_bits(op.motion(y0.tolist(), v.tolist(), t), y0 + np.array(want) + drift * t)
+            rows.append(got)
+        # against BLAS on the batch, the product the list path replaces
+        np.testing.assert_allclose(np.array(rows), op.linear(x), rtol=1e-13, atol=1e-13 * scale)

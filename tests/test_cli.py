@@ -432,6 +432,21 @@ class TestAnalyze:
         assert code == 1
         assert "replay" in capsys.readouterr().err
 
+    def test_older_schema_sidecar_rejected(self, tmp_path, capsys):
+        # single runs sum the payoff product in a fixed order from schema 3
+        # on, so a schema 2 run cannot be replayed bit for bit
+        game_path, csv_path = self.simulate_mp(tmp_path)
+        meta_path = csv_path.parent / "mp_rk4.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["schema_version"] = 2
+        meta_path.write_text(json.dumps(meta))
+        code = main(["analyze", "--game", game_path, "--traj", str(csv_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "schema 2" in err and "re-run simulate" in err
+        assert "corrupted" not in err
+        assert not (csv_path.parent / "mp_rk4.report.json").exists()
+
     def test_edited_middle_row_rejected(self, tmp_path, capsys):
         game_path, csv_path = self.simulate_mp(tmp_path)
         lines = csv_path.read_text().splitlines()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamgame import (
+    GeneralizedGame,
     IntegratorConfig,
     NetworkGame,
     Regularizer,
@@ -426,7 +427,7 @@ class TestTrajectoryFiles:
         meta_path = tmp_path / "orbit.meta.json"
         write_trajectory_metadata(traj, "deadbeef", meta_path)
         for meta in (traj.metadata, json.loads(meta_path.read_text())):
-            assert meta["schema_version"] == 2
+            assert meta["schema_version"] == 3
             assert meta["python_version"] == platform.python_version()
             assert meta["numpy_version"] == np.__version__
             assert set(meta["timing"]) == {"step_s", "instruments_s", "io_s", "steps_per_s"}
@@ -436,7 +437,7 @@ class TestTrajectoryFiles:
                 "--horizon", "1.0", "--out", str(tmp_path)]
         assert main(argv) == 0  # the command fills in the time of its CSV write
         meta = json.loads((tmp_path / "matching_pennies_rk4.meta.json").read_text())
-        assert meta["schema_version"] == 2 and meta["timing"]["io_s"] > 0.0
+        assert meta["schema_version"] == 3 and meta["timing"]["io_s"] > 0.0
 
 
 class TestIntegratorConfig:
@@ -453,23 +454,70 @@ class TestIntegratorConfig:
 
 
 # ---------------------------------------------------------------------------
-# Differential test: simulate integrates on flat (batch..., D) arrays.  The
-# reference below is a frozen copy of the earlier per-agent tuple steppers, on
-# the per-agent choice maps, field and motions of conftest, so it shares no
-# arithmetic with the code under test.
+# Differential test: simulate integrates on flat (batch..., D) arrays, and a
+# single trajectory on flat lists of floats.  The reference below is a frozen
+# copy of the earlier per-agent tuple steppers, on the per-agent choice maps,
+# field and motions of conftest, so it shares no arithmetic with the code
+# under test.  For one trajectory its field and motions also come as explicit
+# float loops in the order of the float payoff product.
 
 
-def _ref_stepper(scheme, game, regs, state, eta):
+def _ref_product_floats(game, i, xs):
+    """sum_j A[i, j] x_j at one profile as s = 0.0, s += A[i, j][r, c] * x_j[c]
+    over neighbours j, then columns c, in ascending order."""
+    out = []
+    for r in range(game.strategy_counts[i]):
+        s = 0.0
+        for j in range(game.n):
+            a = game.payoffs.get((i, j))
+            if a is not None:
+                for c in range(a.shape[1]):
+                    s += float(a[r, c]) * float(xs[j][c])
+        out.append(s)
+    return np.array(out)
+
+
+def _ref_drift(game, i):
+    """The affine terms b[i, j] of agent i, edge by edge."""
+    if not isinstance(game, GeneralizedGame):
+        return []
+    return [game.b[(i, j)] for j in range(game.n) if (i, j) in game.b]
+
+
+def _ref_field_floats(game, xs):
+    """_ref_field at one profile; the affine terms b[i, j] are added edge by edge."""
+    out = []
+    for i in range(game.n):
+        total = _ref_product_floats(game, i, xs)
+        for bv in _ref_drift(game, i):
+            total = total + bv
+        out.append(total)
+    return out
+
+
+def _ref_motion_floats(game, y0, X, t):
+    """_ref_motion at one profile: y0 + the float product, then b t edge by edge."""
+    out = []
+    for i in range(game.n):
+        z = y0[i] + _ref_product_floats(game, i, X)
+        for bv in _ref_drift(game, i):
+            z = z + bv * t
+        out.append(z)
+    return out
+
+
+def _ref_stepper(scheme, game, regs, state, eta, floats=False):
     t, y, X, x, y0 = state
     cmap = lambda ys: [_ref_choice(r, v) for r, v in zip(regs, ys)]  # noqa: E731
+    field, motion = (_ref_field_floats, _ref_motion_floats) if floats else (_ref_field, _ref_motion)
     if scheme == "euler":
-        dy = _ref_field(game, x)
+        dy = field(game, x)
         y = [v + eta * g for v, g in zip(y, dy)]
         X = [p + eta * g for p, g in zip(X, x)]
     elif scheme == "rk4":
         def stage(ys):
             xs = cmap(ys)
-            return xs, _ref_field(game, xs)
+            return xs, field(game, xs)
 
         k1x, k1y = stage(y)
         k2x, k2y = stage([v + 0.5 * eta * g for v, g in zip(y, k1y)])
@@ -486,10 +534,10 @@ def _ref_stepper(scheme, game, regs, state, eta):
         ]
     else:
         half = 0.5 * eta
-        f0 = _ref_field(game, cmap(_ref_motion(game, y0, X, t)))
+        f0 = field(game, cmap(motion(game, y0, X, t)))
         y_half = [v + half * g for v, g in zip(y, f0)]
         X = [p + eta * g for p, g in zip(X, cmap(y_half))]
-        f1 = _ref_field(game, cmap(_ref_motion(game, y0, X, t + eta)))
+        f1 = field(game, cmap(motion(game, y0, X, t + eta)))
         y = [v + half * g for v, g in zip(y_half, f1)]
     return t + eta, y, X, cmap(y), y0
 
@@ -516,20 +564,55 @@ def test_flat_loop_matches_tuple_steppers(family, counts, seed, batch, scheme, e
     for reg, v in zip(regs, y0):  # the public per-agent choice map, too
         np.testing.assert_array_equal(choice_map(reg, v), _ref_choice(reg, v))
     x0 = [_ref_choice(r, v) for r, v in zip(regs, y0)]
-    state = (0.0, y0, [np.zeros_like(v) for v in y0], x0, y0)
-    expected = [state]
-    for i in range(1, steps + 1):
-        state = _ref_stepper(scheme, game, regs, state, eta)
-        state = (i * eta,) + state[1:]  # simulate keeps time as i * eta, not a running sum
-        if i % stride == 0 or i == steps:
-            expected.append(state)
 
-    assert len(traj.states) == len(expected)
-    for got, (t, y, X, x, _) in zip(traj.states, expected):
-        assert got.t == t
-        for a, b in zip(got.y + got.X + got.x, tuple(y) + tuple(X) + tuple(x)):
-            assert a.shape == b.shape
-            if game.n == 2:  # one neighbour per agent: same operations, same bits
-                np.testing.assert_array_equal(a, b)
-            else:
-                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    def reference(floats):
+        state = (0.0, y0, [np.zeros_like(v) for v in y0], x0, y0)
+        expected = [state]
+        for i in range(1, steps + 1):
+            state = _ref_stepper(scheme, game, regs, state, eta, floats)
+            state = (i * eta,) + state[1:]  # simulate keeps time as i * eta, not a running sum
+            if i % stride == 0 or i == steps:
+                expected.append(state)
+        return expected
+
+    def assert_matches(expected, exact):
+        assert len(traj.states) == len(expected)
+        for got, (t, y, X, x, _) in zip(traj.states, expected):
+            assert got.t == t
+            for a, b in zip(got.y + got.X + got.x, tuple(y) + tuple(X) + tuple(x)):
+                assert a.shape == b.shape
+                if exact:
+                    np.testing.assert_array_equal(a, b)
+                else:
+                    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    # one neighbour per agent: same operations, same bits; on a single
+    # trajectory with the float loops' order, in a batch with BLAS
+    assert_matches(reference(floats=batch is None), exact=game.n == 2)
+    if batch is None:  # against the BLAS products the float product replaced
+        assert_matches(reference(floats=False), exact=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(["zero_sum", "coordination", "affine", "bipartite_fold"]),
+    counts=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    scheme=st.sampled_from(["euler", "rk4", "symplectic_leapfrog"]),
+    steps=st.integers(1, 12),
+    stride=st.integers(1, 5),
+)
+def test_single_run_matches_one_row_batch(family, counts, seed, scheme, steps, stride):
+    # one start steps on Python floats with the fixed-order payoff product,
+    # the same start as a one-row batch on arrays with BLAS
+    if family == "bipartite_fold" and len(counts) < 3:
+        counts = counts + [2]
+    game, regs, y0 = _random_case(family, counts, seed, None)
+    config = IntegratorConfig(scheme, 0.05, steps * 0.05, stride)
+    one = simulate(game, regs, y0, config)
+    batch = simulate(game, regs, tuple(np.asarray(v)[None] for v in y0), config)
+    assert not one.batched and batch.batched
+    np.testing.assert_array_equal(one.t, batch.t)
+    for a, b in ((one.y, batch.y), (one.X, batch.X), (one.x, batch.x), (one.energy, batch.energy)):
+        assert b.shape == (len(one.t), 1) + a.shape[1:]
+        np.testing.assert_allclose(a, b[:, 0], rtol=1e-12, atol=1e-12)

@@ -70,11 +70,14 @@ def _ref_write_csv(traj, game, path):
 
 
 def _ref_states(game, regs, y0, config):
-    """The snapshot loop that listed (t, y, X, x) and built a SystemState per snapshot."""
+    """The snapshot loop that listed (t, y, X, x) and built a SystemState per snapshot.
+
+    It steps in the flow's own layout (lists of floats for a 1-D start) and
+    converts each listed state to arrays only when it builds the states.
+    """
     kernel = KERNELS[config.scheme]
     flow = _Flow(game, regs, y0)
-    t, y = 0.0, flow.y0
-    X = np.zeros_like(y)
+    t, y, X = 0.0, flow.y0, flow.zeros()
     x, force = flow.choice(y), None
     snaps = [(t, y, X, x)]
     for i in range(1, config.steps + 1):
@@ -89,7 +92,10 @@ def _ref_states(game, regs, y0, config):
         if i % config.stride == 0 or i == config.steps:
             x = flow.choice(y)
             snaps.append((t, y, X, x))
-    split = flow.op.split
+
+    def split(v):
+        return flow.op.split(np.asarray(v, dtype=float))
+
     y0 = tuple(np.asarray(v, dtype=float) for v in y0)
     return [SystemState(t, split(y), split(X), split(x), y0) for t, y, X, x in snaps]
 
