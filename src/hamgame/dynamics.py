@@ -25,9 +25,13 @@ positions is y0 + X @ M' (+ b t).  The choice maps act blockwise
 blocks.  One loop in simulate serves every scheme, and it evaluates x only
 where a stage or a recorded snapshot needs it.  A cloud of initial
 conditions evolves as one vectorized trajectory; one start steps on lists
-of Python floats, as numpy's per-call cost on 2 to 20 floats dominates, and
-numpy keeps only the choice map's exp and tanh, the recorded rows and the
-readings.  SystemState is the per-agent view of one phase-space point.
+of Python floats, as numpy's per-call cost on 2 to 20 floats dominates.
+Its choice map and payoff product are straight-line Python generated for
+the game on their first list call and compiled once per source text
+(regularizers.compiled), every stored term in a fixed order, so they keep
+the bits of the loops they replaced; numpy keeps only the choice map's exp
+and tanh, the recorded rows and the readings.  SystemState is the
+per-agent view of one phase-space point.
 """
 
 from __future__ import annotations
@@ -35,13 +39,12 @@ from __future__ import annotations
 import platform
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
-from operator import itemgetter, mul
 from time import perf_counter
 
 import numpy as np
 
 from .games import GeneralizedGame, NetworkGame
-from .regularizers import BlockChoiceMap, choice_map, fenchel_bregman, payoff_limit
+from .regularizers import BlockChoiceMap, choice_map, compiled, fenchel_bregman, literal, payoff_limit, summed
 
 SCHEMES = ("euler", "rk4", "symplectic_leapfrog")
 SCHEME_ALIASES = {"leapfrog": "symplectic_leapfrog"}
@@ -127,26 +130,27 @@ class PayoffOperator:
     On arrays, row block i is stored over the narrowest column span that
     holds every stored A[i, j]; over a single neighbour j, the product is
     x_j @ A[i, j]' with the game's own matrix, as a per-agent field computes
-    it.  On a list, output r of agent i is s = 0.0, then s += A[i, j][r, c]
-    * x_j[c] over the stored entries, neighbours j and columns c ascending:
-    a fixed order, unlike BLAS on a handful of floats.  The affine terms
-    b[i, j] of a generalized game are kept by edge, so that the energy
-    variants can weigh them edge by edge.
+    it.  On a list, linear, field and motion run straight-line Python,
+    generated for this game on the method's first list call (so arrays
+    never generate any) and compiled once per source text
+    (regularizers.compiled): it unpacks its lists into locals and writes
+    output r of agent i as 0.0 + A[i, j][r, c] * x_j[c] + ... over every
+    stored entry, zeros included, neighbours j and columns c ascending, a
+    fixed order, unlike BLAS on a handful of floats; field then adds b,
+    and motion is y0 + (that sum) + b * t.  The affine terms b[i, j] of a
+    generalized game are kept by edge, so that the energy variants can
+    weigh them edge by edge.
     """
 
     def __init__(self, game: NetworkGame):
         bounds = np.cumsum((0,) + tuple(game.strategy_counts)).tolist()
         self.slices = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
         self.dim = bounds[-1]
+        self.game = game
+        self.generated = {}  # method name -> its float code, once a list comes
         rows = []  # (input span, A' on it, output slice) per row block
-        terms = []  # (gather of the stored columns, coefficient rows) per row block
         for i, k in enumerate(game.strategy_counts):
             cols = [j for j in range(game.n) if (i, j) in game.payoffs]
-            index = [c for j in cols for c in range(self.slices[j].start, self.slices[j].stop)]
-            lo, hi = (index[0], index[-1] + 1) if index else (0, 0)
-            take = itemgetter(slice(lo, hi)) if hi - lo == len(index) else itemgetter(*index)
-            coefs = tuple(tuple(a for j in cols for a in game.payoffs[(i, j)][r].tolist()) for r in range(k))
-            terms.append((take, coefs))
             if not cols:
                 rows.append((slice(0, 0), np.zeros((0, k)), self.slices[i]))
                 continue
@@ -159,10 +163,9 @@ class PayoffOperator:
                 s = self.slices[j]
                 block[:, s.start - lo : s.stop - lo] = game.payoffs[(i, j)]
             rows.append((slice(lo, hi), block.T, self.slices[i]))
-        self.rows, self.terms = tuple(rows), tuple(terms)
+        self.rows = tuple(rows)
         self.b = sorted(game.b.items()) if isinstance(game, GeneralizedGame) else []
         self.drift = self.weighted_drift(lambda i, j: 1.0)
-        self.drift_floats = None if self.drift is None else self.drift.tolist()
 
     def weighted_drift(self, weight):
         """sum_j weight(i, j) b[i, j] in every agent i's slice; None if no term is nonzero."""
@@ -189,15 +192,7 @@ class PayoffOperator:
         those of a separate x_span @ A' per block.
         """
         if isinstance(x, list):
-            out = []
-            for take, coefs in self.terms:
-                v = take(x)
-                for row in coefs:
-                    s = 0.0
-                    for p in map(mul, row, v):
-                        s += p
-                    out.append(s)
-            return out
+            return self.floats("linear")(x)
         out = np.empty(x.shape[:-1] + (self.dim,))
         for span, mt, s in self.rows:
             np.matmul(x[..., span], mt, out=out[..., s])
@@ -205,20 +200,50 @@ class PayoffOperator:
 
     def field(self, x):
         """dy/dt at strategies x."""
+        if isinstance(x, list):
+            return self.floats("field")(x)
         out = self.linear(x)
-        if self.drift is None:
-            return out
-        return [s + b for s, b in zip(out, self.drift_floats)] if isinstance(out, list) else out + self.drift
+        return out if self.drift is None else out + self.drift
 
     def motion(self, y0, X, t):
         """y0 + X @ M' (+ b t): the motions reconstructed from positions."""
-        z = self.linear(X)
-        if not isinstance(z, list):
-            z = y0 + z
-            return z if self.drift is None else z + self.drift * t
-        if self.drift is None:
-            return [a + s for a, s in zip(y0, z)]
-        return [a + s + b * t for a, s, b in zip(y0, z, self.drift_floats)]
+        if isinstance(X, list):
+            return self.floats("motion")(y0, X, t)
+        z = y0 + self.linear(X)
+        return z if self.drift is None else z + self.drift * t
+
+    def floats(self, name):
+        """The float code of linear, field or motion, generated on first use."""
+        fn = self.generated.get(name)
+        if fn is None:
+            fn = self.generated[name] = compiled(self._source(name))
+        return fn
+
+    def _source(self, name):
+        """Source of linear(x), field(x) or motion(y0, X, t) on lists of floats."""
+        game, motion = self.game, name == "motion"
+        drift = [] if self.drift is None or name == "linear" else self.drift.tolist()
+        body = [f"{', '.join(f'x{c}' for c in range(self.dim))}, = {'X' if motion else 'x'}"]
+        if motion:
+            body.append(f"{', '.join(f'a{r}' for r in range(self.dim))}, = y0")
+        out = []
+        for i, k in enumerate(game.strategy_counts):
+            cols = [j for j in range(game.n) if (i, j) in game.payoffs]
+            for r in range(k):
+                terms = [
+                    f"{literal(a)}*x{self.slices[j].start + c}"
+                    for j in cols for c, a in enumerate(game.payoffs[(i, j)][r].tolist())
+                ]
+                n = len(out)
+                lines, s = summed(f"p{n}", "0.0", terms)
+                body += lines
+                if motion:
+                    s = f"a{n} + ({s})"
+                if drift:
+                    s += f" + {literal(drift[n])}*t" if motion else f" + {literal(drift[n])}"
+                out.append(s)
+        args = "y0, X, t" if motion else "x"
+        return "\n    ".join([f"def {name}({args}):", *body, f"return [{', '.join(out)}]"]) + "\n"
 
 
 def _shift(u, h, v):  # u + h v, a new array

@@ -21,17 +21,18 @@ simplex turns into under the substitution x2 = 1 - x1.
 Every operation broadcasts over leading batch axes: the last axis is the
 strategy dimension, anything in front of it is carried through unchanged.
 BlockChoiceMap, which the steppers call, maps an array with numpy and a
-single trajectory's list of Python floats on floats, with the same bits:
-IEEE arithmetic rounds alike in both, the list path sums in numpy's order
-(_add_reduce), and numpy keeps the exp and the tanh.
+single trajectory's list of Python floats with straight-line Python,
+generated for its regularizers on the first list call and compiled once
+per source text (compiled, shared with dynamics.PayoffOperator).  Both
+give the same bits: IEEE arithmetic rounds alike in both, the generated
+sums are written out in numpy's order, and numpy keeps the exp and the tanh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
-from math import isfinite
-from operator import add, truediv
+from functools import cache, lru_cache
+from math import copysign, inf, isfinite, nan
 
 import numpy as np
 
@@ -308,45 +309,140 @@ def payoff_limit(reg: AnyRegularizer) -> float:
     return min((_factor(leaf) * DOMAIN_TOL * 2.0**52 / leaf.dim**2 for leaf in leaves), default=float("inf"))
 
 
-def _add_reduce(v):
-    """np.add.reduce of a list of floats, bit for bit (builtin sum() compensates).
+# terms per generated statement: an a + b + ... expression nests as deep as
+# it is long, and CPython's compiler recurses into it (3,000 terms raise
+# RecursionError on 3.11); longer sums run on in further statements
+_CHAIN = 100
 
-    numpy adds to 0.0: below 8 terms left to right; up to 128, eight sums r_j
-    of the terms j mod 8, as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
-    then the rest in order; above 128, two halves, the first n // 2 rounded
-    down to a multiple of 8."""
-    n = len(v)
+
+@lru_cache(maxsize=128)
+def compiled(source: str):
+    """The function that generated source ("def name(...): ...") defines,
+    compiled once per source text.  The source may read numpy's exp and
+    tanh, isfinite, and inf and nan, the names of non-finite constants."""
+    scope = {"exp": np.exp, "tanh": np.tanh, "isfinite": isfinite, "inf": inf, "nan": nan}
+    exec(compile(source, "<generated>", "exec"), scope)
+    return scope[source[len("def ") : source.index("(")]]
+
+
+def literal(v) -> str:
+    """The float v as source.  Its repr reads back exactly, and is "inf",
+    "-inf" or "nan", names in compiled's scope, for a non-finite v; a nan
+    whose sign bit is set is written -nan, as the repr drops the sign."""
+    v = float(v)
+    return repr(v) if v == v or copysign(1.0, v) > 0.0 else "-nan"
+
+
+def summed(name: str, head: str, terms) -> tuple[list[str], str]:
+    """(statements, expression) for head + terms[0] + terms[1] + ..., added
+    left to right: the expression alone up to _CHAIN terms, else statements
+    that add _CHAIN terms at a time into name, and the rest after name."""
+    lines = []
+    while len(terms) > _CHAIN:
+        lines.append(f"{name} = {' + '.join([head, *terms[:_CHAIN]])}")
+        head, terms = name, terms[_CHAIN:]
+    return lines, " + ".join([head, *terms])
+
+
+def _add_reduce_source(terms) -> str:
+    """np.add.reduce of the named terms as one expression, in numpy's order.
+
+    numpy adds to 0.0: below 8 terms left to right; up to 128, eight sums
+    r_j of the terms j mod 8, as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 +
+    r7)), then the rest in order; above 128, two halves, the first n // 2
+    rounded down to a multiple of 8.  No r_j has more than 16 terms, so the
+    expression nests only a few dozen deep.
+    """
+    n = len(terms)
     if n > 128:
         half = n // 2 - n // 2 % 8
-        return _add_reduce(v[:half]) + _add_reduce(v[half:])
-    s, end = 0.0, n - n % 8
+        return f"({_add_reduce_source(terms[:half])}) + ({_add_reduce_source(terms[half:])})"
+    head, end = "0.0", n - n % 8
     if end:
-        r = v[:8]
-        for i in range(8, end, 8):
-            r = list(map(add, r, v[i : i + 8]))
-        s += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for c in v[end:]:
-        s += c
-    return s
+        r = [f"({' + '.join(terms[j:end:8])})" for j in range(8)]
+        head = f"0.0 + ((({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]})))"
+    return " + ".join([head, *terms[end:]])
 
 
-def _project_floats(u):
-    """project_simplex on a list of floats: the sorted rule, operation for operation.
+def _pair_source(u, x):
+    """project_simplex's two-coordinate rule on the names u, into the names x;
+    one coordinate is a block padded with -inf: wide is -inf, tau is a - 1."""
+    if len(u) == 1:
+        return [f"{x[0]} = d if (d := {u[0]} - ({u[0]} - 1.0)) > 0.0 else 0.0"]
+    a, b = u
+    return [
+        f"w = ({a} + {b} - 1.0) / 2",
+        f"tau = w if ({a} if {a} < {b} else {b}) > w else ({b} if {a} < {b} else {a}) - 1.0",
+        f"{x[0]} = d if (d := {a} - tau) > 0.0 else 0.0",
+        f"{x[1]} = d if (d := {b} - tau) > 0.0 else 0.0",
+    ]
 
-    The running sum and the thresholds round as np.add.accumulate and the
-    division by the counts do.  A zero's sign in the running sum can differ
-    from numpy's, but it is lost in the - 1.0.  rho = 0 picks tau = 0.0,
-    as the batched pick does; max(d, 0.0) is written d if d > 0.0 else 0.0,
-    which turns -0.0 into +0.0 as np.maximum does.
+
+def _sorted_source(u, x):
+    """project_simplex's sorted rule on the names u, into the names x.
+
+    The running sum starts at the largest entry, not at 0.0 + it: that
+    changes at most a zero's sign, which the - 1.0 loses.  x / 1 is x.
+    tau is the rho-th threshold, or 0.0 at rho = 0, as the batched pick.
+    max(d, 0.0) is written d if d > 0.0 else 0.0, which turns -0.0 into
+    +0.0 as np.maximum does.
     """
-    thresholds, csum, rho = [], 0.0, 0
-    for j, c in enumerate(sorted(u, reverse=True), 1):
-        csum += c
-        t = (csum - 1.0) / j
-        rho += c > t
-        thresholds.append(t)
-    tau = thresholds[rho - 1] if rho else 0.0
-    return [d if (d := c - tau) > 0.0 else 0.0 for c in u]
+    k = len(u)
+    lines = [f"{', '.join(f'c{j}' for j in range(1, k + 1))}, = sorted(({', '.join(u)},), reverse=True)"]
+    lines += ["s = c1", "t1 = s - 1.0"]
+    for j in range(2, k + 1):
+        lines += [f"s = s + c{j}", f"t{j} = (s - 1.0) / {j}"]
+    count, rho = summed("rho", "(c1 > t1)", [f"(c{j} > t{j})" for j in range(2, k + 1)])
+    lines += count + [f"tau = (0.0, {', '.join(f't{j}' for j in range(1, k + 1))})[{rho}]"]
+    return lines + [f"{xi} = d if (d := {ui} - tau) > 0.0 else 0.0" for ui, xi in zip(u, x)]
+
+
+def _choice_source(leaves) -> str:
+    """Source of choice(y): the choice maps of the leaf regularizers, laid side
+    by side, on one list of floats y, into a list.  See BlockChoiceMap."""
+    dim = sum(reg.dim for reg in leaves)
+    y, x = [f"y{i}" for i in range(dim)], [f"x{i}" for i in range(dim)]
+    body = [
+        f"{', '.join(y)}, = y",  # nan and inf both poison the sum
+        f"if not isfinite({_add_reduce_source(y)}):",
+        "    raise ValueError('choice map requires finite payoff vector')",
+    ]
+    narrow = [r.dim for r in leaves if (r.kind, r.domain) == ("euclidean", "simplex") and r.dim < _PAD_BELOW]
+    pair = max(narrow, default=0) == 2  # the two-coordinate rule serves blocks of 1 and 2, as in the array group
+    shifted, halved = [], []  # the inputs of the one np.exp and the one np.tanh call
+    exps, tanhs = [], []  # their outputs: entropy simplex blocks, entropy box coordinates
+    start = 0
+    for reg in leaves:
+        block, xs = range(start, start + reg.dim), x[start : start + reg.dim]
+        start += reg.dim
+        factor = _factor(reg)
+        u = [y[i] if factor == 1.0 else f"u{i}" for i in block]  # x / 1.0 is x
+        if factor != 1.0:
+            body += [f"u{i} = y{i} / {literal(factor)}" for i in block]
+        if (reg.kind, reg.domain) == ("entropy", "simplex"):
+            m = u[0] if reg.dim == 1 else f"m{block[0]}"
+            if reg.dim > 1:
+                body.append(f"{m} = max({', '.join(u)})")
+            shifted += [f"{c} - {m}" for c in u]
+            exps.append(xs)
+        elif (reg.kind, reg.domain) == ("entropy", "box"):
+            halved += [f"0.5 * {c}" for c in u]
+            tanhs += xs
+        elif reg.domain == "box":  # min(max(u + 0.5, 0.0), 1.0)
+            body += [f"{xi} = 1.0 if (v := {c} + 0.5) >= 1.0 else v if v > 0.0 else 0.0" for xi, c in zip(xs, u)]
+        elif pair and reg.dim <= 2:
+            body += _pair_source(u, xs)
+        else:
+            body += _sorted_source(u, xs)
+    if tanhs:
+        body.append(f"{', '.join(tanhs)}, = tanh([{', '.join(halved)}]).tolist()")
+        body += [f"{h} = 0.5 * (1.0 + {h})" for h in tanhs]
+    if exps:
+        body.append(f"{', '.join(e for block in exps for e in block)}, = exp([{', '.join(shifted)}]).tolist()")
+        for block in exps:
+            body.append(f"z = {_add_reduce_source(block)}")
+            body += [f"{e} = {e} / z" for e in block]
+    return "\n    ".join(["def choice(y):", *body, f"return [{', '.join(x)}]"]) + "\n"
 
 
 class BlockChoiceMap:
@@ -357,14 +453,16 @@ class BlockChoiceMap:
     exactly as the block alone would be, on either of two paths chosen by
     y's type, and both give the same bits.
 
-    A list of Python floats (one trajectory) is mapped on floats, into a
-    list, with no numpy call per block.  The scale division, the row max
-    and shift, the division by the softmax sum, the sorted projection and
-    the box clip are single IEEE operations, which round alike in Python
-    and numpy, and every sum, the finiteness check's too, follows numpy's
-    order (_add_reduce).  numpy keeps one np.exp call for all entropy-simplex
-    coordinates and one np.tanh call for all entropy-box ones, since
-    numpy's exp and tanh may differ from libm's.
+    A list of Python floats (one trajectory) is mapped into a list by
+    straight-line Python that _choice_source writes for these regularizers
+    on the first list call (arrays never generate any), compiled once per
+    source text (compiled).  The scale divisions (none where the factor is
+    1.0), the row max and shift, the division by the softmax sum, the
+    projection rules and the box clip are single IEEE operations, which
+    round alike in Python and numpy; every sum, the finiteness check's too,
+    is written out in numpy's order; and numpy keeps one np.exp call for all
+    entropy simplex coordinates and one np.tanh call for all entropy box
+    ones, as numpy's may differ from libm's: the array path's bits and errors.
 
     An array y, 1-D or batched, maps all blocks of one kind and domain in one
     call on a (..., count, width) array, with the scales (and the
@@ -387,14 +485,15 @@ class BlockChoiceMap:
     """
 
     def __init__(self, regs):
-        groups, single, start = {}, {key: [] for key in _UNIT_CHOICE}, 0
-        for reg in _leaves(regs):
+        self.leaves = tuple(_leaves(regs))
+        self.floats = None  # the generated map of one list of floats, once a list comes
+        groups, start = {}, 0
+        for reg in self.leaves:
             box = reg.domain == "box"  # coordinatewise: one block per coordinate
             blocks = [(c, 1) for c in range(start, start + reg.dim)] if box else [(start, reg.dim)]
             wide = 0 if box or reg.dim < _PAD_BELOW else reg.dim
             group = groups.setdefault((reg.kind, reg.domain, wide), [])
             group.extend((first, dim, _factor(reg)) for first, dim in blocks)
-            single[reg.kind, reg.domain].extend((first, first + dim) for first, dim in blocks)
             start += reg.dim
         plans, back, offset = [], np.empty(start, dtype=np.intp), 0
         for (kind, domain, _), blocks in groups.items():
@@ -418,24 +517,15 @@ class BlockChoiceMap:
         self.plans = tuple(plans)
         # None when the groups' outputs, concatenated, already are x in order
         self.back = None if np.array_equal(back, np.arange(offset)) else back
-        # the list path's factor per coordinate and (first, stop) blocks by map, box coordinates
-        # one by one; a euclidean simplex block takes the two-coordinate rule where its group does
-        self.factors = tuple(float(_factor(reg)) for reg in _leaves(regs) for _ in range(reg.dim))
-        self.softmax = tuple(single["entropy", "simplex"])
-        self.sigmoid = tuple(i for i, _ in single["entropy", "box"])
-        self.clip = tuple(i for i, _ in single["euclidean", "box"])
-        pair = max((dim for _, dim, _ in groups.get(("euclidean", "simplex", 0), ())), default=0) == 2
-        euclid = single["euclidean", "simplex"]
-        self.pair = tuple(b for b in euclid if pair and b[1] - b[0] <= 2)
-        self.sort = tuple(b for b in euclid if not (pair and b[1] - b[0] <= 2))
 
     def __call__(self, y):
-        floats = isinstance(y, list)
-        # one reduction, in numpy's order on either path; nan and inf both poison the sum
-        if not isfinite(_add_reduce(y) if floats else np.add.reduce(y, axis=None)):
+        if isinstance(y, list):
+            if self.floats is None:
+                self.floats = compiled(_choice_source(self.leaves))
+            return self.floats(y)
+        # one reduction, in the order the float code writes out; nan and inf both poison the sum
+        if not isfinite(np.add.reduce(y, axis=None)):
             raise ValueError("choice map requires finite payoff vector")
-        if floats:
-            return self._single(y)
         lead = y.shape[:-1]
         parts = []
         for index, scale, pad, shape, unit_map in self.plans:
@@ -453,40 +543,6 @@ class BlockChoiceMap:
         # a gathered group maps to an F-ordered output, and so does the
         # gather back; np.take would first copy x into C order
         return np.ascontiguousarray(x)
-
-    def _single(self, v):
-        u = list(map(truediv, v, self.factors))  # the scaled payoffs
-        x = u[:]  # every entry is overwritten
-        for first, stop in self.pair:
-            if stop - first == 2:
-                a, b = u[first], u[first + 1]
-                wide = (a + b - 1.0) / 2
-                tau = wide if (a if a < b else b) > wide else (b if a < b else a) - 1.0
-                d, e = a - tau, b - tau
-                x[first], x[first + 1] = d if d > 0.0 else 0.0, e if e > 0.0 else 0.0
-            else:  # padded with -inf: wide is -inf, tau is a - 1
-                a = u[first]
-                d = a - (a - 1.0)
-                x[first] = d if d > 0.0 else 0.0
-        for first, stop in self.sort:
-            x[first:stop] = _project_floats(u[first:stop])
-        for i in self.clip:
-            x[i] = min(max(u[i] + 0.5, 0.0), 1.0)
-        if self.sigmoid:
-            for i, c in zip(self.sigmoid, np.tanh([0.5 * u[i] for i in self.sigmoid]).tolist()):
-                x[i] = 0.5 * (1.0 + c)
-        if self.softmax:
-            shifted = []
-            for first, stop in self.softmax:
-                m = max(u[first:stop])
-                shifted += [c - m for c in u[first:stop]]
-            e, pos = np.exp(shifted).tolist(), 0
-            for first, stop in self.softmax:
-                end = pos + stop - first
-                s = _add_reduce(e[pos:end])
-                x[first:stop] = [c / s for c in e[pos:end]]
-                pos = end
-        return x
 
 
 def choice_map(reg: AnyRegularizer, y):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+from math import isfinite
+from operator import add, itemgetter, mul, truediv
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,8 @@ from hamgame import (
     reduce_bipartite_to_two_agent,
     simulate,
 )
-from hamgame.dynamics import KERNELS, _Flow
+from hamgame.dynamics import KERNELS, PayoffOperator, _Flow
+from hamgame.regularizers import BlockChoiceMap
 
 MP_MATRIX = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -227,6 +232,178 @@ def _ref_motion(game, y0, X, t):
                     z = z + bv * t
         out.append(z)
     return out
+
+
+# Frozen copy of the float path that straight-line generated code replaced:
+# BlockChoiceMap's per-block loops on a list (_single, _project_floats and the
+# replayed numpy sum _add_reduce) and PayoffOperator's loop product, field and
+# motion on lists.  The generated code must reproduce its bits and errors.
+
+
+def frozen_add_reduce(v):
+    """np.add.reduce of a list of floats, bit for bit (builtin sum() compensates)."""
+    n = len(v)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return frozen_add_reduce(v[:half]) + frozen_add_reduce(v[half:])
+    s, end = 0.0, n - n % 8
+    if end:
+        r = v[:8]
+        for i in range(8, end, 8):
+            r = list(map(add, r, v[i : i + 8]))
+        s += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for c in v[end:]:
+        s += c
+    return s
+
+
+def frozen_project_floats(u):
+    """project_simplex on a list of floats: the sorted rule, operation for operation."""
+    thresholds, csum, rho = [], 0.0, 0
+    for j, c in enumerate(sorted(u, reverse=True), 1):
+        csum += c
+        t = (csum - 1.0) / j
+        rho += c > t
+        thresholds.append(t)
+    tau = thresholds[rho - 1] if rho else 0.0
+    return [d if (d := c - tau) > 0.0 else 0.0 for c in u]
+
+
+class FrozenFloatChoice:
+    """BlockChoiceMap on one list of floats, as per-block loops."""
+
+    def __init__(self, regs):
+        leaves = list(_frozen_leaves(regs))
+        prescale = {("euclidean", "simplex"): 2.0, ("euclidean", "box"): 4.0}
+        self.factors = [float(r.scale * prescale.get((r.kind, r.domain), 1.0)) for r in leaves for _ in range(r.dim)]
+        single, start = {}, 0
+        for reg in leaves:
+            box = reg.domain == "box"
+            blocks = [(c, c + 1) for c in range(start, start + reg.dim)] if box else [(start, start + reg.dim)]
+            single.setdefault((reg.kind, reg.domain), []).extend(blocks)
+            start += reg.dim
+        self.softmax = single.get(("entropy", "simplex"), [])
+        self.sigmoid = [i for i, _ in single.get(("entropy", "box"), [])]
+        self.clip = [i for i, _ in single.get(("euclidean", "box"), [])]
+        euclid = single.get(("euclidean", "simplex"), [])
+        pair = max((b - a for a, b in euclid if b - a < 8), default=0) == 2
+        self.pair = [b for b in euclid if pair and b[1] - b[0] <= 2]
+        self.sort = [b for b in euclid if not (pair and b[1] - b[0] <= 2)]
+
+    def __call__(self, v):
+        if not isfinite(frozen_add_reduce(v)):
+            raise ValueError("choice map requires finite payoff vector")
+        u = list(map(truediv, v, self.factors))
+        x = u[:]
+        for first, stop in self.pair:
+            if stop - first == 2:
+                a, b = u[first], u[first + 1]
+                wide = (a + b - 1.0) / 2
+                tau = wide if (a if a < b else b) > wide else (b if a < b else a) - 1.0
+                d, e = a - tau, b - tau
+                x[first], x[first + 1] = d if d > 0.0 else 0.0, e if e > 0.0 else 0.0
+            else:
+                a = u[first]
+                d = a - (a - 1.0)
+                x[first] = d if d > 0.0 else 0.0
+        for first, stop in self.sort:
+            x[first:stop] = frozen_project_floats(u[first:stop])
+        for i in self.clip:
+            x[i] = min(max(u[i] + 0.5, 0.0), 1.0)
+        if self.sigmoid:
+            for i, c in zip(self.sigmoid, np.tanh([0.5 * u[i] for i in self.sigmoid]).tolist()):
+                x[i] = 0.5 * (1.0 + c)
+        if self.softmax:
+            shifted = []
+            for first, stop in self.softmax:
+                m = max(u[first:stop])
+                shifted += [c - m for c in u[first:stop]]
+            e, pos = np.exp(shifted).tolist(), 0
+            for first, stop in self.softmax:
+                end = pos + stop - first
+                s = frozen_add_reduce(e[pos:end])
+                x[first:stop] = [c / s for c in e[pos:end]]
+                pos = end
+        return x
+
+
+def _frozen_leaves(regs):
+    for reg in regs:
+        if isinstance(reg, ProductRegularizer):
+            yield from _frozen_leaves(reg.blocks)
+        else:
+            yield reg
+
+
+class FrozenFloatProduct:
+    """PayoffOperator's linear, field and motion on lists, as loops over gathered rows."""
+
+    def __init__(self, game):
+        starts = np.cumsum((0,) + tuple(game.strategy_counts)).tolist()
+        self.terms = []
+        for i, k in enumerate(game.strategy_counts):
+            cols = [j for j in range(game.n) if (i, j) in game.payoffs]
+            index = [c for j in cols for c in range(starts[j], starts[j + 1])]
+            lo, hi = (index[0], index[-1] + 1) if index else (0, 0)
+            take = itemgetter(slice(lo, hi)) if hi - lo == len(index) else itemgetter(*index)
+            coefs = [[a for j in cols for a in game.payoffs[(i, j)][r].tolist()] for r in range(k)]
+            self.terms.append((take, coefs))
+        self.drift = None
+        if isinstance(game, GeneralizedGame) and game.b:
+            drift = np.zeros(starts[-1])
+            for (i, j), bv in sorted(game.b.items()):
+                drift[starts[i] : starts[i + 1]] += 1.0 * bv
+            self.drift = drift.tolist()
+
+    def linear(self, x):
+        out = []
+        for take, coefs in self.terms:
+            v = take(x)
+            for row in coefs:
+                s = 0.0
+                for p in map(mul, row, v):
+                    s += p
+                out.append(s)
+        return out
+
+    def field(self, x):
+        out = self.linear(x)
+        return out if self.drift is None else [s + b for s, b in zip(out, self.drift)]
+
+    def motion(self, y0, X, t):
+        z = self.linear(X)
+        if self.drift is None:
+            return [a + s for a, s in zip(y0, z)]
+        return [a + s + b * t for a, s, b in zip(y0, z, self.drift)]
+
+
+@contextlib.contextmanager
+def frozen_float_path():
+    """BlockChoiceMap and PayoffOperator map lists through the frozen float path."""
+    choice_call = BlockChoiceMap.__call__
+    methods = {name: getattr(PayoffOperator, name) for name in ("linear", "field", "motion")}
+
+    def frozen(obj, make):
+        if not hasattr(obj, "_frozen"):
+            obj._frozen = make()
+        return obj._frozen
+
+    def call(self, y):
+        return frozen(self, lambda: FrozenFloatChoice(self.leaves))(y) if isinstance(y, list) else choice_call(self, y)
+
+    def product(name):
+        def method(self, *args):
+            if isinstance(args[-2 if name == "motion" else 0], list):
+                return getattr(frozen(self, lambda: FrozenFloatProduct(self.game)), name)(*args)
+            return methods[name](self, *args)
+
+        return method
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BlockChoiceMap, "__call__", call)
+        for name in methods:
+            mp.setattr(PayoffOperator, name, product(name))
+        yield
 
 
 def _random_case(family, counts, seed, batch):

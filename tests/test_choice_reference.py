@@ -11,9 +11,12 @@ changes, which grouped blocks by (kind, domain, dimension), always sorted
 with np.sort, divided by 2 or 4 inside the unit maps and joined the row
 blocks' products with np.concatenate.  Outputs must agree bit for bit.
 
-On a list, `PayoffOperator` sums in a fixed order instead of BLAS's, and
-`_add_reduce` replays numpy's pairwise sum; both are checked against
-explicit loops or numpy itself.
+On a list of floats (one trajectory), both run straight-line code
+generated per game.  `PayoffOperator` sums in a fixed order instead of
+BLAS's, and the choice map's sums replay numpy's pairwise order; both are
+checked against explicit loops or numpy itself, and bit for bit against
+the frozen float path of conftest (per-block loops and a loop product)
+that the generated code replaced.
 """
 
 from math import isfinite
@@ -25,16 +28,25 @@ from hypothesis import strategies as st
 
 from hamgame import (
     GeneralizedGame,
+    IntegratorConfig,
     NetworkGame,
     ProductRegularizer,
     Regularizer,
     choice_map,
     project_simplex,
+    select_energy,
+    simulate,
 )
 from hamgame.dynamics import PayoffOperator
-from hamgame.regularizers import BlockChoiceMap, _add_reduce
+from hamgame.regularizers import BlockChoiceMap, _add_reduce_source, compiled
 
-from conftest import MP_MATRIX, zero_sum_from_edges
+from conftest import (
+    MP_MATRIX,
+    FrozenFloatChoice,
+    FrozenFloatProduct,
+    frozen_add_reduce,
+    zero_sum_from_edges,
+)
 
 
 def _ref_project_simplex(v):
@@ -293,7 +305,7 @@ def test_two_coordinate_ties_and_signed_zeros():
 def test_wide_blocks_group_by_dimension():
     # numpy sums 8 or more terms pairwise, so -inf padding past 8 columns
     # would reorder the softmax sum; such blocks keep a group per dimension.
-    # A list sums such a block in numpy's pairwise order (_add_reduce)
+    # A list sums such a block in numpy's pairwise order, written out
     regs = [Regularizer("entropy", "simplex", d, 0.7) for d in (2, 7, 8, 9, 12, 5)]
     rng = np.random.default_rng(4)
     y = 3.0 * rng.normal(size=(500, sum(r.dim for r in regs)))
@@ -327,9 +339,12 @@ def test_overflowing_sum_raises_on_both_paths():
 
 def test_add_reduce_matches_numpy():
     # below 8 terms, 8 to 128 (eight running sums) and above 128 (halves),
-    # with overflow partway, signed zeros and cancellation
+    # with overflow partway, signed zeros and cancellation: the generated
+    # sum against numpy and against the frozen replay of numpy's order
     rng = np.random.default_rng(12)
     for width in range(1, 301):
+        names = [f"v{i}" for i in range(width)]
+        add_reduce = compiled(f"def add_reduce(v):\n    {', '.join(names)}, = v\n    return {_add_reduce_source(names)}\n")
         signs = rng.choice([-1.0, 1.0], size=width)
         cases = [
             rng.normal(size=width) * 10.0 ** rng.uniform(-20, 20, size=width),
@@ -341,12 +356,13 @@ def test_add_reduce_matches_numpy():
         for v in cases:
             with np.errstate(over="ignore", invalid="ignore"):
                 want = np.add.reduce(v, axis=None)
-            got = _add_reduce(v.tolist())
+            got = add_reduce(v.tolist())
             assert type(got) is float
             if np.isnan(want):
-                assert np.isnan(got), (width, v)
+                assert np.isnan(got) and np.isnan(frozen_add_reduce(v.tolist())), (width, v)
             else:
                 _assert_same_bits(got, want)
+                _assert_same_bits(got, frozen_add_reduce(v.tolist()))
 
 
 def _affine_box_game(rng):
@@ -421,3 +437,112 @@ def test_float_payoff_product_fixed_order(name):
             rows.append(got)
         # against BLAS on the batch, the product the list path replaces
         np.testing.assert_allclose(np.array(rows), op.linear(x), rtol=1e-13, atol=1e-13 * scale)
+
+
+# ---------------------------------------------------------------------------
+# The generated float code against the frozen float path it replaced
+
+
+@st.composite
+def float_payoffs(draw, dim):
+    """One start's floats: magnitudes up to 1e17, exact ties and signed zeros,
+    and now and then entries near the largest float, whose sums overflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    magnitude = draw(st.sampled_from([1e-6, 1e-2, 1.0, 10.0, 1e3, 1e6, 1e17]))
+    y = magnitude * rng.normal(size=dim)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, magnitude, -magnitude, 1.7e308, -1.7e308])
+    ties = rng.uniform(size=dim) < draw(st.sampled_from([0.0, 0.3, 0.8]))
+    y[ties] = rng.choice(pool[: draw(st.sampled_from([7, 9]))], size=int(ties.sum()))
+    head = draw(st.lists(st.floats(-1e17, 1e17, allow_nan=False), max_size=min(dim, 8)))
+    y[: len(head)] = head
+    return y.tolist()
+
+
+def _same_outcome(got, want):
+    """got() and want() return the same bits, or raise the same ValueError."""
+    with np.errstate(all="ignore"):
+        try:
+            expected = want()
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                got()
+            return
+        out = got()
+    assert type(out) is list and all(type(c) is float for c in out)
+    _assert_same_bits(out, expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(regs=regularizers(), bad=st.sampled_from([None, np.nan, np.inf, -np.inf]), data=st.data())
+def test_float_choice_matches_frozen_float_path(regs, bad, data):
+    y = data.draw(float_payoffs(sum(r.dim for r in regs)))
+    if bad is not None:
+        y[data.draw(st.integers(0, len(y) - 1))] = bad
+    block, frozen = BlockChoiceMap(regs), FrozenFloatChoice(regs)
+    _same_outcome(lambda: block(y), lambda: frozen(y))
+    if bad is not None:
+        with pytest.raises(ValueError, match="finite"):
+            block(y)
+
+
+@st.composite
+def float_games(draw):
+    """1 to 4 agents of 1 to 6 strategies on random edges, coefficients with
+    zeros and signed zeros up to 1e17, now and then inf or a nan of either
+    sign; zero-sum with affine drifts, or untagged with one-sided edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    n, magnitude = len(counts), draw(st.sampled_from([1e-3, 1.0, 1e6, 1e17]))
+    bad = draw(st.sampled_from([0.0, 0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0)]))
+
+    def matrix(rows, cols, bad=bad):
+        a = magnitude * rng.normal(size=(rows, cols))
+        zeros = rng.uniform(size=a.shape) < 0.3
+        a[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        if bad and rng.uniform() < 0.5:
+            a[rng.integers(rows), rng.integers(cols)] = bad
+        return a
+
+    if draw(st.booleans()):  # zero-sum, affine
+        payoffs = {}
+        for i, j in [(i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < 0.7]:
+            a = matrix(counts[i], counts[j], bad=0.0)  # bad goes into the drifts
+            payoffs[(i, j)], payoffs[(j, i)] = a, -a.T
+        b = {e: matrix(1, counts[e[0]])[0] for e in payoffs if rng.uniform() < 0.6}
+        return GeneralizedGame(counts, payoffs, sigma=-1, b=b)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j and rng.uniform() < 0.6]
+    return NetworkGame(counts, {(i, j): matrix(counts[i], counts[j]) for i, j in pairs})
+
+
+@settings(max_examples=300, deadline=None)
+@given(game=float_games(), t=st.sampled_from([0.0, 0.05, 0.30000000000000004, 7.25, 1e6]), data=st.data())
+def test_float_product_matches_frozen_float_path(game, t, data):
+    op, frozen = PayoffOperator(game), FrozenFloatProduct(game)
+    x, y0 = data.draw(float_payoffs(op.dim)), data.draw(float_payoffs(op.dim))
+    _same_outcome(lambda: op.linear(x), lambda: frozen.linear(x))
+    _same_outcome(lambda: op.field(x), lambda: frozen.field(x))
+    _same_outcome(lambda: op.motion(y0, x, t), lambda: frozen.motion(y0, x, t))
+
+
+def test_array_use_generates_no_code():
+    rng = np.random.default_rng(3)
+    game = GAMES["affine_box"](rng)
+    regs = (
+        Regularizer("entropy", "box", 1),
+        Regularizer("euclidean", "simplex", 3, 0.5),
+        Regularizer("euclidean", "box", 1),
+        Regularizer("entropy", "simplex", 2, 2.0),
+    )
+    before = compiled.cache_info()
+    op = PayoffOperator(game)
+    for x in (rng.uniform(size=7), rng.uniform(size=(5, 7))):
+        op.linear(x), op.field(x), op.motion(x, x, 0.5)
+        BlockChoiceMap(regs)(x)
+    energy, _ = select_energy(game, regs)
+    y = rng.normal(size=(3, 7))
+    energy(y, y, y[0], np.zeros((3, 1)))
+    y0 = tuple(rng.normal(size=(4, k)) for k in game.strategy_counts)
+    for scheme in ("euler", "rk4", "leapfrog"):
+        simulate(game, regs, y0, IntegratorConfig(scheme, 0.05, 0.5, 2))
+    after = compiled.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)

@@ -14,6 +14,7 @@ from hamgame import (
     IntegratorConfig,
     NetworkGame,
     Regularizer,
+    ProductRegularizer,
     choice_map,
     conjugate_value,
     default_regularizers,
@@ -30,10 +31,12 @@ from hamgame.regularizers import payoff_limit
 
 from conftest import (
     MP_MATRIX,
+    FrozenFloatProduct,
     _random_case,
     _ref_choice,
     _ref_field,
     _ref_motion,
+    frozen_float_path,
     harmonic_orbit,
     leapfrog_there_and_back,
     mp_start,
@@ -459,7 +462,8 @@ class TestIntegratorConfig:
 # copy of the earlier per-agent tuple steppers, on the per-agent choice maps,
 # field and motions of conftest, so it shares no arithmetic with the code
 # under test.  For one trajectory its field and motions also come as explicit
-# float loops in the order of the float payoff product.
+# float loops in the order of the float payoff product, and the whole run is
+# replayed on the frozen float path (conftest) that generated code replaced.
 
 
 def _ref_product_floats(game, i, xs):
@@ -591,6 +595,17 @@ def test_flat_loop_matches_tuple_steppers(family, counts, seed, batch, scheme, e
     assert_matches(reference(floats=batch is None), exact=game.n == 2)
     if batch is None:  # against the BLAS products the float product replaced
         assert_matches(reference(floats=False), exact=False)
+        with frozen_float_path():
+            frozen = simulate(game, regs, y0, config, energy="none")
+        _assert_same_run(traj, frozen)
+
+
+def _assert_same_run(got, want):
+    """Two runs with the same bits in t, y, X, x and H, and the same diagnostics."""
+    for a, b in ((got.t, want.t), (got.y, want.y), (got.X, want.X), (got.x, want.x), (got.energy, want.energy)):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert got.metadata["diagnostics"] == want.metadata["diagnostics"]
 
 
 @settings(max_examples=80, deadline=None)
@@ -616,3 +631,74 @@ def test_single_run_matches_one_row_batch(family, counts, seed, scheme, steps, s
     for a, b in ((one.y, batch.y), (one.X, batch.X), (one.x, batch.x), (one.energy, batch.energy)):
         assert b.shape == (len(one.t), 1) + a.shape[1:]
         np.testing.assert_allclose(a, b[:, 0], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["entropy", "euclidean"])
+def test_rows_of_3000_terms_compile_and_match_frozen_product(kind):
+    # agent 0's rows hold 3,600 stored terms: one generated expression that
+    # long overflows the compiler's recursion, so the sums run on in chunks;
+    # agents 1 and 2 are not joined, which keeps the code to 14,400 terms
+    rng = np.random.default_rng(11)
+    counts = (2, 1800, 1800)
+    payoffs = {}
+    for i, j in ((0, 1), (0, 2)):
+        a = rng.normal(size=(counts[i], counts[j]))
+        a[rng.uniform(size=a.shape) < 0.1] = 0.0
+        payoffs[(i, j)], payoffs[(j, i)] = a, -a.T
+    b = {(0, 1): rng.normal(size=2), (2, 1): rng.normal(size=1800)}
+    game = GeneralizedGame(counts, payoffs, sigma=-1, b=b)
+    op, frozen = PayoffOperator(game), FrozenFloatProduct(game)
+    x, y0 = rng.uniform(size=op.dim).tolist(), rng.normal(size=op.dim).tolist()
+    for got, want in ((op.linear(x), frozen.linear(x)), (op.field(x), frozen.field(x)),
+                      (op.motion(y0, x, 0.35), frozen.motion(y0, x, 0.35))):
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+    wide = ProductRegularizer((Regularizer(kind, dim=1000), Regularizer(kind, dim=800)))
+    regs = (Regularizer("euclidean", dim=2), Regularizer(kind, dim=1800), wide)
+    start = tuple(0.1 * rng.normal(size=k) for k in counts)
+    for scheme in ("euler", "symplectic_leapfrog"):
+        config = IntegratorConfig(scheme, 1e-3, 3e-3, 1)
+        traj = simulate(game, regs, start, config)
+        with frozen_float_path():
+            _assert_same_run(traj, simulate(game, regs, start, config))
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [(w, b) for w in ("payoff", "drift") for b in (np.inf, -np.inf, np.nan)] + [("scale", np.inf)],
+)
+def test_non_finite_coefficients_truncate_as_before(where, bad):
+    # non-finite constants are bound by name in the generated code: the run
+    # still truncates at the same step with the same diagnosis (an infinite
+    # scale maps every payoff to the centre and never blows up)
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(2, 3))
+    scale = bad if where == "scale" else 1.0
+    regs = (Regularizer("entropy", dim=2, scale=scale), Regularizer("euclidean", dim=3, scale=scale))
+    if where == "payoff":
+        a[1, 2] = bad
+        game = NetworkGame((2, 3), {(0, 1): a, (1, 0): rng.normal(size=(3, 2))})
+    else:
+        b = {(1, 0): np.array([0.5, bad if where == "drift" else 0.5, -0.5])}
+        game = GeneralizedGame((2, 3), {(0, 1): a, (1, 0): -a.T}, sigma=-1, b=b)
+    y0 = (np.array([0.2, -0.1]), np.array([0.1, 0.0, -0.3]))
+    schemes = ["euler", "rk4"] + (["symplectic_leapfrog"] if game.sigma else [])
+    for scheme in schemes:
+        config = IntegratorConfig(scheme, 0.05, 0.5, 1)
+        with np.errstate(all="ignore"):
+            got = _outcome(lambda: simulate(game, regs, y0, config))
+            with frozen_float_path():
+                want = _outcome(lambda: simulate(game, regs, y0, config))
+        if isinstance(want, ValueError):  # an rk4 stage maps a non-finite point
+            assert isinstance(got, ValueError) and str(got) == str(want)
+            continue
+        _assert_same_run(got, want)
+        if scheme == "euler" and where != "scale":
+            assert got.metadata["diagnostics"]["truncated"]
+            assert got.metadata["diagnostics"]["reason"] == "non-finite payoff vector"
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ValueError as err:
+        return err
