@@ -22,15 +22,20 @@ for affine games, the summed drift b, so the field dy/dt is
 PayoffOperator.field, x @ M' (+ b), and the motion reconstructed from the
 positions is y0 + X @ M' (+ b t).  The choice maps act blockwise
 (regularizers.BlockChoiceMap); a product regularizer contributes its
-blocks.  One loop in simulate serves every scheme, and it evaluates x only
-where a stage or a recorded snapshot needs it.  A cloud of initial
-conditions evolves as one vectorized trajectory; one start steps on lists
-of Python floats, as numpy's per-call cost on 2 to 20 floats dominates.
-Its choice map and payoff product are straight-line Python generated for
-the game on their first list call and compiled once per source text
-(regularizers.compiled), every stored term in a fixed order, so they keep
-the bits of the loops they replaced; numpy keeps only the choice map's exp
-and tanh, the recorded rows and the readings.  SystemState is the
+blocks.  x is evaluated only where a stage or a recorded snapshot needs
+it.  A cloud of initial conditions evolves as one vectorized trajectory,
+one kernel call (KERNELS) per step.  One start runs on Python floats, as
+numpy's per-call cost on 2 to 20 floats dominates: one function generated
+per (game, leaf regularizers, scheme) steps it from one snapshot to the
+next on local variables, stage points, choice map, payoff field, running
+sums, kicks and blow-up check written out in straight-line Python, and
+returns lists only at a snapshot or at the step that fails.  It is
+compiled once per content (_Flow.loop_key: the matrices' and the drift's
+bytes, the leaves, the counts and the limits), and it keeps the bits of
+the array kernels' operations in their order, every stored payoff term
+in a fixed order; numpy keeps only the choice map's exp and tanh, the
+recorded rows and the readings.  A stage point or a kick whose payoffs
+are not finite truncates the run, as a blow-up does.  SystemState is the
 per-agent view of one phase-space point.
 """
 
@@ -39,12 +44,16 @@ from __future__ import annotations
 import platform
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from time import perf_counter
 
 import numpy as np
 
 from .games import GeneralizedGame, NetworkGame
-from .regularizers import BlockChoiceMap, choice_map, compiled, fenchel_bregman, literal, payoff_limit, summed
+from .regularizers import (
+    BlockChoiceMap, NonFinitePayoff, choice_lines, choice_map, compiled, define, fenchel_bregman, literal, payoff_limit,
+    summed,
+)
 
 SCHEMES = ("euler", "rk4", "symplectic_leapfrog")
 SCHEME_ALIASES = {"leapfrog": "symplectic_leapfrog"}
@@ -137,9 +146,10 @@ class PayoffOperator:
     output r of agent i as 0.0 + A[i, j][r, c] * x_j[c] + ... over every
     stored entry, zeros included, neighbours j and columns c ascending, a
     fixed order, unlike BLAS on a handful of floats; field then adds b,
-    and motion is y0 + (that sum) + b * t.  The affine terms b[i, j] of a
-    generalized game are kept by edge, so that the energy variants can
-    weigh them edge by edge.
+    and motion is y0 + (that sum) + b * t (_product_terms, whose statements
+    the single-trajectory loops also write out).  The affine terms b[i, j]
+    of a generalized game are kept by edge, so that the energy variants
+    can weigh them edge by edge.
     """
 
     def __init__(self, game: NetworkGame):
@@ -221,29 +231,49 @@ class PayoffOperator:
 
     def _source(self, name):
         """Source of linear(x), field(x) or motion(y0, X, t) on lists of floats."""
-        game, motion = self.game, name == "motion"
-        drift = [] if self.drift is None or name == "linear" else self.drift.tolist()
-        body = [f"{', '.join(f'x{c}' for c in range(self.dim))}, = {'X' if motion else 'x'}"]
+        motion = name == "motion"
+        x = [f"x{c}" for c in range(self.dim)]
+        head = [f"{', '.join(x)}, = {'X' if motion else 'x'}"]
+        y0 = [f"a{r}" for r in range(self.dim)] if motion else None
         if motion:
-            body.append(f"{', '.join(f'a{r}' for r in range(self.dim))}, = y0")
-        out = []
-        for i, k in enumerate(game.strategy_counts):
-            cols = [j for j in range(game.n) if (i, j) in game.payoffs]
-            for r in range(k):
-                terms = [
-                    f"{literal(a)}*x{self.slices[j].start + c}"
-                    for j in cols for c, a in enumerate(game.payoffs[(i, j)][r].tolist())
-                ]
-                n = len(out)
-                lines, s = summed(f"p{n}", "0.0", terms)
-                body += lines
-                if motion:
-                    s = f"a{n} + ({s})"
-                if drift:
-                    s += f" + {literal(drift[n])}*t" if motion else f" + {literal(drift[n])}"
-                out.append(s)
+            head.append(f"{', '.join(y0)}, = y0")
+        drift = None if self.drift is None or name == "linear" else self.drift.tolist()
+        lines, sums = _product_terms(self.game.strategy_counts, self.game.payoffs, x, drift, y0, "t")
         args = "y0, X, t" if motion else "x"
-        return "\n    ".join([f"def {name}({args}):", *body, f"return [{', '.join(out)}]"]) + "\n"
+        return "\n    ".join([f"def {name}({args}):", *head, *lines, f"return [{', '.join(sums)}]"]) + "\n"
+
+
+def _product_terms(counts, payoffs, x, drift=None, y0=None, t=None):
+    """(statements, expressions) of the payoff product on the names x: output
+    r of agent i is 0.0 + A[i, j][r, c]*x_j[c] + ... over every stored entry,
+    zeros included, neighbours j and columns c ascending, plus drift[r], or
+    y0[r] + (that sum) + drift[r]*t when y0 names the start motions.  Rows
+    longer than _CHAIN terms run on in the temporaries p0, p1, ..."""
+    starts = np.cumsum((0,) + tuple(counts)).tolist()
+    lines, sums = [], []
+    for i, k in enumerate(counts):
+        cols = [j for j in range(len(counts)) if (i, j) in payoffs]
+        for r in range(k):
+            terms = [
+                f"{literal(a)}*{x[starts[j] + c]}"
+                for j in cols for c, a in enumerate(payoffs[(i, j)][r].tolist())
+            ]
+            n = len(sums)
+            more, expr = summed(f"p{n}", "0.0", terms)
+            lines += more
+            if y0 is not None:
+                expr = f"{y0[n]} + ({expr})"
+            if drift is not None:
+                expr += f" + {literal(drift[n])}*{t}" if y0 is not None else f" + {literal(drift[n])}"
+            sums.append(expr)
+    return lines, sums
+
+
+def product_lines(counts, payoffs, x, out, drift=None) -> list[str]:
+    """Statements that set the names out to the payoff product of the names
+    x, plus drift when given (see _product_terms)."""
+    lines, sums = _product_terms(counts, payoffs, x, drift)
+    return lines + [f"{o} = {e}" for o, e in zip(out, sums)]
 
 
 def _shift(u, h, v):  # u + h v, a new array
@@ -255,14 +285,10 @@ def _accumulate(u, h, v):  # u + h v in place, the same bits; no product at h = 
     return u
 
 
-def _shift_floats(u, h, v):  # u + h v on lists of floats, a new list
-    return [a + h * b for a, b in zip(u, v)]
-
-
 class _Flow:
-    """A game, its regularizers and a start y0, compiled for flat stepping: a 1-D
-    start on lists of Python floats, a batched one on arrays, with shift and
-    accumulate the kernels' vector arithmetic on either."""
+    """A game, its regularizers and a start y0 (a flat array), compiled for
+    flat stepping: a 1-D start through its generated loop (advance), a
+    batched one through the array kernels."""
 
     def __init__(self, game: NetworkGame, regs, y0):
         if tuple(r.dim for r in regs) != tuple(game.strategy_counts):
@@ -273,25 +299,41 @@ class _Flow:
         self.op = PayoffOperator(game)
         self.choice = BlockChoiceMap(regs)
         self.field = self.op.field
-        y0 = self.op.join(y0)
-        self.y0 = y0.tolist() if y0.ndim == 1 else y0
-        self.shift, self.accumulate = (_shift_floats,) * 2 if y0.ndim == 1 else (_shift, _accumulate)
+        self.y0 = self.op.join(y0)
         self.sigma = game.sigma
-        # per agent, the |y| past which a step counts as a blow-up; limit is
-        # their minimum, checked against the whole of y once per step
+        # per agent, the |y| past which a step counts as a blow-up; the
+        # array path checks their minimum first, against the whole of y
         self.limits = tuple(min(BLOW_UP_LIMIT, payoff_limit(reg)) for reg in regs)
         self.limit = min(self.limits)
-
-    def zeros(self):
-        """The positions X at t = 0, in the layout of y0."""
-        return [0.0] * len(self.y0) if isinstance(self.y0, list) else np.zeros_like(self.y0)
 
     def kick(self, X, t):
         """The leapfrog force: the field at the motions reconstructed from X."""
         return self.field(self.choice(self.op.motion(self.y0, X, t)))
 
+    def advance(self, scheme):
+        """The single-trajectory loop of scheme on this flow (_loop_source),
+        looked up by content."""
+        if scheme == "symplectic_leapfrog":
+            _require_sigma(self)
+        return _loop(self.loop_key(scheme))
 
-# Flat kernels: (flow, t, y, X, x, force, eta) -> (y, X, force).  x is the
+    def loop_key(self, scheme):
+        """All that the loop's source reads: the scheme, the leaves, the
+        strategy counts, each edge with its matrix's shape and bytes, the
+        summed drift's bytes and the agents' limits.  Bytes keep -0.0 apart
+        from 0.0, and a negative nan apart from a positive one."""
+        game = self.op.game
+        edges = tuple((e, a.shape, a.tobytes()) for e, a in sorted(game.payoffs.items()))
+        drift = None if self.op.drift is None else self.op.drift.tobytes()
+        return scheme, self.choice.leaves, tuple(game.strategy_counts), edges, drift, self.limits
+
+
+def _require_sigma(flow):
+    if flow.sigma not in (-1, 1):
+        raise ValueError("no Hamiltonian structure certified: game has no sigma tag")
+
+
+# Array kernels: (flow, t, y, X, x, force, eta) -> (y, X, force).  x is the
 # choice map of y when the caller already has it (None otherwise); force is
 # the leapfrog's last kick, (time, kick at X), carried over from the previous step.
 
@@ -303,7 +345,7 @@ def _euler(flow, t, y, X, x, force, eta):
     """
     if x is None:
         x = flow.choice(y)
-    return flow.shift(y, eta, flow.field(x)), flow.shift(X, eta, x), None
+    return _shift(y, eta, flow.field(x)), _shift(X, eta, x), None
 
 
 def _rk4(flow, t, y, X, x, force, eta):
@@ -313,27 +355,26 @@ def _rk4(flow, t, y, X, x, force, eta):
     """
     # k1 + 2 k2 + 2 k3 + k4 as two running sums, added in that order (the same
     # bits); each stage is released before the next choice map runs
-    shift, accumulate = flow.shift, flow.accumulate
     sx = flow.choice(y) if x is None else x
     sy = flow.field(sx)
-    kx = flow.choice(shift(y, 0.5 * eta, sy))
+    kx = flow.choice(_shift(y, 0.5 * eta, sy))
     ky = flow.field(kx)
-    sx = shift(sx, 2.0, kx)  # a new array: x may be the caller's
-    sy = accumulate(sy, 2.0, ky)
+    sx = _shift(sx, 2.0, kx)  # a new array: x may be the caller's
+    sy = _accumulate(sy, 2.0, ky)
     del kx
-    ky = shift(y, 0.5 * eta, ky)  # the third stage's point
+    ky = _shift(y, 0.5 * eta, ky)  # the third stage's point
     kx = flow.choice(ky)
     ky = flow.field(kx)
-    sx = accumulate(sx, 2.0, kx)
-    sy = accumulate(sy, 2.0, ky)
+    sx = _accumulate(sx, 2.0, kx)
+    sy = _accumulate(sy, 2.0, ky)
     del kx
-    ky = shift(y, eta, ky)  # the fourth stage's point
+    ky = _shift(y, eta, ky)  # the fourth stage's point
     kx = flow.choice(ky)
-    sx = accumulate(sx, 1.0, kx)
-    sy = accumulate(sy, 1.0, flow.field(kx))
+    sx = _accumulate(sx, 1.0, kx)
+    sy = _accumulate(sy, 1.0, flow.field(kx))
     del kx, ky
     sixth = eta / 6.0
-    return shift(y, sixth, sy), shift(X, sixth, sx), None
+    return _shift(y, sixth, sy), _shift(X, sixth, sx), None
 
 
 def _leapfrog(flow, t, y, X, x, force, eta):
@@ -343,18 +384,197 @@ def _leapfrog(flow, t, y, X, x, force, eta):
     Each is a shear, so a step is volume-preserving, time-symmetric and second-order.
     It needs sigma in {-1, +1}: only then is the kick force a gradient.
     """
-    if flow.sigma not in (-1, 1):
-        raise ValueError("no Hamiltonian structure certified: game has no sigma tag")
+    _require_sigma(flow)
     half = 0.5 * eta
     if force is None or force[0] != t and flow.op.drift is not None:  # t - eta + eta may not be t
         force = (t, flow.kick(X, t))
-    y_half = flow.shift(y, half, force[1])
-    X = flow.shift(X, eta, flow.choice(y_half))
+    y_half = _shift(y, half, force[1])
+    X = _shift(X, eta, flow.choice(y_half))
     force = (t + eta, flow.kick(X, t + eta))
-    return flow.shift(y_half, half, force[1]), X, force
+    return _shift(y_half, half, force[1]), X, force
 
 
 KERNELS = {"euler": _euler, "rk4": _rk4, "symplectic_leapfrog": _leapfrog}
+
+
+# The single-trajectory loops: one generated function per (scheme, leaves,
+# game), advance(y0, y, X, carry, i, n, eta), runs one start from step i to
+# step n on local floats and returns (n, y, X, carry, None); carry is the
+# leapfrog's last kick, (time, force).  The step that fails returns (step,
+# y, X, None, stop), with y and X the last finite state and stop either the
+# step's y, some |y_c| past its agent's limit or not finite, or the
+# NonFinitePayoff that a stage point or a kick raised.  The operations are
+# the array kernels' in their order; the choice map and the payoff products
+# are the fragments that the per-call float code is made of, each written
+# once per loop: its tokens set the compile's memory.
+
+
+class _Writer:
+    """The lines of one generated function, with the fragments written into
+    it kept apart, so that their names can be checked (source)."""
+
+    def __init__(self, head):
+        self.lines, self.skeleton, self.fragments = [head], [head], []
+
+    def line(self, depth, text):
+        self.lines.append("    " * depth + text)
+        self.skeleton.append("    " * depth + text)
+
+    def each(self, depth, template, *names):
+        """One statement per coordinate: template filled with each coordinate's names."""
+        for row in zip(*names):
+            self.line(depth, template.format(*row))
+
+    def fragment(self, depth, lines, ins, outs):
+        self.lines += ["    " * depth + text for text in lines]
+        self.skeleton.append("    " * depth + "pass")
+        self.fragments.append((lines, set(ins), set(outs)))
+
+    def source(self):
+        """The source, once no fragment's temporaries can overwrite a name of
+        the loop's and the loop binds no name a fragment reads."""
+        own, read = _names("\n".join(self.skeleton))
+        loop = own | read | {name for _, ins, outs in self.fragments for name in ins | outs}
+        for lines, ins, outs in self.fragments:
+            bound, used = _names("\n".join(["def fragment():", *("    " + text for text in lines)]))
+            clash = ins & outs | (bound - outs) & loop | own & (used - ins)
+            if clash:  # raised, not asserted: python -O would skip the check
+                raise AssertionError(f"generated names collide: {sorted(clash)}")
+        return "\n".join(self.lines) + "\n"
+
+
+def _names(source):
+    """(names bound, other names read) by the one function source defines:
+    its arguments and locals, and the globals and attributes it reads."""
+    code = next(c for c in compile(source, "<generated>", "exec").co_consts if hasattr(c, "co_varnames"))
+    return set(code.co_varnames), set(code.co_names)
+
+
+@lru_cache(maxsize=128)
+def _loop(key):
+    """The compiled loop of one content key (see _Flow.loop_key)."""
+    return define(_loop_source(*key))
+
+
+def _loop_source(scheme, leaves, counts, edges, drift, limits):
+    """Source of advance for scheme on the leaf regularizers, the strategy
+    counts, the edges' (key, shape, bytes), the summed drift's bytes (or
+    None) and the agents' blow-up limits.
+
+    Each step maps its first stage x = choice(y) itself, after the last
+    step's check.  rk4's four stages run in one loop around one choice and
+    one field fragment, the first mapping y itself; the leapfrog's passes
+    share one product and one choice fragment.  Compiling takes memory in
+    proportion to the tokens: written out per stage, the six-agent
+    benchmark network's loops would take about twice as many.
+    """
+    payoffs = {e: np.frombuffer(data).reshape(shape) for e, shape, data in edges}
+    drift = None if drift is None else np.frombuffer(drift).tolist()
+    dim = sum(counts)
+    y, X, x, yn, Xn, g, k, p, sx, sy, yh, m, F, start = (
+        [f"{name}_{c}" for c in range(dim)]
+        for name in ("y", "X", "x", "yn", "Xn", "g", "k", "p", "sx", "sy", "yh", "m", "F", "y0")
+    )
+    w = _Writer("def advance(y0, y, X, carry, i, n, eta):")
+
+    def choice(depth, ins, outs):
+        w.fragment(depth, choice_lines(leaves, ins, outs), ins, outs)
+
+    def field(depth, ins, outs):
+        w.fragment(depth, product_lines(counts, payoffs, ins, outs, drift), ins, outs)
+
+    def listed(names):
+        return f"[{', '.join(names)}]"
+
+    leapfrog = scheme == "symplectic_leapfrog"
+    w.line(1, f"{', '.join(y)}, = y")
+    w.line(1, f"{', '.join(X)}, = X")
+    if scheme == "rk4":
+        w.line(1, "h = 0.5 * eta")
+        w.line(1, "sixth = eta / 6.0")
+        w.line(1, "stages = ((None, None), (h, 2.0), (h, 2.0), (eta, 1.0))")
+    if leapfrog:
+        w.line(1, f"{', '.join(start)}, = y0")
+        w.line(1, "half = 0.5 * eta")
+        w.line(1, "tf = None")
+        w.line(1, "if carry is not None:")
+        w.line(2, "tf, F = carry")
+        w.line(2, f"{', '.join(F)}, = F")
+    w.line(1, "step, stop = i + 1, None")
+    w.line(1, "try:")
+    w.line(2, "for step in range(i + 1, n + 1):")
+    if scheme == "euler":
+        choice(3, y, x)
+        field(3, x, k)
+        w.each(3, "{} = {} + eta * {}", yn, y, k)
+        w.each(3, "{} = {} + eta * {}", Xn, X, x)
+    elif scheme == "rk4":
+        w.line(3, "for hs, wt in stages:")
+        w.line(4, "if hs is None:")
+        w.each(5, "{} = {}", p, y)
+        w.line(4, "else:")
+        w.each(5, "{} = {} + hs * {}", p, y, k)
+        choice(4, p, g)
+        field(4, g, k)
+        w.line(4, "if hs is None:")
+        w.each(5, "{} = {}", sx, g)
+        w.each(5, "{} = {}", sy, k)
+        w.line(4, "else:")
+        w.each(5, "{} = {} + wt * {}", sx, sx, g)
+        w.each(5, "{} = {} + wt * {}", sy, sy, k)
+        w.each(3, "{} = {} + sixth * {}", yn, y, sy)
+        w.each(3, "{} = {} + sixth * {}", Xn, X, sx)
+    else:
+        # passes around one product and one choice fragment.  A motion pass
+        # multiplies the positions g, m = y0 + A g + b tf, and maps m; a force
+        # pass multiplies that choice, F = A g + b, and unless it ends the
+        # step kicks y by half, drifts X by the choice of the kicked y and
+        # sets g to the new positions.  A step whose carried kick is at (X, t)
+        # starts there, with no product.
+        b = None if drift is None else [literal(v) for v in drift]
+        w.line(3, "t = (step - 1) * eta")
+        w.line(3, "ready = tf is not None" if drift is None else "ready = tf == t")  # t - eta + eta may not be t
+        w.line(3, "motion, last = not ready, False")
+        w.line(3, "if not ready:")
+        w.each(4, "{} = {}", g, X)
+        w.line(4, "tf = t")
+        w.line(3, "while True:")
+        w.line(4, "if ready:")
+        w.line(5, "ready = False")
+        w.line(4, "else:")
+        w.fragment(5, product_lines(counts, payoffs, g, F), g, F)
+        w.line(5, "if motion:")
+        if b is None:
+            w.each(6, "{} = {} + {}", m, start, F)
+        else:
+            w.each(6, "{} = {} + {} + {}*tf", m, start, F, b)
+            w.line(5, "else:")
+            w.each(6, "{} = {} + {}", F, F, b)
+        w.line(4, "if not motion:")
+        w.line(5, "if last:")
+        w.line(6, "break")
+        w.each(5, "{} = {} + half * {}", yh, y, F)
+        w.each(5, "{} = {}", m, yh)
+        choice(4, m, g)
+        w.line(4, "if not motion:")
+        w.each(5, "{} = {} + eta * {}", Xn, X, g)
+        w.each(5, "{} = {}", g, Xn)
+        w.line(5, "tf = t + eta")
+        w.line(5, "last = True")
+        w.line(4, "motion = not motion")
+        w.each(3, "{} = {} + half * {}", yn, yh, F)
+    agent = [a for a, count in enumerate(counts) for _ in range(count)]
+    inside = " and ".join(f"{literal(-limits[a])} <= {v} <= {literal(limits[a])}" for v, a in zip(yn, agent))
+    w.line(3, f"if not ({inside}):")  # false for nan and inf too
+    w.line(4, f"stop = {listed(yn)}")
+    w.line(4, "break")
+    w.each(3, "{} = {}", y, yn)
+    w.each(3, "{} = {}", X, Xn)
+    w.line(1, "except NonFinitePayoff as err:")
+    w.line(2, "stop = err")
+    carry = f"None if stop is not None else (tf, {listed(F)})" if leapfrog else "None"
+    w.line(1, f"return step, {listed(y)}, {listed(X)}, {carry}, stop")  # one exit: its lists cost tokens
+    return w.source()
 
 
 @dataclass(frozen=True)
@@ -423,19 +643,68 @@ class Trajectory:
         return drift, drift / max(1.0, float(np.max(np.abs(h0))))
 
 
+NON_FINITE = "non-finite payoff vector"
+
+
 def _blow_up(y, flow):
-    if all(map(flow.limit.__ge__, map(abs, y))) if isinstance(y, list) else np.abs(y).max() <= flow.limit:
+    """Why the step to y ends the run, or None: the first agent whose |y| is
+    not finite or passes its limit."""
+    if np.abs(y).max() <= flow.limit:
         return None  # nan and inf compare False, so they are diagnosed below
-    y = np.asarray(y)
     for agent, (s, limit) in enumerate(zip(flow.op.slices, flow.limits), 1):
         peak = float(np.abs(y[..., s]).max())  # the first offending agent names the reason
         if not np.isfinite(peak):
-            return "non-finite payoff vector"
+            return NON_FINITE
         if peak > BLOW_UP_LIMIT:
             return f"|y| exceeded {BLOW_UP_LIMIT:g}"
         if peak > limit:
             return f"agent {agent}: |y| exceeded {limit:g}, past the precision of its euclidean projection"
     return None
+
+
+def _run_single(flow, config, rows, y, X, x):
+    """Step one start (lists of floats) through its generated loop, one call
+    per snapshot interval, writing the snapshots into rows from row 1.
+
+    Returns (rows written, steps taken, the reason the run ended early or
+    None, and the last finite y and X).  x, the start's choice map, is not
+    read: each step maps its own first stage.
+    """
+    ts, ys, Xs, xs = rows
+    eta, stride, n_steps = config.eta, config.stride, config.steps
+    ends = [*range(stride, n_steps + 1, stride)] + [n_steps] * (n_steps % stride != 0)
+    advance = flow.advance(config.scheme) if ends else None  # no step: no code, no check
+    start, carry, i, k = y, None, 0, 1
+    for end in ends:
+        i, y, X, carry, stop = advance(start, y, X, carry, i, end, eta)
+        if stop is not None:  # the step's y, or what a stage point or a kick raised
+            reason = NON_FINITE if isinstance(stop, NonFinitePayoff) else _blow_up(np.array(stop), flow)
+            return k, i, reason, y, X
+        ts[k], ys[k], Xs[k], xs[k] = end * eta, y, X, flow.choice(y)
+        k += 1
+    return k, i, None, y, X
+
+
+def _run_batched(flow, config, rows, y, X, x):
+    """_run_single for a batch of starts (arrays), one kernel call per step."""
+    ts, ys, Xs, xs = rows
+    kernel, eta, stride, n_steps = KERNELS[config.scheme], config.eta, config.stride, config.steps
+    t, force, i, k = 0.0, None, 0, 1
+    for i in range(1, n_steps + 1):
+        try:
+            y_next, X_next, force = kernel(flow, t, y, X, x, force, eta)
+        except NonFinitePayoff:  # a stage point or a kick
+            return k, i, NON_FINITE, y, X
+        x = None
+        reason = _blow_up(y_next, flow)
+        if reason is not None:
+            return k, i, reason, y, X
+        t, y, X = i * eta, y_next, X_next  # t: no running sum, whose error would enter b t
+        if i % stride == 0 or i == n_steps:
+            x = flow.choice(y)  # also the next step's first stage
+            ts[k], ys[k], Xs[k], xs[k] = t, y, X, x
+            k += 1
+    return k, i, None, y, X
 
 
 def simulate(
@@ -451,53 +720,45 @@ def simulate(
     Records every stride-th state (plus the first and last) into rows of
     preallocated (snapshots, batch..., D) arrays; deterministic given its
     inputs.  The instruments (H, and F and D against ref) are read once per
-    run, after the loop, on those arrays.  A non-finite or exploding state
-    truncates the trajectory and leaves a diagnostic in the metadata
-    instead of raising: discrete-time divergence is expected behavior, not
-    an error.  Exploding means |y| past BLOW_UP_LIMIT, or, for an agent
-    with a euclidean simplex block, past the lower
-    regularizers.payoff_limit, where its projection can miss the simplex.
-    The last finite state then ends the record.  The metadata's timing
-    block holds the wall time of the stepping loop and of the readings, and
-    the steps taken per second of stepping; its io_s, the time spent
-    writing the trajectory, is 0 until a writer fills it in.  The metadata
-    also names the Python and numpy versions of the run; its y0 are views of
-    the start row y[0] and its ref float copies, which the sidecar writer
-    turns into lists.
+    run, after the loop, on those arrays.  A non-finite or exploding state,
+    or a stage point or kick whose payoffs are not finite, truncates the
+    trajectory and leaves a diagnostic in the metadata instead of raising:
+    discrete-time divergence is expected behavior, not an error (a start
+    that is not finite still raises).  Exploding means |y| past
+    BLOW_UP_LIMIT, or, for an agent with a euclidean simplex block, past the
+    lower regularizers.payoff_limit, where its projection can miss the
+    simplex.  The last finite state then ends the record.  The metadata's
+    timing block holds the wall time of the stepping loop and of the
+    readings, and the steps taken per second of stepping; its io_s, the time
+    spent writing the trajectory, is 0 until a writer fills it in.  The
+    metadata also names the Python and numpy versions of the run; its y0 are
+    views of the start row y[0] and its ref float copies, which the sidecar
+    writer turns into lists.
     """
     from .hamiltonian import select_energy  # here: hamiltonian imports this module
 
-    kernel, eta, stride = KERNELS[config.scheme], config.eta, config.stride
+    eta, stride = config.eta, config.stride
     flow = _Flow(game, regs, y0)
     ref = None if ref is None else [np.array(v, dtype=float) for v in ref]  # small copies
     energy_fn, variant = select_energy(game, regs, energy)
 
     start = perf_counter()
-    t, y, X = 0.0, flow.y0, flow.zeros()
-    x, force = flow.choice(y), None
-    n_steps, i = config.steps, 0
+    single = flow.y0.ndim == 1
+    y = flow.y0.tolist() if single else flow.y0
+    X = [0.0] * len(y) if single else np.zeros_like(y)
+    x = flow.choice(y)  # a non-finite start raises here
+    n_steps = config.steps
     rows = n_steps // stride + 1 + (n_steps % stride != 0)
-    ts, ys, Xs, xs = (np.empty((rows,) + np.shape(v)) for v in (t, y, X, x))
-    ts[0], ys[0], Xs[0], xs[0] = t, y, X, x
-    if not isinstance(y, list):
-        flow.y0 = y = ys[0]  # the start row serves as y0: no second copy lives through the run
-    k = 1  # rows written
-    diagnostics = {"truncated": False, "blow_up_step": None, "reason": None}
-    for i in range(1, n_steps + 1):
-        y_next, X_next, force = kernel(flow, t, y, X, x, force, eta)
-        x = None
-        reason = _blow_up(y_next, flow)
-        if reason is not None:
-            diagnostics.update(truncated=True, blow_up_step=i, reason=reason)
-            if (i - 1) % stride:  # the last finite state ends the record
-                ts[k], ys[k], Xs[k], xs[k] = t, y, X, flow.choice(y)
-                k += 1
-            break
-        t, y, X = i * eta, y_next, X_next  # t: no running sum, whose error would enter b t
-        if i % stride == 0 or i == n_steps:
-            x = flow.choice(y)  # also the next step's first stage
-            ts[k], ys[k], Xs[k], xs[k] = t, y, X, x
-            k += 1
+    ts, ys, Xs, xs = record = tuple(np.empty((rows,) + np.shape(v)) for v in (0.0, y, X, x))
+    ts[0], ys[0], Xs[0], xs[0] = 0.0, y, X, x
+    if not single:  # the start rows serve as y0, X and x: no second copy lives through the run
+        y, X, x = ys[0], Xs[0], xs[0]
+        flow.y0 = y
+    k, i, reason, y, X = (_run_single if single else _run_batched)(flow, config, record, y, X, x)
+    diagnostics = {"truncated": reason is not None, "blow_up_step": None if reason is None else i, "reason": reason}
+    if reason is not None and (i - 1) % stride:  # the last finite state ends the record
+        ts[k], ys[k], Xs[k], xs[k] = (i - 1) * eta, y, X, flow.choice(y)
+        k += 1
     ts, ys, Xs, xs = ts[:k], ys[:k], Xs[:k], xs[:k]
     step_s = perf_counter() - start
 

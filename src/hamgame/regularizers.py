@@ -22,10 +22,12 @@ Every operation broadcasts over leading batch axes: the last axis is the
 strategy dimension, anything in front of it is carried through unchanged.
 BlockChoiceMap, which the steppers call, maps an array with numpy and a
 single trajectory's list of Python floats with straight-line Python,
-generated for its regularizers on the first list call and compiled once
-per source text (compiled, shared with dynamics.PayoffOperator).  Both
-give the same bits: IEEE arithmetic rounds alike in both, the generated
-sums are written out in numpy's order, and numpy keeps the exp and the tanh.
+generated for its regularizers on the first list call (choice_lines, the
+fragment that dynamics also writes into its single-trajectory loops) and
+defined once per tuple of regularizers (define, shared with dynamics).
+Both give the same bits: IEEE arithmetic rounds alike in both, the
+generated sums are written out in numpy's order, and numpy keeps the exp
+and the tanh.
 """
 
 from __future__ import annotations
@@ -40,6 +42,14 @@ KINDS = ("entropy", "euclidean")
 DOMAINS = ("simplex", "box")
 
 DOMAIN_TOL = 1e-9
+
+
+class NonFinitePayoff(ValueError):
+    """A choice map was handed a payoff vector whose sum is not finite.
+
+    simulate truncates a run on it where a stage point or a kick turns
+    non-finite inside a step; everywhere else it is an ordinary ValueError.
+    """
 
 
 @dataclass(frozen=True)
@@ -315,14 +325,20 @@ def payoff_limit(reg: AnyRegularizer) -> float:
 _CHAIN = 100
 
 
-@lru_cache(maxsize=128)
-def compiled(source: str):
-    """The function that generated source ("def name(...): ...") defines,
-    compiled once per source text.  The source may read numpy's exp and
-    tanh, isfinite, and inf and nan, the names of non-finite constants."""
-    scope = {"exp": np.exp, "tanh": np.tanh, "isfinite": isfinite, "inf": inf, "nan": nan}
+def define(source: str):
+    """The function that generated source ("def name(...): ...") defines.
+    The source may read numpy's exp and tanh, isfinite, NonFinitePayoff,
+    and inf and nan, the names of non-finite constants."""
+    scope = {"exp": np.exp, "tanh": np.tanh, "isfinite": isfinite, "inf": inf, "nan": nan,
+             "NonFinitePayoff": NonFinitePayoff}
     exec(compile(source, "<generated>", "exec"), scope)
     return scope[source[len("def ") : source.index("(")]]
+
+
+@lru_cache(maxsize=128)
+def compiled(source: str):
+    """define, once per source text."""
+    return define(source)
 
 
 def literal(v) -> str:
@@ -397,15 +413,14 @@ def _sorted_source(u, x):
     return lines + [f"{xi} = d if (d := {ui} - tau) > 0.0 else 0.0" for ui, xi in zip(u, x)]
 
 
-def _choice_source(leaves) -> str:
-    """Source of choice(y): the choice maps of the leaf regularizers, laid side
-    by side, on one list of floats y, into a list.  See BlockChoiceMap."""
-    dim = sum(reg.dim for reg in leaves)
-    y, x = [f"y{i}" for i in range(dim)], [f"x{i}" for i in range(dim)]
-    body = [
-        f"{', '.join(y)}, = y",  # nan and inf both poison the sum
+def choice_lines(leaves, y, x) -> list[str]:
+    """Statements that map the names y, the payoffs of the leaf regularizers
+    laid side by side, into the names x, their choice maps; the finiteness
+    check raises NonFinitePayoff.  See BlockChoiceMap.  The temporaries are
+    names without an underscore: u3, m3, s, t2, c2, rho, tau, w, d, v, z."""
+    body = [  # nan and inf both poison the sum
         f"if not isfinite({_add_reduce_source(y)}):",
-        "    raise ValueError('choice map requires finite payoff vector')",
+        "    raise NonFinitePayoff('choice map requires finite payoff vector')",
     ]
     narrow = [r.dim for r in leaves if (r.kind, r.domain) == ("euclidean", "simplex") and r.dim < _PAD_BELOW]
     pair = max(narrow, default=0) == 2  # the two-coordinate rule serves blocks of 1 and 2, as in the array group
@@ -418,7 +433,7 @@ def _choice_source(leaves) -> str:
         factor = _factor(reg)
         u = [y[i] if factor == 1.0 else f"u{i}" for i in block]  # x / 1.0 is x
         if factor != 1.0:
-            body += [f"u{i} = y{i} / {literal(factor)}" for i in block]
+            body += [f"u{i} = {y[i]} / {literal(factor)}" for i in block]
         if (reg.kind, reg.domain) == ("entropy", "simplex"):
             m = u[0] if reg.dim == 1 else f"m{block[0]}"
             if reg.dim > 1:
@@ -442,7 +457,22 @@ def _choice_source(leaves) -> str:
         for block in exps:
             body.append(f"z = {_add_reduce_source(block)}")
             body += [f"{e} = {e} / z" for e in block]
+    return body
+
+
+def _choice_source(leaves) -> str:
+    """Source of choice(y): choice_lines on one list of floats y, into a list."""
+    dim = sum(reg.dim for reg in leaves)
+    y, x = [f"y{i}" for i in range(dim)], [f"x{i}" for i in range(dim)]
+    body = [f"{', '.join(y)}, = y", *choice_lines(leaves, y, x)]
     return "\n    ".join(["def choice(y):", *body, f"return [{', '.join(x)}]"]) + "\n"
+
+
+@lru_cache(maxsize=128)
+def _float_choice(leaves):
+    """The generated choice map of the leaf regularizers, by content: an
+    equal tuple of leaves writes no second source."""
+    return define(_choice_source(leaves))
 
 
 class BlockChoiceMap:
@@ -456,8 +486,8 @@ class BlockChoiceMap:
     A list of Python floats (one trajectory) is mapped into a list by
     straight-line Python that _choice_source writes for these regularizers
     on the first list call (arrays never generate any), compiled once per
-    source text (compiled).  The scale divisions (none where the factor is
-    1.0), the row max and shift, the division by the softmax sum, the
+    tuple of leaves (_float_choice).  The scale divisions (none where the
+    factor is 1.0), the row max and shift, the division by the softmax sum, the
     projection rules and the box clip are single IEEE operations, which
     round alike in Python and numpy; every sum, the finiteness check's too,
     is written out in numpy's order; and numpy keeps one np.exp call for all
@@ -521,11 +551,11 @@ class BlockChoiceMap:
     def __call__(self, y):
         if isinstance(y, list):
             if self.floats is None:
-                self.floats = compiled(_choice_source(self.leaves))
+                self.floats = _float_choice(self.leaves)
             return self.floats(y)
         # one reduction, in the order the float code writes out; nan and inf both poison the sum
         if not isfinite(np.add.reduce(y, axis=None)):
-            raise ValueError("choice map requires finite payoff vector")
+            raise NonFinitePayoff("choice map requires finite payoff vector")
         lead = y.shape[:-1]
         parts = []
         for index, scale, pad, shape, unit_map in self.plans:
@@ -553,7 +583,7 @@ def choice_map(reg: AnyRegularizer, y):
     if isinstance(reg, ProductRegularizer):
         return BlockChoiceMap(reg.blocks)(y)
     if not isfinite(np.add.reduce(y, axis=None)):
-        raise ValueError("choice map requires finite payoff vector")
+        raise NonFinitePayoff("choice map requires finite payoff vector")
     factor = _factor(reg)
     return _UNIT_CHOICE[reg.kind, reg.domain](y if factor == 1.0 else y / factor)
 

@@ -20,8 +20,9 @@ from hamgame import (
     reduce_bipartite_to_two_agent,
     simulate,
 )
-from hamgame.dynamics import KERNELS, PayoffOperator, _Flow
-from hamgame.regularizers import BlockChoiceMap
+from hamgame import dynamics
+from hamgame.dynamics import BLOW_UP_LIMIT, PayoffOperator, _Flow
+from hamgame.regularizers import BlockChoiceMap, NonFinitePayoff
 
 MP_MATRIX = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -102,14 +103,17 @@ def run(game, regs, y0, scheme="rk4", eta=1e-3, horizon=10.0, stride=10, **kw):
 def leapfrog_there_and_back(game, regs, y0, eta, n):
     """(y, X) after n leapfrog steps of eta and n of -eta.
 
-    IntegratorConfig takes only positive steps, so this drives the kernel
-    directly, in the flow's own layout: lists of floats for a 1-D start.
+    IntegratorConfig takes only positive steps, so this calls the generated
+    single-trajectory loop that simulate runs, once over steps 1..n and once
+    with -eta over steps 1-n..0, whose times (step - 1) * -eta run from
+    n * eta back down; the last kick carries over, as between two steps.
     """
-    flow, kernel = _Flow(game, regs, y0), KERNELS["symplectic_leapfrog"]
-    t, y, X, force = 0.0, flow.y0, flow.zeros(), None
-    for h in (eta,) * n + (-eta,) * n:
-        y, X, force = kernel(flow, t, y, X, None, force, h)
-        t += h
+    flow = _Flow(game, regs, y0)
+    advance, start = flow.advance("symplectic_leapfrog"), flow.y0.tolist()
+    _, y, X, carry, stop = advance(start, start, [0.0] * len(start), None, 0, n, eta)
+    assert stop is None
+    _, y, X, _, stop = advance(start, y, X, carry, -n, 0, -eta)
+    assert stop is None
     return flow.op.split(np.asarray(y)), flow.op.split(np.asarray(X))
 
 
@@ -292,7 +296,7 @@ class FrozenFloatChoice:
 
     def __call__(self, v):
         if not isfinite(frozen_add_reduce(v)):
-            raise ValueError("choice map requires finite payoff vector")
+            raise NonFinitePayoff("choice map requires finite payoff vector")
         u = list(map(truediv, v, self.factors))
         x = u[:]
         for first, stop in self.pair:
@@ -377,11 +381,129 @@ class FrozenFloatProduct:
         return [a + s + b * t for a, s, b in zip(y0, z, self.drift)]
 
 
+# Frozen copy of the list loop that the generated single-trajectory loops
+# replaced: simulate's step loop, the kernels on lists with their u + h v
+# list comprehension, and the blow-up check on lists, run on
+# FrozenFloatChoice and FrozenFloatProduct.  A stage point or a kick that
+# the choice map rejects as non-finite truncates the run, as it now does.
+
+
+def _shift_floats(u, h, v):  # u + h v on lists of floats, a new list
+    return [a + h * b for a, b in zip(u, v)]
+
+
+class _FrozenFlow:
+    """A single start's flow on the frozen float path."""
+
+    def __init__(self, flow):
+        product = FrozenFloatProduct(flow.op.game)
+        self.choice, self.field, self.motion = FrozenFloatChoice(flow.choice.leaves), product.field, product.motion
+        self.drift, self.sigma = product.drift, flow.sigma
+        self.y0, self.slices, self.limits = flow.y0.tolist(), flow.op.slices, flow.limits
+
+    def kick(self, X, t):
+        return self.field(self.choice(self.motion(self.y0, X, t)))
+
+
+def _frozen_euler(flow, t, y, X, x, force, eta):
+    if x is None:
+        x = flow.choice(y)
+    return _shift_floats(y, eta, flow.field(x)), _shift_floats(X, eta, x), None
+
+
+def _frozen_rk4(flow, t, y, X, x, force, eta):
+    shift = _shift_floats
+    sx = flow.choice(y) if x is None else x
+    sy = flow.field(sx)
+    kx = flow.choice(shift(y, 0.5 * eta, sy))
+    ky = flow.field(kx)
+    sx = shift(sx, 2.0, kx)
+    sy = shift(sy, 2.0, ky)
+    ky = shift(y, 0.5 * eta, ky)
+    kx = flow.choice(ky)
+    ky = flow.field(kx)
+    sx = shift(sx, 2.0, kx)
+    sy = shift(sy, 2.0, ky)
+    ky = shift(y, eta, ky)
+    kx = flow.choice(ky)
+    sx = shift(sx, 1.0, kx)
+    sy = shift(sy, 1.0, flow.field(kx))
+    sixth = eta / 6.0
+    return shift(y, sixth, sy), shift(X, sixth, sx), None
+
+
+def _frozen_leapfrog(flow, t, y, X, x, force, eta):
+    if flow.sigma not in (-1, 1):
+        raise ValueError("no Hamiltonian structure certified: game has no sigma tag")
+    half = 0.5 * eta
+    if force is None or force[0] != t and flow.drift is not None:
+        force = (t, flow.kick(X, t))
+    y_half = _shift_floats(y, half, force[1])
+    X = _shift_floats(X, eta, flow.choice(y_half))
+    force = (t + eta, flow.kick(X, t + eta))
+    return _shift_floats(y_half, half, force[1]), X, force
+
+
+FROZEN_KERNELS = {"euler": _frozen_euler, "rk4": _frozen_rk4, "symplectic_leapfrog": _frozen_leapfrog}
+
+
+def _frozen_blow_up(y, flow):
+    limit = min(flow.limits)
+    if all(map(limit.__ge__, map(abs, y))):
+        return None
+    y = np.asarray(y)
+    for agent, (s, limit) in enumerate(zip(flow.slices, flow.limits), 1):
+        peak = float(np.abs(y[s]).max())
+        if not np.isfinite(peak):
+            return "non-finite payoff vector"
+        if peak > BLOW_UP_LIMIT:
+            return f"|y| exceeded {BLOW_UP_LIMIT:g}"
+        if peak > limit:
+            return f"agent {agent}: |y| exceeded {limit:g}, past the precision of its euclidean projection"
+    return None
+
+
+def frozen_run(flow, config):
+    """The frozen list loop on a 1-D flow: (snapshots (t, y, X, x), steps
+    taken, the reason the run ended early or None, the last finite (t, y, X))."""
+    f, kernel = _FrozenFlow(flow), FROZEN_KERNELS[config.scheme]
+    t, y, X = 0.0, f.y0, [0.0] * len(f.y0)
+    x, force = f.choice(y), None
+    snaps, i, reason = [(t, y, X, x)], 0, None
+    for i in range(1, config.steps + 1):
+        try:
+            y_next, X_next, force = kernel(f, t, y, X, x, force, config.eta)
+        except NonFinitePayoff:
+            reason = "non-finite payoff vector"
+        else:
+            reason = _frozen_blow_up(y_next, f)
+        x = None
+        if reason is not None:
+            break
+        t, y, X = i * config.eta, y_next, X_next
+        if i % config.stride == 0 or i == config.steps:
+            x = f.choice(y)
+            snaps.append((t, y, X, x))
+    return snaps, i, reason, (t, y, X)
+
+
+def frozen_snapshots(flow, config):
+    """frozen_run's snapshots, ended by the last finite state when a step
+    fails off the stride."""
+    snaps, i, reason, (t, y, X) = frozen_run(flow, config)
+    if reason is not None and (i - 1) % config.stride:
+        snaps.append((t, y, X, _FrozenFlow(flow).choice(y)))
+    return snaps
+
+
 @contextlib.contextmanager
 def frozen_float_path():
-    """BlockChoiceMap and PayoffOperator map lists through the frozen float path."""
+    """simulate steps single starts through the frozen list loop, and
+    BlockChoiceMap and PayoffOperator map lists through the frozen float
+    path; the block fails unless the frozen loop ran."""
     choice_call = BlockChoiceMap.__call__
     methods = {name: getattr(PayoffOperator, name) for name in ("linear", "field", "motion")}
+    runs = []
 
     def frozen(obj, make):
         if not hasattr(obj, "_frozen"):
@@ -399,11 +521,21 @@ def frozen_float_path():
 
         return method
 
+    def run_single(flow, config, rows, y, X, x):
+        snaps, i, reason, (_, y, X) = frozen_run(flow, config)
+        for k, snap in enumerate(snaps[1:], 1):
+            for row, v in zip(rows, snap):
+                row[k] = v
+        runs.append(config)
+        return len(snaps), i, reason, y, X
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(BlockChoiceMap, "__call__", call)
         for name in methods:
             mp.setattr(PayoffOperator, name, product(name))
+        mp.setattr(dynamics, "_run_single", run_single)
         yield
+    assert runs, "no single start ran through the frozen loop"
 
 
 def _random_case(family, counts, seed, batch):

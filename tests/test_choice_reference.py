@@ -37,8 +37,8 @@ from hamgame import (
     select_energy,
     simulate,
 )
-from hamgame.dynamics import PayoffOperator
-from hamgame.regularizers import BlockChoiceMap, _add_reduce_source, compiled
+from hamgame.dynamics import PayoffOperator, _loop
+from hamgame.regularizers import BlockChoiceMap, _add_reduce_source, _float_choice, compiled
 
 from conftest import (
     MP_MATRIX,
@@ -533,7 +533,7 @@ def test_array_use_generates_no_code():
         Regularizer("euclidean", "box", 1),
         Regularizer("entropy", "simplex", 2, 2.0),
     )
-    before = compiled.cache_info()
+    before = compiled.cache_info(), _loop.cache_info(), _float_choice.cache_info()
     op = PayoffOperator(game)
     for x in (rng.uniform(size=7), rng.uniform(size=(5, 7))):
         op.linear(x), op.field(x), op.motion(x, x, 0.5)
@@ -544,5 +544,5 @@ def test_array_use_generates_no_code():
     y0 = tuple(rng.normal(size=(4, k)) for k in game.strategy_counts)
     for scheme in ("euler", "rk4", "leapfrog"):
         simulate(game, regs, y0, IntegratorConfig(scheme, 0.05, 0.5, 2))
-    after = compiled.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    after = compiled.cache_info(), _loop.cache_info(), _float_choice.cache_info()
+    assert [(c.hits, c.misses) for c in after] == [(c.hits, c.misses) for c in before]

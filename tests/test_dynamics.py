@@ -2,11 +2,12 @@
 
 import json
 import platform
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamgame import (
@@ -25,9 +26,10 @@ from hamgame import (
     write_trajectory_csv,
     write_trajectory_metadata,
 )
+from hamgame import dynamics, regularizers
 from hamgame.cli import main
-from hamgame.dynamics import PayoffOperator
-from hamgame.regularizers import payoff_limit
+from hamgame.dynamics import PayoffOperator, _Flow
+from hamgame.regularizers import compiled, payoff_limit
 
 from conftest import (
     MP_MATRIX,
@@ -557,6 +559,9 @@ def _ref_stepper(scheme, game, regs, state, eta, floats=False):
     steps=st.integers(1, 12),
     stride=st.integers(1, 5),
 )
+# a drift game's leapfrog: at step 7, 6 * 0.05 is not the carried 0.25 + 0.05, and the
+# kick recomputed at 6 * 0.05 changes the bits of this game's run
+@example(family="affine", counts=[2, 2], seed=23, batch=None, scheme="symplectic_leapfrog", eta=0.05, steps=12, stride=1)
 def test_flat_loop_matches_tuple_steppers(family, counts, seed, batch, scheme, eta, steps, stride):
     if family == "bipartite_fold" and len(counts) < 3:
         counts = counts + [2]
@@ -668,8 +673,12 @@ def test_rows_of_3000_terms_compile_and_match_frozen_product(kind):
 )
 def test_non_finite_coefficients_truncate_as_before(where, bad):
     # non-finite constants are bound by name in the generated code: the run
-    # still truncates at the same step with the same diagnosis (an infinite
-    # scale maps every payoff to the centre and never blows up)
+    # truncates at the same step with the same diagnosis as on the frozen
+    # list loop, and as a one-row batch; rk4's stage points and the
+    # leapfrog's kicks map non-finite payoffs, which truncates the run too
+    # (an infinite scale maps every payoff to the centre and never blows up).
+    # The drifts' non-finite b t would also fail the energy reading at t = 0,
+    # so the runs read none.
     rng = np.random.default_rng(5)
     a = rng.normal(size=(2, 3))
     scale = bad if where == "scale" else 1.0
@@ -685,20 +694,129 @@ def test_non_finite_coefficients_truncate_as_before(where, bad):
     for scheme in schemes:
         config = IntegratorConfig(scheme, 0.05, 0.5, 1)
         with np.errstate(all="ignore"):
-            got = _outcome(lambda: simulate(game, regs, y0, config))
+            got = simulate(game, regs, y0, config, energy="none")
             with frozen_float_path():
-                want = _outcome(lambda: simulate(game, regs, y0, config))
-        if isinstance(want, ValueError):  # an rk4 stage maps a non-finite point
-            assert isinstance(got, ValueError) and str(got) == str(want)
-            continue
+                want = simulate(game, regs, y0, config, energy="none")
+            batch = simulate(game, regs, tuple(v[None] for v in y0), config, energy="none")
         _assert_same_run(got, want)
-        if scheme == "euler" and where != "scale":
-            assert got.metadata["diagnostics"]["truncated"]
-            assert got.metadata["diagnostics"]["reason"] == "non-finite payoff vector"
+        assert batch.metadata["diagnostics"] == got.metadata["diagnostics"]
+        np.testing.assert_allclose(batch.y[:, 0], got.y, rtol=1e-12, atol=1e-12)
+        if where != "scale":
+            assert got.metadata["diagnostics"] == {
+                "truncated": True, "blow_up_step": 1, "reason": "non-finite payoff vector"}
+            assert len(got.t) == 1
 
 
-def _outcome(run):
-    try:
-        return run()
-    except ValueError as err:
-        return err
+def _overflowing_stage_game():
+    """Agent 2 holds still and pushes agent 0's first payoff up by 1 per unit
+    time; agent 1's first payoff gains 1e308 times agent 0's first strategy,
+    which a euclidean projection keeps at exactly 0 until y_0[0] reaches -2."""
+    game = NetworkGame((2, 2, 2), {(0, 2): np.array([[1.0, 0.0], [0.0, 0.0]]),
+                                   (1, 0): np.array([[1e308, 0.0], [0.0, 0.0]])})
+    y0 = (np.array([-20.0, 0.0]), np.array([0.0, 0.0]), np.array([10.0, 0.0]))
+    return game, default_regularizers(game, "euclidean"), y0
+
+
+@pytest.mark.parametrize("stride", [1, 2, 4])
+def test_non_finite_stage_point_truncates_at_its_step(stride):
+    # at eta = 8, y_0[0] is -20, -12, -4 after steps 0 to 2: step 3's second
+    # stage maps agent 0 to (0.5, 0.5), and its third stage point overflows.
+    # The run ends at step 3, recording the last finite state off the stride.
+    # Euler only sees the overflow in step 4's result.
+    game, regs, y0 = _overflowing_stage_game()
+    expected = {"rk4": (3, [0.0, 8.0, 16.0]), "euler": (4, [0.0, 8.0, 16.0, 24.0])}
+    for scheme, (step, times) in expected.items():
+        config = IntegratorConfig(scheme, 8.0, 48.0, stride)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = simulate(game, regs, y0, config)
+            with frozen_float_path():
+                want = simulate(game, regs, y0, config)
+            batch = simulate(game, regs, tuple(v[None] for v in y0), config)
+        _assert_same_run(got, want)
+        diag = {"truncated": True, "blow_up_step": step, "reason": "non-finite payoff vector"}
+        assert got.metadata["diagnostics"] == batch.metadata["diagnostics"] == diag
+        recorded = [t for i, t in enumerate(times) if i % stride == 0 or i == step - 1]
+        assert got.t.tolist() == recorded
+        np.testing.assert_array_equal(got.y[-1], [times[-1] - 20.0, 0.0, 0.0, 0.0, 10.0, 0.0])
+        np.testing.assert_allclose(batch.y[:, 0], got.y, rtol=1e-12, atol=1e-12)
+
+
+def test_each_agent_blows_up_at_its_own_limit():
+    # agent 0 (entropy, limit 1e12) gains 1e7 per unit time, past agent 1's
+    # euclidean limit of 2.25e6; only agent 1's own payoffs count against it
+    game = NetworkGame((2, 2), {(0, 1): 1e7 * MP_MATRIX})
+    regs = (Regularizer("entropy"), Regularizer("euclidean"))
+    y0 = (np.zeros(2), np.array([0.3, -0.2]))
+    for scheme in ("euler", "rk4"):
+        config = IntegratorConfig(scheme, 0.1, 2.0, 5)
+        got = simulate(game, regs, y0, config)
+        with frozen_float_path():
+            _assert_same_run(got, simulate(game, regs, y0, config))
+        assert not got.metadata["diagnostics"]["truncated"] and got.t[-1] == 2.0
+        assert 2.25e6 < np.abs(got.y[-1, :2]).max() < 1e12
+
+
+def test_non_finite_start_still_raises():
+    game, regs, y0 = mp_start("entropy")
+    bad = (np.array([np.nan, 0.0]), y0[1])
+    for start in (bad, tuple(v[None] for v in bad)):
+        for scheme in ("euler", "rk4", "symplectic_leapfrog"):
+            with pytest.raises(ValueError, match="choice map requires finite payoff vector"):
+                simulate(game, regs, start, IntegratorConfig(scheme, 0.05, 0.5, 1))
+
+
+# ---------------------------------------------------------------------------
+# the generated single-trajectory loops, by content
+
+
+def test_equal_content_games_write_no_second_source(monkeypatch):
+    game, regs, y0 = _random_case("affine", [2, 3, 2], 7, None)
+    config = IntegratorConfig("rk4", 0.05, 0.5, 2)
+    first = simulate(game, regs, y0, config)
+    twin = replace(game, payoffs={e: a.copy() for e, a in game.payoffs.items()},
+                   b={e: v.copy() for e, v in game.b.items()})
+    twin_regs = tuple(replace(r) for r in regs)
+    writes = []
+    for module, name in ((dynamics, "_loop_source"), (regularizers, "_choice_source")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real: writes.append(args) or real(*args))
+    before = compiled.cache_info()
+    second = simulate(twin, twin_regs, tuple(v.copy() for v in y0), config)
+    assert not writes and compiled.cache_info() == before
+    _assert_same_run(second, first)
+
+
+def test_loops_are_keyed_by_bits_and_shape():
+    def loop(game, scheme="euler"):
+        regs = default_regularizers(game, "euclidean")
+        return _Flow(game, regs, [np.zeros(k) for k in game.strategy_counts]).advance(scheme)
+
+    a = np.array([[1.0, 0.0], [-1.0, 2.0]])
+    for zero in (0.0, np.nan):  # a zero's sign, a nan's sign
+        flipped = a.copy()
+        flipped[0, 1] = -zero
+        a[0, 1] = zero
+        plain, signed = (NetworkGame((2, 2), {(0, 1): m, (1, 0): -m.T}) for m in (a, flipped))
+        assert a.tobytes() != flipped.tobytes() and loop(plain) is not loop(signed)
+    m, n = np.arange(6.0).reshape(2, 3), -np.arange(6.0).reshape(3, 2)
+    wide = NetworkGame((2, 3), {(0, 1): m, (1, 0): n}, sigma=None)
+    tall = NetworkGame((3, 2), {(0, 1): m.reshape(3, 2), (1, 0): n.reshape(2, 3)}, sigma=None)
+    assert loop(wide) is not loop(tall)
+    for game in (wide, tall):  # the same bytes in other shapes: each loop steps its own game
+        regs = default_regularizers(game, "euclidean")
+        y0 = tuple(0.3 * np.arange(k, dtype=float) for k in game.strategy_counts)
+        config = IntegratorConfig("euler", 0.05, 0.5, 3)
+        got = simulate(game, regs, y0, config, energy="none")
+        with frozen_float_path():
+            _assert_same_run(got, simulate(game, regs, y0, config, energy="none"))
+
+
+@pytest.mark.parametrize("extra", ["wt = 0.0", "z = step"])
+def test_colliding_fragment_names_are_refused(monkeypatch, extra):
+    # a temporary that overwrites the stage weight, a read of the loop's step
+    game, regs, y0 = mp_start("euclidean")
+    real = dynamics.choice_lines
+    monkeypatch.setattr(dynamics, "choice_lines", lambda *args: real(*args) + [extra])
+    monkeypatch.setattr(dynamics, "_loop", dynamics._loop.__wrapped__)  # past the cache
+    with pytest.raises(AssertionError, match="generated names collide"):
+        _Flow(game, regs, y0).advance("rk4")

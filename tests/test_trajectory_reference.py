@@ -44,7 +44,7 @@ from hamgame.cli import main
 from hamgame.dynamics import KERNELS, _blow_up, _Flow
 from hamgame.fileio import csv_columns, game_fingerprint
 
-from conftest import MP_MATRIX, _random_case, mp_start, triangle_zero_sum, uniform_profile
+from conftest import MP_MATRIX, _random_case, frozen_snapshots, mp_start, triangle_zero_sum, uniform_profile
 
 
 def _ref_fmt(v: float) -> str:
@@ -72,12 +72,23 @@ def _ref_write_csv(traj, game, path):
 def _ref_states(game, regs, y0, config):
     """The snapshot loop that listed (t, y, X, x) and built a SystemState per snapshot.
 
-    It steps in the flow's own layout (lists of floats for a 1-D start) and
-    converts each listed state to arrays only when it builds the states.
+    A 1-D start steps through the frozen list loop (conftest.frozen_snapshots),
+    a batch through the array kernels; each listed state becomes arrays only
+    when the states are built.
     """
-    kernel = KERNELS[config.scheme]
     flow = _Flow(game, regs, y0)
-    t, y, X = 0.0, flow.y0, flow.zeros()
+    snaps = frozen_snapshots(flow, config) if flow.y0.ndim == 1 else _batched_snapshots(flow, config)
+
+    def split(v):
+        return flow.op.split(np.asarray(v, dtype=float))
+
+    y0 = tuple(np.asarray(v, dtype=float) for v in y0)
+    return [SystemState(t, split(y), split(X), split(x), y0) for t, y, X, x in snaps]
+
+
+def _batched_snapshots(flow, config):
+    kernel = KERNELS[config.scheme]
+    t, y, X = 0.0, flow.y0, np.zeros_like(flow.y0)
     x, force = flow.choice(y), None
     snaps = [(t, y, X, x)]
     for i in range(1, config.steps + 1):
@@ -92,12 +103,7 @@ def _ref_states(game, regs, y0, config):
         if i % config.stride == 0 or i == config.steps:
             x = flow.choice(y)
             snaps.append((t, y, X, x))
-
-    def split(v):
-        return flow.op.split(np.asarray(v, dtype=float))
-
-    y0 = tuple(np.asarray(v, dtype=float) for v in y0)
-    return [SystemState(t, split(y), split(X), split(x), y0) for t, y, X, x in snaps]
+    return snaps
 
 
 def _assert_same_states(traj, expected):
