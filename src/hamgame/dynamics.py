@@ -29,11 +29,12 @@ numpy's per-call cost on 2 to 20 floats dominates: one function generated
 per (game, leaf regularizers, scheme) steps it from one snapshot to the
 next on local variables, stage points, choice map, payoff field, running
 sums, kicks and blow-up check written out in straight-line Python, and
-returns lists only at a snapshot or at the step that fails.  It is
-compiled once per content (_Flow.loop_key: the matrices' and the drift's
-bytes, the leaves, the counts and the limits), and it keeps the bits of
-the array kernels' operations in their order, every stored payoff term
-in a fixed order; numpy keeps only the choice map's exp and tanh, the
+returns lists only at a snapshot, its x included, or at the step that
+fails.  It is compiled once per content (_Flow.loop_key: the matrices'
+and the drift's bytes, the leaves, the counts and the limits), and it
+keeps the bits of the array kernels' operations in their order, every
+stored payoff term in a fixed order; numpy keeps only the choice map's
+exp and tanh, the start's choice map (and a truncation row's), the
 recorded rows and the readings.  A stage point or a kick whose payoffs
 are not finite truncates the run, as a blow-up does.  SystemState is the
 per-agent view of one phase-space point.
@@ -51,7 +52,7 @@ import numpy as np
 
 from .games import GeneralizedGame, NetworkGame
 from .regularizers import (
-    BlockChoiceMap, NonFinitePayoff, choice_lines, choice_map, compiled, define, fenchel_bregman, literal, payoff_limit,
+    BlockChoiceMap, NonFinitePayoff, choice_lines, choice_map, define, fenchel_bregman, literal, payoff_limit,
     summed,
 )
 
@@ -133,23 +134,14 @@ def consistent_state(game: NetworkGame, regs, y0, X, t: float = 0.0) -> SystemSt
 
 
 class PayoffOperator:
-    """The block payoff matrix M of a game, acting on flat (batch..., D) arrays
-    or on one flat list of Python floats.
+    """The block payoff matrix M of a game, acting on flat (batch..., D) arrays.
 
-    On arrays, row block i is stored over the narrowest column span that
-    holds every stored A[i, j]; over a single neighbour j, the product is
-    x_j @ A[i, j]' with the game's own matrix, as a per-agent field computes
-    it.  On a list, linear, field and motion run straight-line Python,
-    generated for this game on the method's first list call (so arrays
-    never generate any) and compiled once per source text
-    (regularizers.compiled): it unpacks its lists into locals and writes
-    output r of agent i as 0.0 + A[i, j][r, c] * x_j[c] + ... over every
-    stored entry, zeros included, neighbours j and columns c ascending, a
-    fixed order, unlike BLAS on a handful of floats; field then adds b,
-    and motion is y0 + (that sum) + b * t (_product_terms, whose statements
-    the single-trajectory loops also write out).  The affine terms b[i, j]
-    of a generalized game are kept by edge, so that the energy variants
-    can weigh them edge by edge.
+    Row block i is stored over the narrowest column span that holds every
+    stored A[i, j]; over a single neighbour j, the product is x_j @ A[i, j]'
+    with the game's own matrix, as a per-agent field computes it.  The
+    single-trajectory loops write the product out in a fixed order instead
+    (product_lines).  The affine terms b[i, j] of a generalized game are
+    kept by edge, so that the energy variants can weigh them edge by edge.
     """
 
     def __init__(self, game: NetworkGame):
@@ -157,7 +149,6 @@ class PayoffOperator:
         self.slices = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
         self.dim = bounds[-1]
         self.game = game
-        self.generated = {}  # method name -> its float code, once a list comes
         rows = []  # (input span, A' on it, output slice) per row block
         for i, k in enumerate(game.strategy_counts):
             cols = [j for j in range(game.n) if (i, j) in game.payoffs]
@@ -197,12 +188,10 @@ class PayoffOperator:
     def linear(self, x):
         """x @ M': sum_j A[i, j] x_j for every agent i, without drift.
 
-        On arrays, each row block is multiplied straight into its slice of
-        one output; the slice keeps a BLAS-able stride, so the bits are
-        those of a separate x_span @ A' per block.
+        Each row block is multiplied straight into its slice of one output;
+        the slice keeps a BLAS-able stride, so the bits are those of a
+        separate x_span @ A' per block.
         """
-        if isinstance(x, list):
-            return self.floats("linear")(x)
         out = np.empty(x.shape[:-1] + (self.dim,))
         for span, mt, s in self.rows:
             np.matmul(x[..., span], mt, out=out[..., s])
@@ -210,47 +199,23 @@ class PayoffOperator:
 
     def field(self, x):
         """dy/dt at strategies x."""
-        if isinstance(x, list):
-            return self.floats("field")(x)
         out = self.linear(x)
         return out if self.drift is None else out + self.drift
 
     def motion(self, y0, X, t):
         """y0 + X @ M' (+ b t): the motions reconstructed from positions."""
-        if isinstance(X, list):
-            return self.floats("motion")(y0, X, t)
         z = y0 + self.linear(X)
         return z if self.drift is None else z + self.drift * t
 
-    def floats(self, name):
-        """The float code of linear, field or motion, generated on first use."""
-        fn = self.generated.get(name)
-        if fn is None:
-            fn = self.generated[name] = compiled(self._source(name))
-        return fn
 
-    def _source(self, name):
-        """Source of linear(x), field(x) or motion(y0, X, t) on lists of floats."""
-        motion = name == "motion"
-        x = [f"x{c}" for c in range(self.dim)]
-        head = [f"{', '.join(x)}, = {'X' if motion else 'x'}"]
-        y0 = [f"a{r}" for r in range(self.dim)] if motion else None
-        if motion:
-            head.append(f"{', '.join(y0)}, = y0")
-        drift = None if self.drift is None or name == "linear" else self.drift.tolist()
-        lines, sums = _product_terms(self.game.strategy_counts, self.game.payoffs, x, drift, y0, "t")
-        args = "y0, X, t" if motion else "x"
-        return "\n    ".join([f"def {name}({args}):", *head, *lines, f"return [{', '.join(sums)}]"]) + "\n"
-
-
-def _product_terms(counts, payoffs, x, drift=None, y0=None, t=None):
-    """(statements, expressions) of the payoff product on the names x: output
-    r of agent i is 0.0 + A[i, j][r, c]*x_j[c] + ... over every stored entry,
-    zeros included, neighbours j and columns c ascending, plus drift[r], or
-    y0[r] + (that sum) + drift[r]*t when y0 names the start motions.  Rows
-    longer than _CHAIN terms run on in the temporaries p0, p1, ..."""
+def product_lines(counts, payoffs, x, out, drift=None) -> list[str]:
+    """Statements that set the names out to the payoff product of the names
+    x: output r of agent i is 0.0 + A[i, j][r, c]*x_j[c] + ... over every
+    stored entry, zeros included, neighbours j and columns c ascending, a
+    fixed order, unlike BLAS on a handful of floats, plus drift[r] when
+    given.  Rows longer than _CHAIN terms run on in the temporaries p0, p1, ..."""
     starts = np.cumsum((0,) + tuple(counts)).tolist()
-    lines, sums = [], []
+    lines, n = [], 0
     for i, k in enumerate(counts):
         cols = [j for j in range(len(counts)) if (i, j) in payoffs]
         for r in range(k):
@@ -258,22 +223,12 @@ def _product_terms(counts, payoffs, x, drift=None, y0=None, t=None):
                 f"{literal(a)}*{x[starts[j] + c]}"
                 for j in cols for c, a in enumerate(payoffs[(i, j)][r].tolist())
             ]
-            n = len(sums)
             more, expr = summed(f"p{n}", "0.0", terms)
-            lines += more
-            if y0 is not None:
-                expr = f"{y0[n]} + ({expr})"
             if drift is not None:
-                expr += f" + {literal(drift[n])}*{t}" if y0 is not None else f" + {literal(drift[n])}"
-            sums.append(expr)
-    return lines, sums
-
-
-def product_lines(counts, payoffs, x, out, drift=None) -> list[str]:
-    """Statements that set the names out to the payoff product of the names
-    x, plus drift when given (see _product_terms)."""
-    lines, sums = _product_terms(counts, payoffs, x, drift)
-    return lines + [f"{o} = {e}" for o, e in zip(out, sums)]
+                expr += f" + {literal(drift[n])}"
+            lines += more + [f"{out[n]} = {expr}"]
+            n += 1
+    return lines
 
 
 def _shift(u, h, v):  # u + h v, a new array
@@ -398,14 +353,16 @@ KERNELS = {"euler": _euler, "rk4": _rk4, "symplectic_leapfrog": _leapfrog}
 
 
 # The single-trajectory loops: one generated function per (scheme, leaves,
-# game), advance(y0, y, X, carry, i, n, eta), runs one start from step i to
-# step n on local floats and returns (n, y, X, carry, None); carry is the
-# leapfrog's last kick, (time, force).  The step that fails returns (step,
-# y, X, None, stop), with y and X the last finite state and stop either the
+# game), advance(y0, y, X, x, carry, i, n, eta), runs one start from step i
+# to step n on local floats and returns (n, y, X, x, carry, None), x the
+# choice map of the returned y, which euler and rk4 take back as the next
+# call's first stage (the leapfrog reads none); carry is the leapfrog's
+# last kick, (time, force).  The step that fails returns (step, y, X, None,
+# None, stop), with y and X the last finite state and stop either the
 # step's y, some |y_c| past its agent's limit or not finite, or the
 # NonFinitePayoff that a stage point or a kick raised.  The operations are
-# the array kernels' in their order; the choice map and the payoff products
-# are the fragments that the per-call float code is made of, each written
+# the array kernels' in their order; the choice map and the payoff product
+# are the fragments choice_lines and product_lines write, each written
 # once per loop: its tokens set the compile's memory.
 
 
@@ -461,12 +418,14 @@ def _loop_source(scheme, leaves, counts, edges, drift, limits):
     counts, the edges' (key, shape, bytes), the summed drift's bytes (or
     None) and the agents' blow-up limits.
 
-    Each step maps its first stage x = choice(y) itself, after the last
-    step's check.  rk4's four stages run in one loop around one choice and
-    one field fragment, the first mapping y itself; the leapfrog's passes
-    share one product and one choice fragment.  Compiling takes memory in
-    proportion to the tokens: written out per stage, the six-agent
-    benchmark network's loops would take about twice as many.
+    Euler and rk4 end each step by mapping its y, x = choice(y), after the
+    check: the next step's first stage, and the call's x at its last step.
+    rk4's four stages run in one loop around one field and one choice
+    fragment, the last stage's choice mapping the new y; the leapfrog's
+    passes share one product and one choice fragment, which also maps the
+    call's closing y.  Compiling takes memory in proportion to the tokens:
+    written out per stage, the six-agent benchmark network's loops would
+    take about twice as many.
     """
     payoffs = {e: np.frombuffer(data).reshape(shape) for e, shape, data in edges}
     drift = None if drift is None else np.frombuffer(drift).tolist()
@@ -475,7 +434,7 @@ def _loop_source(scheme, leaves, counts, edges, drift, limits):
         [f"{name}_{c}" for c in range(dim)]
         for name in ("y", "X", "x", "yn", "Xn", "g", "k", "p", "sx", "sy", "yh", "m", "F", "y0")
     )
-    w = _Writer("def advance(y0, y, X, carry, i, n, eta):")
+    w = _Writer("def advance(y0, y, X, x, carry, i, n, eta):")
 
     def choice(depth, ins, outs):
         w.fragment(depth, choice_lines(leaves, ins, outs), ins, outs)
@@ -483,16 +442,30 @@ def _loop_source(scheme, leaves, counts, edges, drift, limits):
     def field(depth, ins, outs):
         w.fragment(depth, product_lines(counts, payoffs, ins, outs, drift), ins, outs)
 
+    agent = [a for a, count in enumerate(counts) for _ in range(count)]
+    inside = " and ".join(f"{literal(-limits[a])} <= {v} <= {literal(limits[a])}" for v, a in zip(yn, agent))
+
+    def settle(depth):
+        """The step's check (false for nan and inf too), then yn and Xn become y and X."""
+        w.line(depth, f"if not ({inside}):")
+        w.line(depth + 1, f"stop = {listed(yn)}")
+        w.line(depth + 1, "break")
+        w.each(depth, "{} = {}", y, yn)
+        w.each(depth, "{} = {}", X, Xn)
+
     def listed(names):
         return f"[{', '.join(names)}]"
 
     leapfrog = scheme == "symplectic_leapfrog"
     w.line(1, f"{', '.join(y)}, = y")
     w.line(1, f"{', '.join(X)}, = X")
+    if scheme == "euler":
+        w.line(1, f"{', '.join(x)}, = x")
     if scheme == "rk4":
+        w.line(1, f"{', '.join(g)}, = x")
         w.line(1, "h = 0.5 * eta")
         w.line(1, "sixth = eta / 6.0")
-        w.line(1, "stages = ((None, None), (h, 2.0), (h, 2.0), (eta, 1.0))")
+        w.line(1, "stages = ((None, h), (2.0, h), (2.0, eta), (1.0, None))")
     if leapfrog:
         w.line(1, f"{', '.join(start)}, = y0")
         w.line(1, "half = 0.5 * eta")
@@ -504,32 +477,40 @@ def _loop_source(scheme, leaves, counts, edges, drift, limits):
     w.line(1, "try:")
     w.line(2, "for step in range(i + 1, n + 1):")
     if scheme == "euler":
-        choice(3, y, x)
         field(3, x, k)
         w.each(3, "{} = {} + eta * {}", yn, y, k)
         w.each(3, "{} = {} + eta * {}", Xn, X, x)
+        settle(3)
+        choice(3, y, x)
     elif scheme == "rk4":
-        w.line(3, "for hs, wt in stages:")
-        w.line(4, "if hs is None:")
-        w.each(5, "{} = {}", p, y)
-        w.line(4, "else:")
-        w.each(5, "{} = {} + hs * {}", p, y, k)
-        choice(4, p, g)
+        # a stage multiplies its choice g, adds it into the running sums
+        # with weight wt, then maps its successor's point: y + hs * k, or,
+        # after the fourth stage, the step's new y
+        w.line(3, "for wt, hs in stages:")
         field(4, g, k)
-        w.line(4, "if hs is None:")
+        w.line(4, "if wt is None:")
         w.each(5, "{} = {}", sx, g)
         w.each(5, "{} = {}", sy, k)
         w.line(4, "else:")
         w.each(5, "{} = {} + wt * {}", sx, sx, g)
         w.each(5, "{} = {} + wt * {}", sy, sy, k)
-        w.each(3, "{} = {} + sixth * {}", yn, y, sy)
-        w.each(3, "{} = {} + sixth * {}", Xn, X, sx)
+        w.line(4, "if hs is None:")
+        w.each(5, "{} = {} + sixth * {}", yn, y, sy)
+        w.each(5, "{} = {} + sixth * {}", Xn, X, sx)
+        settle(5)
+        w.each(5, "{} = {}", p, y)
+        w.line(4, "else:")
+        w.each(5, "{} = {} + hs * {}", p, y, k)
+        choice(4, p, g)
+        w.line(3, "if stop is not None:")
+        w.line(4, "break")
     else:
         # passes around one product and one choice fragment.  A motion pass
         # multiplies the positions g, m = y0 + A g + b tf, and maps m; a force
-        # pass multiplies that choice, F = A g + b, and unless it ends the
-        # step kicks y by half, drifts X by the choice of the kicked y and
-        # sets g to the new positions.  A step whose carried kick is at (X, t)
+        # pass multiplies that choice, F = A g + b, and either kicks y by
+        # half, drifts X by the choice of the kicked y and sets g to the new
+        # positions, or ends the step: it kicks y again and, at the call's
+        # last step, maps the new y.  A step whose carried kick is at (X, t)
         # starts there, with no product.
         b = None if drift is None else [literal(v) for v in drift]
         w.line(3, "t = (step - 1) * eta")
@@ -552,28 +533,30 @@ def _loop_source(scheme, leaves, counts, edges, drift, limits):
             w.each(6, "{} = {} + {}", F, F, b)
         w.line(4, "if not motion:")
         w.line(5, "if last:")
-        w.line(6, "break")
-        w.each(5, "{} = {} + half * {}", yh, y, F)
-        w.each(5, "{} = {}", m, yh)
+        w.each(6, "{} = {} + half * {}", yn, yh, F)
+        settle(6)
+        w.line(6, "if step < n:")
+        w.line(7, "break")
+        w.each(6, "{} = {}", m, y)
+        w.line(5, "else:")
+        w.each(6, "{} = {} + half * {}", yh, y, F)
+        w.each(6, "{} = {}", m, yh)
         choice(4, m, g)
         w.line(4, "if not motion:")
+        w.line(5, "if last:")
+        w.line(6, "break")
         w.each(5, "{} = {} + eta * {}", Xn, X, g)
         w.each(5, "{} = {}", g, Xn)
         w.line(5, "tf = t + eta")
         w.line(5, "last = True")
         w.line(4, "motion = not motion")
-        w.each(3, "{} = {} + half * {}", yn, yh, F)
-    agent = [a for a, count in enumerate(counts) for _ in range(count)]
-    inside = " and ".join(f"{literal(-limits[a])} <= {v} <= {literal(limits[a])}" for v, a in zip(yn, agent))
-    w.line(3, f"if not ({inside}):")  # false for nan and inf too
-    w.line(4, f"stop = {listed(yn)}")
-    w.line(4, "break")
-    w.each(3, "{} = {}", y, yn)
-    w.each(3, "{} = {}", X, Xn)
+        w.line(3, "if stop is not None:")
+        w.line(4, "break")
     w.line(1, "except NonFinitePayoff as err:")
     w.line(2, "stop = err")
-    carry = f"None if stop is not None else (tf, {listed(F)})" if leapfrog else "None"
-    w.line(1, f"return step, {listed(y)}, {listed(X)}, {carry}, stop")  # one exit: its lists cost tokens
+    mapped = f"{listed(x if scheme == 'euler' else g)} if stop is None else None"
+    carry = f"(tf, {listed(F)}) if stop is None else None" if leapfrog else "None"
+    w.line(1, f"return step, {listed(y)}, {listed(X)}, {mapped}, {carry}, stop")  # one exit: its lists cost tokens
     return w.source()
 
 
@@ -599,8 +582,9 @@ class Trajectory:
     t is (snapshots,); y, X and x are (snapshots, batch..., D), agent i
     owning the coordinates slices[i], and y[0] is the start.  energy,
     fenchel and bregman are aligned with t (NaN where a reading is
-    unavailable: no sigma tag, no reference profile, or a boundary strategy
-    under an entropy regularizer); fenchel and bregman are None without the
+    unavailable: no sigma tag, a payoff or drift coefficient that is not
+    finite, no reference profile, or a boundary strategy under an entropy
+    regularizer); fenchel and bregman are None without the
     reference profile that metadata["ref"] records.
     """
 
@@ -667,8 +651,8 @@ def _run_single(flow, config, rows, y, X, x):
     per snapshot interval, writing the snapshots into rows from row 1.
 
     Returns (rows written, steps taken, the reason the run ended early or
-    None, and the last finite y and X).  x, the start's choice map, is not
-    read: each step maps its own first stage.
+    None, and the last finite y and X).  x, the start's choice map, is the
+    first call's x; each call hands back its snapshot's.
     """
     ts, ys, Xs, xs = rows
     eta, stride, n_steps = config.eta, config.stride, config.steps
@@ -676,11 +660,11 @@ def _run_single(flow, config, rows, y, X, x):
     advance = flow.advance(config.scheme) if ends else None  # no step: no code, no check
     start, carry, i, k = y, None, 0, 1
     for end in ends:
-        i, y, X, carry, stop = advance(start, y, X, carry, i, end, eta)
+        i, y, X, x, carry, stop = advance(start, y, X, x, carry, i, end, eta)
         if stop is not None:  # the step's y, or what a stage point or a kick raised
             reason = NON_FINITE if isinstance(stop, NonFinitePayoff) else _blow_up(np.array(stop), flow)
             return k, i, reason, y, X
-        ts[k], ys[k], Xs[k], xs[k] = end * eta, y, X, flow.choice(y)
+        ts[k], ys[k], Xs[k], xs[k] = end * eta, y, X, x
         k += 1
     return k, i, None, y, X
 
@@ -744,27 +728,27 @@ def simulate(
 
     start = perf_counter()
     single = flow.y0.ndim == 1
-    y = flow.y0.tolist() if single else flow.y0
-    X = [0.0] * len(y) if single else np.zeros_like(y)
-    x = flow.choice(y)  # a non-finite start raises here
+    x = flow.choice(flow.y0)  # a non-finite start raises here
     n_steps = config.steps
     rows = n_steps // stride + 1 + (n_steps % stride != 0)
-    ts, ys, Xs, xs = record = tuple(np.empty((rows,) + np.shape(v)) for v in (0.0, y, X, x))
-    ts[0], ys[0], Xs[0], xs[0] = 0.0, y, X, x
-    if not single:  # the start rows serve as y0, X and x: no second copy lives through the run
-        y, X, x = ys[0], Xs[0], xs[0]
-        flow.y0 = y
-    k, i, reason, y, X = (_run_single if single else _run_batched)(flow, config, record, y, X, x)
+    ts, ys, Xs, xs = record = tuple(np.empty((rows,) + np.shape(v)) for v in (0.0, x, x, x))
+    ts[0], ys[0], Xs[0], xs[0] = 0.0, flow.y0, 0.0, x
+    flow.y0, X, x = ys[0], Xs[0], xs[0]  # the start rows serve as y0, X and x: no second copy lives through the run
+    state = [v.tolist() for v in (flow.y0, X, x)] if single else (flow.y0, X, x)  # floats for the loop
+    k, i, reason, y, X = (_run_single if single else _run_batched)(flow, config, record, *state)
     diagnostics = {"truncated": reason is not None, "blow_up_step": None if reason is None else i, "reason": reason}
     if reason is not None and (i - 1) % stride:  # the last finite state ends the record
-        ts[k], ys[k], Xs[k], xs[k] = (i - 1) * eta, y, X, flow.choice(y)
+        ts[k], ys[k], Xs[k] = (i - 1) * eta, y, X
+        xs[k] = flow.choice(ys[k])
         k += 1
     ts, ys, Xs, xs = ts[:k], ys[:k], Xs[:k], xs[:k]
     step_s = perf_counter() - start
 
     start = perf_counter()
     H = np.full(k, np.nan)
-    if energy_fn is not None:  # t as a (snapshots, 1, ...) column against the states
+    coefficients = (*game.payoffs.values(), 0.0 if flow.op.drift is None else flow.op.drift)
+    if energy_fn is not None and all(np.isfinite(c).all() for c in coefficients):  # else A X, b t are nan at 0
+        # t as a (snapshots, 1, ...) column against the states
         H = energy_fn(ys, Xs, ys[0], np.reshape(ts, (-1,) + (1,) * (ys.ndim - 1))).value
     F, D = (None, None) if ref is None else fenchel_bregman(regs, ref, ys, xs)
     instruments_s = perf_counter() - start

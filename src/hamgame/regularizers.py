@@ -20,20 +20,18 @@ simplex turns into under the substitution x2 = 1 - x1.
 
 Every operation broadcasts over leading batch axes: the last axis is the
 strategy dimension, anything in front of it is carried through unchanged.
-BlockChoiceMap, which the steppers call, maps an array with numpy and a
-single trajectory's list of Python floats with straight-line Python,
-generated for its regularizers on the first list call (choice_lines, the
-fragment that dynamics also writes into its single-trajectory loops) and
-defined once per tuple of regularizers (define, shared with dynamics).
-Both give the same bits: IEEE arithmetic rounds alike in both, the
-generated sums are written out in numpy's order, and numpy keeps the exp
-and the tanh.
+BlockChoiceMap maps all agents' blocks of an array with numpy.
+choice_lines writes the same map as straight-line Python statements on
+named floats, the fragment that dynamics writes into its single-trajectory
+loops (and compiles with define); both give the same bits: IEEE
+arithmetic rounds alike in both, the written-out sums follow numpy's
+order, and numpy keeps the exp and the tanh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import cache
 from math import copysign, inf, isfinite, nan
 
 import numpy as np
@@ -335,15 +333,9 @@ def define(source: str):
     return scope[source[len("def ") : source.index("(")]]
 
 
-@lru_cache(maxsize=128)
-def compiled(source: str):
-    """define, once per source text."""
-    return define(source)
-
-
 def literal(v) -> str:
     """The float v as source.  Its repr reads back exactly, and is "inf",
-    "-inf" or "nan", names in compiled's scope, for a non-finite v; a nan
+    "-inf" or "nan", names in define's scope, for a non-finite v; a nan
     whose sign bit is set is written -nan, as the repr drops the sign."""
     v = float(v)
     return repr(v) if v == v or copysign(1.0, v) > 0.0 else "-nan"
@@ -416,8 +408,17 @@ def _sorted_source(u, x):
 def choice_lines(leaves, y, x) -> list[str]:
     """Statements that map the names y, the payoffs of the leaf regularizers
     laid side by side, into the names x, their choice maps; the finiteness
-    check raises NonFinitePayoff.  See BlockChoiceMap.  The temporaries are
-    names without an underscore: u3, m3, s, t2, c2, rho, tau, w, d, v, z."""
+    check raises NonFinitePayoff.  The temporaries are names without an
+    underscore: u3, m3, s, t2, c2, rho, tau, w, d, v, z.
+
+    They keep BlockChoiceMap's bits and errors: its single IEEE operations
+    round alike in Python, every sum (the finiteness check's too) is
+    written out in numpy's order, and numpy keeps one np.exp and one
+    np.tanh call, as numpy's may differ from libm's.  A euclidean simplex
+    block of one or two coordinates takes the two-coordinate rule when its
+    group is two wide, as the array group does; it differs from the sorted
+    rule only once |y| / (2 s) reaches 2^53, far past payoff_limit.
+    """
     body = [  # nan and inf both poison the sum
         f"if not isfinite({_add_reduce_source(y)}):",
         "    raise NonFinitePayoff('choice map requires finite payoff vector')",
@@ -460,43 +461,17 @@ def choice_lines(leaves, y, x) -> list[str]:
     return body
 
 
-def _choice_source(leaves) -> str:
-    """Source of choice(y): choice_lines on one list of floats y, into a list."""
-    dim = sum(reg.dim for reg in leaves)
-    y, x = [f"y{i}" for i in range(dim)], [f"x{i}" for i in range(dim)]
-    body = [f"{', '.join(y)}, = y", *choice_lines(leaves, y, x)]
-    return "\n    ".join(["def choice(y):", *body, f"return [{', '.join(x)}]"]) + "\n"
-
-
-@lru_cache(maxsize=128)
-def _float_choice(leaves):
-    """The generated choice map of the leaf regularizers, by content: an
-    equal tuple of leaves writes no second source."""
-    return define(_choice_source(leaves))
-
-
 class BlockChoiceMap:
-    """Choice maps of several regularizers on one concatenated payoff vector.
+    """Choice maps of several regularizers on one concatenated payoff array.
 
-    The last axis of y is the concatenation of one block per regularizer
-    (product regularizers contribute their blocks).  Every row is mapped
-    exactly as the block alone would be, on either of two paths chosen by
-    y's type, and both give the same bits.
+    The last axis of y, 1-D or batched, is the concatenation of one block
+    per regularizer (product regularizers contribute their blocks).  Every
+    row is mapped exactly as the block alone would be, and choice_lines
+    writes the same map, bit for bit, as straight-line Python.
 
-    A list of Python floats (one trajectory) is mapped into a list by
-    straight-line Python that _choice_source writes for these regularizers
-    on the first list call (arrays never generate any), compiled once per
-    tuple of leaves (_float_choice).  The scale divisions (none where the
-    factor is 1.0), the row max and shift, the division by the softmax sum, the
-    projection rules and the box clip are single IEEE operations, which
-    round alike in Python and numpy; every sum, the finiteness check's too,
-    is written out in numpy's order; and numpy keeps one np.exp call for all
-    entropy simplex coordinates and one np.tanh call for all entropy box
-    ones, as numpy's may differ from libm's: the array path's bits and errors.
-
-    An array y, 1-D or batched, maps all blocks of one kind and domain in one
-    call on a (..., count, width) array, with the scales (and the
-    prescales of the euclidean maps) divided out coordinate by coordinate;
+    All blocks of one kind and domain are mapped in one call on a (...,
+    count, width) array, with the scales (and the prescales of the
+    euclidean maps) divided out coordinate by coordinate;
     box maps act coordinatewise, so box blocks count as blocks of width
     one.  A simplex block narrower than its group's widest is padded with
     -inf, which keeps every bit: the row max does not change, exp(-inf)
@@ -507,16 +482,10 @@ class BlockChoiceMap:
     The outputs are gathered back into one C-ordered array:
     PayoffOperator.linear multiplies slices of it, and BLAS sums an
     F-ordered operand in another order.
-
-    On a list, a euclidean simplex block of one or two coordinates takes
-    project_simplex's two-coordinate rule when its group is two wide, as the
-    array group does; it differs from the sorted rule only once
-    |y| / (2 s) reaches 2^53, far past payoff_limit.
     """
 
     def __init__(self, regs):
         self.leaves = tuple(_leaves(regs))
-        self.floats = None  # the generated map of one list of floats, once a list comes
         groups, start = {}, 0
         for reg in self.leaves:
             box = reg.domain == "box"  # coordinatewise: one block per coordinate
@@ -549,11 +518,7 @@ class BlockChoiceMap:
         self.back = None if np.array_equal(back, np.arange(offset)) else back
 
     def __call__(self, y):
-        if isinstance(y, list):
-            if self.floats is None:
-                self.floats = _float_choice(self.leaves)
-            return self.floats(y)
-        # one reduction, in the order the float code writes out; nan and inf both poison the sum
+        # one reduction, in the order choice_lines writes out; nan and inf both poison the sum
         if not isfinite(np.add.reduce(y, axis=None)):
             raise NonFinitePayoff("choice map requires finite payoff vector")
         lead = y.shape[:-1]

@@ -21,8 +21,8 @@ from hamgame import (
     simulate,
 )
 from hamgame import dynamics
-from hamgame.dynamics import BLOW_UP_LIMIT, PayoffOperator, _Flow
-from hamgame.regularizers import BlockChoiceMap, NonFinitePayoff
+from hamgame.dynamics import BLOW_UP_LIMIT, PayoffOperator, _Flow, product_lines
+from hamgame.regularizers import BlockChoiceMap, NonFinitePayoff, choice_lines, define, literal
 
 MP_MATRIX = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -107,12 +107,13 @@ def leapfrog_there_and_back(game, regs, y0, eta, n):
     single-trajectory loop that simulate runs, once over steps 1..n and once
     with -eta over steps 1-n..0, whose times (step - 1) * -eta run from
     n * eta back down; the last kick carries over, as between two steps.
+    The leapfrog reads no x.
     """
     flow = _Flow(game, regs, y0)
     advance, start = flow.advance("symplectic_leapfrog"), flow.y0.tolist()
-    _, y, X, carry, stop = advance(start, start, [0.0] * len(start), None, 0, n, eta)
+    _, y, X, _, carry, stop = advance(start, start, [0.0] * len(start), None, None, 0, n, eta)
     assert stop is None
-    _, y, X, _, stop = advance(start, y, X, carry, -n, 0, -eta)
+    _, y, X, _, _, stop = advance(start, y, X, None, carry, -n, 0, -eta)
     assert stop is None
     return flow.op.split(np.asarray(y)), flow.op.split(np.asarray(X))
 
@@ -238,10 +239,51 @@ def _ref_motion(game, y0, X, t):
     return out
 
 
+# The generated loops' two fragments as functions on lists of floats,
+# defined through regularizers.define: choice_lines as choice(y), and
+# product_lines as linear(x), field(x) and motion(y0, X, t), the motions
+# written as the leapfrog's motion pass writes them, y0 + (A X) + b t.
+
+
+def _function(head, unpack, lines, out):
+    return define("\n    ".join([head, *unpack, *lines, f"return [{', '.join(out)}]"]) + "\n")
+
+
+def _coordinates(name, dim):
+    return [f"{name}_{c}" for c in range(dim)]
+
+
+def float_choice(regs):
+    """choice_lines for the regularizers on one list of floats, into a list."""
+    leaves = BlockChoiceMap(regs).leaves
+    y, x = (_coordinates(name, sum(r.dim for r in leaves)) for name in ("y", "x"))
+    return _function("def choice(y):", [f"{', '.join(y)}, = y"], choice_lines(leaves, y, x), x)
+
+
+class FloatProduct:
+    """product_lines for a game's payoffs on lists of floats: linear, field and motion."""
+
+    def __init__(self, game):
+        op = PayoffOperator(game)
+        drift = None if op.drift is None else op.drift.tolist()
+        x, out, y0, m = (_coordinates(name, op.dim) for name in ("x", "o", "a", "m"))
+        unpack = [f"{', '.join(x)}, = x"]
+
+        def lines(d):
+            return product_lines(game.strategy_counts, game.payoffs, x, out, d)
+
+        self.linear = _function("def linear(x):", unpack, lines(None), out)
+        self.field = _function("def field(x):", unpack, lines(drift), out)
+        motion = [f"{mr} = {ar} + {o}" for mr, ar, o in zip(m, y0, out)]
+        if drift is not None:
+            motion = [f"{line} + {literal(b)}*t" for line, b in zip(motion, drift)]
+        self.motion = _function("def motion(y0, x, t):", unpack + [f"{', '.join(y0)}, = y0"], lines(None) + motion, m)
+
+
 # Frozen copy of the float path that straight-line generated code replaced:
 # BlockChoiceMap's per-block loops on a list (_single, _project_floats and the
 # replayed numpy sum _add_reduce) and PayoffOperator's loop product, field and
-# motion on lists.  The generated code must reproduce its bits and errors.
+# motion on lists.  The fragments above must reproduce its bits and errors.
 
 
 def frozen_add_reduce(v):
@@ -498,28 +540,9 @@ def frozen_snapshots(flow, config):
 
 @contextlib.contextmanager
 def frozen_float_path():
-    """simulate steps single starts through the frozen list loop, and
-    BlockChoiceMap and PayoffOperator map lists through the frozen float
-    path; the block fails unless the frozen loop ran."""
-    choice_call = BlockChoiceMap.__call__
-    methods = {name: getattr(PayoffOperator, name) for name in ("linear", "field", "motion")}
+    """simulate steps single starts through the frozen list loop; the block
+    fails unless the frozen loop ran."""
     runs = []
-
-    def frozen(obj, make):
-        if not hasattr(obj, "_frozen"):
-            obj._frozen = make()
-        return obj._frozen
-
-    def call(self, y):
-        return frozen(self, lambda: FrozenFloatChoice(self.leaves))(y) if isinstance(y, list) else choice_call(self, y)
-
-    def product(name):
-        def method(self, *args):
-            if isinstance(args[-2 if name == "motion" else 0], list):
-                return getattr(frozen(self, lambda: FrozenFloatProduct(self.game)), name)(*args)
-            return methods[name](self, *args)
-
-        return method
 
     def run_single(flow, config, rows, y, X, x):
         snaps, i, reason, (_, y, X) = frozen_run(flow, config)
@@ -530,9 +553,6 @@ def frozen_float_path():
         return len(snaps), i, reason, y, X
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(BlockChoiceMap, "__call__", call)
-        for name in methods:
-            mp.setattr(PayoffOperator, name, product(name))
         mp.setattr(dynamics, "_run_single", run_single)
         yield
     assert runs, "no single start ran through the frozen loop"

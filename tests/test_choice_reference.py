@@ -11,12 +11,13 @@ changes, which grouped blocks by (kind, domain, dimension), always sorted
 with np.sort, divided by 2 or 4 inside the unit maps and joined the row
 blocks' products with np.concatenate.  Outputs must agree bit for bit.
 
-On a list of floats (one trajectory), both run straight-line code
-generated per game.  `PayoffOperator` sums in a fixed order instead of
-BLAS's, and the choice map's sums replay numpy's pairwise order; both are
-checked against explicit loops or numpy itself, and bit for bit against
-the frozen float path of conftest (per-block loops and a loop product)
-that the generated code replaced.
+One trajectory steps in straight-line code generated per game from two
+fragments, `choice_lines` and `product_lines`, here defined as functions
+on lists of floats (conftest `float_choice` and `FloatProduct`).  The
+product sums in a fixed order instead of BLAS's, and the choice map's sums
+replay numpy's pairwise order; both are checked against explicit loops or
+numpy itself, and bit for bit against the frozen float path of conftest
+(per-block loops and a loop product) that the generated code replaced.
 """
 
 from math import isfinite
@@ -38,12 +39,14 @@ from hamgame import (
     simulate,
 )
 from hamgame.dynamics import PayoffOperator, _loop
-from hamgame.regularizers import BlockChoiceMap, _add_reduce_source, _float_choice, compiled
+from hamgame.regularizers import BlockChoiceMap, _add_reduce_source, define
 
 from conftest import (
     MP_MATRIX,
+    FloatProduct,
     FrozenFloatChoice,
     FrozenFloatProduct,
+    float_choice,
     frozen_add_reduce,
     zero_sum_from_edges,
 )
@@ -223,8 +226,8 @@ def test_block_choice_map_matches_frozen_copy(regs, lead, data):
         assert x.flags.c_contiguous  # a matmul on an F-ordered x sums in another order
         np.testing.assert_array_equal(x, expected)
         assert np.array_equal(np.signbit(x), np.signbit(expected))
-    if lead == ():  # one trajectory's list of floats
-        x = block(y.tolist())
+    if lead == ():  # one trajectory's list of floats, through the loops' fragment
+        x = float_choice(regs)(y.tolist())
         assert type(x) is list and all(type(c) is float for c in x)
         _assert_same_bits(np.array(x), ref(y))
     start = 0
@@ -311,8 +314,9 @@ def test_wide_blocks_group_by_dimension():
     y = 3.0 * rng.normal(size=(500, sum(r.dim for r in regs)))
     for v in (*_layouts(y), y[0], y[1]):
         np.testing.assert_array_equal(BlockChoiceMap(regs)(v), _RefBlockChoiceMap(regs)(v))
+    choice = float_choice(regs)
     for v in y[:50]:
-        _assert_same_bits(BlockChoiceMap(regs)(v.tolist()), _RefBlockChoiceMap(regs)(v))
+        _assert_same_bits(choice(v.tolist()), _RefBlockChoiceMap(regs)(v))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -323,18 +327,18 @@ def test_non_finite_input_raises(bad, lead):
     y[..., 1] = bad
     with pytest.raises(ValueError, match="finite"):
         BlockChoiceMap(regs)(y)
-    if lead == ():  # one trajectory's list of floats
+    if lead == ():  # one trajectory's list of floats, through the loops' fragment
         with pytest.raises(ValueError, match="finite"):
-            BlockChoiceMap(regs)(y.tolist())
+            float_choice(regs)(y.tolist())
 
 
 def test_overflowing_sum_raises_on_both_paths():
     # finite entries whose sum overflows: the check is numpy's sum, in numpy's order
     regs = [Regularizer("entropy", dim=3), Regularizer("euclidean", dim=2, scale=0.5)]
     y = np.array([1e308, 1e308, 0.0, -1e308, 0.0])
-    for v in (y, y.tolist()):
+    for choice, v in ((BlockChoiceMap(regs), y), (float_choice(regs), y.tolist())):
         with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
-            BlockChoiceMap(regs)(v)
+            choice(v)
 
 
 def test_add_reduce_matches_numpy():
@@ -344,7 +348,7 @@ def test_add_reduce_matches_numpy():
     rng = np.random.default_rng(12)
     for width in range(1, 301):
         names = [f"v{i}" for i in range(width)]
-        add_reduce = compiled(f"def add_reduce(v):\n    {', '.join(names)}, = v\n    return {_add_reduce_source(names)}\n")
+        add_reduce = define(f"def add_reduce(v):\n    {', '.join(names)}, = v\n    return {_add_reduce_source(names)}\n")
         signs = rng.choice([-1.0, 1.0], size=width)
         cases = [
             rng.normal(size=width) * 10.0 ** rng.uniform(-20, 20, size=width),
@@ -420,7 +424,7 @@ def _ref_linear_floats(game, x):
 def test_float_payoff_product_fixed_order(name):
     rng = np.random.default_rng(7)
     game = GAMES[name](rng)
-    op = PayoffOperator(game)
+    op, floats = PayoffOperator(game), FloatProduct(game)
     drift = np.zeros(op.dim) if op.drift is None else op.drift
     for scale in (1e-3, 1.0, 1e6):
         x = scale * rng.uniform(-1.0, 1.0, size=(50, op.dim))
@@ -428,19 +432,19 @@ def test_float_payoff_product_fixed_order(name):
         y0, t = rng.normal(size=op.dim), float(rng.uniform(0.0, 10.0))
         rows = []
         for v in x:
-            got = op.linear(v.tolist())
+            got = floats.linear(v.tolist())
             assert type(got) is list and all(type(c) is float for c in got)
             want = _ref_linear_floats(game, v.tolist())
             _assert_same_bits(got, want)
-            _assert_same_bits(op.field(v.tolist()), np.array(want) + drift)
-            _assert_same_bits(op.motion(y0.tolist(), v.tolist(), t), y0 + np.array(want) + drift * t)
+            _assert_same_bits(floats.field(v.tolist()), np.array(want) + drift)
+            _assert_same_bits(floats.motion(y0.tolist(), v.tolist(), t), y0 + np.array(want) + drift * t)
             rows.append(got)
         # against BLAS on the batch, the product the list path replaces
         np.testing.assert_allclose(np.array(rows), op.linear(x), rtol=1e-13, atol=1e-13 * scale)
 
 
 # ---------------------------------------------------------------------------
-# The generated float code against the frozen float path it replaced
+# The loops' fragments against the frozen float path they replaced
 
 
 @st.composite
@@ -478,7 +482,7 @@ def test_float_choice_matches_frozen_float_path(regs, bad, data):
     y = data.draw(float_payoffs(sum(r.dim for r in regs)))
     if bad is not None:
         y[data.draw(st.integers(0, len(y) - 1))] = bad
-    block, frozen = BlockChoiceMap(regs), FrozenFloatChoice(regs)
+    block, frozen = float_choice(regs), FrozenFloatChoice(regs)
     _same_outcome(lambda: block(y), lambda: frozen(y))
     if bad is not None:
         with pytest.raises(ValueError, match="finite"):
@@ -517,8 +521,9 @@ def float_games(draw):
 @settings(max_examples=300, deadline=None)
 @given(game=float_games(), t=st.sampled_from([0.0, 0.05, 0.30000000000000004, 7.25, 1e6]), data=st.data())
 def test_float_product_matches_frozen_float_path(game, t, data):
-    op, frozen = PayoffOperator(game), FrozenFloatProduct(game)
-    x, y0 = data.draw(float_payoffs(op.dim)), data.draw(float_payoffs(op.dim))
+    op, frozen = FloatProduct(game), FrozenFloatProduct(game)
+    dim = sum(game.strategy_counts)
+    x, y0 = data.draw(float_payoffs(dim)), data.draw(float_payoffs(dim))
     _same_outcome(lambda: op.linear(x), lambda: frozen.linear(x))
     _same_outcome(lambda: op.field(x), lambda: frozen.field(x))
     _same_outcome(lambda: op.motion(y0, x, t), lambda: frozen.motion(y0, x, t))
@@ -533,7 +538,7 @@ def test_array_use_generates_no_code():
         Regularizer("euclidean", "box", 1),
         Regularizer("entropy", "simplex", 2, 2.0),
     )
-    before = compiled.cache_info(), _loop.cache_info(), _float_choice.cache_info()
+    before = _loop.cache_info()
     op = PayoffOperator(game)
     for x in (rng.uniform(size=7), rng.uniform(size=(5, 7))):
         op.linear(x), op.field(x), op.motion(x, x, 0.5)
@@ -544,5 +549,5 @@ def test_array_use_generates_no_code():
     y0 = tuple(rng.normal(size=(4, k)) for k in game.strategy_counts)
     for scheme in ("euler", "rk4", "leapfrog"):
         simulate(game, regs, y0, IntegratorConfig(scheme, 0.05, 0.5, 2))
-    after = compiled.cache_info(), _loop.cache_info(), _float_choice.cache_info()
-    assert [(c.hits, c.misses) for c in after] == [(c.hits, c.misses) for c in before]
+    after = _loop.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)

@@ -26,13 +26,14 @@ from hamgame import (
     write_trajectory_csv,
     write_trajectory_metadata,
 )
-from hamgame import dynamics, regularizers
+from hamgame import dynamics
 from hamgame.cli import main
-from hamgame.dynamics import PayoffOperator, _Flow
-from hamgame.regularizers import compiled, payoff_limit
+from hamgame.dynamics import SCHEMES, PayoffOperator, _Flow
+from hamgame.regularizers import BlockChoiceMap, payoff_limit
 
 from conftest import (
     MP_MATRIX,
+    FloatProduct,
     FrozenFloatProduct,
     _random_case,
     _ref_choice,
@@ -652,8 +653,8 @@ def test_rows_of_3000_terms_compile_and_match_frozen_product(kind):
         payoffs[(i, j)], payoffs[(j, i)] = a, -a.T
     b = {(0, 1): rng.normal(size=2), (2, 1): rng.normal(size=1800)}
     game = GeneralizedGame(counts, payoffs, sigma=-1, b=b)
-    op, frozen = PayoffOperator(game), FrozenFloatProduct(game)
-    x, y0 = rng.uniform(size=op.dim).tolist(), rng.normal(size=op.dim).tolist()
+    op, frozen = FloatProduct(game), FrozenFloatProduct(game)
+    x, y0 = rng.uniform(size=sum(counts)).tolist(), rng.normal(size=sum(counts)).tolist()
     for got, want in ((op.linear(x), frozen.linear(x)), (op.field(x), frozen.field(x)),
                       (op.motion(y0, x, 0.35), frozen.motion(y0, x, 0.35))):
         assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
@@ -677,8 +678,8 @@ def test_non_finite_coefficients_truncate_as_before(where, bad):
     # list loop, and as a one-row batch; rk4's stage points and the
     # leapfrog's kicks map non-finite payoffs, which truncates the run too
     # (an infinite scale maps every payoff to the centre and never blows up).
-    # The drifts' non-finite b t would also fail the energy reading at t = 0,
-    # so the runs read none.
+    # A non-finite drift has no energy to read: b t is nan at t = 0, so H
+    # reads NaN on those runs.
     rng = np.random.default_rng(5)
     a = rng.normal(size=(2, 3))
     scale = bad if where == "scale" else 1.0
@@ -694,11 +695,13 @@ def test_non_finite_coefficients_truncate_as_before(where, bad):
     for scheme in schemes:
         config = IntegratorConfig(scheme, 0.05, 0.5, 1)
         with np.errstate(all="ignore"):
-            got = simulate(game, regs, y0, config, energy="none")
+            got = simulate(game, regs, y0, config)
             with frozen_float_path():
-                want = simulate(game, regs, y0, config, energy="none")
-            batch = simulate(game, regs, tuple(v[None] for v in y0), config, energy="none")
+                want = simulate(game, regs, y0, config)
+            batch = simulate(game, regs, tuple(v[None] for v in y0), config)
         _assert_same_run(got, want)
+        if where == "drift":
+            assert np.isnan(got.energy).all() and np.isnan(batch.energy).all()
         assert batch.metadata["diagnostics"] == got.metadata["diagnostics"]
         np.testing.assert_allclose(batch.y[:, 0], got.y, rtol=1e-12, atol=1e-12)
         if where != "scale":
@@ -765,6 +768,37 @@ def test_non_finite_start_still_raises():
                 simulate(game, regs, start, IntegratorConfig(scheme, 0.05, 0.5, 1))
 
 
+@pytest.mark.parametrize("stride", [1, 3])
+def test_single_runs_map_only_their_start_through_block_choice_map(monkeypatch, stride):
+    # each call of the generated loop hands back the x of the snapshot it
+    # ends at, so BlockChoiceMap maps a single run's start and, where a run
+    # truncates off the stride, its last finite y, and nothing else; 20
+    # steps at stride 3 end on a short interval.  The overflowing rk4 run
+    # fails at step 3, off stride 3.  No energy is read: its conjugates map
+    # a product regularizer's blocks through BlockChoiceMap too
+    real, calls = BlockChoiceMap.__call__, []
+    monkeypatch.setattr(BlockChoiceMap, "__call__", lambda self, y: calls.append(y) or real(self, y))
+    runs = []
+    for family in ("zero_sum", "affine", "bipartite_fold"):
+        game, regs, y0 = _random_case(family, [2, 3, 2], 4, None)
+        runs += [(game, regs, y0, IntegratorConfig(scheme, 0.05, 1.0, stride)) for scheme in SCHEMES]
+    game, regs, y0 = _overflowing_stage_game()
+    runs += [(game, regs, y0, IntegratorConfig(scheme, 8.0, 48.0, stride)) for scheme in ("euler", "rk4")]
+    truncations = 0
+    for game, regs, y0, config in runs:
+        calls.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = simulate(game, regs, y0, config, energy="none")
+        diagnostics = traj.metadata["diagnostics"]
+        off_stride = diagnostics["truncated"] and (diagnostics["blow_up_step"] - 1) % stride != 0
+        truncations += off_stride
+        assert len(calls) == 1 + off_stride, (config, diagnostics)
+        block = BlockChoiceMap(regs)
+        for y, x in zip(traj.y, traj.x):
+            assert np.array_equal(x.view(np.int64), real(block, y).view(np.int64))
+    assert truncations == (stride == 3)
+
+
 # ---------------------------------------------------------------------------
 # the generated single-trajectory loops, by content
 
@@ -776,13 +810,12 @@ def test_equal_content_games_write_no_second_source(monkeypatch):
     twin = replace(game, payoffs={e: a.copy() for e, a in game.payoffs.items()},
                    b={e: v.copy() for e, v in game.b.items()})
     twin_regs = tuple(replace(r) for r in regs)
-    writes = []
-    for module, name in ((dynamics, "_loop_source"), (regularizers, "_choice_source")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, real=real: writes.append(args) or real(*args))
-    before = compiled.cache_info()
+    writes, real = [], dynamics._loop_source
+    monkeypatch.setattr(dynamics, "_loop_source", lambda *args: writes.append(args) or real(*args))
+    before = dynamics._loop.cache_info()
     second = simulate(twin, twin_regs, tuple(v.copy() for v in y0), config)
-    assert not writes and compiled.cache_info() == before
+    after = dynamics._loop.cache_info()
+    assert not writes and (after.hits, after.misses) == (before.hits + 1, before.misses)
     _assert_same_run(second, first)
 
 
