@@ -20,6 +20,7 @@ from .games import GameKind, MixedProfile, NetworkGame, classify_game, verify_na
 from .regularizers import bregman_distance, conjugate_value, fenchel_bregman, project_simplex, spans
 
 MONOTONE_SLACK = 1e-10
+WARMUP_FRACTION = 0.01  # of the horizon, skipped by recurrence_report
 
 
 def largest_drop(series) -> float:
@@ -175,19 +176,19 @@ class RecurrenceEvent:
     distance: float
 
 
-def recurrence_report(traj: Trajectory, epsilon: float, warmup_fraction: float = 0.01):
+def recurrence_report(traj: Trajectory, epsilon: float):
     """Local minima of the sup-distance of the profile from its start below epsilon.
 
     The metric lives on the strategies (a compact set), not the unbounded
-    payoff vectors.  A warm-up window at the head of the horizon is skipped
-    so the trivial near-start match does not count as a return.
+    payoff vectors.  The head of the horizon, its first WARMUP_FRACTION, is
+    skipped so the trivial near-start match does not count as a return.
     """
     if epsilon <= 0:
         raise ValueError("recurrence threshold must be positive")
     xs = traj.strategy_matrix()
-    t = traj.times
+    t = traj.t
     d = np.max(np.abs(xs - xs[0]), axis=1)
-    warmup = warmup_fraction * t[-1]
+    warmup = WARMUP_FRACTION * t[-1]
     events = []
     for k in range(1, len(d) - 1):
         if t[k] < warmup:

@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from time import perf_counter
 
@@ -41,16 +39,6 @@ from .games import (
 USAGE_ERROR = 1
 BLOW_UP_ERROR = 2
 CLOUD_SCHEMA_VERSION = 1  # of the *_cloud.json report
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("HAMGAME_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise SystemExit(f"HAMGAME_THREADS must be an integer, got {raw!r}")
-    return os.cpu_count() or 1
 
 
 def _load(path):
@@ -226,9 +214,7 @@ def cmd_analyze(args) -> int:
     failures = 0
     for csv_path in args.traj:
         csv_path = Path(csv_path)
-        meta_path = csv_path.with_suffix("").with_suffix(".meta.json")
-        if not meta_path.exists():
-            meta_path = Path(str(csv_path)[: -len(".csv")] + ".meta.json")
+        meta_path = csv_path.with_name(csv_path.stem + ".meta.json")  # as _out_paths names it
         try:
             with open(meta_path) as handle:
                 meta = json.load(handle)
@@ -281,6 +267,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cloud(args) -> int:
+    """One seeded cloud per scheme, one batch each, the schemes in turn: a scheme's timing is its own."""
     loaded = _load(args.game)
     if args.n < 10:
         print("error: cloud size must be at least 10", file=sys.stderr)
@@ -291,16 +278,10 @@ def cmd_cloud(args) -> int:
     if configs:  # every scheme shares eta and horizon
         _note_rounded_horizon(configs[0])
     cloud = sample_payoff_ball(loaded.y0, args.radius, args.n, args.seed)
-
-    def run(scheme, config):
-        return scheme, volume_ratio(loaded.game, loaded.regularizers, cloud, config)
-
     results = {}
     try:
-        workers = max(1, min(len(schemes), _thread_cap()))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for scheme, report in pool.map(run, schemes, configs):
-                results[scheme] = report
+        for scheme, config in zip(schemes, configs):
+            results[scheme] = volume_ratio(loaded.game, loaded.regularizers, cloud, config)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR

@@ -75,10 +75,12 @@ class IntegratorConfig:
         object.__setattr__(self, "scheme", scheme)
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if not self.eta > 0:
-            raise ValueError("step size must be positive")
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        if not 0 < self.eta < np.inf:  # nan fails every comparison
+            raise ValueError(f"step size must be positive and finite, got {self.eta}")
+        if not 0 <= self.horizon < np.inf:
+            raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon}")
+        if self.horizon / self.eta == np.inf:
+            raise ValueError(f"horizon {self.horizon:g} is too many steps of {self.eta:g} to count")
         if self.stride < 1:
             raise ValueError("snapshot stride must be a positive integer")
 
@@ -597,10 +599,6 @@ class Trajectory:
     fenchel: np.ndarray | None
     bregman: np.ndarray | None
     metadata: dict = dataclass_field(default_factory=dict)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t
 
     @property
     def states(self) -> Sequence[SystemState]:

@@ -63,6 +63,14 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _finite(values, where: str, field: str) -> np.ndarray:
+    # json.load reads NaN, Infinity and -Infinity literals
+    a = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise GameFileError(f"{where}: {field!r} must be finite")
+    return a
+
+
 def load_game_file(path) -> LoadedGame:
     path = str(path)
     with open(path) as handle:
@@ -90,14 +98,16 @@ def load_game_file(path) -> LoadedGame:
         kind = _need(agent, "regularizer", where)
         if kind not in KINDS:
             raise GameFileError(f"{where}: unknown regularizer {kind!r}")
-        scale = agent.get("scale", 1.0)
-        vec = np.asarray(agent.get("y0", [0.0] * k), dtype=float)
+        vec = _finite(agent.get("y0", [0.0] * k), where, "y0")
         if vec.shape != (k,):
             raise GameFileError(f"{where}: 'y0' must have length {k}")
         ids.append(agent_id)
         counts.append(k)
         try:
-            regs.append(Regularizer(kind, dim=k, scale=float(scale)))
+            scale = float(agent.get("scale", 1.0))
+            if not np.isfinite(scale):
+                raise ValueError("'scale' must be finite")
+            regs.append(Regularizer(kind, dim=k, scale=scale))
         except (TypeError, ValueError) as err:
             raise GameFileError(f"{where}: {err}") from None
         y0.append(vec)
@@ -116,7 +126,7 @@ def load_game_file(path) -> LoadedGame:
             raise GameFileError(f"{where}: self edge on agent {i_id!r}")
         if (i, j) in payoffs:
             raise GameFileError(f"{where}: duplicate edge ({i_id!r}, {j_id!r})")
-        a = np.asarray(_need(edge, "A", where), dtype=float)
+        a = _finite(_need(edge, "A", where), where, "A")
         if a.shape != (counts[i], counts[j]):
             raise GameFileError(
                 f"{where}: matrix shape {a.shape} does not match ({counts[i]}, {counts[j]})"

@@ -31,6 +31,11 @@ from .regularizers import (
 SYMMETRY_TOL = 1e-12
 
 
+def _mirrors(a, b) -> bool:
+    """Every entry of a within SYMMETRY_TOL of b's or equal to it: mirrored infinities match, nan never."""
+    return bool(np.all((np.abs(a - b) <= SYMMETRY_TOL) | (a == b)))
+
+
 class GameKind(enum.Enum):
     ZERO_SUM = "zero_sum"
     COORDINATION = "coordination"
@@ -79,8 +84,7 @@ class NetworkGame:
             if self.sigma not in (-1, 1):
                 raise ValueError("sigma must be -1, +1, or None")
             for i, j in self.pairs():
-                dev = self.matrix(i, j) - self.sigma * self.matrix(j, i).T
-                if np.max(np.abs(dev)) > SYMMETRY_TOL:
+                if not _mirrors(self.matrix(i, j), self.sigma * self.matrix(j, i).T):
                     raise ValueError(
                         f"edge ({i}, {j}) violates the sigma={self.sigma} symmetry"
                     )
@@ -197,13 +201,13 @@ def classify_game(game: NetworkGame) -> Classification:
     for i, j in game.pairs():
         a_ij = game.matrix(i, j)
         a_ji = game.matrix(j, i)
-        if np.max(np.abs(a_ij + a_ji.T)) > SYMMETRY_TOL:
+        if not _mirrors(a_ij, -a_ji.T):
             zero_sum = False
-        if np.max(np.abs(a_ij - a_ji.T)) > SYMMETRY_TOL:
+        if not _mirrors(a_ij, a_ji.T):
             coordination = False
         m = a_ji + a_ij.T
         c = float(m.flat[0])
-        if np.max(np.abs(m - c)) > SYMMETRY_TOL:
+        if not _mirrors(m, c):
             constant = False
         else:
             constants[(i, j)] = c

@@ -33,6 +33,8 @@ from .dynamics import PayoffOperator, SystemState
 from .games import GeneralizedGame, NetworkGame, bipartite_partition, check_partition
 from .regularizers import _leaves, conjugate_value, spans
 
+FD_STEP = 1e-6  # relative central-difference step of verify_hamiltonian_structure
+
 # An edge (i, j) of b is classed by whether i and j are kinetic agents.
 _ALL, _OUT, _BACK = (True, True), (True, False), (False, True)
 
@@ -196,9 +198,8 @@ def verify_hamiltonian_structure(
     game: NetworkGame,
     regs,
     variant: str = "auto",
-    fd_step: float = 1e-6,
 ) -> StructureReport:
-    """Check dH/dy = dX/dt and -dH/dX = dy/dt by central differences.
+    """Check dH/dy = dX/dt and -dH/dX = dy/dt by central differences of relative step FD_STEP.
 
     The check runs at the given state, which must be consistent (its
     motions equal to the reconstruction from its positions): only there do
@@ -234,7 +235,7 @@ def verify_hamiltonian_structure(
 
     def slope(v, c):
         """Central difference of the canonical reading along coordinate c of v."""
-        h = fd_step * max(1.0, abs(v[c]))
+        h = FD_STEP * max(1.0, abs(v[c]))
         v[c] += h
         up = float(energy_of(spec, y, X, y0, state.t).value)
         v[c] -= 2.0 * h

@@ -254,7 +254,7 @@ class TestRecurrence:
         traj = run(game, regs, y0, eta=0.1, horizon=10.0, stride=10)
         events = recurrence_report(traj, epsilon=1e-6)
         # every interior snapshot past the warm-up window is a (flat) return
-        times = traj.times
+        times = traj.t
         expected = np.sum((times >= 0.1) & (times < times[-1]))
         assert len(events) == int(expected)
 

@@ -2,6 +2,7 @@
 
 import json
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +132,21 @@ class TestLoader:
         with pytest.raises(GameFileError, match="duplicate edge"):
             load_game_file(write_game(tmp_path / "dup.json", doc))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["A", "y0", "scale"])
+    def test_non_finite_value_names_its_field(self, tmp_path, field, bad):
+        # json reads the NaN, Infinity and -Infinity literals json.dumps writes
+        doc = json.loads(Path(mp_file(tmp_path)).read_text())
+        if field == "A":
+            doc["edges"][1]["A"][0][1] = bad
+        else:
+            doc["agents"][1][field] = [0.0, bad] if field == "y0" else bad
+        path = write_game(tmp_path / "bad.json", doc)
+        assert ("NaN" if bad != bad else "Infinity") in Path(path).read_text()
+        where = r"edges\[1\]" if field == "A" else r"agents\[1\]"
+        with pytest.raises(GameFileError, match=f"{where}: '{field}' must be finite"):
+            load_game_file(path)
+
 
 class TestValidate:
     def test_matching_pennies(self, tmp_path, capsys):
@@ -240,6 +256,24 @@ class TestSimulate:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "eta, horizon, message",
+        [
+            ("1e-3", "inf", "horizon must be nonnegative and finite"),
+            ("1e-3", "nan", "horizon must be nonnegative and finite"),
+            ("inf", "10", "step size must be positive and finite"),
+            ("nan", "10", "step size must be positive and finite"),
+            ("1e-300", "1e10", "too many steps"),
+        ],
+        ids=["horizon-inf", "horizon-nan", "eta-inf", "eta-nan", "step-count-overflow"],
+    )
+    def test_non_finite_eta_or_horizon_usage_error(self, tmp_path, capsys, eta, horizon, message):
+        args = ["--eta", eta, "--horizon", horizon, "--out", str(tmp_path / "out")]
+        assert main(["simulate", "--game", mp_file(tmp_path), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_blow_up_exits_two(self, tmp_path, capsys):
         doc = {
@@ -364,6 +398,17 @@ class TestAnalyze:
         assert report["checks"]["energy_invariance"]["passed"]
         assert report["checks"]["fenchel_invariance"]["passed"]
         assert report["fenchel"]["max_deviation"] <= 1e-7
+
+    def test_dotted_game_name_finds_its_sidecar(self, tmp_path, capsys):
+        # the sidecar is the CSV's stem plus .meta.json, as simulate names it
+        game_path = tmp_path / "mp.v2.json"
+        Path(mp_file(tmp_path)).rename(game_path)
+        out = tmp_path / "out"
+        args = ["--eta", "0.05", "--horizon", "1", "--out", str(out)]
+        assert main(["simulate", "--game", str(game_path), *args]) == 0
+        assert (out / "mp.v2_rk4.meta.json").exists()
+        assert main(["analyze", "--game", str(game_path), "--traj", str(out / "mp.v2_rk4.csv")]) == 0
+        assert (out / "mp.v2_rk4.report.json").exists()
 
     def test_euler_report_monotone(self, tmp_path, capsys):
         game_path, csv_path = self.simulate_mp(tmp_path, scheme="euler", eta="0.05", horizon="5")
@@ -517,8 +562,7 @@ class TestCloud:
         assert main(["cloud", "--game", mp_file(tmp_path), *args]) == 0
         assert "the run ends at t = 0.9" in capsys.readouterr().err
 
-    def test_volume_report(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("HAMGAME_THREADS", "2")
+    def test_volume_report(self, tmp_path, capsys):
         game_path = mp_file(tmp_path)
         code = main(
             [
@@ -554,3 +598,15 @@ class TestCloud:
             assert timing["step_s"] > 0
             # 314 batched steps of all 200 starts
             assert timing["steps_per_s"] == pytest.approx(314 / timing["step_s"])
+
+    def test_former_thread_variable_is_ignored(self, tmp_path, capsys, monkeypatch):
+        # the schemes run in turn: no environment variable sizes a thread pool
+        args = ["cloud", "--game", mp_file(tmp_path), "--n", "50", "--scheme", "euler,rk4,leapfrog",
+                "--eta", "0.05", "--horizon", "1"]
+        monkeypatch.delenv("HAMGAME_THREADS", raising=False)
+        assert main([*args, "--out", str(tmp_path / "unset")]) == 0
+        monkeypatch.setenv("HAMGAME_THREADS", "abc")
+        assert main([*args, "--out", str(tmp_path / "abc")]) == 0
+        unset, abc = (json.loads((tmp_path / d / "mp_cloud.json").read_text())["volume"]
+                      for d in ("unset", "abc"))
+        assert abc == unset and set(unset) == {"euler", "rk4", "leapfrog"}

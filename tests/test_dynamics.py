@@ -194,7 +194,7 @@ class TestLeapfrog:
         def drift_curve(scheme, eta):
             traj = run(game, regs, y0, scheme=scheme, eta=eta, horizon=100.0, stride=50)
             h = traj.energy
-            return np.abs(h - h[0]), traj.times
+            return np.abs(h - h[0]), traj.t
 
         lf, t = drift_curve("leapfrog", 1e-2)
         assert float(np.max(lf)) < 1e-3
@@ -392,7 +392,7 @@ class TestTrajectoryFiles:
         write_trajectory_csv(traj, game, csv_path)
         header, data = read_trajectory_csv(csv_path)
         assert header == ["t", "x_1_1", "x_1_2", "x_2_1", "x_2_2", "H", "F", "D"]
-        np.testing.assert_array_equal(data[:, 0], traj.times)  # exact round trip
+        np.testing.assert_array_equal(data[:, 0], traj.t)  # exact round trip
         np.testing.assert_array_equal(data[:, 1:5], traj.strategy_matrix())
         np.testing.assert_array_equal(data[:, 5], traj.energy)
         np.testing.assert_array_equal(data[:, 6], traj.fenchel)

@@ -73,6 +73,28 @@ class TestClassify:
         with pytest.raises(ValueError, match=r"edge \(0, 1\)"):
             NetworkGame((2, 3), {(0, 1): np.zeros((2, 2))})
 
+    def test_nan_payoff_matches_no_symmetry(self):
+        # nan entries fail every tolerance comparison, so no edge holding one
+        # is zero-sum, coordination or constant-sum, whatever sigma it claims
+        payoffs = {(0, 1): [[1, 2], [3, np.nan]], (1, 0): [[5, 7], [11, 13]]}
+        for sigma in (-1, 1):
+            with pytest.raises(ValueError, match=f"sigma={sigma} symmetry"):
+                NetworkGame((2, 2), payoffs, sigma=sigma)
+        assert classify_game(NetworkGame((2, 2), payoffs)).kind == GameKind.GENERAL
+        a = np.array([[1.0, np.nan], [3.0, 4.0]])
+        for other in (-a.T, a.T, 2.0 - a.T):
+            assert classify_game(NetworkGame((2, 2), {(0, 1): a, (1, 0): other})).kind == GameKind.GENERAL
+
+    def test_mirrored_infinities_keep_their_symmetry(self):
+        a = np.array([[1.0, np.inf], [-np.inf, 4.0]])
+        with np.errstate(invalid="ignore"):
+            zero_sum = NetworkGame((2, 2), {(0, 1): a, (1, 0): -a.T}, sigma=-1)
+            coordination = NetworkGame((2, 2), {(0, 1): a, (1, 0): a.T}, sigma=1)
+            assert classify_game(zero_sum).kind == GameKind.ZERO_SUM
+            assert classify_game(coordination).kind == GameKind.COORDINATION
+            with pytest.raises(ValueError, match="sigma=1 symmetry"):
+                NetworkGame((2, 2), {(0, 1): a, (1, 0): -a.T}, sigma=1)
+
 
 class TestNormalize:
     def test_example_subtracts_constant(self):

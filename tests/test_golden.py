@@ -62,7 +62,7 @@ GAMES = {
 def _rows(name, scheme):
     game, regs, y0, ref = GAMES[name](np.random.default_rng(7))
     traj = simulate(game, regs, y0, IntegratorConfig(scheme, 0.05, 2.0, 8), ref=ref)
-    cols = [traj.times[:, None], traj.strategy_matrix()]
+    cols = [traj.t[:, None], traj.strategy_matrix()]
     cols += [np.asarray(v, dtype=float)[:, None] for v in (traj.energy, traj.fenchel, traj.bregman)]
     return np.hstack(cols)
 

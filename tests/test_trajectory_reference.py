@@ -56,7 +56,7 @@ def _ref_fmt(v: float) -> str:
 def _ref_write_csv(traj, game, path):
     """The per-cell writer: one format() call per value."""
     xs = traj.strategy_matrix()
-    t = traj.times
+    t = traj.t
     H = np.asarray(traj.energy, dtype=float)
     F = traj.fenchel if traj.fenchel is not None else np.full(len(t), np.nan)
     D = traj.bregman if traj.bregman is not None else np.full(len(t), np.nan)
