@@ -15,16 +15,20 @@ the high-fidelity reference for the continuous flow; and the leapfrog, which
 splits the conserved energy into a y-part and an X-part and alternates exact
 shears, so long-run energy error stays bounded and every step is reversible.
 
-Integration runs on flat state: y and X are (batch..., D) arrays, D = sum
-k_i, with agent i owning the coordinates slices[i].  Each run compiles the
-game once into the block payoff operator M (M[s_i, s_j] = A[i, j]) plus,
-for affine games, the summed drift b, so the field dy/dt is
-PayoffOperator.field, x @ M' (+ b), and the motion reconstructed from the
-positions is y0 + X @ M' (+ b t).  The choice maps act blockwise
+Integration runs on flat state: the record holds y and X as (batch...,
+D) arrays, D = sum k_i, with agent i owning the coordinates slices[i].
+Each run compiles the game once into the block payoff operator M (M[s_i,
+s_j] = A[i, j]) plus, for affine games, the summed drift b, so the field
+dy/dt is PayoffOperator.field, M x (+ b), and the motion reconstructed
+from the positions is y0 + M X (+ b t).  The choice maps act blockwise
 (regularizers.BlockChoiceMap); a product regularizer contributes its
 blocks.  x is evaluated only where a stage or a recorded snapshot needs
 it.  A cloud of initial conditions evolves as one vectorized trajectory,
-one kernel call (KERNELS) per step.  One start runs on Python floats, as
+one kernel call (KERNELS) per step, on the coordinate-major (D, n)
+transpose of its start: row c holds coordinate c of all n starts, so each
+agent's block is a contiguous range of rows, which the choice map maps on
+those rows and the payoff operator multiplies as A_i @ x[span].  Only the
+recorded rows are transposed back.  One start runs on Python floats, as
 numpy's per-call cost on 2 to 20 floats dominates: one function generated
 per (game, leaf regularizers, scheme) steps it from one snapshot to the
 next on local variables, stage points, choice map, payoff field, running
@@ -135,8 +139,16 @@ def consistent_state(game: NetworkGame, regs, y0, X, t: float = 0.0) -> SystemSt
     return SystemState(t, y, X, x, y0)
 
 
+# A row block of one row, or over a span this wide or wider, is not
+# multiplied as the mirror A_i @ x[span] on coordinate-major arrays: OpenBLAS
+# (0.3.31, Haswell kernels) then takes another path, whose last bits differ
+_MIRROR_BELOW_SPAN = 16
+
+
 class PayoffOperator:
-    """The block payoff matrix M of a game, acting on flat (batch..., D) arrays.
+    """The block payoff matrix M of a game, acting on flat arrays: (batch...,
+    D) ones, or, on a transposed operator, the coordinate-major (D, n) ones
+    that batched runs step on.  join and split act on the last axis.
 
     Row block i is stored over the narrowest column span that holds every
     stored A[i, j]; over a single neighbour j, the product is x_j @ A[i, j]'
@@ -146,29 +158,32 @@ class PayoffOperator:
     kept by edge, so that the energy variants can weigh them edge by edge.
     """
 
-    def __init__(self, game: NetworkGame):
+    def __init__(self, game: NetworkGame, transposed: bool = False):
         bounds = np.cumsum((0,) + tuple(game.strategy_counts)).tolist()
         self.slices = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
         self.dim = bounds[-1]
         self.game = game
-        rows = []  # (input span, A' on it, output slice) per row block
+        self.transposed = transposed
+        rows = []  # (input span, A_i on it, output slice) per row block
         for i, k in enumerate(game.strategy_counts):
             cols = [j for j in range(game.n) if (i, j) in game.payoffs]
             if not cols:
-                rows.append((slice(0, 0), np.zeros((0, k)), self.slices[i]))
+                rows.append((slice(0, 0), np.zeros((k, 0)), self.slices[i]))
                 continue
             if len(cols) == 1:
-                rows.append((self.slices[cols[0]], game.payoffs[(i, cols[0])].T, self.slices[i]))
+                rows.append((self.slices[cols[0]], game.payoffs[(i, cols[0])], self.slices[i]))
                 continue
             lo, hi = self.slices[cols[0]].start, self.slices[cols[-1]].stop
             block = np.zeros((k, hi - lo))
             for j in cols:
                 s = self.slices[j]
                 block[:, s.start - lo : s.stop - lo] = game.payoffs[(i, j)]
-            rows.append((slice(lo, hi), block.T, self.slices[i]))
+            rows.append((slice(lo, hi), block, self.slices[i]))
         self.rows = tuple(rows)
         self.b = sorted(game.b.items()) if isinstance(game, GeneralizedGame) else []
         self.drift = self.weighted_drift(lambda i, j: 1.0)
+        # as added: a column against a transposed operator's (D, n) arrays
+        self._b = self.drift[:, None] if transposed and self.drift is not None else self.drift
 
     def weighted_drift(self, weight):
         """sum_j weight(i, j) b[i, j] in every agent i's slice; None if no term is nonzero."""
@@ -188,26 +203,45 @@ class PayoffOperator:
         return tuple(flat[..., s] for s in self.slices)
 
     def linear(self, x):
-        """x @ M': sum_j A[i, j] x_j for every agent i, without drift.
+        """M x: sum_j A[i, j] x_j for every agent i, without drift.
 
-        Each row block is multiplied straight into its slice of one output;
-        the slice keeps a BLAS-able stride, so the bits are those of a
-        separate x_span @ A' per block.
+        Each row block is multiplied straight into its slice of one output,
+        as x[..., span] @ A_i'; the slice keeps a BLAS-able stride, so the
+        bits are those of a separate product per block.  On a transposed
+        operator's (D, n) arrays a block is the mirror, A_i @ x[span] into
+        its rows, which OpenBLAS runs as the same kernel on the same memory,
+        so the bits are those of the (n, D) product; a block of one row, or
+        over a span of 16 or more, would take another path there, and is
+        multiplied as x[span]' @ A_i' on a C-ordered copy of its span.
         """
-        out = np.empty(x.shape[:-1] + (self.dim,))
-        for span, mt, s in self.rows:
-            np.matmul(x[..., span], mt, out=out[..., s])
+        if not self.transposed:
+            out = np.empty(x.shape[:-1] + (self.dim,))
+            for span, a, s in self.rows:
+                np.matmul(x[..., span], a.T, out=out[..., s])
+            return out
+        out = np.empty((self.dim,) + x.shape[1:])
+        for span, a, s in self.rows:
+            if len(a) > 1 and span.stop - span.start < _MIRROR_BELOW_SPAN:
+                np.matmul(a, x[span], out=out[s])
+            else:
+                out[s] = np.matmul(np.ascontiguousarray(x[span].T), a.T).T
         return out
 
     def field(self, x):
         """dy/dt at strategies x."""
         out = self.linear(x)
-        return out if self.drift is None else out + self.drift
+        return out if self.drift is None else out + self._b
 
     def motion(self, y0, X, t):
-        """y0 + X @ M' (+ b t): the motions reconstructed from positions."""
-        z = y0 + self.linear(X)
-        return z if self.drift is None else z + self.drift * t
+        """y0 + M X (+ b t): the motions reconstructed from positions.  A
+        transposed operator adds into the product, which keeps its C order
+        whatever y0's layout."""
+        z = self.linear(X)
+        if self.transposed:
+            z = np.add(y0, z, out=z)
+            return z if self.drift is None else np.add(z, self._b * t, out=z)
+        z = y0 + z
+        return z if self.drift is None else z + self._b * t
 
 
 def product_lines(counts, payoffs, x, out, drift=None) -> list[str]:
@@ -245,7 +279,8 @@ def _accumulate(u, h, v):  # u + h v in place, the same bits; no product at h = 
 class _Flow:
     """A game, its regularizers and a start y0 (a flat array), compiled for
     flat stepping: a 1-D start through its generated loop (advance), a
-    batched one through the array kernels."""
+    batched one through the array kernels on coordinate-major (D, n)
+    arrays, y0 among them once simulate has transposed it."""
 
     def __init__(self, game: NetworkGame, regs, y0):
         if tuple(r.dim for r in regs) != tuple(game.strategy_counts):
@@ -253,7 +288,7 @@ class _Flow:
         y0 = tuple(np.asarray(v, dtype=float) for v in y0)
         if len(y0) != len(regs) or any(v.shape[-1] != reg.dim for reg, v in zip(regs, y0)):
             raise ValueError("initial payoff vector does not match the regularizer")
-        self.op = PayoffOperator(game)
+        self.op = PayoffOperator(game, transposed=True)
         self.choice = BlockChoiceMap(regs)
         self.field = self.op.field
         self.y0 = self.op.join(y0)
@@ -290,9 +325,10 @@ def _require_sigma(flow):
         raise ValueError("no Hamiltonian structure certified: game has no sigma tag")
 
 
-# Array kernels: (flow, t, y, X, x, force, eta) -> (y, X, force).  x is the
-# choice map of y when the caller already has it (None otherwise); force is
-# the leapfrog's last kick, (time, kick at X), carried over from the previous step.
+# Array kernels: (flow, t, y, X, x, force, eta) -> (y, X, force), on
+# coordinate-major (D, n) arrays.  x is the choice map of y when the caller
+# already has it (None otherwise); force is the leapfrog's last kick, [time,
+# kick at X], carried over from the previous step and updated in place.
 
 
 def _euler(flow, t, y, X, x, force, eta):
@@ -343,11 +379,14 @@ def _leapfrog(flow, t, y, X, x, force, eta):
     """
     _require_sigma(flow)
     half = 0.5 * eta
-    if force is None or force[0] != t and flow.op.drift is not None:  # t - eta + eta may not be t
-        force = (t, flow.kick(X, t))
+    if force is None:
+        force = [None, None]
+    if force[0] is None or force[0] != t and flow.op.drift is not None:  # t - eta + eta may not be t
+        force[:] = t, flow.kick(X, t)
     y_half = _shift(y, half, force[1])
+    force[1] = None  # spent: released before the second kick
     X = _shift(X, eta, flow.choice(y_half))
-    force = (t + eta, flow.kick(X, t + eta))
+    force[:] = t + eta, flow.kick(X, t + eta)
     return _shift(y_half, half, force[1]), X, force
 
 
@@ -629,12 +668,12 @@ NON_FINITE = "non-finite payoff vector"
 
 
 def _blow_up(y, flow):
-    """Why the step to y ends the run, or None: the first agent whose |y| is
-    not finite or passes its limit."""
+    """Why the step to y (coordinates on axis 0) ends the run, or None: the
+    first agent whose |y| is not finite or passes its limit."""
     if np.abs(y).max() <= flow.limit:
         return None  # nan and inf compare False, so they are diagnosed below
     for agent, (s, limit) in enumerate(zip(flow.op.slices, flow.limits), 1):
-        peak = float(np.abs(y[..., s]).max())  # the first offending agent names the reason
+        peak = float(np.abs(y[s]).max())  # the first offending agent names the reason
         if not np.isfinite(peak):
             return NON_FINITE
         if peak > BLOW_UP_LIMIT:
@@ -667,8 +706,14 @@ def _run_single(flow, config, rows, y, X, x):
     return k, i, None, y, X
 
 
-def _run_batched(flow, config, rows, y, X, x):
-    """_run_single for a batch of starts (arrays), one kernel call per step."""
+def _run_batched(flow, config, rows, state):
+    """_run_single for a batch of starts, coordinate-major (D, n) arrays,
+    one kernel call per step; each snapshot is written back transposed.
+
+    state is [y, X, x], which the runner empties, and the leapfrog's force
+    a list, [time, kick], that its kernel updates in place, so that no
+    caller's name keeps the start's X and x or a spent kick alive."""
+    (y, X, x), state[:] = state, ()
     ts, ys, Xs, xs = rows
     kernel, eta, stride, n_steps = KERNELS[config.scheme], config.eta, config.stride, config.steps
     t, force, i, k = 0.0, None, 0, 1
@@ -684,9 +729,23 @@ def _run_batched(flow, config, rows, y, X, x):
         t, y, X = i * eta, y_next, X_next  # t: no running sum, whose error would enter b t
         if i % stride == 0 or i == n_steps:
             x = flow.choice(y)  # also the next step's first stage
-            ts[k], ys[k], Xs[k], xs[k] = t, y, X, x
+            ts[k] = t
+            _put(ys[k], y), _put(Xs[k], X), _put(xs[k], x)
             k += 1
     return k, i, None, y, X
+
+
+def _put(row, a):
+    """Write the coordinate-major a, (D,) or (D, n), into a record row (batch..., D)."""
+    row.reshape(-1, len(a))[...] = a.T
+
+
+def _record(rows, shape):
+    """The empty record: t, then y, X and x as (rows, batch..., D) arrays."""
+    try:
+        return tuple(np.empty((rows,) + s) for s in ((), shape, shape, shape))
+    except (ValueError, MemoryError) as err:  # numpy's own messages name neither
+        raise ValueError(f"cannot allocate {rows} snapshot rows of shape {shape}: {err}") from None
 
 
 def simulate(
@@ -725,19 +784,27 @@ def simulate(
     energy_fn, variant = select_energy(game, regs, energy)
 
     start = perf_counter()
-    single = flow.y0.ndim == 1
-    x = flow.choice(flow.y0)  # a non-finite start raises here
+    shape, single = flow.y0.shape, flow.y0.ndim == 1
+    # a batch steps on its start transposed once into (D, n)
+    y = flow.y0 if single else np.ascontiguousarray(flow.y0.reshape(-1, shape[-1]).T)
+    x = flow.choice(y)  # a non-finite start raises here
     n_steps = config.steps
-    rows = n_steps // stride + 1 + (n_steps % stride != 0)
-    ts, ys, Xs, xs = record = tuple(np.empty((rows,) + np.shape(v)) for v in (0.0, x, x, x))
-    ts[0], ys[0], Xs[0], xs[0] = 0.0, flow.y0, 0.0, x
-    flow.y0, X, x = ys[0], Xs[0], xs[0]  # the start rows serve as y0, X and x: no second copy lives through the run
-    state = [v.tolist() for v in (flow.y0, X, x)] if single else (flow.y0, X, x)  # floats for the loop
-    k, i, reason, y, X = (_run_single if single else _run_batched)(flow, config, record, *state)
+    ts, ys, Xs, xs = record = _record(n_steps // stride + 1 + (n_steps % stride != 0), shape)
+    ts[0], ys[0], Xs[0] = 0.0, flow.y0, 0.0
+    _put(xs[0], x)
+    # the start row serves as y0 (a transposed view in a batch): no second copy lives through the run
+    if single:
+        flow.y0 = ys[0]
+        k, i, reason, y, X = _run_single(flow, config, record, *(v.tolist() for v in (ys[0], Xs[0], xs[0])))
+    else:
+        flow.y0, state = ys[0].reshape(-1, shape[-1]).T, [y, np.zeros_like(y), x]
+        del y, x
+        k, i, reason, y, X = _run_batched(flow, config, record, state)
     diagnostics = {"truncated": reason is not None, "blow_up_step": None if reason is None else i, "reason": reason}
     if reason is not None and (i - 1) % stride:  # the last finite state ends the record
-        ts[k], ys[k], Xs[k] = (i - 1) * eta, y, X
-        xs[k] = flow.choice(ys[k])
+        y, X = np.asarray(y), np.asarray(X)  # lists of floats, after a single run
+        ts[k] = (i - 1) * eta
+        _put(ys[k], y), _put(Xs[k], X), _put(xs[k], flow.choice(y))
         k += 1
     ts, ys, Xs, xs = ts[:k], ys[:k], Xs[:k], xs[:k]
     step_s = perf_counter() - start

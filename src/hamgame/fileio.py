@@ -64,8 +64,11 @@ def _need(obj: dict, key: str, where: str):
 
 
 def _finite(values, where: str, field: str) -> np.ndarray:
+    try:
+        a = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as err:  # a string, an object, or ragged rows
+        raise GameFileError(f"{where}: {field!r} must be numbers in a rectangular array ({err})") from None
     # json.load reads NaN, Infinity and -Infinity literals
-    a = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(a)):
         raise GameFileError(f"{where}: {field!r} must be finite")
     return a

@@ -20,10 +20,12 @@ simplex turns into under the substitution x2 = 1 - x1.
 
 Every operation broadcasts over leading batch axes: the last axis is the
 strategy dimension, anything in front of it is carried through unchanged.
-BlockChoiceMap maps all agents' blocks of an array with numpy.
-choice_lines writes the same map as straight-line Python statements on
-named floats, the fragment that dynamics writes into its single-trajectory
-loops (and compiles with define); both give the same bits: IEEE
+BlockChoiceMap maps all agents' blocks of an array with numpy, on the
+coordinate-major layout that batched runs step on: axis 0 is the
+coordinate, every further axis a batch axis.  choice_lines writes the same
+map as straight-line Python statements on named floats, the fragment that
+dynamics writes into its single-trajectory loops (and compiles with
+define); both give the same bits: IEEE
 arithmetic rounds alike in both, the written-out sums follow numpy's
 order, and numpy keeps the exp and the tanh.
 """
@@ -112,9 +114,15 @@ def spans(regs):
 # which the ndarray methods sum, max and cumsum wrap in Python: same bits.
 
 
-def _softmax(u):
-    e = np.exp(u - np.maximum.reduce(u, axis=-1, keepdims=True))
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
+# The unit maps write into out when it is given (an array of u's shape).
+
+
+def _softmax(u, out=None):
+    e = np.subtract(u, np.maximum.reduce(u, axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    # numpy sums 8 or more terms on a contiguous last axis pairwise, fewer
+    # (or on any other layout) in order; the copy keeps a wide row's order
+    e /= np.add.reduce(e if e.shape[-1] < _PAIRWISE_FROM else np.ascontiguousarray(e), axis=-1, keepdims=True)
     return e
 
 
@@ -123,9 +131,12 @@ def _logsumexp(u):
     return np.squeeze(m, axis=-1) + np.log(np.exp(u - m).sum(axis=-1))
 
 
-def _sigmoid(u):
-    # tanh form is stable for large |u|
-    return 0.5 * (1.0 + np.tanh(0.5 * u))
+def _sigmoid(u, out=None):
+    # tanh form is stable for large |u|: 0.5 * (1.0 + tanh(0.5 * u))
+    s = np.tanh(np.multiply(u, 0.5, out=out), out=out)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def _xlogx(x):
@@ -152,8 +163,9 @@ def _sorted_columns(v):
     return u
 
 
-def project_simplex(v):
-    """Euclidean projection of v onto the probability simplex (last axis).
+def project_simplex(v, out=None):
+    """Euclidean projection of v onto the probability simplex (last axis),
+    into out when it is given.
 
     Exact sorted-threshold rule; no iteration, no tolerance.  With u the
     entries in decreasing order, the thresholds are (u_1 + ... + u_j - 1) / j,
@@ -161,9 +173,9 @@ def project_simplex(v):
     threshold; the projection is max(v - tau, 0).  Two coordinates a, b take
     no sort: the thresholds are max(a, b) - 1 and (a + b - 1) / 2, and tau is
     the second exactly when min(a, b) exceeds it.  These are the sorted
-    rule's own operations, so the bits are the same.  An entry of -inf sorts
-    last, its threshold is -inf, which never counts toward rho, and it maps
-    to 0; BlockChoiceMap pads narrow blocks with it.
+    rule's own operations, so the bits are the same while |v| < 2^53, where
+    c - 1 < c for the largest entry c.  An entry of -inf sorts last, its
+    threshold is -inf, which never counts toward rho, and it maps to 0.
 
     Many short rows sort their columns by a compare-exchange network
     (_sorted_columns) instead: a few ufunc calls on whole columns in place
@@ -178,13 +190,23 @@ def project_simplex(v):
     near 96 rows at width 3, 200 at widths 4 and 5 and 450 at 6 and 7.
     """
     v = np.asarray(v, dtype=float)
-    width = v.shape[-1]
-    if width == 2:
+    if v.shape[-1] == 2:
         a, b = v[..., 0], v[..., 1]
         wide = (a + b - 1.0) / 2
         tau = np.where(np.minimum(a, b) > wide, wide, np.maximum(a, b) - 1.0)
-        return np.maximum(v - tau[..., None], 0.0)
-    if 2 < width < _PAD_BELOW and v.size // width >= _ROWS_PER_EXCHANGE * width * (width - 1) // 2:
+        return _clipped_shift(v, tau[..., None], out)
+    return _sorted_projection(v, out)
+
+
+def _clipped_shift(v, tau, out):  # max(v - tau, 0), into out when given
+    out = np.subtract(v, tau, out=out)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _sorted_projection(v, out):
+    """project_simplex by the sorted rule at every width, two included."""
+    width = v.shape[-1]
+    if width < _PAIRWISE_FROM and v.size // width >= _ROWS_PER_EXCHANGE * width * (width - 1) // 2:
         # every array below takes the layout of v's columns: a count or a
         # pick in another layout costs a strided loop
         u = _sorted_columns(v)
@@ -202,8 +224,7 @@ def project_simplex(v):
         for j, t in enumerate(thresholds, 1):
             tau = np.where(rho == j, t, tau)
         del thresholds
-        out = v - tau[..., None]
-        return np.maximum(out, 0.0, out=out)
+        return _clipped_shift(v, tau[..., None], out)
     u = np.negative(v)
     u.sort(axis=-1)
     np.negative(u, out=u)  # v in decreasing order
@@ -212,8 +233,7 @@ def project_simplex(v):
     rho = np.add.reduce(u > thresholds, axis=-1, keepdims=True)
     # the rho-th threshold, or 0.0 at rho = 0, in 1-D too; the other summands are exact zeros
     tau = np.add.reduce(np.where(k == rho, thresholds, 0.0), axis=-1, keepdims=True)
-    out = v - tau
-    return np.maximum(out, 0.0, out=out)
+    return _clipped_shift(v, tau, out)
 
 
 @cache
@@ -267,9 +287,10 @@ def h_value(reg: AnyRegularizer, x):
     return reg.scale * val
 
 
-def _clip_centered(u):
+def _clip_centered(u, out=None):
     # np.clip's operations; u + 0.5 is never -0.0, whose clip could differ
-    return np.minimum(np.maximum(u + 0.5, 0.0), 1.0)
+    c = np.maximum(np.add(u, 0.5, out=out), 0.0, out=out)
+    return np.minimum(c, 1.0, out=c)
 
 
 # choice maps at scale 1, by (kind, domain), each after the prescale below;
@@ -284,9 +305,8 @@ _UNIT_CHOICE = {
 # folds into the scale without changing bits
 _PRESCALE = {("euclidean", "simplex"): 2.0, ("euclidean", "box"): 4.0}
 
-# numpy sums fewer than 8 terms in order and more pairwise, so trailing
-# zeros (the softmax of -inf padding) keep a sum's bits only below 8 terms
-_PAD_BELOW = 8
+# numpy sums fewer than 8 terms in order and more pairwise
+_PAIRWISE_FROM = 8
 
 
 def _leaves(regs):
@@ -299,6 +319,15 @@ def _leaves(regs):
 
 def _factor(reg: Regularizer) -> float:
     return reg.scale * _PRESCALE.get((reg.kind, reg.domain), 1.0)
+
+
+def _pair_rule(leaves) -> bool:
+    """Whether euclidean simplex blocks of one or two coordinates take the
+    two-coordinate rule: when no euclidean simplex block of 3 to 7 is there,
+    else the sorted rule, as when such blocks shared one call, padded with
+    -inf.  The rules differ only once |y| / (2 s) reaches 2^53."""
+    narrow = [r.dim for r in leaves if (r.kind, r.domain) == ("euclidean", "simplex") and r.dim < _PAIRWISE_FROM]
+    return max(narrow, default=0) == 2
 
 
 def payoff_limit(reg: AnyRegularizer) -> float:
@@ -374,7 +403,7 @@ def _add_reduce_source(terms) -> str:
 
 def _pair_source(u, x):
     """project_simplex's two-coordinate rule on the names u, into the names x;
-    one coordinate is a block padded with -inf: wide is -inf, tau is a - 1."""
+    one coordinate is the rule with b = -inf: wide is -inf, tau is a - 1."""
     if len(u) == 1:
         return [f"{x[0]} = d if (d := {u[0]} - ({u[0]} - 1.0)) > 0.0 else 0.0"]
     a, b = u
@@ -415,16 +444,15 @@ def choice_lines(leaves, y, x) -> list[str]:
     round alike in Python, every sum (the finiteness check's too) is
     written out in numpy's order, and numpy keeps one np.exp and one
     np.tanh call, as numpy's may differ from libm's.  A euclidean simplex
-    block of one or two coordinates takes the two-coordinate rule when its
-    group is two wide, as the array group does; it differs from the sorted
+    block of one or two coordinates takes the two-coordinate rule where
+    _pair_rule says so, as BlockChoiceMap does; it differs from the sorted
     rule only once |y| / (2 s) reaches 2^53, far past payoff_limit.
     """
     body = [  # nan and inf both poison the sum
         f"if not isfinite({_add_reduce_source(y)}):",
         "    raise NonFinitePayoff('choice map requires finite payoff vector')",
     ]
-    narrow = [r.dim for r in leaves if (r.kind, r.domain) == ("euclidean", "simplex") and r.dim < _PAD_BELOW]
-    pair = max(narrow, default=0) == 2  # the two-coordinate rule serves blocks of 1 and 2, as in the array group
+    pair = _pair_rule(leaves)
     shifted, halved = [], []  # the inputs of the one np.exp and the one np.tanh call
     exps, tanhs = [], []  # their outputs: entropy simplex blocks, entropy box coordinates
     start = 0
@@ -462,82 +490,48 @@ def choice_lines(leaves, y, x) -> list[str]:
 
 
 class BlockChoiceMap:
-    """Choice maps of several regularizers on one concatenated payoff array.
+    """Choice maps of several regularizers on one coordinate-major payoff array.
 
-    The last axis of y, 1-D or batched, is the concatenation of one block
-    per regularizer (product regularizers contribute their blocks).  Every
-    row is mapped exactly as the block alone would be, and choice_lines
-    writes the same map, bit for bit, as straight-line Python.
+    Axis 0 of y is the concatenation of one block per regularizer (product
+    regularizers contribute their blocks); any further axes are batch axes.
+    Row c of a (D, n) array holds coordinate c of n starts, so each block is
+    a contiguous range of rows, mapped on those rows into the same rows of
+    one output laid out as y is: no gather, no padding.  A 1-D y is one
+    start; a (batch..., D) array is mapped as np.moveaxis(y, -1, 0), a view
+    (choice_map of a product regularizer does so).  Every block is mapped
+    exactly as the block alone would be, and choice_lines writes the same
+    map, bit for bit, as straight-line Python.
 
-    All blocks of one kind and domain are mapped in one call on a (...,
-    count, width) array, with the scales (and the prescales of the
-    euclidean maps) divided out coordinate by coordinate;
-    box maps act coordinatewise, so box blocks count as blocks of width
-    one.  A simplex block narrower than its group's widest is padded with
-    -inf, which keeps every bit: the row max does not change, exp(-inf)
-    adds trailing +0.0 terms to the softmax sum, and the sorted projection
-    rule never counts a -inf entry (see project_simplex); the padded
-    outputs are dropped.  Blocks of 8 or more coordinates group by
-    dimension, since numpy sums 8 or more terms pairwise, in another order.
-    The outputs are gathered back into one C-ordered array:
-    PayoffOperator.linear multiplies slices of it, and BLAS sums an
-    F-ordered operand in another order.
+    Each block's scale (and the prescale of a euclidean map) is divided
+    out, and its unit map reads the block's rows through the transposed
+    view, with the coordinates last (and any batch axes reversed, which a
+    map acting on the last axis alone does not notice); box maps act
+    coordinatewise.
     """
 
     def __init__(self, regs):
         self.leaves = tuple(_leaves(regs))
-        groups, start = {}, 0
+        pair = _pair_rule(self.leaves)
+        plans, start = [], 0  # (rows, factor, unit map) per block
         for reg in self.leaves:
-            box = reg.domain == "box"  # coordinatewise: one block per coordinate
-            blocks = [(c, 1) for c in range(start, start + reg.dim)] if box else [(start, reg.dim)]
-            wide = 0 if box or reg.dim < _PAD_BELOW else reg.dim
-            group = groups.setdefault((reg.kind, reg.domain, wide), [])
-            group.extend((first, dim, _factor(reg)) for first, dim in blocks)
+            unit_map = _UNIT_CHOICE[reg.kind, reg.domain]
+            if unit_map is project_simplex and reg.dim == 2 and not pair:
+                unit_map = _sorted_projection
+            plans.append((slice(start, start + reg.dim), _factor(reg), unit_map))
             start += reg.dim
-        plans, back, offset = [], np.empty(start, dtype=np.intp), 0
-        for (kind, domain, _), blocks in groups.items():
-            width = max(dim for _, dim, _ in blocks)
-            index, scales, pad = [], [], []
-            for first, dim, factor in blocks:
-                back[first : first + dim] = range(offset + len(index), offset + len(index) + dim)
-                pad.extend(range(len(index) + dim, len(index) + width))
-                index.extend(range(first, first + dim))
-                index.extend([first] * (width - dim))  # any coordinate; set to -inf
-                scales.extend([factor] * width)
-            offset += len(index)
-            if pad:
-                index, pad = np.array(index), np.array(pad)
-            elif index == list(range(index[0], index[-1] + 1)):
-                index, pad = slice(index[0], index[-1] + 1), None  # a view, no gather
-            else:
-                index, pad = np.array(index), None
-            scale = None if all(v == 1.0 for v in scales) else np.array(scales)
-            plans.append((index, scale, pad, (len(blocks), width), _UNIT_CHOICE[kind, domain]))
         self.plans = tuple(plans)
-        # None when the groups' outputs, concatenated, already are x in order
-        self.back = None if np.array_equal(back, np.arange(offset)) else back
 
     def __call__(self, y):
-        # one reduction, in the order choice_lines writes out; nan and inf both poison the sum
+        # one reduction, in the order choice_lines writes out on a 1-D y; nan
+        # and inf both poison the sum
         if not isfinite(np.add.reduce(y, axis=None)):
             raise NonFinitePayoff("choice map requires finite payoff vector")
-        lead = y.shape[:-1]
-        parts = []
-        for index, scale, pad, shape, unit_map in self.plans:
-            u = y[..., index]
-            if scale is not None:
-                u = u / scale
-            if pad is not None:  # u is a gathered copy here, never a view of y
-                u[..., pad] = -np.inf
-            parts.append(unit_map(u.reshape(lead + shape)).reshape(lead + (-1,)))
-            del u  # each group's input is released once it is mapped
-        x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-        del parts
-        if self.back is not None:
-            x = x[..., self.back]
-        # a gathered group maps to an F-ordered output, and so does the
-        # gather back; np.take would first copy x into C order
-        return np.ascontiguousarray(x)
+        x = np.empty_like(y)
+        for rows, factor, unit_map in self.plans:
+            u = y[rows] if factor == 1.0 else y[rows] / factor  # x / 1.0 is x
+            unit_map(u.T, out=x[rows].T)  # coordinates last
+            del u  # each block's input is released once it is mapped
+        return x
 
 
 def choice_map(reg: AnyRegularizer, y):
@@ -546,7 +540,7 @@ def choice_map(reg: AnyRegularizer, y):
     if y.shape[-1] != reg.dim:
         raise ValueError(f"payoff vector has dimension {y.shape[-1]}, expected {reg.dim}")
     if isinstance(reg, ProductRegularizer):
-        return BlockChoiceMap(reg.blocks)(y)
+        return np.moveaxis(BlockChoiceMap(reg.blocks)(np.moveaxis(y, -1, 0)), 0, -1)
     if not isfinite(np.add.reduce(y, axis=None)):
         raise NonFinitePayoff("choice map requires finite payoff vector")
     factor = _factor(reg)

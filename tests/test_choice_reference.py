@@ -1,8 +1,8 @@
 """Differential test: the choice maps and payoff operator against frozen copies.
 
-`BlockChoiceMap` maps a list of floats (one trajectory) on Python floats,
-and an array with one call per (kind, domain), padding narrower simplex
-blocks with -inf; `project_simplex` takes a sort-free path on two
+`BlockChoiceMap` maps a coordinate-major array (axis 0 the coordinates)
+block by block on its rows, a (batch..., D) array through a transposed
+view; `project_simplex` takes a sort-free path on two
 coordinates and sorts many short rows by a compare-exchange network; the
 euclidean maps' power-of-two prescales are folded into the scales; and
 `PayoffOperator.linear` multiplies each row block into its slice of one
@@ -24,7 +24,7 @@ from math import isfinite
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamgame import (
@@ -159,6 +159,13 @@ class _RefPayoffOperator:
         return np.concatenate([x[..., span] @ mt for span, mt in self.rows], axis=-1)
 
 
+def _ref_blocks(regs, y):
+    """The frozen unit maps on each leaf's block of y alone, side by side."""
+    leaves = list(_ref_leaves(regs))
+    bounds = np.cumsum([0] + [r.dim for r in leaves])
+    return np.concatenate([_ref_choice_map(r, y[..., a:b]) for r, a, b in zip(leaves, bounds, bounds[1:])], axis=-1)
+
+
 def _ref_choice_map(reg, y):
     y = np.asarray(y, dtype=float)
     if isinstance(reg, ProductRegularizer):
@@ -214,18 +221,33 @@ def _layouts(y):
         yield wide[..., ::2]
 
 
+def _mapped(block, y):
+    """BlockChoiceMap on a (batch..., D) array, through its coordinate-major view."""
+    return np.moveaxis(block(np.moveaxis(y, -1, 0)), 0, -1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(regs=regularizers(), lead=st.sampled_from([(), (3,), (2000,)]), data=st.data())
 def test_block_choice_map_matches_frozen_copy(regs, lead, data):
     dim = sum(r.dim for r in regs)
     y = data.draw(payoffs(lead, dim))
     block, ref = BlockChoiceMap(regs), _RefBlockChoiceMap(regs)
+    # every block as the frozen map maps it alone on the C-ordered array, for
+    # every layout: the frozen map gathered same-dimension blocks of 8 or
+    # more into an F-ordered copy, whose softmax sums ran in order, not
+    # pairwise as the block alone (and choice_lines) sums them
+    expected = _ref_blocks(regs, y)
     for v in _layouts(y):
-        x, expected = block(v), ref(v)
-        assert x.shape == v.shape
-        assert x.flags.c_contiguous  # a matmul on an F-ordered x sums in another order
-        np.testing.assert_array_equal(x, expected)
-        assert np.array_equal(np.signbit(x), np.signbit(expected))
+        # each layout's coordinate-major view, and the C-ordered (D, batch...)
+        # array that batched runs step on
+        for rows in (np.moveaxis(v, -1, 0), np.ascontiguousarray(np.moveaxis(v, -1, 0))):
+            x = block(rows)
+            assert x.shape == rows.shape
+            if rows.flags.c_contiguous:
+                assert x.flags.c_contiguous  # a matmul on an F-ordered x sums in another order
+            x = np.moveaxis(x, 0, -1)
+            np.testing.assert_array_equal(x, expected)
+            assert np.array_equal(np.signbit(x), np.signbit(expected))
     if lead == ():  # one trajectory's list of floats, through the loops' fragment
         x = float_choice(regs)(y.tolist())
         assert type(x) is list and all(type(c) is float for c in x)
@@ -237,10 +259,13 @@ def test_block_choice_map_matches_frozen_copy(regs, lead, data):
         start += reg.dim
 
 
-def _assert_same_bits(a, b):
+def _assert_same_bits(a, b, any_nan=False):
+    """The same bits, signed zeros and infinities included; with any_nan,
+    a nan matches a nan of either sign or payload."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     assert a.shape == b.shape
-    assert np.array_equal(a.view(np.int64), b.view(np.int64)), (a, b)
+    both = np.isnan(a) & np.isnan(b) if any_nan else False
+    assert np.array_equal(np.where(both, 0, a.view(np.int64)), np.where(both, 0, b.view(np.int64))), (a, b)
 
 
 # project_simplex sorts by a network from 96 rows at width 3 to 672 at
@@ -261,7 +286,7 @@ def test_project_simplex_matches_frozen_copy(dim, lead, data):
 @pytest.mark.parametrize("rows", [95, 96, 671, 672, 2000])
 @pytest.mark.parametrize("width", [3, 4, 5, 6, 7])
 def test_project_simplex_padded_batch(width, rows):
-    # rows padded with -inf as BlockChoiceMap pads narrow blocks, with ties
+    # rows padded with -inf, which sorts last and never counts, with ties
     rng = np.random.default_rng(100 * width + rows)
     v = rng.normal(size=(rows, width)) * rng.choice([1e-3, 1.0, 1e6], size=(rows, 1))
     v[rng.uniform(size=v.shape) < 0.2] = 0.5
@@ -306,14 +331,15 @@ def test_two_coordinate_ties_and_signed_zeros():
 
 
 def test_wide_blocks_group_by_dimension():
-    # numpy sums 8 or more terms pairwise, so -inf padding past 8 columns
-    # would reorder the softmax sum; such blocks keep a group per dimension.
-    # A list sums such a block in numpy's pairwise order, written out
+    # numpy sums 8 or more terms of a contiguous row pairwise, and any other
+    # row in order: each wide block sums pairwise, in every layout, as the
+    # frozen map sums a C-ordered block alone.  A list sums such a block in
+    # numpy's pairwise order, written out
     regs = [Regularizer("entropy", "simplex", d, 0.7) for d in (2, 7, 8, 9, 12, 5)]
     rng = np.random.default_rng(4)
     y = 3.0 * rng.normal(size=(500, sum(r.dim for r in regs)))
     for v in (*_layouts(y), y[0], y[1]):
-        np.testing.assert_array_equal(BlockChoiceMap(regs)(v), _RefBlockChoiceMap(regs)(v))
+        np.testing.assert_array_equal(_mapped(BlockChoiceMap(regs), v), _RefBlockChoiceMap(regs)(np.ascontiguousarray(v)))
     choice = float_choice(regs)
     for v in y[:50]:
         _assert_same_bits(choice(v.tolist()), _RefBlockChoiceMap(regs)(v))
@@ -326,7 +352,7 @@ def test_non_finite_input_raises(bad, lead):
     y = np.zeros(lead + (5,))
     y[..., 1] = bad
     with pytest.raises(ValueError, match="finite"):
-        BlockChoiceMap(regs)(y)
+        _mapped(BlockChoiceMap(regs), y)
     if lead == ():  # one trajectory's list of floats, through the loops' fragment
         with pytest.raises(ValueError, match="finite"):
             float_choice(regs)(y.tolist())
@@ -463,7 +489,13 @@ def float_payoffs(draw, dim):
 
 
 def _same_outcome(got, want):
-    """got() and want() return the same bits, or raise the same ValueError."""
+    """got() and want() return the same bits, or raise the same ValueError.
+
+    Two nans match whatever their signs: CPython 3.11 adds (-nan) + nan to
+    +nan in its generic float add and to -nan in the specialized one that
+    warm code runs, so the sign of such a sum depends on how often the code
+    ran, not on the code.  No such nan reaches a recorded row: a stage whose
+    payoffs are not finite truncates the run."""
     with np.errstate(all="ignore"):
         try:
             expected = want()
@@ -473,7 +505,7 @@ def _same_outcome(got, want):
             return
         out = got()
     assert type(out) is list and all(type(c) is float for c in out)
-    _assert_same_bits(out, expected)
+    _assert_same_bits(out, expected, any_nan=True)
 
 
 @settings(max_examples=400, deadline=None)
@@ -494,10 +526,15 @@ def float_games(draw):
     """1 to 4 agents of 1 to 6 strategies on random edges, coefficients with
     zeros and signed zeros up to 1e17, now and then inf or a nan of either
     sign; zero-sum with affine drifts, or untagged with one-sided edges."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
     counts = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
-    n, magnitude = len(counts), draw(st.sampled_from([1e-3, 1.0, 1e6, 1e17]))
+    magnitude = draw(st.sampled_from([1e-3, 1.0, 1e6, 1e17]))
     bad = draw(st.sampled_from([0.0, 0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0)]))
+    return _float_game(seed, counts, magnitude, bad, draw(st.booleans()))
+
+
+def _float_game(seed, counts, magnitude, bad, zero_sum):
+    rng, n = np.random.default_rng(seed), len(counts)
 
     def matrix(rows, cols, bad=bad):
         a = magnitude * rng.normal(size=(rows, cols))
@@ -507,7 +544,7 @@ def float_games(draw):
             a[rng.integers(rows), rng.integers(cols)] = bad
         return a
 
-    if draw(st.booleans()):  # zero-sum, affine
+    if zero_sum:  # affine
         payoffs = {}
         for i, j in [(i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < 0.7]:
             a = matrix(counts[i], counts[j], bad=0.0)  # bad goes into the drifts
@@ -518,12 +555,31 @@ def float_games(draw):
     return NetworkGame(counts, {(i, j): matrix(counts[i], counts[j]) for i, j in pairs})
 
 
-@settings(max_examples=300, deadline=None)
-@given(game=float_games(), t=st.sampled_from([0.0, 0.05, 0.30000000000000004, 7.25, 1e6]), data=st.data())
-def test_float_product_matches_frozen_float_path(game, t, data):
-    op, frozen = FloatProduct(game), FrozenFloatProduct(game)
+@st.composite
+def float_products(draw):
+    """A game of float_games and two lists of float_payoffs on it, x and y0."""
+    game = draw(float_games())
     dim = sum(game.strategy_counts)
-    x, y0 = data.draw(float_payoffs(dim)), data.draw(float_payoffs(dim))
+    return game, draw(float_payoffs(dim)), draw(float_payoffs(dim))
+
+
+# a -nan product plus a nan drift: the sum's sign differs between the two
+# paths (see _same_outcome)
+NAN_SUM = (
+    _float_game(1715, (2, 2, 2, 6), 1e17, np.nan, True),
+    [3.30849495048451e-274, 3.30849495048451e-274, -1.7e308, -1.7e308, 1.799707382720902e17, 1.0, 0.5, 1e17,
+     -1e17, -1e17, 9.775674511260357e16, 0.0],
+    [-2.225073858507e-311, 1539847681795069.0, -2.964369974357621e-92, -3.711772267671582e16, -5822849158252533.0,
+     -8077756391146112.0, 1e-06, 5.543614951978838e-07, 1.0, -0.0, 0.5, -1e-06],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=float_products(), t=st.sampled_from([0.0, 0.05, 0.30000000000000004, 7.25, 1e6]))
+@example(case=NAN_SUM, t=0.30000000000000004)
+def test_float_product_matches_frozen_float_path(case, t):
+    game, x, y0 = case
+    op, frozen = FloatProduct(game), FrozenFloatProduct(game)
     _same_outcome(lambda: op.linear(x), lambda: frozen.linear(x))
     _same_outcome(lambda: op.field(x), lambda: frozen.field(x))
     _same_outcome(lambda: op.motion(y0, x, t), lambda: frozen.motion(y0, x, t))
@@ -542,7 +598,7 @@ def test_array_use_generates_no_code():
     op = PayoffOperator(game)
     for x in (rng.uniform(size=7), rng.uniform(size=(5, 7))):
         op.linear(x), op.field(x), op.motion(x, x, 0.5)
-        BlockChoiceMap(regs)(x)
+        _mapped(BlockChoiceMap(regs), x)
     energy, _ = select_energy(game, regs)
     y = rng.normal(size=(3, 7))
     energy(y, y, y[0], np.zeros((3, 1)))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hamgame import GameFileError, load_game_file
+from hamgame import GameFileError, IntegratorConfig, load_game_file
 from hamgame.cli import main
 
 from conftest import MP_MATRIX
@@ -147,6 +147,25 @@ class TestLoader:
         with pytest.raises(GameFileError, match=f"{where}: '{field}' must be finite"):
             load_game_file(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("y0", ["a", "b"]),
+        ("y0", {"first": 1}),
+        ("A", [[1, 2], [3]]),
+        ("A", [[1, "x"], [3, 4]]),
+    ])
+    def test_malformed_value_names_its_field(self, tmp_path, capsys, field, value):
+        doc = json.loads(Path(mp_file(tmp_path)).read_text())
+        if field == "A":
+            doc["edges"][1]["A"] = value
+        else:
+            doc["agents"][1]["y0"] = value
+        path = write_game(tmp_path / "bad.json", doc)
+        where = r"edges\[1\]" if field == "A" else r"agents\[1\]"
+        with pytest.raises(GameFileError, match=f"{where}: '{field}' must be numbers in a rectangular array"):
+            load_game_file(path)
+        assert main(["validate", "--game", path]) == 1
+        assert f"'{field}' must be numbers" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_matching_pennies(self, tmp_path, capsys):
@@ -273,6 +292,17 @@ class TestSimulate:
         assert main(["simulate", "--game", mp_file(tmp_path), *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_snapshot_rows_past_numpy_name_their_count(self, tmp_path, capsys):
+        # 1e290 steps: a finite count, whose rows no array can hold
+        game = Path(__file__).resolve().parents[1] / "games" / "matching_pennies.json"
+        args = ["--eta", "1e-300", "--horizon", "1e-10", "--out", str(tmp_path / "out")]
+        assert main(["simulate", "--game", str(game), *args]) == 1
+        err = capsys.readouterr().err
+        steps = IntegratorConfig("euler", 1e-300, 1e-10).steps
+        rows = steps // 10 + 1 + (steps % 10 != 0)  # the default stride is 10
+        assert err.startswith(f"error: cannot allocate {rows} snapshot rows of shape (4,)")
         assert not (tmp_path / "out").exists()
 
     def test_blow_up_exits_two(self, tmp_path, capsys):

@@ -87,7 +87,10 @@ def _ref_states(game, regs, y0, config):
 
 
 def _batched_snapshots(flow, config):
-    kernel = KERNELS[config.scheme]
+    """The array kernels' steps on the coordinate-major (D, n) transpose of
+    the start, each listed state transposed back to the start's shape."""
+    kernel, shape = KERNELS[config.scheme], flow.y0.shape
+    flow.y0 = np.ascontiguousarray(flow.y0.reshape(-1, shape[-1]).T)
     t, y, X = 0.0, flow.y0, np.zeros_like(flow.y0)
     x, force = flow.choice(y), None
     snaps = [(t, y, X, x)]
@@ -103,7 +106,7 @@ def _batched_snapshots(flow, config):
         if i % config.stride == 0 or i == config.steps:
             x = flow.choice(y)
             snaps.append((t, y, X, x))
-    return snaps
+    return [(t, *(a.T.reshape(shape) for a in arrays)) for t, *arrays in snaps]
 
 
 def _assert_same_states(traj, expected):
