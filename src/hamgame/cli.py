@@ -1,6 +1,9 @@
 """Command-line front end: validate, simulate, analyze, cloud.
 
 Exit codes: 0 success, 1 usage or validation failure, 2 numerical blow-up.
+Exit 1 covers bad flags, an unreadable or malformed game file, `--y0`/`--ref`
+input or sidecar, and an unwritable output path (commands raise; `main` prints
+each as one `error:` line), and an analyze report whose checks fail.
 Outputs are a CSV per trajectory (17 significant digits, so values round
 trip exactly) plus a JSON sidecar with the game hash and run configuration;
 analyze replays the run deterministically from the sidecar to recover the
@@ -22,7 +25,6 @@ import numpy as np
 from .analysis import MONOTONE_SLACK, build_report, largest_drop, make_reference, volume_ratio
 from .dynamics import SCHEMA_VERSION, IntegratorConfig, sample_payoff_ball, simulate
 from .fileio import (
-    GameFileError,
     game_fingerprint,
     load_game_file,
     read_trajectory_csv,
@@ -39,14 +41,6 @@ from .games import (
 USAGE_ERROR = 1
 BLOW_UP_ERROR = 2
 CLOUD_SCHEMA_VERSION = 1  # of the *_cloud.json report
-
-
-def _load(path):
-    try:
-        return load_game_file(path)
-    except (OSError, GameFileError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
 
 
 def _parse_inline_or_file(spec: str):
@@ -87,14 +81,6 @@ def _squeeze_batch(y0):
     return tuple(v[0] if v.ndim == 2 and v.shape[0] == 1 else v for v in y0)
 
 
-def _config_from_args(args, scheme, stride) -> IntegratorConfig:
-    try:
-        return IntegratorConfig(scheme, args.eta, args.horizon, stride)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-
-
 def _note_rounded_horizon(config: IntegratorConfig):
     # steps * eta misses a horizon of whole steps by rounding only
     if abs(config.effective_horizon - config.horizon) > 1e-9 * config.eta:
@@ -107,7 +93,7 @@ def _note_rounded_horizon(config: IntegratorConfig):
 
 
 def cmd_validate(args) -> int:
-    loaded = _load(args.game)
+    loaded = load_game_file(args.game)
     kind = loaded.classification.kind
     parts = [kind.value.replace("_", "-")]
     if loaded.normalization:
@@ -142,15 +128,11 @@ def _out_paths(args, loaded, suffix=""):
 
 
 def cmd_simulate(args) -> int:
-    loaded = _load(args.game)
-    config = _config_from_args(args, args.scheme, args.stride)
+    loaded = load_game_file(args.game)
+    config = IntegratorConfig(args.scheme, args.eta, args.horizon, args.stride)
     _note_rounded_horizon(config)
-    try:
-        y0 = _squeeze_batch(_resolve_y0(loaded, args))
-        ref = _resolve_ref(loaded, args.ref)
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+    y0 = _squeeze_batch(_resolve_y0(loaded, args))
+    ref = _resolve_ref(loaded, args.ref)
     traj = simulate(loaded.game, loaded.regularizers, y0, config, ref=ref.profile if ref else None)
     csv_path, meta_path = _out_paths(args, loaded)
     start = perf_counter()
@@ -181,7 +163,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _replay(loaded, meta, ref):
+# the sidecar fields a replay reads: their JSON types, and what those are called
+_REPLAY_FIELDS = {"scheme": (str, "a string"), "eta": ((int, float), "a number"),
+                  "horizon": ((int, float), "a number"), "stride": (int, "an integer"), "y0": (list, "a list")}
+
+
+def _replay(loaded, meta, meta_path, ref):
+    for field, (kind, name) in _REPLAY_FIELDS.items():
+        if not isinstance(meta.get(field), kind):
+            got = repr(meta[field]) if field in meta else "nothing"
+            raise ValueError(f"{meta_path}: sidecar field {field!r} must be {name}, got {got}")
     config = IntegratorConfig(meta["scheme"], meta["eta"], meta["horizon"], meta["stride"])
     stored_ref = meta.get("ref")
     if ref is None and stored_ref is not None:
@@ -204,43 +195,28 @@ def _csv_matches_replay(csv_path, traj) -> bool:
 
 
 def cmd_analyze(args) -> int:
-    loaded = _load(args.game)
+    loaded = load_game_file(args.game)
     game_hash = game_fingerprint(loaded.game)
-    try:
-        ref = _resolve_ref(loaded, args.ref)
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+    ref = _resolve_ref(loaded, args.ref)
     failures = 0
     for csv_path in args.traj:
         csv_path = Path(csv_path)
         meta_path = csv_path.with_name(csv_path.stem + ".meta.json")  # as _out_paths names it
-        try:
-            with open(meta_path) as handle:
-                meta = json.load(handle)
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return USAGE_ERROR
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+        if not isinstance(meta, dict):
+            raise ValueError(f"{meta_path}: a sidecar must be a JSON object, got {type(meta).__name__}")
         if meta.get("game_hash") != game_hash:
-            print(
-                f"error: {csv_path} was produced from a different game "
-                f"(hash {meta.get('game_hash')} != {game_hash})",
-                file=sys.stderr,
-            )
-            return USAGE_ERROR
+            raise ValueError(f"{csv_path} was produced from a different game "
+                             f"(hash {meta.get('game_hash')} != {game_hash})")
         version = meta.get("schema_version")
         if version != SCHEMA_VERSION:  # schema 3 changed the bits of single runs
-            print(f"error: {meta_path} has sidecar schema {version}; analyze replays schema "
-                  f"{SCHEMA_VERSION} runs only: re-run simulate to record the run again", file=sys.stderr)
-            return USAGE_ERROR
-        traj, used_ref = _replay(loaded, meta, ref)
+            raise ValueError(f"{meta_path} has sidecar schema {version}; analyze replays schema "
+                             f"{SCHEMA_VERSION} runs only: re-run simulate to record the run again")
+        traj, used_ref = _replay(loaded, meta, meta_path, ref)
         if not _csv_matches_replay(csv_path, traj):
-            print(
-                f"error: {csv_path} does not match a deterministic replay of its "
-                "metadata (file edited or corrupted)",
-                file=sys.stderr,
-            )
-            return USAGE_ERROR
+            raise ValueError(f"{csv_path} does not match a deterministic replay of its "
+                             "metadata (file edited or corrupted)")
         report = build_report(
             traj,
             loaded.game,
@@ -268,23 +244,18 @@ def cmd_analyze(args) -> int:
 
 def cmd_cloud(args) -> int:
     """One seeded cloud per scheme, one batch each, the schemes in turn: a scheme's timing is its own."""
-    loaded = _load(args.game)
+    loaded = load_game_file(args.game)
     if args.n < 10:
-        print("error: cloud size must be at least 10", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("cloud size must be at least 10")
     schemes = [s.strip() for s in args.scheme.split(",") if s.strip()]
+    if not schemes:
+        raise ValueError("--scheme names no scheme")
     # volume_ratio records only the start and the end, so no stride is asked for
-    configs = [_config_from_args(args, scheme, 1) for scheme in schemes]
-    if configs:  # every scheme shares eta and horizon
-        _note_rounded_horizon(configs[0])
+    configs = [IntegratorConfig(scheme, args.eta, args.horizon, 1) for scheme in schemes]
+    _note_rounded_horizon(configs[0])  # every scheme shares eta and horizon
     cloud = sample_payoff_ball(loaded.y0, args.radius, args.n, args.seed)
-    results = {}
-    try:
-        for scheme, config in zip(schemes, configs):
-            results[scheme] = volume_ratio(loaded.game, loaded.regularizers, cloud, config)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+    results = {scheme: volume_ratio(loaded.game, loaded.regularizers, cloud, config)
+               for scheme, config in zip(schemes, configs)}
     doc = {
         "schema_version": CLOUD_SCHEMA_VERSION,
         "python_version": platform.python_version(),
@@ -373,12 +344,11 @@ _parser = functools.cache(build_parser)  # one parser per process; parse_args le
 
 
 def main(argv=None) -> int:
+    """Run one command; a ValueError or OSError it raises prints one `error:` line and returns 1."""
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as err:
-        return err.code if isinstance(err.code, int) else USAGE_ERROR
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -85,7 +85,7 @@ class IntegratorConfig:
             raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon}")
         if self.horizon / self.eta == np.inf:
             raise ValueError(f"horizon {self.horizon:g} is too many steps of {self.eta:g} to count")
-        if self.stride < 1:
+        if not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
             raise ValueError("snapshot stride must be a positive integer")
 
     @property
@@ -854,6 +854,8 @@ def sample_payoff_ball(center, radius: float, n: int, seed: int):
     Returns one (n, k_i) array per agent; the same seed reproduces the same
     cloud exactly.
     """
+    if not np.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius}")
     rng = np.random.default_rng(seed)
     center = [np.asarray(v, dtype=float) for v in center]
     dims = [v.shape[-1] for v in center]

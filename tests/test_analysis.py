@@ -318,6 +318,12 @@ class TestVolume:
         with pytest.raises(ValueError, match="cloud too small"):
             volume_ratio(red.game, red.regularizers, cloud, config)
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_non_finite_radius_rejected(self, radius):
+        # before any draw: the choice map would otherwise blame the payoffs
+        with pytest.raises(ValueError, match=f"radius must be finite, got {radius}"):
+            sample_payoff_ball((np.zeros(2), np.zeros(2)), radius, 20, 0)
+
     def test_truncated_cloud_ends_at_last_finite_state(self):
         # agent 1's payoff grows by 7e10 a step whatever agent 2 plays: |y| > 1e12 at step 15
         # (entropy agents: a euclidean one would stop far earlier, at its payoff_limit)

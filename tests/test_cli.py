@@ -640,3 +640,68 @@ class TestCloud:
         unset, abc = (json.loads((tmp_path / d / "mp_cloud.json").read_text())["volume"]
                       for d in ("unset", "abc"))
         assert abc == unset and set(unset) == {"euler", "rk4", "leapfrog"}
+
+
+def run_args(command, tmp_path, *flags):
+    return [command, "--game", mp_file(tmp_path), "--out", str(tmp_path / "out"), *flags]
+
+
+def out_is_a_file(tmp_path):
+    (tmp_path / "afile").touch()
+    return ["simulate", "--game", mp_file(tmp_path), "--out", str(tmp_path / "afile")]
+
+
+def analyze_after(edit):
+    """analyze's argv on a recorded Matching Pennies run, once edit(csv, sidecar) changed its files."""
+    def argv(tmp_path):
+        game, out = mp_file(tmp_path), tmp_path / "out"
+        assert main(["simulate", "--game", game, "--eta", "0.05", "--horizon", "1", "--out", str(out)]) == 0
+        edit(out / "mp_rk4.csv", out / "mp_rk4.meta.json")
+        return ["analyze", "--game", game, "--traj", str(out / "mp_rk4.csv")]
+    return argv
+
+
+def sidecar(change):
+    return analyze_after(lambda csv, meta: meta.write_text(json.dumps(change(json.loads(meta.read_text())))))
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(out_is_a_file, "File exists", id="simulate-out-is-a-file"),
+    pytest.param(lambda tmp_path: ["simulate", "--game", str(tmp_path)], "Is a directory", id="game-is-a-directory"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--y0", f"@{tmp_path / 'missing.json'}"),
+                 "No such file or directory", id="y0-file-missing"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--eta", "0"),
+                 "step size must be positive and finite, got 0.0", id="eta-zero"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--seed", "1", "--radius", "inf"),
+                 "radius must be finite, got inf", id="simulate-radius-inf"),
+    pytest.param(lambda tmp_path: run_args("cloud", tmp_path, "--n", "20", "--radius", "nan"),
+                 "radius must be finite, got nan", id="cloud-radius-nan"),
+    pytest.param(lambda tmp_path: run_args("cloud", tmp_path, "--n", "20", "--scheme", ""),
+                 "--scheme names no scheme", id="cloud-no-scheme"),
+    pytest.param(lambda tmp_path: run_args("cloud", tmp_path, "--n", "20", "--scheme", ","),
+                 "--scheme names no scheme", id="cloud-only-commas"),
+    pytest.param(analyze_after(lambda csv, meta: meta.unlink()), "No such file or directory", id="sidecar-missing"),
+    pytest.param(sidecar(lambda m: {**m, "game_hash": "0"}), "was produced from a different game (hash 0 != ",
+                 id="hash-mismatch"),
+    pytest.param(sidecar(lambda m: {**m, "schema_version": 2}), "has sidecar schema 2", id="schema-mismatch"),
+    pytest.param(analyze_after(lambda csv, meta: csv.write_text("".join(csv.read_text().splitlines(True)[:-1]))),
+                 "does not match a deterministic replay", id="replay-mismatch"),
+    pytest.param(sidecar(lambda m: {**m, "eta": "0.1"}),
+                 "mp_rk4.meta.json: sidecar field 'eta' must be a number, got '0.1'", id="sidecar-eta-string"),
+    pytest.param(sidecar(lambda m: {**m, "stride": 1.5}),
+                 "mp_rk4.meta.json: sidecar field 'stride' must be an integer, got 1.5", id="sidecar-stride-float"),
+    pytest.param(sidecar(lambda m: {**m, "y0": None}),
+                 "mp_rk4.meta.json: sidecar field 'y0' must be a list, got None", id="sidecar-y0-null"),
+    pytest.param(sidecar(lambda m: {k: m[k] for k in ("game_hash", "schema_version")}),
+                 "mp_rk4.meta.json: sidecar field 'scheme' must be a string, got nothing", id="sidecar-fields-missing"),
+    pytest.param(sidecar(lambda m: [m]), "mp_rk4.meta.json: a sidecar must be a JSON object, got list",
+                 id="sidecar-is-a-list"),
+])
+def test_failure_prints_one_error_line(tmp_path, capsys, argv, message):
+    # commands raise and main reports: exit 1, one line on stderr, no report written
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+    assert not [*tmp_path.rglob("*.report.json"), *tmp_path.rglob("*_cloud.json")]

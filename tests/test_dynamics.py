@@ -455,6 +455,11 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError, match="unknown scheme"):
             IntegratorConfig("verlet", 0.1, 1.0, 1)
 
+    @pytest.mark.parametrize("stride", [0, 1.5, 2.0])
+    def test_rejects_stride_that_is_not_a_positive_integer(self, stride):
+        with pytest.raises(ValueError, match="snapshot stride must be a positive integer"):
+            IntegratorConfig("rk4", 0.1, 1.0, stride)
+
     def test_leapfrog_alias(self):
         assert IntegratorConfig("leapfrog", 0.1, 1.0, 1).scheme == "symplectic_leapfrog"
 
