@@ -24,8 +24,6 @@ from .dynamics import (
     IntegratorConfig,
     SystemState,
     Trajectory,
-    consistent_state,
-    initial_state,
     sample_payoff_ball,
     simulate,
 )
@@ -53,11 +51,6 @@ from .games import (
 from .hamiltonian import (
     EnergyReading,
     StructureReport,
-    energy_bipartite,
-    energy_generalized,
-    energy_generalized_bipartite,
-    energy_network,
-    energy_two_agent,
     select_energy,
     verify_hamiltonian_structure,
 )

@@ -54,10 +54,22 @@ def _parse_inline_or_file(spec: str):
             return json.load(handle)
 
 
+def _vectors(values, what: str) -> tuple[np.ndarray, ...]:
+    """JSON values as one finite float vector per agent; what names their source and field."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of per-agent vectors, got {values!r}")
+    try:
+        vectors = tuple(np.asarray(v, dtype=float) for v in values)
+    except (TypeError, ValueError) as err:  # a string, an object, or ragged rows
+        raise ValueError(f"{what} must hold numbers, one vector per agent ({err})") from None
+    if not all(v.ndim and np.all(np.isfinite(v)) for v in vectors):
+        raise ValueError(f"{what} must hold finite numbers, one vector per agent")
+    return vectors
+
+
 def _resolve_y0(loaded, args):
     if getattr(args, "y0", None):
-        vectors = _parse_inline_or_file(args.y0)
-        return tuple(np.asarray(v, dtype=float) for v in vectors)
+        return _vectors(_parse_inline_or_file(args.y0), "--y0")
     if getattr(args, "seed", None) is not None:
         return sample_payoff_ball(loaded.y0, args.radius, 1, args.seed)
     return loaded.y0
@@ -72,7 +84,7 @@ def _resolve_ref(loaded, spec):
             print("note: no fully mixed 2x2 equilibrium found; continuing without a reference")
             return None
     else:
-        profile = MixedProfile(tuple(np.asarray(v, dtype=float) for v in _parse_inline_or_file(spec)))
+        profile = MixedProfile(_vectors(_parse_inline_or_file(spec), "--ref"))
     return make_reference(loaded.game, profile)
 
 
@@ -120,10 +132,10 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _out_paths(args, loaded, suffix=""):
+def _out_paths(args, loaded):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stem = Path(loaded.path).stem + suffix + "_" + args.scheme.replace(",", "-")
+    stem = Path(loaded.path).stem + "_" + args.scheme.replace(",", "-")
     return out / f"{stem}.csv", out / f"{stem}.meta.json"
 
 
@@ -174,10 +186,10 @@ def _replay(loaded, meta, meta_path, ref):
             got = repr(meta[field]) if field in meta else "nothing"
             raise ValueError(f"{meta_path}: sidecar field {field!r} must be {name}, got {got}")
     config = IntegratorConfig(meta["scheme"], meta["eta"], meta["horizon"], meta["stride"])
-    stored_ref = meta.get("ref")
-    if ref is None and stored_ref is not None:
-        ref = make_reference(loaded.game, MixedProfile(tuple(np.asarray(v) for v in stored_ref)))
-    traj = simulate(loaded.game, loaded.regularizers, meta["y0"], config,
+    y0 = _vectors(meta["y0"], f"{meta_path}: sidecar field 'y0'")
+    if ref is None and meta.get("ref") is not None:
+        ref = make_reference(loaded.game, MixedProfile(_vectors(meta["ref"], f"{meta_path}: sidecar field 'ref'")))
+    traj = simulate(loaded.game, loaded.regularizers, y0, config,
                     ref=ref.profile if ref else None, energy=meta.get("energy_variant") or "auto")
     return traj, ref
 

@@ -56,7 +56,7 @@ import numpy as np
 
 from .games import GeneralizedGame, NetworkGame
 from .regularizers import (
-    BlockChoiceMap, NonFinitePayoff, choice_lines, choice_map, define, fenchel_bregman, literal, payoff_limit,
+    BlockChoiceMap, NonFinitePayoff, choice_lines, define, fenchel_bregman, literal, payoff_limit,
     summed,
 )
 
@@ -103,9 +103,8 @@ class SystemState:
     """Phase-space point: time, motions y, positions X, strategies x.
 
     x is derived (x_i = choice map of y_i) and y0 is the fixed initial
-    motion, carried along because the energy functions reconstruct the
-    opponents' motions as y0 + A X.  A trajectory's snapshots hold
-    per-agent views into its flat arrays.
+    motion, from which y0 + A X reconstructs the opponents' motions.  A
+    trajectory's snapshots hold per-agent views into its flat arrays.
     """
 
     t: float
@@ -113,30 +112,6 @@ class SystemState:
     X: tuple[np.ndarray, ...]
     x: tuple[np.ndarray, ...]
     y0: tuple[np.ndarray, ...]
-
-
-def initial_state(regs, y0) -> SystemState:
-    y0 = tuple(np.asarray(v, dtype=float) for v in y0)
-    for reg, v in zip(regs, y0):
-        if v.shape[-1] != reg.dim:
-            raise ValueError("initial payoff vector does not match the regularizer")
-    x = tuple(choice_map(reg, v) for reg, v in zip(regs, y0))
-    X = tuple(np.zeros_like(v) for v in y0)
-    return SystemState(0.0, y0, X, x, y0)
-
-
-def consistent_state(game: NetworkGame, regs, y0, X, t: float = 0.0) -> SystemState:
-    """State whose motions are exactly the reconstruction from (y0, X, t).
-
-    Useful for probing the structure equations at arbitrary phase-space
-    points without integrating there.
-    """
-    y0 = tuple(np.asarray(v, dtype=float) for v in y0)
-    X = tuple(np.asarray(v, dtype=float) for v in X)
-    op = PayoffOperator(game)
-    y = op.split(op.motion(op.join(y0), op.join(X), t))
-    x = tuple(choice_map(reg, v) for reg, v in zip(regs, y))
-    return SystemState(t, y, X, x, y0)
 
 
 # A row block of one row, or over a span this wide or wider, is not

@@ -18,9 +18,9 @@ For affine games the reading that makes Hamilton's equations hold instant
 by instant (the canonical one) and the conserved one differ by a multiple
 of sum b[i, j] . X_i: the canonical reading carries explicit time
 dependence through the b t drift inside the conjugate, so its partial time
-derivative, not the flow, accounts for the energy change.  The energy_*
-functions return the conserved reading; the structure check
-differentiates the canonical one.
+derivative, not the flow, accounts for the energy change.  select_energy
+reads the conserved reading; the structure check differentiates the
+canonical one.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PayoffOperator, SystemState
-from .games import GeneralizedGame, NetworkGame, bipartite_partition, check_partition
-from .regularizers import _leaves, conjugate_value, spans
+from .dynamics import PayoffOperator
+from .games import GeneralizedGame, NetworkGame, bipartite_partition
+from .regularizers import _leaves, choice_map, conjugate_value, spans
 
 FD_STEP = 1e-6  # relative central-difference step of verify_hamiltonian_structure
 
@@ -67,10 +67,10 @@ class _Spec:
     kinetic and potential hold (regularizer, slice) per agent of K and P,
     drift is beta (None without affine terms), and correction holds (slice,
     block of c) per agent whose block is nonzero.  Bipartite variants
-    default to the game's own bipartition.
+    split the agents by the game's own bipartition.
     """
 
-    def __init__(self, game: NetworkGame, regs, variant: str, partition=None, canonical=False):
+    def __init__(self, game: NetworkGame, regs, variant: str, canonical=False):
         if game.sigma not in (-1, 1):
             raise ValueError("energy undefined: game has no sigma tag (general game)")
         if variant not in VARIANTS:
@@ -84,12 +84,10 @@ class _Spec:
             kinetic, potential = (0,), (1,)
         elif sides == "all":
             kinetic = potential = tuple(range(game.n))
+        elif (partition := bipartite_partition(game)) is not None:
+            kinetic, potential = partition
         else:
-            if partition is None:
-                partition = bipartite_partition(game)
-                if partition is None:
-                    raise ValueError(f"{variant} energy needs a bipartite game")
-            kinetic, potential = check_partition(game, partition)
+            raise ValueError(f"{variant} energy needs a bipartite game")
 
         self.variant = variant
         self.sigma = game.sigma
@@ -116,39 +114,6 @@ def energy_of(spec: _Spec, y, X, y0, t) -> EnergyReading:
     pot = -spec.sigma * sum(conjugate_value(reg, z[..., s]) for reg, s in spec.potential)
     corr = sum(np.sum(X[..., s] * c, axis=-1) for s, c in spec.correction)
     return EnergyReading(spec.variant, kin + pot + corr, kin, pot, corr)
-
-
-def _read(variant, state: SystemState, game, regs, partition=None) -> EnergyReading:
-    spec = _Spec(game, regs, variant, partition)
-    join = spec.op.join
-    return energy_of(spec, join(state.y), join(state.X), join(state.y0), state.t)
-
-
-def energy_two_agent(state: SystemState, game: NetworkGame, regs) -> EnergyReading:
-    """h_1*(y_1) - sigma h_2*(y_2(0) + A[2, 1] X_1) for a two-agent game."""
-    return _read("two_agent", state, game, regs)
-
-
-def energy_bipartite(state: SystemState, game: NetworkGame, partition, regs) -> EnergyReading:
-    """One side's conjugates plus the other side's reconstructed potential."""
-    return _read("bipartite", state, game, regs, partition)
-
-
-def energy_network(state: SystemState, game: NetworkGame, regs) -> EnergyReading:
-    """All-perspectives energy; equals 2 sum h*(y) on zero-sum games, 0 on coordination."""
-    return _read("network", state, game, regs)
-
-
-def energy_generalized(state: SystemState, game: GeneralizedGame, regs) -> EnergyReading:
-    """Network energy of an affine game, with the conserved drift correction."""
-    return _read("generalized", state, game, regs)
-
-
-def energy_generalized_bipartite(
-    state: SystemState, game: GeneralizedGame, partition, regs
-) -> EnergyReading:
-    """One-sided affine energy, conserved for both sigma on bipartite games."""
-    return _read("generalized_bipartite", state, game, regs, partition)
 
 
 def _auto_variant(game: NetworkGame) -> str | None:
@@ -194,21 +159,18 @@ class StructureReport:
 
 
 def verify_hamiltonian_structure(
-    state: SystemState,
-    game: NetworkGame,
-    regs,
-    variant: str = "auto",
+    game: NetworkGame, regs, y0, X, t: float = 0.0, variant: str = "auto"
 ) -> StructureReport:
     """Check dH/dy = dX/dt and -dH/dX = dy/dt by central differences of relative step FD_STEP.
 
-    The check runs at the given state, which must be consistent (its
-    motions equal to the reconstruction from its positions): only there do
+    The check runs at the phase-space point of the flat (D,) start y0 and
+    positions X at time t, so a trajectory row plugs in as traj.y[0],
+    traj.X[k], traj.t[k].  The motions y = y0 + M X (+ b t) and the
+    strategies are rebuilt from them: only at such a consistent point do
     the two sides of the equations refer to the same strategies.  Entropy
     strategies too close to the boundary are rejected, since the conjugate
     gradients then change too fast across the differencing stencil.
     """
-    if state.y[0].ndim > 1:
-        raise ValueError("structure check runs on single states, not batches")
     if variant == "auto":
         variant = _auto_variant(game)
         if variant == "network" and game.sigma == 1:
@@ -217,8 +179,18 @@ def verify_hamiltonian_structure(
                 "zero energy; no structure check is defined there"
             )
     spec = _Spec(game, regs, variant, canonical=True)
-
-    for i, (reg, xv) in enumerate(zip(regs, state.x)):
+    op = spec.op
+    y0, X = np.array(y0, dtype=float), np.array(X, dtype=float)  # X a copy, perturbed in place
+    if y0.shape != (op.dim,) or X.shape != (op.dim,):
+        raise ValueError(
+            f"structure check runs on one point: y0 and X must have shape (D,) = ({op.dim},), "
+            f"got {y0.shape} and {X.shape}"
+        )
+    y = op.motion(y0, X, t)  # a new array, perturbed in place
+    if not np.all(np.isfinite(y)):
+        raise ValueError("structure check undefined: non-finite payoff vector y")
+    x = op.join([choice_map(reg, y[s]) for reg, s in zip(regs, op.slices)])  # dX/dt
+    for i, (reg, xv) in enumerate(zip(regs, op.split(x))):
         for block, s in spans(_leaves([reg])):  # a product regularizer's blocks, side by side
             if block.kind == "entropy" and np.min(xv[s]) < 1e-8:
                 coord = s.start + int(np.argmin(xv[s]))
@@ -226,25 +198,20 @@ def verify_hamiltonian_structure(
                     f"agent {i} coordinate {coord} too close to the boundary "
                     "for stable differencing"
                 )
-
-    join = spec.op.join
-    y, X, y0 = join(state.y), join(state.X), join(state.y0)  # copies, perturbed in place
-    if not np.all(np.isfinite(y)):
-        raise ValueError("structure check undefined: non-finite payoff vector y")
-    dX, dy = join(state.x), spec.op.field(join(state.x))
+    dy = op.field(x)
 
     def slope(v, c):
         """Central difference of the canonical reading along coordinate c of v."""
         h = FD_STEP * max(1.0, abs(v[c]))
         v[c] += h
-        up = float(energy_of(spec, y, X, y0, state.t).value)
+        up = float(energy_of(spec, y, X, y0, t).value)
         v[c] -= 2.0 * h
-        down = float(energy_of(spec, y, X, y0, state.t).value)
+        down = float(energy_of(spec, y, X, y0, t).value)
         v[c] += h
         return (up - down) / (2.0 * h)
 
     res_pos = res_mot = 0.0
     for c in (c for _, s in spec.kinetic for c in range(s.start, s.stop)):
-        res_pos = max(res_pos, abs(slope(y, c) - dX[c]))
+        res_pos = max(res_pos, abs(slope(y, c) - x[c]))
         res_mot = max(res_mot, abs(slope(X, c) + dy[c]))
     return StructureReport(variant, res_pos, res_mot)

@@ -18,6 +18,7 @@ from hamgame import (
     default_regularizers,
     payoffs_from_profile,
     reduce_bipartite_to_two_agent,
+    select_energy,
     simulate,
 )
 from hamgame import dynamics
@@ -98,6 +99,19 @@ def mp_start(kind="euclidean", x1=(0.6, 0.4), x2=(0.5, 0.5)):
 
 def run(game, regs, y0, scheme="rk4", eta=1e-3, horizon=10.0, stride=10, **kw):
     return simulate(game, regs, y0, IntegratorConfig(scheme, eta, horizon, stride), **kw)
+
+
+def energy_rows(traj, game, regs, variant):
+    """The energy variant read at each row of a single trajectory, one row at a time."""
+    read, _ = select_energy(game, regs, variant)
+    return np.array([float(read(y, X, traj.y[0], t).value) for t, y, X in zip(traj.t, traj.y, traj.X)])
+
+
+def consistent_point(game, y0, X, t=0.0):
+    """Flat (y, X, y0) at per-agent y0 and X, the motions rebuilt as y0 + M X (+ b t)."""
+    op = PayoffOperator(game)
+    y0, X = op.join(y0), op.join(X)
+    return op.motion(y0, X, t), X, y0
 
 
 def leapfrog_there_and_back(game, regs, y0, eta, n):

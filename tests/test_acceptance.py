@@ -15,12 +15,7 @@ from hamgame import (
     bipartite_partition,
     choice_map,
     conjugate_value,
-    consistent_state,
     default_regularizers,
-    energy_bipartite,
-    energy_generalized,
-    energy_network,
-    energy_two_agent,
     h_value,
     make_reference,
     monotone_energy_check,
@@ -34,11 +29,14 @@ from hamgame import (
     volume_ratio,
 )
 from hamgame.cli import main as cli_main
+from hamgame.dynamics import PayoffOperator
 
 from conftest import (
+    consistent_point,
     coordination_identity,
     coordination_triangle,
     double_centered,
+    energy_rows,
     four_cycle_zero_sum,
     grid_argmax,
     interior_start,
@@ -110,7 +108,7 @@ def test_criterion_1_table_reproduction():
 
 
 def _energy_cases():
-    """(label, kind) -> (game, regs, y0, energy series function)."""
+    """(label, kind) -> (game, regs, y0, energy variant)."""
     rng = np.random.default_rng(12)
 
     def perturbed_uniform(game, regs, scale=0.3):
@@ -120,9 +118,7 @@ def _energy_cases():
     cases = {}
     for kind in ("entropy", "euclidean"):
         game, regs, y0 = mp_start(kind)
-        cases[("two-agent zero-sum", kind)] = (
-            game, regs, y0, lambda s, g=game, r=regs: energy_two_agent(s, g, r)
-        )
+        cases[("two-agent zero-sum", kind)] = (game, regs, y0, "two_agent")
 
         coord = coordination_identity()
         cregs = default_regularizers(coord, kind)
@@ -130,47 +126,31 @@ def _energy_cases():
         cy0 = interior_start(
             coord, cregs, (np.array([0.5 + offset, 0.5 - offset]),) * 2
         )
-        cases[("two-agent coordination", kind)] = (
-            coord, cregs, cy0, lambda s, g=coord, r=cregs: energy_two_agent(s, g, r)
-        )
+        cases[("two-agent coordination", kind)] = (coord, cregs, cy0, "two_agent")
 
         cycle = four_cycle_zero_sum()
-        part = bipartite_partition(cycle)
         kregs = default_regularizers(cycle, kind)
         cases[("bipartite four-cycle zero-sum", kind)] = (
-            cycle,
-            kregs,
-            perturbed_uniform(cycle, kregs),
-            lambda s, g=cycle, p=part, r=kregs: energy_bipartite(s, g, p, r),
+            cycle, kregs, perturbed_uniform(cycle, kregs), "bipartite"
         )
 
         tri = triangle_zero_sum()
         tregs = default_regularizers(tri, kind)
-        cases[("triangle zero-sum", kind)] = (
-            tri,
-            tregs,
-            perturbed_uniform(tri, tregs),
-            lambda s, g=tri, r=tregs: energy_network(s, g, r),
-        )
+        cases[("triangle zero-sum", kind)] = (tri, tregs, perturbed_uniform(tri, tregs), "network")
 
         mp, mregs, my0 = mp_start(kind)
         red = reduce_2x2_to_generalized(mp, mregs, my0)
-        cases[("reduced generalized 2x2", kind)] = (
-            red.game,
-            red.regularizers,
-            red.y0,
-            lambda s, g=red.game, r=red.regularizers: energy_generalized(s, g, r),
-        )
+        cases[("reduced generalized 2x2", kind)] = (red.game, red.regularizers, red.y0, "generalized")
     return cases
 
 
 def test_criterion_2_energy_invariance():
     """Every energy variant is constant under rk4, with fourth-order residue."""
     with Timer(60.0) as timer:
-        for (label, kind), (game, regs, y0, energy) in _energy_cases().items():
+        for (label, kind), (game, regs, y0, variant) in _energy_cases().items():
             def series(eta, horizon=10.0):
                 traj = run(game, regs, y0, scheme="rk4", eta=eta, horizon=horizon, stride=100)
-                return np.array([float(energy(s).value) for s in traj.states])
+                return energy_rows(traj, game, regs, variant)
 
             rel = relative_drift(series(1e-3))
             report(
@@ -203,21 +183,22 @@ def test_criterion_3_hamiltonian_structure():
     with Timer(30.0) as timer:
         rng = np.random.default_rng(21)
 
-        def random_state(game, regs, euclidean_margin=None):
+        def random_point(game, regs, euclidean_margin=None):
             while True:
                 y0 = tuple(0.4 * rng.normal(size=k) for k in game.strategy_counts)
                 t = float(rng.uniform(0.1, 1.0))
                 X = tuple(t * rng.dirichlet(np.ones(k)) for k in game.strategy_counts)
-                state = consistent_state(game, regs, y0, X, t)
+                y, X, y0 = consistent_point(game, y0, X, t)
                 if euclidean_margin is not None:
-                    margin = min(float(v.min()) for v in state.x)
+                    xs = [choice_map(r, y[s]) for r, s in zip(regs, PayoffOperator(game).slices)]
+                    margin = min(float(v.min()) for v in xs)
                     if margin < euclidean_margin or any(
                         float(v.max()) > 1.0 - euclidean_margin
-                        for v in state.x
+                        for v in xs
                         if regs[0].domain == "box"
                     ):
                         continue
-                return state
+                return y0, X, t
 
         classes = []
         mp, mpregs, _ = mp_start("entropy")
@@ -240,8 +221,7 @@ def test_criterion_3_hamiltonian_structure():
         for label, game, regs, margin in classes:
             worst = 0.0
             for _ in range(100):
-                state = random_state(game, regs, margin)
-                rep = verify_hamiltonian_structure(state, game, regs)
+                rep = verify_hamiltonian_structure(game, regs, *random_point(game, regs, margin))
                 worst = max(worst, rep.max_residual)
             report(
                 3,
@@ -274,7 +254,7 @@ def test_criterion_4_coupling_invariance():
         for label, game, regs, y0, ref in runs:
             traj = run(game, regs, y0, scheme="rk4", eta=1e-3, horizon=10.0, stride=100, ref=ref.profile)
             f_dev = drift_of(traj.fenchel)
-            h = np.array([float(energy_network(s, game, regs).value) for s in traj.states])
+            h = energy_rows(traj, game, regs, "network")
             gap_dev = drift_of(traj.fenchel - 0.5 * h)
             inner = np.array(
                 [float(sum(yv @ xr for yv, xr in zip(s.y, ref.profile))) for s in traj.states]
@@ -444,7 +424,7 @@ def test_criterion_8_coordination_degeneracy(tmp_path, capsys):
     rng = np.random.default_rng(5)
     y0 = tuple(0.3 * rng.normal(size=k) for k in game.strategy_counts)
     traj = run(game, regs, y0, scheme="rk4", eta=1e-3, horizon=5.0, stride=50)
-    h = np.array([float(energy_network(s, game, regs).value) for s in traj.states])
+    h = energy_rows(traj, game, regs, "network")
     peak = float(np.max(np.abs(h)))
     report(
         8,

@@ -11,7 +11,6 @@ from hamgame import (
     bregman_distance,
     build_report,
     default_regularizers,
-    energy_network,
     fenchel_bregman_series,
     floor_distance,
     make_reference,
@@ -25,6 +24,7 @@ from hamgame import (
 )
 
 from conftest import (
+    energy_rows,
     interior_start,
     matching_pennies,
     mp_start,
@@ -86,7 +86,7 @@ class TestFenchelBregmanSeries:
         y0 = tuple(0.4 * rng.normal(size=k) for k in game.strategy_counts)
         traj = run(game, regs, y0, eta=1e-3, horizon=5.0, stride=50)
         series = fenchel_bregman_series(traj, game, regs, ref.profile)
-        h = np.array([float(energy_network(s, game, regs).value) for s in traj.states])
+        h = energy_rows(traj, game, regs, "network")
         gap = series.fenchel - 0.5 * h
         assert float(np.max(np.abs(gap - gap[0]))) <= 1e-8
 

@@ -696,6 +696,16 @@ def sidecar(change):
                  "mp_rk4.meta.json: sidecar field 'scheme' must be a string, got nothing", id="sidecar-fields-missing"),
     pytest.param(sidecar(lambda m: [m]), "mp_rk4.meta.json: a sidecar must be a JSON object, got list",
                  id="sidecar-is-a-list"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--y0", "5"),
+                 "--y0 must be a list of per-agent vectors, got 5", id="y0-a-number"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--ref", "5"),
+                 "--ref must be a list of per-agent vectors, got 5", id="ref-a-number"),
+    pytest.param(sidecar(lambda m: {**m, "ref": 5}),
+                 "mp_rk4.meta.json: sidecar field 'ref' must be a list of per-agent vectors, got 5",
+                 id="sidecar-ref-a-number"),
+    pytest.param(sidecar(lambda m: {**m, "y0": [[1, "a"], [0, 0]]}),
+                 "mp_rk4.meta.json: sidecar field 'y0' must hold numbers, one vector per agent",
+                 id="sidecar-y0-not-numbers"),
 ])
 def test_failure_prints_one_error_line(tmp_path, capsys, argv, message):
     # commands raise and main reports: exit 1, one line on stderr, no report written

@@ -19,7 +19,6 @@ from hamgame import (
     choice_map,
     conjugate_value,
     default_regularizers,
-    initial_state,
     read_trajectory_csv,
     simulate,
     verify_hamiltonian_structure,
@@ -49,8 +48,13 @@ from conftest import (
 
 
 def mp_center_state(kind="euclidean"):
+    """Matching Pennies at its center: (game, regs, y0, x0), x0 the strategies at the payoffs y0."""
     game, regs, y0 = mp_start(kind, x1=(0.5, 0.5), x2=(0.5, 0.5))
-    return game, regs, initial_state(regs, y0)
+    return game, regs, y0, strategies(regs, y0)
+
+
+def strategies(regs, y0):
+    return tuple(choice_map(reg, v) for reg, v in zip(regs, y0))
 
 
 def payoff_field(game, xs):
@@ -66,16 +70,15 @@ def step_once(scheme, game, regs, y0, eta):
 
 class TestVectorField:
     def test_center_is_fixed_point_of_motion(self):
-        game, regs, state = mp_center_state()
-        dy = payoff_field(game, state.x)
+        game, regs, _, x0 = mp_center_state()
+        dy = payoff_field(game, x0)
         np.testing.assert_allclose(dy[0], [0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(dy[1], [0.0, 0.0], atol=1e-15)
 
     def test_pure_opponent_column(self):
-        game, regs, _ = mp_center_state()
+        game, regs, _, _ = mp_center_state()
         y0 = (np.array([0.0, 0.0]), np.array([50.0, -50.0]))  # x2 -> (1, 0)
-        state = initial_state(regs, y0)
-        dy = payoff_field(game, state.x)
+        dy = payoff_field(game, strategies(regs, y0))
         np.testing.assert_allclose(dy[0], MP_MATRIX[:, 0], atol=1e-15)
 
     def test_zero_sum_identity(self, rng):
@@ -83,30 +86,28 @@ class TestVectorField:
         regs = default_regularizers(game, "entropy")
         for _ in range(20):
             y0 = tuple(rng.normal(size=k) for k in game.strategy_counts)
-            state = initial_state(regs, y0)
-            dy = payoff_field(game, state.x)
-            total = sum(float(x @ g) for x, g in zip(state.x, dy))
+            xs = strategies(regs, y0)
+            dy = payoff_field(game, xs)
+            total = sum(float(x @ g) for x, g in zip(xs, dy))
             assert total == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_non_finite(self):
-        game, regs, state = mp_center_state()
-        bad = state.__class__(
-            state.t, (np.array([np.inf, 0.0]), state.y[1]), state.X, state.x, state.y0
-        )
+        game, regs, y0, _ = mp_center_state()
+        bad = np.concatenate([[np.inf, 0.0], y0[1]])
         with pytest.raises(ValueError, match="non-finite payoff vector y"):
-            verify_hamiltonian_structure(bad, game, regs)
+            verify_hamiltonian_structure(game, regs, bad, np.zeros(4))
 
 
 class TestEuler:
     def test_fixed_point_moves_only_time(self):
-        game, regs, state = mp_center_state()
-        out = step_once("euler", game, regs, state.y, 0.1)
+        game, regs, y0, x0 = mp_center_state()
+        out = step_once("euler", game, regs, y0, 0.1)
         assert out.t == pytest.approx(0.1)
-        np.testing.assert_array_equal(out.y[0], state.y[0])
-        np.testing.assert_allclose(out.x[0], state.x[0], atol=1e-15)
+        np.testing.assert_array_equal(out.y[0], y0[0])
+        np.testing.assert_allclose(out.x[0], x0[0], atol=1e-15)
 
     def test_energy_never_decreases_one_step(self, rng):
-        game, regs, _ = mp_center_state()
+        game, regs, _, _ = mp_center_state()
         for _ in range(25):
             y0 = tuple(rng.normal(size=2) for _ in range(2))
             before = sum(conjugate_value(r, v) for r, v in zip(regs, y0))
@@ -132,9 +133,9 @@ class TestEuler:
 
 class TestRk4:
     def test_fixed_point(self):
-        game, regs, state = mp_center_state()
-        out = step_once("rk4", game, regs, state.y, 0.1)
-        np.testing.assert_allclose(out.y[0], state.y[0], atol=1e-15)
+        game, regs, y0, _ = mp_center_state()
+        out = step_once("rk4", game, regs, y0, 0.1)
+        np.testing.assert_allclose(out.y[0], y0[0], atol=1e-15)
 
     def test_period_two_pi(self):
         game, regs, y0 = mp_start("euclidean")
@@ -169,14 +170,14 @@ class TestRk4:
 
 class TestLeapfrog:
     def test_fixed_point(self):
-        game, regs, state = mp_center_state()
-        out = step_once("leapfrog", game, regs, state.y, 0.1)
-        np.testing.assert_allclose(out.y[0], state.y[0], atol=1e-15)
+        game, regs, y0, _ = mp_center_state()
+        out = step_once("leapfrog", game, regs, y0, 0.1)
+        np.testing.assert_allclose(out.y[0], y0[0], atol=1e-15)
 
     def test_reversibility(self):
         game, regs, y0 = mp_start("entropy", x1=(0.62, 0.38), x2=(0.45, 0.55))
         y, X = leapfrog_there_and_back(game, regs, y0, 0.05, 5)
-        for v, v0 in zip(y, initial_state(regs, y0).y):
+        for v, v0 in zip(y, y0):
             np.testing.assert_allclose(v, v0, atol=1e-12)
         for p in X:
             np.testing.assert_allclose(p, np.zeros_like(p), atol=1e-12)

@@ -14,7 +14,7 @@ the readings by 2h: readings that agree within 1e-14 give residuals that
 agree within 1e-8.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -26,18 +26,15 @@ from hamgame import (
     NetworkGame,
     Regularizer,
     bipartite_partition,
-    consistent_state,
+    choice_map,
     conjugate_value,
-    energy_bipartite,
-    energy_generalized,
-    energy_generalized_bipartite,
-    energy_network,
-    energy_two_agent,
+    select_energy,
     verify_hamiltonian_structure,
 )
 from hamgame import hamiltonian
+from hamgame.dynamics import PayoffOperator
 
-from conftest import _ref_field, _ref_motion
+from conftest import _ref_field, _ref_motion, consistent_point
 
 TOL = 1e-12
 RESIDUAL_TOL = 1e-8
@@ -199,12 +196,27 @@ def _random_game(family, counts, rng):
     return game, regs
 
 
+@dataclass(frozen=True)
+class _AgentViews:
+    """A phase-space point as the reference reads it: per-agent y, X, x and y0 at time t."""
+
+    t: float
+    y: tuple
+    X: tuple
+    x: tuple
+    y0: tuple
+
+
 def _random_state(game, regs, rng, batch):
+    """A random consistent point: flat (y, X, y0, t), and the same point as _AgentViews."""
     lead = () if batch is None else (batch,)
     t = float(rng.uniform(0.1, 1.0))
     y0 = tuple(0.4 * rng.normal(size=lead + (k,)) for k in game.strategy_counts)
     X = tuple(t * rng.dirichlet(np.ones(k), size=lead or None) for k in game.strategy_counts)
-    return consistent_state(game, regs, y0, X, t)
+    y, X, y0 = consistent_point(game, y0, X, t)
+    split = PayoffOperator(game).split
+    x = tuple(choice_map(reg, v) for reg, v in zip(regs, split(y)))
+    return (y, X, y0, t), _AgentViews(t, split(y), split(X), x, split(y0))
 
 
 def _variants(game):
@@ -215,18 +227,6 @@ def _variants(game):
     if isinstance(game, GeneralizedGame):
         out += ["generalized"] + ["generalized_bipartite"] * (partition is not None)
     return out, partition
-
-
-def _public_energy(variant, state, game, regs, partition):
-    if variant == "two_agent":
-        return energy_two_agent(state, game, regs)
-    if variant == "network":
-        return energy_network(state, game, regs)
-    if variant == "generalized":
-        return energy_generalized(state, game, regs)
-    if variant == "bipartite":
-        return energy_bipartite(state, game, partition, regs)
-    return energy_generalized_bipartite(state, game, partition, regs)
 
 
 def _agree(got, want, exact, tol=TOL):
@@ -246,18 +246,17 @@ def _agree(got, want, exact, tol=TOL):
 def test_energies_match_closed_forms(family, counts, seed, batch):
     rng = np.random.default_rng(seed)
     game, regs = _random_game(family, counts, rng)
-    state = _random_state(game, regs, rng, batch)
+    point, state = _random_state(game, regs, rng, batch)
     variants, partition = _variants(game)
     exact = game.n == 2
     for variant in variants:
-        reading = _public_energy(variant, state, game, regs, partition)
+        reading = select_energy(game, regs, variant)[0](*point)
         want = _ref_energy(variant, state, game, regs, partition)
         assert reading.variant == variant
         for got, ref in zip((reading.value, reading.kinetic, reading.potential, reading.correction), want):
             _agree(got, ref, exact)
-        spec = hamiltonian._Spec(game, regs, variant, partition, canonical=True)
-        flat = spec.op.join
-        canonical = hamiltonian.energy_of(spec, flat(state.y), flat(state.X), flat(state.y0), state.t)
+        spec = hamiltonian._Spec(game, regs, variant, canonical=True)
+        canonical = hamiltonian.energy_of(spec, *point)
         _agree(canonical.value, _ref_canonical(variant, state, game, regs, partition), exact)
 
 
@@ -270,14 +269,14 @@ def test_energies_match_closed_forms(family, counts, seed, batch):
 def test_structure_residuals_match(family, counts, seed):
     rng = np.random.default_rng(seed)
     game, regs = _random_game(family, counts, rng)
-    state = _random_state(game, regs, rng, None)
+    (_, X, y0, t), state = _random_state(game, regs, rng, None)
     variants, partition = _variants(game)
     for variant in variants:
         try:
             want = _ref_structure(state, game, regs, variant, partition)
         except ValueError:
             with pytest.raises(ValueError):
-                verify_hamiltonian_structure(state, game, regs, variant)
+                verify_hamiltonian_structure(game, regs, y0, X, t, variant)
             continue
-        report = verify_hamiltonian_structure(state, game, regs, variant)
+        report = verify_hamiltonian_structure(game, regs, y0, X, t, variant)
         _agree((report.residual_position, report.residual_motion), want, game.n == 2, RESIDUAL_TOL)

@@ -6,25 +6,22 @@ import pytest
 from hamgame import (
     IntegratorConfig,
     bipartite_partition,
+    choice_map,
     conjugate_value,
-    consistent_state,
     default_regularizers,
-    energy_bipartite,
-    energy_generalized,
-    energy_generalized_bipartite,
-    energy_network,
-    energy_two_agent,
-    initial_state,
     reduce_2x2_to_generalized,
     reduce_bipartite_to_two_agent,
     select_energy,
     simulate,
     verify_hamiltonian_structure,
 )
+from hamgame.dynamics import PayoffOperator
 
 from conftest import (
+    consistent_point,
     coordination_identity,
     coordination_triangle,
+    energy_rows,
     four_cycle_zero_sum,
     interior_start,
     leapfrog_there_and_back,
@@ -40,8 +37,11 @@ def drift(values):
     return float(np.max(np.abs(np.asarray(values) - values[0])))
 
 
-def energy_series(traj, fn):
-    return np.array([float(fn(s).value) for s in traj.states])
+def energy_at_start(game, regs, variant, y0):
+    """The variant read at the start (t = 0, X = 0) of per-agent payoff vectors y0."""
+    read, _ = select_energy(game, regs, variant)
+    y0 = np.concatenate(y0)
+    return read(y0, np.zeros_like(y0), y0, 0.0)
 
 
 class TestClosedFormsAtStart:
@@ -49,11 +49,10 @@ class TestClosedFormsAtStart:
         game = matching_pennies()
         regs = default_regularizers(game, "entropy")
         y0 = tuple(rng.normal(size=2) for _ in range(2))
-        state = initial_state(regs, y0)
         expected = float(
             conjugate_value(regs[0], y0[0]) + conjugate_value(regs[1], y0[1])
         )
-        assert float(energy_two_agent(state, game, regs).value) == pytest.approx(
+        assert float(energy_at_start(game, regs, "two_agent", y0).value) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -61,11 +60,10 @@ class TestClosedFormsAtStart:
         game = triangle_zero_sum()
         regs = default_regularizers(game, "entropy")
         y0 = tuple(rng.normal(size=k) for k in game.strategy_counts)
-        state = initial_state(regs, y0)
         expected = 2.0 * float(
             sum(conjugate_value(r, v) for r, v in zip(regs, y0))
         )
-        assert float(energy_network(state, game, regs).value) == pytest.approx(
+        assert float(energy_at_start(game, regs, "network", y0).value) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -77,9 +75,8 @@ class TestClosedFormsAtStart:
             {(0, 1): np.array([[1.0, 2.0], [3.0, 4.0]]), (1, 0): np.zeros((2, 2))},
         )
         regs = default_regularizers(game, "entropy")
-        state = initial_state(regs, (np.zeros(2), np.zeros(2)))
         with pytest.raises(ValueError, match="sigma"):
-            energy_network(state, game, regs)
+            energy_at_start(game, regs, "network", (np.zeros(2), np.zeros(2)))
 
 
 class TestInvariance:
@@ -87,7 +84,7 @@ class TestInvariance:
     def test_two_agent_zero_sum(self, kind):
         game, regs, y0 = mp_start(kind)
         traj = run(game, regs, y0, eta=1e-3, horizon=10.0, stride=100)
-        h = energy_series(traj, lambda s: energy_two_agent(s, game, regs))
+        h = energy_rows(traj, game, regs, "two_agent")
         assert drift(h) <= 1e-8
 
     @pytest.mark.parametrize("kind", ["entropy", "euclidean"])
@@ -99,19 +96,18 @@ class TestInvariance:
         y0 = interior_start(game, regs, x0)
         traj = run(game, regs, y0, eta=1e-3, horizon=10.0, stride=100)
         if kind == "euclidean":
-            assert min(float(s.x[0].min()) for s in traj.states) > 0.05  # no clamping
-        h = energy_series(traj, lambda s: energy_two_agent(s, game, regs))
+            assert float(traj.x[:, traj.slices[0]].min()) > 0.05  # no clamping
+        h = energy_rows(traj, game, regs, "two_agent")
         assert drift(h) <= 1e-8
 
     @pytest.mark.parametrize("kind", ["entropy", "euclidean"])
     def test_bipartite_cycle(self, kind, rng):
         game = four_cycle_zero_sum()
-        partition = bipartite_partition(game)
         regs = default_regularizers(game, kind)
         y0 = interior_start(game, regs, uniform_profile(game))
         y0 = tuple(v + 0.1 * rng.normal(size=v.shape) for v in y0)
         traj = run(game, regs, y0, eta=1e-3, horizon=10.0, stride=100)
-        h = energy_series(traj, lambda s: energy_bipartite(s, game, partition, regs))
+        h = energy_rows(traj, game, regs, "bipartite")
         assert drift(h) <= 1e-8
 
     @pytest.mark.parametrize("kind", ["entropy", "euclidean"])
@@ -121,7 +117,7 @@ class TestInvariance:
         y0 = interior_start(game, regs, uniform_profile(game))
         y0 = tuple(v + 0.1 * rng.normal(size=v.shape) for v in y0)
         traj = run(game, regs, y0, eta=1e-3, horizon=10.0, stride=100)
-        h = energy_series(traj, lambda s: energy_network(s, game, regs))
+        h = energy_rows(traj, game, regs, "network")
         assert drift(h) <= 1e-8
 
     @pytest.mark.parametrize("kind", ["entropy", "euclidean"])
@@ -129,14 +125,9 @@ class TestInvariance:
         game, regs, y0 = mp_start(kind)
         red = reduce_2x2_to_generalized(game, regs, y0)
         traj = run(red.game, red.regularizers, red.y0, eta=1e-3, horizon=10.0, stride=100)
-        h = energy_series(traj, lambda s: energy_generalized(s, red.game, red.regularizers))
+        h = energy_rows(traj, red.game, red.regularizers, "generalized")
         assert drift(h) <= 1e-8
-        hbar = energy_series(
-            traj,
-            lambda s: energy_generalized_bipartite(
-                s, red.game, ((0,), (1,)), red.regularizers
-            ),
-        )
+        hbar = energy_rows(traj, red.game, red.regularizers, "generalized_bipartite")
         assert drift(hbar) <= 1e-8
 
     def test_generalized_reduced_coordination(self):
@@ -146,15 +137,10 @@ class TestInvariance:
         red = reduce_2x2_to_generalized(game, regs, y0)
         assert red.sigma == 1
         traj = run(red.game, red.regularizers, red.y0, eta=1e-3, horizon=10.0, stride=100)
-        hbar = energy_series(
-            traj,
-            lambda s: energy_generalized_bipartite(
-                s, red.game, ((0,), (1,)), red.regularizers
-            ),
-        )
+        hbar = energy_rows(traj, red.game, red.regularizers, "generalized_bipartite")
         assert drift(hbar) <= 1e-8
         # the all-perspectives affine energy collapses for coordination games
-        h = energy_series(traj, lambda s: energy_generalized(s, red.game, red.regularizers))
+        h = energy_rows(traj, red.game, red.regularizers, "generalized")
         np.testing.assert_allclose(h, 0.0, atol=1e-10)
 
     def test_drift_shrinks_at_fourth_order(self):
@@ -165,7 +151,7 @@ class TestInvariance:
 
         def measured(eta):
             traj = run(game, regs, y0, eta=eta, horizon=5.0, stride=20)
-            return drift(energy_series(traj, lambda s: energy_network(s, game, regs)))
+            return drift(energy_rows(traj, game, regs, "network"))
 
         d1, d2 = measured(4e-3), measured(2e-3)
         assert d1 > 1e-13  # above rounding noise, so the ratio is meaningful
@@ -196,25 +182,22 @@ class TestAffineStar:
     def test_one_sided_energy_invariant(self, sigma):
         game, y0 = affine_star(sigma)
         regs = default_regularizers(game, "entropy")
-        partition = bipartite_partition(game)
         traj = run(game, regs, y0, eta=1e-3, horizon=5.0, stride=50)
-        h = energy_series(
-            traj, lambda s: energy_generalized_bipartite(s, game, partition, regs)
-        )
+        h = energy_rows(traj, game, regs, "generalized_bipartite")
         assert drift(h) <= 1e-10
 
     def test_network_energy_invariant_zero_sum(self):
         game, y0 = affine_star(-1)
         regs = default_regularizers(game, "entropy")
         traj = run(game, regs, y0, eta=1e-3, horizon=5.0, stride=50)
-        h = energy_series(traj, lambda s: energy_generalized(s, game, regs))
+        h = energy_rows(traj, game, regs, "generalized")
         assert drift(h) <= 1e-10
 
     def test_network_energy_collapses_coordination(self):
         game, y0 = affine_star(1)
         regs = default_regularizers(game, "entropy")
         traj = run(game, regs, y0, eta=1e-3, horizon=5.0, stride=50)
-        h = energy_series(traj, lambda s: energy_generalized(s, game, regs))
+        h = energy_rows(traj, game, regs, "generalized")
         np.testing.assert_allclose(h, 0.0, atol=1e-10)
 
     def test_leapfrog_reversible_with_drift_force(self):
@@ -232,8 +215,7 @@ class TestAffineStar:
             z0 = tuple(0.4 * rng.normal(size=k) for k in game.strategy_counts)
             t = float(rng.uniform(0.1, 1.0))
             X = tuple(t * rng.dirichlet(np.ones(k)) for k in game.strategy_counts)
-            state = consistent_state(game, regs, z0, X, t)
-            rep = verify_hamiltonian_structure(state, game, regs)
+            rep = verify_hamiltonian_structure(game, regs, np.concatenate(z0), np.concatenate(X), t)
             assert rep.variant == "generalized"
             worst = max(worst, rep.max_residual)
         assert worst <= 1e-6
@@ -245,7 +227,7 @@ class TestDegeneracies:
         regs = default_regularizers(game, "entropy")
         y0 = tuple(0.3 * rng.normal(size=k) for k in game.strategy_counts)
         traj = run(game, regs, y0, eta=1e-3, horizon=5.0, stride=50)
-        h = energy_series(traj, lambda s: energy_network(s, game, regs))
+        h = energy_rows(traj, game, regs, "network")
         np.testing.assert_allclose(h, 0.0, atol=1e-10)
 
     def test_zero_sum_collapse_along_trajectory(self, rng):
@@ -253,27 +235,22 @@ class TestDegeneracies:
         regs = default_regularizers(game, "euclidean")
         y0 = interior_start(game, regs, uniform_profile(game))
         traj = run(game, regs, y0, eta=1e-3, horizon=5.0, stride=50)
-        for s in traj.states:
-            doubled = 2.0 * float(sum(conjugate_value(r, v) for r, v in zip(regs, s.y)))
-            h = float(energy_network(s, game, regs).value)
+        for y, h in zip(traj.y, energy_rows(traj, game, regs, "network")):
+            doubled = 2.0 * float(sum(conjugate_value(r, y[s]) for r, s in zip(regs, traj.slices)))
             assert h == pytest.approx(doubled, abs=1e-10)
 
-    def test_invalid_partition_rejected(self, rng):
+    def test_invalid_partition_rejected(self):
+        # the bipartite energies split by the game's own bipartition; folding takes any
         game = four_cycle_zero_sum()
-        regs = default_regularizers(game, "entropy")
-        y0 = tuple(rng.normal(size=k) for k in game.strategy_counts)
-        state = initial_state(regs, y0)
         with pytest.raises(ValueError, match="nonzero edge"):
-            energy_bipartite(state, game, ((0, 1), (2, 3)), regs)
+            reduce_bipartite_to_two_agent(game, ((0, 1), (2, 3)))
         with pytest.raises(ValueError, match="cover every agent"):
-            energy_bipartite(state, game, ((0, 2), (1,)), regs)
+            reduce_bipartite_to_two_agent(game, ((0, 2), (1,)))
 
     def test_bipartite_equals_two_agent_on_two_agents(self, rng):
         game, regs, y0 = mp_start("entropy")
         traj = run(game, regs, y0, eta=1e-2, horizon=2.0, stride=20)
-        for s in traj.states:
-            a = float(energy_two_agent(s, game, regs).value)
-            b = float(energy_bipartite(s, game, ((0,), (1,)), regs).value)
+        for a, b in zip(energy_rows(traj, game, regs, "two_agent"), energy_rows(traj, game, regs, "bipartite")):
             assert a == pytest.approx(b, abs=1e-10)
 
     def test_bipartite_energy_equals_reduced_two_agent(self, rng):
@@ -287,9 +264,8 @@ class TestDegeneracies:
         meta_traj = run(
             red.game, meta_regs, red.meta_vectors(y0), eta=1e-2, horizon=3.0, stride=30
         )
-        for s, ms in zip(traj.states, meta_traj.states):
-            a = float(energy_bipartite(s, game, partition, regs).value)
-            b = float(energy_two_agent(ms, red.game, meta_regs).value)
+        pairs = zip(energy_rows(traj, game, regs, "bipartite"), energy_rows(meta_traj, red.game, meta_regs, "two_agent"))
+        for a, b in pairs:
             assert a == pytest.approx(b, abs=1e-10)
 
     def test_generalized_without_affine_terms_matches_network(self, rng):
@@ -304,17 +280,18 @@ class TestDegeneracies:
         regs = default_regularizers(game, "entropy")
         y0 = tuple(0.3 * rng.normal(size=k) for k in game.strategy_counts)
         X = tuple(0.5 * np.abs(rng.normal(size=k)) for k in game.strategy_counts)
-        state = consistent_state(game, regs, y0, X, t=0.7)
-        a = float(energy_generalized(state, game, regs).value)
-        b = float(energy_network(state, game, regs).value)
+        point = consistent_point(game, y0, X, t=0.7)
+        a = float(select_energy(game, regs, "generalized")[0](*point, 0.7).value)
+        b = float(select_energy(game, regs, "network")[0](*point, 0.7).value)
         assert a == pytest.approx(b, abs=1e-12)
 
 
-def random_consistent_state(game, regs, rng, t_max=1.0):
+def random_point(game, rng, t_max=1.0):
+    """(y0, X, t): a random flat start and positions at a random time."""
     y0 = tuple(0.4 * rng.normal(size=k) for k in game.strategy_counts)
     t = float(rng.uniform(0.1, t_max))
     X = tuple(t * rng.dirichlet(np.ones(k)) for k in game.strategy_counts)
-    return consistent_state(game, regs, y0, X, t)
+    return np.concatenate(y0), np.concatenate(X), t
 
 
 class TestStructure:
@@ -322,10 +299,11 @@ class TestStructure:
         game, regs, _ = mp_start("euclidean")
         checked = 0
         while checked < 20:
-            state = random_consistent_state(game, regs, rng)
-            if min(float(v.min()) for v in state.x) < 0.05:
+            y0, X, t = random_point(game, rng)
+            op = PayoffOperator(game)
+            if min(float(choice_map(r, v).min()) for r, v in zip(regs, op.split(op.motion(y0, X, t)))) < 0.05:
                 continue  # stay away from the projection kinks
-            report = verify_hamiltonian_structure(state, game, regs)
+            report = verify_hamiltonian_structure(game, regs, y0, X, t)
             assert report.max_residual <= 1e-6
             assert report.variant == "network"
             checked += 1
@@ -334,42 +312,54 @@ class TestStructure:
         game = triangle_zero_sum(centered=False)
         regs = default_regularizers(game, "entropy")
         for _ in range(20):
-            state = random_consistent_state(game, regs, rng)
-            report = verify_hamiltonian_structure(state, game, regs)
+            report = verify_hamiltonian_structure(game, regs, *random_point(game, rng))
             assert report.max_residual <= 1e-6
+
+    def test_recorded_rows_plug_in(self, rng):
+        game = triangle_zero_sum()
+        regs = default_regularizers(game, "entropy")
+        y0 = tuple(v + 0.1 * rng.normal(size=v.shape) for v in interior_start(game, regs, uniform_profile(game)))
+        traj = run(game, regs, y0, eta=1e-2, horizon=5.0, stride=10)
+        for k in (0, len(traj.t) // 2, -1):
+            report = verify_hamiltonian_structure(game, regs, traj.y[0], traj.X[k], traj.t[k])
+            assert report.variant == "network"
+            assert report.max_residual <= 1e-6
+
+    def test_rejects_points_not_of_shape_d(self):
+        game, regs, y0 = mp_start("entropy")
+        flat = np.concatenate(y0)
+        for start, X in ((y0, flat), (flat, np.zeros(3)), (np.stack([flat, flat]), np.zeros((2, 4)))):
+            with pytest.raises(ValueError, match=r"shape \(D,\) = \(4,\)"):
+                verify_hamiltonian_structure(game, regs, start, X)
 
     def test_coordination_checks_one_sided_energy(self, rng):
         game = coordination_identity()
         regs = default_regularizers(game, "entropy")
-        state = random_consistent_state(game, regs, rng)
-        report = verify_hamiltonian_structure(state, game, regs)
+        report = verify_hamiltonian_structure(game, regs, *random_point(game, rng))
         assert report.variant == "bipartite"
         assert report.max_residual <= 1e-6
 
     def test_non_bipartite_coordination_rejected(self, rng):
         game = coordination_triangle()
         regs = default_regularizers(game, "entropy")
-        state = random_consistent_state(game, regs, rng)
         with pytest.raises(ValueError, match="identically"):
-            verify_hamiltonian_structure(state, game, regs)
+            verify_hamiltonian_structure(game, regs, *random_point(game, rng))
 
     def test_generalized_reduced_game(self, rng):
         game, regs, y0 = mp_start("entropy")
         red = reduce_2x2_to_generalized(game, regs, y0)
         for _ in range(10):
-            z0 = tuple(0.4 * rng.normal(size=1) for _ in range(2))
-            X = tuple(np.abs(rng.normal(size=1)) for _ in range(2))
-            state = consistent_state(red.game, red.regularizers, z0, X, t=float(rng.uniform(0, 1)))
-            report = verify_hamiltonian_structure(state, red.game, red.regularizers)
+            z0 = np.concatenate([0.4 * rng.normal(size=1) for _ in range(2)])
+            X = np.concatenate([np.abs(rng.normal(size=1)) for _ in range(2)])
+            report = verify_hamiltonian_structure(red.game, red.regularizers, z0, X, float(rng.uniform(0, 1)))
             assert report.variant == "generalized"
             assert report.max_residual <= 1e-6
 
     def test_entropy_boundary_rejected(self):
         game, regs, _ = mp_start("entropy")
-        y0 = (np.array([60.0, -60.0]), np.array([0.0, 0.0]))
-        state = initial_state(regs, y0)
+        y0 = np.array([60.0, -60.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="boundary"):
-            verify_hamiltonian_structure(state, game, regs)
+            verify_hamiltonian_structure(game, regs, y0, np.zeros(4))
 
     def test_entropy_boundary_rejected_in_product_blocks(self):
         # the folded meta-agents' ProductRegularizers hold the same entropy blocks
@@ -383,12 +373,12 @@ class TestStructure:
         zeros = [np.zeros(k) for k in game.strategy_counts]
         last = game.strategy_counts[agent] - 1
         with pytest.raises(ValueError, match=f"agent {agent} coordinate {last} too close to the boundary"):
-            verify_hamiltonian_structure(consistent_state(game, regs, y0, zeros), game, regs)
+            verify_hamiltonian_structure(game, regs, np.concatenate(y0), np.concatenate(zeros))
         meta_regs = red.meta_regularizers(regs)
-        meta = consistent_state(red.game, meta_regs, red.meta_vectors(y0), red.meta_vectors(zeros))
+        meta = (np.concatenate(red.meta_vectors(y0)), np.concatenate(red.meta_vectors(zeros)))
         last = red.slices[0][agent].stop - 1
         with pytest.raises(ValueError, match=f"agent 0 coordinate {last} too close to the boundary"):
-            verify_hamiltonian_structure(meta, red.game, meta_regs)
+            verify_hamiltonian_structure(red.game, meta_regs, *meta)
 
 
 class TestSelectEnergy:
