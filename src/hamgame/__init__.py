@@ -9,7 +9,6 @@ conservation statements carry over.
 
 from .analysis import (
     AnalysisReport,
-    EquilibriumReference,
     FloorEstimate,
     boundary_approach,
     build_report,

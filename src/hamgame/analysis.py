@@ -17,7 +17,8 @@ import numpy as np
 
 from .dynamics import IntegratorConfig, Trajectory, simulate
 from .games import GameKind, MixedProfile, NetworkGame, classify_game, verify_nash
-from .regularizers import bregman_distance, conjugate_value, fenchel_bregman, project_simplex, spans
+from .regularizers import bregman_distance, conjugate_value, fenchel_bregman, project_simplex
+from .regularizers import regularizer_records, spans
 
 MONOTONE_SLACK = 1e-10
 WARMUP_FRACTION = 0.01  # of the horizon, skipped by recurrence_report
@@ -34,19 +35,9 @@ def largest_drop(series) -> float:
     return float(np.maximum(0.0, -np.min(np.diff(series, axis=0))))
 
 
-@dataclass(frozen=True)
-class EquilibriumReference:
-    """A verified equilibrium profile used as the anchor of the instruments."""
-
-    profile: MixedProfile
-    fully_mixed: bool
-
-    def __iter__(self):
-        return iter(self.profile)
-
-
-def make_reference(game: NetworkGame, profile, tolerance: float = 1e-9) -> EquilibriumReference:
-    """The profile as a reference, once verify_nash finds it an equilibrium.
+def make_reference(game: NetworkGame, profile) -> MixedProfile:
+    """The profile as a MixedProfile, once verify_nash finds it an
+    equilibrium within 1e-9.
 
     Each component must lie on its agent's domain: the simplex, or the unit
     box for a GeneralizedGame's box agents.
@@ -55,11 +46,9 @@ def make_reference(game: NetworkGame, profile, tolerance: float = 1e-9) -> Equil
     if not isinstance(profile, MixedProfile) or profile.spaces != spaces:
         profile = MixedProfile(tuple(profile), spaces)
     violation = verify_nash(game, profile)
-    if violation > tolerance:
-        raise ValueError(
-            f"profile is not an equilibrium within {tolerance:g} (violation {violation:.3e})"
-        )
-    return EquilibriumReference(profile, profile.is_fully_mixed())
+    if violation > 1e-9:
+        raise ValueError(f"profile is not an equilibrium within 1e-09 (violation {violation:.3e})")
+    return profile
 
 
 @dataclass
@@ -73,16 +62,18 @@ class SeriesReport:
     coupling_equals_distance: bool  # F == D held at every interior snapshot
 
 
-def fenchel_bregman_series(traj: Trajectory, game: NetworkGame, regs, ref) -> SeriesReport:
+def fenchel_bregman_series(traj: Trajectory, regs, ref) -> SeriesReport:
     """F(x*, y(t)) and D(x*, x(t)) at every snapshot.
 
     Taken from the trajectory when its instruments were read against this
-    same profile (metadata["ref"]), read here otherwise.  On interior
+    same profile (metadata["ref"]) with these same regularizers
+    (metadata["regularizers"]), read here otherwise.  On interior
     snapshots the two agree; the report records whether the identity held
     everywhere it was defined.
     """
     ref, read = tuple(ref), traj.metadata.get("ref") or ()
-    if traj.fenchel is not None and len(read) == len(ref) and all(map(np.array_equal, read, ref)):
+    same = len(read) == len(ref) and all(map(np.array_equal, read, ref))
+    if traj.fenchel is not None and same and traj.metadata.get("regularizers") == regularizer_records(regs):
         F, D = traj.fenchel, traj.bregman
     else:
         F, D = fenchel_bregman(regs, ref, traj.y, traj.x)
@@ -110,7 +101,7 @@ class FloorEstimate:
     note: str
 
 
-def floor_distance(game: NetworkGame, regs, ref: EquilibriumReference, resolution: float = 1e-3) -> FloorEstimate:
+def floor_distance(regs, ref: MixedProfile, resolution: float = 1e-3) -> FloorEstimate:
     """Smallest Bregman distance from the reference to the profile boundary.
 
     The joint boundary is reached by pinning a single agent to a face while
@@ -121,7 +112,7 @@ def floor_distance(game: NetworkGame, regs, ref: EquilibriumReference, resolutio
     they are read on the shell {x_f = resolution}, where the KL minimizer
     keeps the other coordinates in the reference's proportions.
     """
-    if not ref.fully_mixed:
+    if not ref.is_fully_mixed():
         raise ValueError("boundary floor needs a fully mixed reference (it is 0 otherwise)")
     values, entropy_involved = [], False
     for reg, x_ref in zip(regs, ref):
@@ -307,7 +298,7 @@ def build_report(
     traj: Trajectory,
     game: NetworkGame,
     regs,
-    ref: EquilibriumReference | None = None,
+    ref: MixedProfile | None = None,
     recurrence_epsilon: float | None = None,
     energy_tolerance: float = 1e-6,
     fenchel_tolerance: float = 1e-7,
@@ -333,7 +324,7 @@ def build_report(
         report.checks["energy_invariance"] = _check(drift_rel, energy_tolerance)
 
     if ref is not None:
-        series = fenchel_bregman_series(traj, game, regs, ref.profile)
+        series = fenchel_bregman_series(traj, regs, ref)
         report.fenchel = dict(_summary(series.fenchel), max_deviation=series.max_fenchel_deviation)
         D = series.bregman  # in a batched run, unavailable snapshots are whole NaN rows
         report.bregman = dict(
@@ -341,10 +332,11 @@ def build_report(
             equals_coupling_on_interior=series.coupling_equals_distance,
             unavailable_snapshots=int(np.sum(np.isnan(D).reshape(len(D), -1).any(axis=1))),
         )
-        if scheme in ("rk4", "symplectic_leapfrog") and zero_sum and ref.fully_mixed:
+        interior = zero_sum and ref.is_fully_mixed()
+        if scheme in ("rk4", "symplectic_leapfrog") and interior:
             deviation = series.max_fenchel_deviation
             report.checks["fenchel_invariance"] = _check(deviation, fenchel_tolerance)
-        if scheme == "euler" and zero_sum and ref.fully_mixed:
+        if scheme == "euler" and interior:
             drop = largest_drop(series.fenchel)
             report.checks["fenchel_nondecreasing"] = _check(drop, MONOTONE_SLACK)
 

@@ -145,7 +145,7 @@ def cmd_simulate(args) -> int:
     _note_rounded_horizon(config)
     y0 = _squeeze_batch(_resolve_y0(loaded, args))
     ref = _resolve_ref(loaded, args.ref)
-    traj = simulate(loaded.game, loaded.regularizers, y0, config, ref=ref.profile if ref else None)
+    traj = simulate(loaded.game, loaded.regularizers, y0, config, ref=ref)
     csv_path, meta_path = _out_paths(args, loaded)
     start = perf_counter()
     write_trajectory_csv(traj, loaded.game, csv_path)
@@ -189,8 +189,7 @@ def _replay(loaded, meta, meta_path, ref):
     y0 = _vectors(meta["y0"], f"{meta_path}: sidecar field 'y0'")
     if ref is None and meta.get("ref") is not None:
         ref = make_reference(loaded.game, MixedProfile(_vectors(meta["ref"], f"{meta_path}: sidecar field 'ref'")))
-    traj = simulate(loaded.game, loaded.regularizers, y0, config,
-                    ref=ref.profile if ref else None, energy=meta.get("energy_variant") or "auto")
+    traj = simulate(loaded.game, loaded.regularizers, y0, config, ref=ref, energy=meta.get("energy_variant") or "auto")
     return traj, ref
 
 

@@ -57,7 +57,7 @@ import numpy as np
 from .games import GeneralizedGame, NetworkGame
 from .regularizers import (
     BlockChoiceMap, NonFinitePayoff, choice_lines, define, fenchel_bregman, literal, payoff_limit,
-    summed,
+    regularizer_records, summed,
 )
 
 SCHEMES = ("euler", "rk4", "symplectic_leapfrog")
@@ -280,8 +280,6 @@ class _Flow:
     def advance(self, scheme):
         """The single-trajectory loop of scheme on this flow (_loop_source),
         looked up by content."""
-        if scheme == "symplectic_leapfrog":
-            _require_sigma(self)
         return _loop(self.loop_key(scheme))
 
     def loop_key(self, scheme):
@@ -293,11 +291,6 @@ class _Flow:
         edges = tuple((e, a.shape, a.tobytes()) for e, a in sorted(game.payoffs.items()))
         drift = None if self.op.drift is None else self.op.drift.tobytes()
         return scheme, self.choice.leaves, tuple(game.strategy_counts), edges, drift, self.limits
-
-
-def _require_sigma(flow):
-    if flow.sigma not in (-1, 1):
-        raise ValueError("no Hamiltonian structure certified: game has no sigma tag")
 
 
 # Array kernels: (flow, t, y, X, x, force, eta) -> (y, X, force), on
@@ -350,9 +343,8 @@ def _leapfrog(flow, t, y, X, x, force, eta):
     (the motions y0 + A X), the drift moves X by the choice map of the kicked y.
 
     Each is a shear, so a step is volume-preserving, time-symmetric and second-order.
-    It needs sigma in {-1, +1}: only then is the kick force a gradient.
+    It needs sigma in {-1, +1}, which simulate checks: only then is the kick force a gradient.
     """
-    _require_sigma(flow)
     half = 0.5 * eta
     if force is None:
         force = [None, None]
@@ -740,10 +732,10 @@ def simulate(
     or a stage point or kick whose payoffs are not finite, truncates the
     trajectory and leaves a diagnostic in the metadata instead of raising:
     discrete-time divergence is expected behavior, not an error (a start
-    that is not finite still raises).  Exploding means |y| past
-    BLOW_UP_LIMIT, or, for an agent with a euclidean simplex block, past the
-    lower regularizers.payoff_limit, where its projection can miss the
-    simplex.  The last finite state then ends the record.  The metadata's
+    that is not finite still raises, as does a leapfrog run on a game with
+    no sigma tag).  Exploding means |y| past BLOW_UP_LIMIT, or, for an
+    agent with a euclidean simplex block, past the lower
+    regularizers.payoff_limit, where its projection can miss the simplex.  The last finite state then ends the record.  The metadata's
     timing block holds the wall time of the stepping loop and of the
     readings, and the steps taken per second of stepping; its io_s, the time
     spent writing the trajectory, is 0 until a writer fills it in.  The
@@ -755,6 +747,8 @@ def simulate(
 
     eta, stride = config.eta, config.stride
     flow = _Flow(game, regs, y0)
+    if config.scheme == "symplectic_leapfrog" and game.sigma not in (-1, 1):
+        raise ValueError("no Hamiltonian structure certified: game has no sigma tag")
     ref = None if ref is None else [np.array(v, dtype=float) for v in ref]  # small copies
     energy_fn, variant = select_energy(game, regs, energy)
 
@@ -805,11 +799,7 @@ def simulate(
             "effective_horizon": config.effective_horizon,
             "stride": config.stride,
             "energy_variant": variant,
-            "regularizers": [
-                {"kind": getattr(r, "kind", "product"), "domain": getattr(r, "domain", "product"),
-                 "dim": r.dim, "scale": getattr(r, "scale", 1.0)}
-                for r in regs
-            ],
+            "regularizers": regularizer_records(regs),
             "y0": list(flow.op.split(ys[0])),  # views of the recorded start
             "ref": ref,
             "diagnostics": diagnostics,

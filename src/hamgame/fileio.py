@@ -52,7 +52,6 @@ class LoadedGame:
     regularizers: tuple[Regularizer, ...]
     y0: tuple[np.ndarray, ...]
     classification: Classification
-    declared_sigma: object
     normalization: dict | None  # edge constants removed by auto-normalization
     path: str
 
@@ -165,7 +164,6 @@ def load_game_file(path) -> LoadedGame:
         regularizers=tuple(regs),
         y0=tuple(y0),
         classification=classification,
-        declared_sigma=declared,
         normalization=normalization,
         path=path,
     )

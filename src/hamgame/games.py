@@ -300,25 +300,12 @@ class BipartiteReduction:
         return {i: vector[..., s] for i, s in self.slices[side].items()}
 
 
-def check_partition(game: NetworkGame, partition):
-    """The two sides of a valid bipartition as tuples; raises for an invalid one.
-
-    Valid means every agent lies on exactly one side and no nonzero payoff
-    matrix joins two agents of the same side.
-    """
-    side_one, side_two = tuple(partition[0]), tuple(partition[1])
-    if sorted(side_one + side_two) != list(range(game.n)):
-        raise ValueError("partition invalid: must cover every agent exactly once")
-    for side in (set(side_one), set(side_two)):
-        for (i, j), a in game.payoffs.items():
-            if i in side and j in side and np.any(a):
-                raise ValueError(f"partition invalid: nonzero edge ({i}, {j}) inside a side")
-    return side_one, side_two
-
-
-def reduce_bipartite_to_two_agent(game: NetworkGame, partition) -> BipartiteReduction:
-    """Build the block two-agent game for a valid bipartition."""
-    side_one, side_two = check_partition(game, partition)
+def reduce_bipartite_to_two_agent(game: NetworkGame) -> BipartiteReduction:
+    """Build the block two-agent game along the game's bipartite_partition."""
+    partition = bipartite_partition(game)
+    if partition is None:
+        raise ValueError("game is not bipartite: its interaction graph has an odd cycle")
+    side_one, side_two = partition
 
     def offsets(side):
         out, pos = {}, 0

@@ -102,6 +102,16 @@ class ProductRegularizer:
 AnyRegularizer = Regularizer | ProductRegularizer
 
 
+def regularizer_records(regs) -> list[dict]:
+    """The regularizers as the JSON records a trajectory's metadata keeps;
+    a product's record names its blocks."""
+    return [
+        {"kind": "product", "blocks": regularizer_records(r.blocks)} if isinstance(r, ProductRegularizer)
+        else {"kind": r.kind, "domain": r.domain, "dim": r.dim, "scale": r.scale}
+        for r in regs
+    ]
+
+
 def spans(regs):
     """(regularizer, slice) pairs of blocks laid side by side on the last axis."""
     start = 0
@@ -498,9 +508,9 @@ class BlockChoiceMap:
     a contiguous range of rows, mapped on those rows into the same rows of
     one output laid out as y is: no gather, no padding.  A 1-D y is one
     start; a (batch..., D) array is mapped as np.moveaxis(y, -1, 0), a view
-    (choice_map of a product regularizer does so).  Every block is mapped
-    exactly as the block alone would be, and choice_lines writes the same
-    map, bit for bit, as straight-line Python.
+    (choice_map does so).  Every block is mapped exactly as the block alone
+    would be, and choice_lines writes the same map, bit for bit, as
+    straight-line Python.
 
     Each block's scale (and the prescale of a euclidean map) is divided
     out, and its unit map reads the block's rows through the transposed
@@ -535,16 +545,12 @@ class BlockChoiceMap:
 
 
 def choice_map(reg: AnyRegularizer, y):
-    """grad h*(y): the strategy maximizing <x, y> - h(x) over the domain."""
+    """grad h*(y): the strategy maximizing <x, y> - h(x) over the domain,
+    mapped by BlockChoiceMap."""
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != reg.dim:
         raise ValueError(f"payoff vector has dimension {y.shape[-1]}, expected {reg.dim}")
-    if isinstance(reg, ProductRegularizer):
-        return np.moveaxis(BlockChoiceMap(reg.blocks)(np.moveaxis(y, -1, 0)), 0, -1)
-    if not isfinite(np.add.reduce(y, axis=None)):
-        raise NonFinitePayoff("choice map requires finite payoff vector")
-    factor = _factor(reg)
-    return _UNIT_CHOICE[reg.kind, reg.domain](y if factor == 1.0 else y / factor)
+    return np.moveaxis(BlockChoiceMap([reg])(np.moveaxis(y, -1, 0)), 0, -1)
 
 
 def conjugate_value(reg: AnyRegularizer, y):

@@ -606,8 +606,7 @@ def _random_case(family, counts, seed, batch):
     lead = () if batch is None else (batch,)
     y0 = tuple(0.7 * rng.normal(size=lead + (k,)) for k in counts)
     if family == "bipartite_fold":
-        partition = tuple([i for i in range(n) if side[i] == s] for s in (0, 1))
-        red = reduce_bipartite_to_two_agent(game, partition)
+        red = reduce_bipartite_to_two_agent(game)  # along the BFS bipartition: side's two colors
         return red.game, red.meta_regularizers(regs), red.meta_vectors(y0)
     return game, regs, y0
 

@@ -12,7 +12,6 @@ from hamgame import (
     IntegratorConfig,
     MixedProfile,
     Regularizer,
-    bipartite_partition,
     choice_map,
     conjugate_value,
     default_regularizers,
@@ -252,12 +251,12 @@ def test_criterion_4_coupling_invariance():
             runs.append((f"triangle uniform / {kind}", tri, tregs, ty0, ref))
 
         for label, game, regs, y0, ref in runs:
-            traj = run(game, regs, y0, scheme="rk4", eta=1e-3, horizon=10.0, stride=100, ref=ref.profile)
+            traj = run(game, regs, y0, scheme="rk4", eta=1e-3, horizon=10.0, stride=100, ref=ref)
             f_dev = drift_of(traj.fenchel)
             h = energy_rows(traj, game, regs, "network")
             gap_dev = drift_of(traj.fenchel - 0.5 * h)
             inner = np.array(
-                [float(sum(yv @ xr for yv, xr in zip(s.y, ref.profile))) for s in traj.states]
+                [float(sum(yv @ xr for yv, xr in zip(s.y, ref))) for s in traj.states]
             )
             inner_dev = drift_of(inner)
             report(4, f"{label}: coupling", f_dev <= 1e-7, f"max |F - F0| {f_dev:.3e} (tol 1e-7)")
@@ -349,8 +348,7 @@ def test_criterion_6_reduction_equivalence():
         for kind in ("entropy", "euclidean"):
             for builder in (star_zero_sum, four_cycle_zero_sum):
                 game = builder()
-                partition = bipartite_partition(game)
-                red = reduce_bipartite_to_two_agent(game, partition)
+                red = reduce_bipartite_to_two_agent(game)
                 regs = default_regularizers(game, kind)
                 y0 = tuple(0.3 * rng.normal(size=k) for k in game.strategy_counts)
                 a = run(game, regs, y0, scheme="rk4", eta=1e-2, horizon=10.0, stride=10)

@@ -48,7 +48,7 @@ class TestFenchelBregmanSeries:
         game, regs, y0 = mp_start("euclidean")
         ref = mp_reference()
         traj = run(game, regs, y0, eta=1e-3, horizon=10.0, stride=100)
-        series = fenchel_bregman_series(traj, game, regs, ref.profile)
+        series = fenchel_bregman_series(traj, regs, ref)
         assert series.max_fenchel_deviation <= 1e-8
         assert series.coupling_equals_distance
 
@@ -71,7 +71,7 @@ class TestFenchelBregmanSeries:
                 float(
                     sum(
                         bregman_distance(r, xr, xv)
-                        for r, xr, xv in zip(regs, ref.profile, s.x)
+                        for r, xr, xv in zip(regs, ref, s.x)
                     )
                 )
                 for s in traj.states
@@ -85,7 +85,7 @@ class TestFenchelBregmanSeries:
         ref = uniform_reference(game)
         y0 = tuple(0.4 * rng.normal(size=k) for k in game.strategy_counts)
         traj = run(game, regs, y0, eta=1e-3, horizon=5.0, stride=50)
-        series = fenchel_bregman_series(traj, game, regs, ref.profile)
+        series = fenchel_bregman_series(traj, regs, ref)
         h = energy_rows(traj, game, regs, "network")
         gap = series.fenchel - 0.5 * h
         assert float(np.max(np.abs(gap - gap[0]))) <= 1e-8
@@ -98,7 +98,7 @@ class TestFenchelBregmanSeries:
         traj = run(game, regs, y0, eta=1e-3, horizon=5.0, stride=50)
         inner = np.array(
             [
-                float(sum(yv @ xr for yv, xr in zip(s.y, ref.profile)))
+                float(sum(yv @ xr for yv, xr in zip(s.y, ref)))
                 for s in traj.states
             ]
         )
@@ -107,9 +107,9 @@ class TestFenchelBregmanSeries:
     def test_distance_floor_along_trajectory(self):
         game, regs, y0 = mp_start("euclidean")
         ref = mp_reference()
-        floor = floor_distance(game, regs, ref).value
+        floor = floor_distance(regs, ref).value
         traj = run(game, regs, y0, eta=1e-3, horizon=10.0, stride=100)
-        series = fenchel_bregman_series(traj, game, regs, ref.profile)
+        series = fenchel_bregman_series(traj, regs, ref)
         bound = min(floor, float(series.bregman[0]))
         assert series.min_bregman >= bound - 1e-8
 
@@ -119,9 +119,9 @@ class TestFenchelBregmanSeries:
         game, regs, y0 = mp_start(kind)
         red = reduce_2x2_to_generalized(game, regs, y0)
         ref = make_reference(red.game, ([0.5], [0.5]))
-        assert ref.fully_mixed
+        assert ref.is_fully_mixed()
         traj = run(red.game, red.regularizers, red.y0, eta=1e-2, horizon=5.0, stride=10)
-        series = fenchel_bregman_series(traj, red.game, red.regularizers, ref.profile)
+        series = fenchel_bregman_series(traj, red.regularizers, ref)
         interior = np.all((traj.x > 0.0) & (traj.x < 1.0), axis=-1)
         assert interior.all() and not np.isnan(series.bregman).any()
         np.testing.assert_allclose(series.fenchel, series.bregman, rtol=0.0, atol=1e-12)
@@ -144,13 +144,13 @@ class TestFloorDistance:
             bregman_distance(regs[0], np.array([0.5, 0.5]), np.array([1.0, 0.0]))
         )
         assert vertex_distance == pytest.approx(0.5, abs=1e-12)
-        est = floor_distance(game, regs, ref)
+        est = floor_distance(regs, ref)
         assert est.value == pytest.approx(vertex_distance, abs=1e-12)
 
     def test_entropy_uniform_reports_shell_estimate(self):
         game, regs, _ = mp_start("entropy")
         ref = mp_reference()
-        est = floor_distance(game, regs, ref, resolution=1e-3)
+        est = floor_distance(regs, ref, resolution=1e-3)
         # oracle: KL((1/2,1/2) || (eps, 1-eps)) at the shell point
         eps = est.resolution
         shell = 0.5 * np.log(0.5 / eps) + 0.5 * np.log(0.5 / (1 - eps))
@@ -161,7 +161,7 @@ class TestFloorDistance:
         game = triangle_zero_sum(counts=(3, 3, 3))
         regs = default_regularizers(game, "euclidean")
         ref = uniform_reference(game)
-        est = floor_distance(game, regs, ref, resolution=1e-3)
+        est = floor_distance(regs, ref, resolution=1e-3)
         # oracle: minimize ||u - x||^2 over a face of the 3-simplex: the
         # nearest face point to uniform is (1/2, 1/2, 0) at squared
         # distance 2 (1/6)^2 + (1/3)^2 = 1/6
@@ -172,7 +172,7 @@ class TestFloorDistance:
         game = triangle_zero_sum(counts=(3, 3, 3))
         regs = default_regularizers(game, "entropy")
         ref = uniform_reference(game)
-        est = floor_distance(game, regs, ref, resolution=1e-2)
+        est = floor_distance(regs, ref, resolution=1e-2)
         assert np.isfinite(est.value) and est.value > 0.5
 
     def test_four_strategy_descent_refines(self, rng):
@@ -185,19 +185,17 @@ class TestFloorDistance:
         game = NetworkGame((4, 4), {(0, 1): a, (1, 0): -a.T}, sigma=-1)
         regs = default_regularizers(game, "euclidean")
         x_ref = np.array([0.4, 0.3, 0.2, 0.1])
-        profile = MixedProfile((x_ref, x_ref))
-        ref = make_reference(game, profile, tolerance=10.0)
-        est = floor_distance(game, regs, ref, resolution=1e-3)
+        ref = MixedProfile((x_ref, x_ref))  # not an equilibrium: the floor needs none
+        est = floor_distance(regs, ref, resolution=1e-3)
         # oracle: cheapest face drops the smallest coordinate (0.1) and
         # spreads it evenly: 3 (0.1/3)^2 + 0.1^2 = 0.01/3 + 0.01
         assert est.value == pytest.approx(0.01 / 3 + 0.01, abs=1e-5)
 
     def test_boundary_reference_rejected(self):
         game, regs, _ = mp_start("euclidean")
-        profile = MixedProfile((np.array([1.0, 0.0]), np.array([0.5, 0.5])))
-        ref = make_reference(game, profile, tolerance=10.0)
+        ref = MixedProfile((np.array([1.0, 0.0]), np.array([0.5, 0.5])))
         with pytest.raises(ValueError, match="fully mixed"):
-            floor_distance(game, regs, ref)
+            floor_distance(regs, ref)
 
 
 class TestMonotoneEnergy:
@@ -270,7 +268,7 @@ class TestBoundaryApproach:
         game, regs, y0 = mp_start("euclidean")
         ref = mp_reference()
         euler = run(
-            game, regs, y0, scheme="euler", eta=0.1, horizon=100.0, stride=1, ref=ref.profile
+            game, regs, y0, scheme="euler", eta=0.1, horizon=100.0, stride=1, ref=ref
         )
         report = boundary_approach(euler)
         assert report.min_coordinate < 0.05
@@ -353,7 +351,7 @@ class TestBuildReport:
     def test_rk4_report_passes_checks(self):
         game, regs, y0 = mp_start("euclidean")
         ref = mp_reference()
-        traj = run(game, regs, y0, eta=1e-3, horizon=5.0, stride=50, ref=ref.profile)
+        traj = run(game, regs, y0, eta=1e-3, horizon=5.0, stride=50, ref=ref)
         report = build_report(traj, game, regs, ref=ref, recurrence_epsilon=1e-3)
         assert report.all_passed
         doc = report.to_dict()
@@ -373,7 +371,7 @@ class TestBuildReport:
         game, regs, y0 = mp_start("entropy")
         ref = mp_reference()
         traj = run(
-            game, regs, y0, scheme="euler", eta=0.05, horizon=20.0, stride=1, ref=ref.profile
+            game, regs, y0, scheme="euler", eta=0.05, horizon=20.0, stride=1, ref=ref
         )
         report = build_report(traj, game, regs, ref=ref)
         assert "energy_nondecreasing" in report.checks

@@ -186,8 +186,9 @@ class TestLeapfrog:
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         game = NetworkGame((2, 2), {(0, 1): a, (1, 0): np.zeros((2, 2))})
         regs = default_regularizers(game, "entropy")
-        with pytest.raises(ValueError, match="no Hamiltonian structure"):
-            step_once("leapfrog", game, regs, (np.zeros(2), np.zeros(2)), 0.1)
+        for lead in ((), (3,)):  # one start, a batch
+            with pytest.raises(ValueError, match="no Hamiltonian structure"):
+                step_once("leapfrog", game, regs, (np.zeros(lead + (2,)), np.zeros(lead + (2,))), 0.1)
 
     def test_bounded_energy_error_while_rk4_drifts(self):
         game, regs, y0 = mp_start("euclidean")

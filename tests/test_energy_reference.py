@@ -40,7 +40,7 @@ TOL = 1e-12
 RESIDUAL_TOL = 1e-8
 
 
-def _ref_check_partition(game, partition):
+def _ref_partition_sides(game, partition):
     side_one, side_two = tuple(partition[0]), tuple(partition[1])
     if sorted(side_one + side_two) != list(range(game.n)):
         raise ValueError("partition invalid: must cover every agent exactly once")
@@ -98,7 +98,7 @@ def _ref_energy(variant, state, game, regs, partition=None):
             return kin + pot, kin, pot, 0.0
         corr = -(1 - game.sigma) * _ref_linear_correction(game, state.X, agents, agents)
         return kin + pot + corr, kin, pot, corr
-    side_one, side_two = _ref_check_partition(game, partition)
+    side_one, side_two = _ref_partition_sides(game, partition)
     kin = _ref_kinetic(regs, state.y, side_one)
     if variant == "bipartite":
         pot = _ref_one_sided_potential(state, game, regs, side_one, side_two, drift=False)

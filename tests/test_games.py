@@ -180,21 +180,20 @@ class TestBipartite:
 class TestBipartiteReduction:
     def test_two_agent_identity(self):
         game = matching_pennies()
-        red = reduce_bipartite_to_two_agent(game, ((0,), (1,)))
+        red = reduce_bipartite_to_two_agent(game)
+        assert red.partition == ((0,), (1,))
         np.testing.assert_array_equal(red.game.matrix(0, 1), game.matrix(0, 1))
         np.testing.assert_array_equal(red.game.matrix(1, 0), game.matrix(1, 0))
 
-    def test_rejects_intra_side_edge(self):
-        game = triangle_zero_sum()
-        with pytest.raises(ValueError, match=r"edge \(0, 2\)"):
-            reduce_bipartite_to_two_agent(game, ((0, 2), (1,)))
+    def test_rejects_non_bipartite_game(self):
+        with pytest.raises(ValueError, match="not bipartite"):
+            reduce_bipartite_to_two_agent(triangle_zero_sum())
 
     @pytest.mark.parametrize("builder", [star_zero_sum, four_cycle_zero_sum])
     @pytest.mark.parametrize("kind", ["entropy", "euclidean"])
     def test_trajectories_match_original(self, builder, kind, rng):
         game = builder()
-        partition = bipartite_partition(game)
-        red = reduce_bipartite_to_two_agent(game, partition)
+        red = reduce_bipartite_to_two_agent(game)
         regs = default_regularizers(game, kind)
         y0 = tuple(0.3 * rng.normal(size=k) for k in game.strategy_counts)
         traj = run(game, regs, y0, eta=1e-2, horizon=10.0, stride=10)

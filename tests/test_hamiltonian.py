@@ -5,7 +5,6 @@ import pytest
 
 from hamgame import (
     IntegratorConfig,
-    bipartite_partition,
     choice_map,
     conjugate_value,
     default_regularizers,
@@ -239,14 +238,6 @@ class TestDegeneracies:
             doubled = 2.0 * float(sum(conjugate_value(r, y[s]) for r, s in zip(regs, traj.slices)))
             assert h == pytest.approx(doubled, abs=1e-10)
 
-    def test_invalid_partition_rejected(self):
-        # the bipartite energies split by the game's own bipartition; folding takes any
-        game = four_cycle_zero_sum()
-        with pytest.raises(ValueError, match="nonzero edge"):
-            reduce_bipartite_to_two_agent(game, ((0, 1), (2, 3)))
-        with pytest.raises(ValueError, match="cover every agent"):
-            reduce_bipartite_to_two_agent(game, ((0, 2), (1,)))
-
     def test_bipartite_equals_two_agent_on_two_agents(self, rng):
         game, regs, y0 = mp_start("entropy")
         traj = run(game, regs, y0, eta=1e-2, horizon=2.0, stride=20)
@@ -255,8 +246,7 @@ class TestDegeneracies:
 
     def test_bipartite_energy_equals_reduced_two_agent(self, rng):
         game = four_cycle_zero_sum()
-        partition = bipartite_partition(game)
-        red = reduce_bipartite_to_two_agent(game, partition)
+        red = reduce_bipartite_to_two_agent(game)
         regs = default_regularizers(game, "entropy")
         meta_regs = red.meta_regularizers(regs)
         y0 = tuple(0.2 * rng.normal(size=k) for k in game.strategy_counts)
@@ -364,10 +354,9 @@ class TestStructure:
     def test_entropy_boundary_rejected_in_product_blocks(self):
         # the folded meta-agents' ProductRegularizers hold the same entropy blocks
         game = four_cycle_zero_sum()
-        partition = bipartite_partition(game)
-        red = reduce_bipartite_to_two_agent(game, partition)
+        red = reduce_bipartite_to_two_agent(game)
         regs = default_regularizers(game, "entropy")
-        agent = partition[0][-1]
+        agent = red.partition[0][-1]
         y0 = [np.zeros(k) for k in game.strategy_counts]
         y0[agent][-1] = -40.0  # x of that strategy ~ 4e-18
         zeros = [np.zeros(k) for k in game.strategy_counts]

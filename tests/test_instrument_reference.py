@@ -123,7 +123,7 @@ def _check_against_reference(game, regs, y0, ref, config):
     _close(traj.fenchel, F)
     _close(traj.bregman, D)
 
-    series = fenchel_bregman_series(traj, game, regs, ref)
+    series = fenchel_bregman_series(traj, regs, ref)
     _close(series.fenchel, _ref_per_snapshot(traj, regs, ref, fenchel_coupling, use_y=True))
     _close(series.bregman, _ref_per_snapshot(traj, regs, ref, _ref_bregman, use_y=False))
 

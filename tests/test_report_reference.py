@@ -17,11 +17,9 @@ import numpy as np
 import pytest
 
 from hamgame import (
-    EquilibriumReference,
     GameKind,
     IntegratorConfig,
     MixedProfile,
-    NetworkGame,
     ProductRegularizer,
     Regularizer,
     bregman_distance,
@@ -101,7 +99,7 @@ def _ref_report_json(traj, game, regs, ref=None, recurrence_epsilon=None,
         checks["energy_invariance"] = {"passed": bool(drift_rel <= energy_tolerance),
                                        "value": drift_rel, "tolerance": energy_tolerance}
     if ref is not None:
-        series = _ref_series(traj, regs, ref.profile)
+        series = _ref_series(traj, regs, ref)
         F = series["fenchel"]
         fenchel = {
             "min": float(np.min(F)),
@@ -121,10 +119,10 @@ def _ref_report_json(traj, game, regs, ref=None, recurrence_epsilon=None,
             "unavailable_snapshots": int(np.sum(np.isnan(series["bregman"]).reshape(len(F), -1).any(axis=1))),
         }
         deviation = series["max_fenchel_deviation"]
-        if scheme in ("rk4", "symplectic_leapfrog") and zero_sum and ref.fully_mixed:
+        if scheme in ("rk4", "symplectic_leapfrog") and zero_sum and ref.is_fully_mixed():
             checks["fenchel_invariance"] = {"passed": bool(deviation <= fenchel_tolerance),
                                             "value": deviation, "tolerance": fenchel_tolerance}
-        if scheme == "euler" and zero_sum and ref.fully_mixed:
+        if scheme == "euler" and zero_sum and ref.is_fully_mixed():
             diffs = np.diff(F)
             drop = float(max(0.0, -np.min(diffs))) if diffs.size else 0.0
             checks["fenchel_nondecreasing"] = {"passed": drop <= SLACK, "value": drop, "tolerance": SLACK}
@@ -148,13 +146,12 @@ def _ref_report_json(traj, game, regs, ref=None, recurrence_epsilon=None,
 
 
 def _reference(profile):
-    profile = MixedProfile(tuple(np.asarray(v, dtype=float) for v in profile))
-    return EquilibriumReference(profile, profile.is_fully_mixed())
+    return MixedProfile(tuple(np.asarray(v, dtype=float) for v in profile))
 
 
 def _box_reference(profile):
-    """Interior points of the unit boxes, which a MixedProfile (simplex) cannot hold."""
-    return EquilibriumReference(tuple(np.asarray(v, dtype=float) for v in profile), True)
+    """Interior points of the unit boxes."""
+    return MixedProfile(tuple(np.asarray(v, dtype=float) for v in profile), ("box",) * len(profile))
 
 
 def _case(name):
@@ -201,7 +198,7 @@ def _run(game, regs, y0, scheme, batch, read):
 def test_single_run_reports_match_frozen_copy(name, scheme):
     game, regs, y0, ref, other = _case(name)
     for read in (None, ref, other):
-        traj = _run(game, regs, y0, scheme, False, None if read is None else read.profile)
+        traj = _run(game, regs, y0, scheme, False, read)
         for given in (None, ref, other):  # with a reference the run was read against, or another
             got = build_report(traj, game, regs, ref=given, recurrence_epsilon=0.05)
             assert got.to_json() == _ref_report_json(traj, game, regs, ref=given, recurrence_epsilon=0.05)
@@ -224,13 +221,13 @@ def _time_axis_oracle(doc, F, D):
 def test_batched_run_reports_match_frozen_copy(name, scheme):
     game, regs, y0, ref, other = _case(name)
     for read in (None, ref):
-        traj = _run(game, regs, y0, scheme, True, None if read is None else read.profile)
+        traj = _run(game, regs, y0, scheme, True, read)
         assert traj.batched
         for given in (None, ref, other):
             got = json.loads(build_report(traj, game, regs, ref=given).to_json())
             want = json.loads(_ref_report_json(traj, game, regs, ref=given))
             if given is not None:
-                F, D = fenchel_bregman(regs, given.profile, traj.y, traj.x)
+                F, D = fenchel_bregman(regs, given, traj.y, traj.x)
                 _time_axis_oracle(got, F, D)
                 for part in ("fenchel", "bregman"):
                     for key in ("max_increase", "monotone"):
@@ -331,11 +328,8 @@ def _sampled_floor(reg, x_ref, resolution, rng, n=20_000):
 
 
 def _one_agent(reg, x_ref):
-    """A two-agent game whose second agent's floor (scale 1e6) is never the smallest."""
-    k = reg.dim
-    game = NetworkGame((k, 2), {(0, 1): np.zeros((k, 2)), (1, 0): np.zeros((2, k))}, sigma=-1)
-    regs = (reg, Regularizer("euclidean", dim=2, scale=1e6))
-    return game, regs, _reference((x_ref, [0.5, 0.5]))
+    """Two agents' regularizers and reference; the second's floor (scale 1e6) is never the smallest."""
+    return (reg, Regularizer("euclidean", dim=2, scale=1e6)), _reference((x_ref, [0.5, 0.5]))
 
 
 @pytest.mark.parametrize("kind", ["entropy", "euclidean"])
@@ -345,8 +339,8 @@ def test_exact_floor_against_frozen_search_and_samples(kind, dim):
     for _ in range(2):
         reg = Regularizer(kind, dim=dim, scale=float(rng.uniform(0.5, 2.0)))
         x_ref = rng.dirichlet(np.ones(dim))
-        game, regs, ref = _one_agent(reg, x_ref)
-        exact = floor_distance(game, regs, ref, resolution=1e-3).value
+        regs, ref = _one_agent(reg, x_ref)
+        exact = floor_distance(regs, ref, resolution=1e-3).value
         frozen = _ref_floor(regs, ref, 1e-3)
         # never above a point either search found; never below the old
         # estimate beyond its grid and descent resolution
@@ -359,19 +353,17 @@ def test_floor_rejects_box_and_product_regularizers():
     game, regs, y0 = mp_start("euclidean")
     red = reduce_2x2_to_generalized(game, regs, y0)
     with pytest.raises(ValueError, match="simplex"):
-        floor_distance(red.game, red.regularizers, _box_reference(([0.5], [0.5])))
+        floor_distance(red.regularizers, _box_reference(([0.5], [0.5])))
     product = (ProductRegularizer((Regularizer("entropy", dim=2), Regularizer("euclidean", dim=2))),
                Regularizer("euclidean", dim=2))
     with pytest.raises(ValueError, match="simplex"):
-        floor_distance(game, product, _reference(([0.25] * 4, [0.5, 0.5])))
+        floor_distance(product, _reference(([0.25] * 4, [0.5, 0.5])))
 
 
 def test_floor_skips_agents_without_a_face():
     reg = Regularizer("euclidean", dim=2)
     single = Regularizer("euclidean", dim=1)
-    game = NetworkGame((1, 2), {(0, 1): np.zeros((1, 2)), (1, 0): np.zeros((2, 1))}, sigma=-1)
-    est = floor_distance(game, (single, reg), _reference(([1.0], [0.5, 0.5])))
+    est = floor_distance((single, reg), _reference(([1.0], [0.5, 0.5])))
     assert est.value == pytest.approx(0.5, abs=1e-12)  # the two-strategy agent's vertex distance
-    game = NetworkGame((1, 1), {(0, 1): np.zeros((1, 1)), (1, 0): np.zeros((1, 1))}, sigma=-1)
     with pytest.raises(ValueError, match="two or more strategies"):
-        floor_distance(game, (single, single), _reference(([1.0], [1.0])))
+        floor_distance((single, single), _reference(([1.0], [1.0])))

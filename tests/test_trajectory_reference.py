@@ -4,9 +4,9 @@
 (snapshots, batch..., D) arrays, `Trajectory.states` builds SystemState
 views only on access, the CSV writer formats whole rows, and
 `fenchel_bregman_series` reuses readings taken against the same
-reference.  The metadata holds y0 as views of the start row and ref as
-arrays; only the sidecar writer turns them into lists.  The CSV reader
-converts every cell in one call.  The references below are frozen copies
+reference under the same regularizers.  The metadata holds y0 as views of
+the start row and ref as arrays; only the sidecar writer turns them into
+lists.  The CSV reader converts every cell in one call.  The references below are frozen copies
 of the code this replaced: the per-cell CSV writer and reader, the
 sidecar writer fed list-valued metadata, and the loop that kept the
 snapshots in a list and built one SystemState per snapshot.
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from pathlib import Path
 
 from hamgame import (
-    EquilibriumReference,
     IntegratorConfig,
     MixedProfile,
     NetworkGame,
@@ -311,47 +310,54 @@ def _triangle_run(scheme, ref):
 @pytest.mark.parametrize("scheme", ["euler", "rk4", "symplectic_leapfrog"])
 def test_report_reuses_readings_as_recomputed(scheme):
     game = triangle_zero_sum()
-    ref = EquilibriumReference(MixedProfile(uniform_profile(game)), True)
-    game, regs, traj = _triangle_run(scheme, ref.profile)
+    ref = MixedProfile(uniform_profile(game))
+    game, regs, traj = _triangle_run(scheme, ref)
     # without the record of its reference the trajectory's series are read again
     stripped = replace(traj, metadata=dict(traj.metadata, ref=None))
 
-    reused = fenchel_bregman_series(traj, game, regs, ref.profile)
+    reused = fenchel_bregman_series(traj, regs, ref)
     assert reused.fenchel is traj.fenchel and reused.bregman is traj.bregman
-    again = fenchel_bregman_series(stripped, game, regs, ref.profile)
+    again = fenchel_bregman_series(stripped, regs, ref)
     np.testing.assert_array_equal(reused.fenchel, again.fenchel)
     np.testing.assert_array_equal(reused.bregman, again.bregman)
 
     # the record holds float copies of the profile, compared component by
     # component: lists read back from a sidecar match too
     recorded = traj.metadata["ref"]
-    assert all(isinstance(r, np.ndarray) and r is not u for r, u in zip(recorded, ref.profile))
+    assert all(isinstance(r, np.ndarray) and r is not u for r, u in zip(recorded, ref))
     as_lists = replace(traj, metadata=dict(traj.metadata, ref=[r.tolist() for r in recorded]))
-    assert fenchel_bregman_series(as_lists, game, regs, ref.profile).fenchel is traj.fenchel
+    assert fenchel_bregman_series(as_lists, regs, ref).fenchel is traj.fenchel
     # a record that misses a component or differs in one is not this reference
     for other in (recorded[:-1], recorded[:-1] + [np.flip(recorded[-1]) + [0.25, -0.25]]):
         assert len(other) < len(recorded) or not np.array_equal(other[-1], recorded[-1])
         moved = replace(traj, metadata=dict(traj.metadata, ref=other))
-        series = fenchel_bregman_series(moved, game, regs, ref.profile)
+        series = fenchel_bregman_series(moved, regs, ref)
         assert series.fenchel is not traj.fenchel
         np.testing.assert_array_equal(series.fenchel, again.fenchel)
+    # readings against the same profile under other regularizers are read again
+    swapped = tuple(replace(r, kind="euclidean" if r.kind == "entropy" else "entropy") for r in regs)
+    series = fenchel_bregman_series(traj, swapped, ref)
+    assert series.fenchel is not traj.fenchel and not np.array_equal(series.fenchel, traj.fenchel)
+    forced = fenchel_bregman_series(stripped, swapped, ref)
+    np.testing.assert_array_equal(series.fenchel, forced.fenchel)
+    np.testing.assert_array_equal(series.bregman, forced.bregman)
 
     report = build_report(traj, game, regs, ref=ref, recurrence_epsilon=0.05)
     forced = build_report(stripped, game, regs, ref=ref, recurrence_epsilon=0.05)
     assert report.to_json() == forced.to_json()
+    report = build_report(traj, game, swapped, ref=ref, recurrence_epsilon=0.05)
+    assert report.to_json() == build_report(stripped, game, swapped, ref=ref, recurrence_epsilon=0.05).to_json()
     assert json.loads(report.to_json())["fenchel"] is not None
 
 
 def test_report_against_another_reference_recomputes():
     game = triangle_zero_sum()
-    ref = EquilibriumReference(MixedProfile(uniform_profile(game)), True)
-    other = EquilibriumReference(
-        MixedProfile((np.array([0.3, 0.7]), np.array([0.2, 0.5, 0.3]), np.array([0.6, 0.4]))), True
-    )
-    game, regs, traj = _triangle_run("rk4", ref.profile)
-    _, _, other_traj = _triangle_run("rk4", other.profile)
+    ref = MixedProfile(uniform_profile(game))
+    other = MixedProfile((np.array([0.3, 0.7]), np.array([0.2, 0.5, 0.3]), np.array([0.6, 0.4])))
+    game, regs, traj = _triangle_run("rk4", ref)
+    _, _, other_traj = _triangle_run("rk4", other)
 
-    series = fenchel_bregman_series(traj, game, regs, other.profile)
+    series = fenchel_bregman_series(traj, regs, other)
     assert series.fenchel is not traj.fenchel
     np.testing.assert_array_equal(series.fenchel, other_traj.fenchel)
     np.testing.assert_array_equal(series.bregman, other_traj.bregman)
@@ -363,7 +369,7 @@ def test_report_against_another_reference_recomputes():
 
     unread = simulate(game, regs, traj.states[0].y0, IntegratorConfig("rk4", 0.05, 4.0, 1))
     assert unread.fenchel is None and unread.metadata["ref"] is None
-    series = fenchel_bregman_series(unread, game, regs, ref.profile)
+    series = fenchel_bregman_series(unread, regs, ref)
     np.testing.assert_array_equal(series.fenchel, traj.fenchel)
     np.testing.assert_array_equal(series.bregman, traj.bregman)
 
@@ -420,7 +426,7 @@ def test_simulate_sidecar_matches_list_metadata_writer(tmp_path, network, with_r
             profile = MixedProfile(tuple(np.asarray(v, dtype=float) for v in json.loads(ref_arg)))
         else:
             profile = solve_2x2_fully_mixed_nash(loaded.game)
-        ref = make_reference(loaded.game, profile).profile
+        ref = make_reference(loaded.game, profile)
     traj = simulate(loaded.game, loaded.regularizers, y0, IntegratorConfig(scheme, 0.05, 1.0, 3), ref=ref)
     lists = dict(traj.metadata, timing=json.loads(written)["timing"],
                  y0=[np.asarray(v).tolist() for v in y0],
