@@ -236,15 +236,20 @@ def volume_ratio(game: NetworkGame, regs, cloud, config: IntegratorConfig) -> Vo
     the flattened payoff coordinates, which is dimension-agnostic and
     stable at sample sizes in the hundreds; it is an estimate, not a
     measure-theoretic certificate.  Conservative integrators should return
-    a ratio near one, the Euler update a ratio above it.
+    a ratio near one, the Euler update a ratio above it.  A cloud with no
+    volume (n <= D starts in D coordinates, a singular start) raises first.
     """
-    n = len(cloud[0])
+    n, dim = len(cloud[0]), sum(np.shape(v)[-1] for v in cloud)
     if n < 10:
         raise ValueError("cloud too small for a covariance volume estimate (need >= 10)")
-    # only the start and the end are read, so only they are recorded
-    traj = simulate(game, regs, cloud, replace(config, stride=max(1, config.steps)), energy="none")
-    before, after = _cloud_volume(traj.y[0]), _cloud_volume(traj.y[-1])
-    ratio = after / before if before > 0 else float("nan")
+    if n <= dim:
+        raise ValueError(f"a cloud of {n} starts in {dim} coordinates has no covariance volume (need > {dim})")
+    before = _cloud_volume(np.concatenate([np.asarray(v, dtype=float) for v in cloud], axis=-1))
+    if before == 0.0:  # a start that is not finite reads nan here, and simulate names it
+        raise ValueError(f"the cloud's {n} starts have no covariance volume (determinant {before:g})")
+    # only the motions at the start and the end are read, so only they are recorded
+    traj = simulate(game, regs, cloud, replace(config, stride=max(1, config.steps)), energy="none", motions_only=True)
+    after = _cloud_volume(traj.y[-1])
     note = f"covariance-determinant estimate from {n} samples"
     diag = traj.metadata["diagnostics"]
     if diag["truncated"]:
@@ -252,7 +257,7 @@ def volume_ratio(game: NetworkGame, regs, cloud, config: IntegratorConfig) -> Vo
             f"; truncated at step {diag['blow_up_step']} ({diag['reason']}), "
             f"ratio covers t in [0, {traj.t[-1]:g}] only"
         )
-    return VolumeReport(ratio, before, after, n, note, traj.metadata["timing"])
+    return VolumeReport(after / before, before, after, n, note, traj.metadata["timing"])
 
 
 @dataclass

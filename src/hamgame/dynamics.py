@@ -205,7 +205,7 @@ class PayoffOperator:
     def field(self, x):
         """dy/dt at strategies x."""
         out = self.linear(x)
-        return out if self.drift is None else out + self._b
+        return out if self.drift is None else np.add(out, self._b, out=out)
 
     def motion(self, y0, X, t):
         """y0 + M X (+ b t): the motions reconstructed from positions.  A
@@ -242,13 +242,10 @@ def product_lines(counts, payoffs, x, out, drift=None) -> list[str]:
     return lines
 
 
-def _shift(u, h, v):  # u + h v, a new array
-    return u + h * v
-
-
-def _accumulate(u, h, v):  # u + h v in place, the same bits; no product at h = 1
-    u += v if h == 1.0 else h * v
-    return u
+def _shift(u, h, v, spent=False):  # u + h v as h v + u, the same bits: in v if spent (read no more), else new
+    w = np.multiply(v, h, out=v if spent else None)
+    w += u
+    return w
 
 
 class _Flow:
@@ -296,7 +293,8 @@ class _Flow:
 # Array kernels: (flow, t, y, X, x, force, eta) -> (y, X, force), on
 # coordinate-major (D, n) arrays.  x is the choice map of y when the caller
 # already has it (None otherwise); force is the leapfrog's last kick, [time,
-# kick at X], carried over from the previous step and updated in place.
+# kick at X], carried over from the previous step and updated in place.  A
+# kernel writes only into arrays it allocated, never into y, X or a handed x.
 
 
 def _euler(flow, t, y, X, x, force, eta):
@@ -304,9 +302,9 @@ def _euler(flow, t, y, X, x, force, eta):
 
     Deliberately first-order: the monotone-energy statements are about this map.
     """
-    if x is None:
-        x = flow.choice(y)
-    return _shift(y, eta, flow.field(x)), _shift(X, eta, x), None
+    spent = x is None  # a choice mapped here is scaled into the new X
+    x = flow.choice(y) if spent else x
+    return _shift(y, eta, flow.field(x), spent=True), _shift(X, eta, x, spent), None
 
 
 def _rk4(flow, t, y, X, x, force, eta):
@@ -314,28 +312,29 @@ def _rk4(flow, t, y, X, x, force, eta):
 
     Each stage's choice map serves both dX and dy: y = y0 + sum A X holds to rounding.
     """
-    # k1 + 2 k2 + 2 k3 + k4 as two running sums, added in that order (the same
-    # bits); each stage is released before the next choice map runs
+    # k1 + 2 k2 + 2 k3 + k4 as two running sums, added in that order (the same bits); each
+    # stage is released before the next choice map runs.  A spent choice holds the running
+    # sum it is added into, a spent field the next stage's point; the sums become y and X
     sx = flow.choice(y) if x is None else x
+    del x  # a handed x is the caller's: released once sx moves into k2's choice
     sy = flow.field(sx)
     kx = flow.choice(_shift(y, 0.5 * eta, sy))
     ky = flow.field(kx)
-    sx = _shift(sx, 2.0, kx)  # a new array: x may be the caller's
-    sy = _accumulate(sy, 2.0, ky)
-    del kx
-    ky = _shift(y, 0.5 * eta, ky)  # the third stage's point
+    sx = _shift(sx, 2.0, kx, spent=True)
+    sy = _shift(sy, 2.0, ky)
+    ky = _shift(y, 0.5 * eta, ky, spent=True)  # the third stage's point
     kx = flow.choice(ky)
+    del ky
     ky = flow.field(kx)
-    sx = _accumulate(sx, 2.0, kx)
-    sy = _accumulate(sy, 2.0, ky)
-    del kx
-    ky = _shift(y, eta, ky)  # the fourth stage's point
+    sx = _shift(sx, 2.0, kx, spent=True)
+    sy = _shift(sy, 2.0, ky)
+    ky = _shift(y, eta, ky, spent=True)  # the fourth stage's point
     kx = flow.choice(ky)
-    sx = _accumulate(sx, 1.0, kx)
-    sy = _accumulate(sy, 1.0, flow.field(kx))
-    del kx, ky
+    del ky
+    sx += kx  # no product at weight 1
+    sy += flow.field(kx)
     sixth = eta / 6.0
-    return _shift(y, sixth, sy), _shift(X, sixth, sx), None
+    return _shift(y, sixth, sy, spent=True), _shift(X, sixth, sx, spent=True), None
 
 
 def _leapfrog(flow, t, y, X, x, force, eta):
@@ -345,14 +344,15 @@ def _leapfrog(flow, t, y, X, x, force, eta):
     Each is a shear, so a step is volume-preserving, time-symmetric and second-order.
     It needs sigma in {-1, +1}, which simulate checks: only then is the kick force a gradient.
     """
+    del x  # not read: the first kick needs no choice of y
     half = 0.5 * eta
     if force is None:
         force = [None, None]
     if force[0] is None or force[0] != t and flow.op.drift is not None:  # t - eta + eta may not be t
         force[:] = t, flow.kick(X, t)
-    y_half = _shift(y, half, force[1])
-    force[1] = None  # spent: released before the second kick
-    X = _shift(X, eta, flow.choice(y_half))
+    y_half = _shift(y, half, force[1], spent=True)  # the spent kick holds the half step
+    force[:] = None, None
+    X = _shift(X, eta, flow.choice(y_half), spent=True)
     force[:] = t + eta, flow.kick(X, t + eta)
     return _shift(y_half, half, force[1]), X, force
 
@@ -579,6 +579,8 @@ class _Snapshots(Sequence):
 
     def __getitem__(self, k: int) -> SystemState:  # past the end, tr.y[k] raises IndexError
         tr = self.traj
+        if tr.X is None:
+            raise ValueError("snapshot states need X and x, which simulate(..., motions_only=True) does not record")
         y, X, x, y0 = (tuple(a[..., s] for s in tr.slices) for a in (tr.y[k], tr.X[k], tr.x[k], tr.y[0]))
         return SystemState(float(tr.t[k]), y, X, x, y0)
 
@@ -588,7 +590,8 @@ class Trajectory:
     """Recorded snapshots as arrays, plus the instrument readings.
 
     t is (snapshots,); y, X and x are (snapshots, batch..., D), agent i
-    owning the coordinates slices[i], and y[0] is the start.  energy,
+    owning the coordinates slices[i], and y[0] is the start; X and x are
+    None in a record made with simulate(..., motions_only=True).  energy,
     fenchel and bregman are aligned with t (NaN where a reading is
     unavailable: no sigma tag, a payoff or drift coefficient that is not
     finite, no reference profile, or a boundary strategy under an entropy
@@ -598,8 +601,8 @@ class Trajectory:
 
     t: np.ndarray
     y: np.ndarray
-    X: np.ndarray
-    x: np.ndarray
+    X: np.ndarray | None
+    x: np.ndarray | None
     slices: tuple[slice, ...]
     energy: np.ndarray
     fenchel: np.ndarray | None
@@ -619,6 +622,8 @@ class Trajectory:
         """Snapshots-by-coordinates matrix of the concatenated strategies."""
         if self.batched:
             raise ValueError("strategy matrix is only defined for single trajectories")
+        if self.x is None:
+            raise ValueError("strategy matrix needs x, which simulate(..., motions_only=True) does not record")
         return self.x
 
     def energy_drift(self) -> tuple[float, float]:
@@ -637,8 +642,8 @@ NON_FINITE = "non-finite payoff vector"
 def _blow_up(y, flow):
     """Why the step to y (coordinates on axis 0) ends the run, or None: the
     first agent whose |y| is not finite or passes its limit."""
-    if np.abs(y).max() <= flow.limit:
-        return None  # nan and inf compare False, so they are diagnosed below
+    if -flow.limit <= y.min() and y.max() <= flow.limit:
+        return None  # nan compares False, so it and +-inf are diagnosed below
     for agent, (s, limit) in enumerate(zip(flow.op.slices, flow.limits), 1):
         peak = float(np.abs(y[s]).max())  # the first offending agent names the reason
         if not np.isfinite(peak):
@@ -668,7 +673,9 @@ def _run_single(flow, config, rows, y, X, x):
         if stop is not None:  # the step's y, or what a stage point or a kick raised
             reason = NON_FINITE if isinstance(stop, NonFinitePayoff) else _blow_up(np.array(stop), flow)
             return k, i, reason, y, X
-        ts[k], ys[k], Xs[k], xs[k] = end * eta, y, X, x
+        ts[k], ys[k] = end * eta, y
+        if Xs is not None:
+            Xs[k], xs[k] = X, x
         k += 1
     return k, i, None, y, X
 
@@ -679,25 +686,28 @@ def _run_batched(flow, config, rows, state):
 
     state is [y, X, x], which the runner empties, and the leapfrog's force
     a list, [time, kick], that its kernel updates in place, so that no
-    caller's name keeps the start's X and x or a spent kick alive."""
-    (y, X, x), state[:] = state, ()
+    caller's name keeps the start's X or a spent kick alive.  The x left in
+    state, the start's choice map and then each recorded x, is popped into
+    the next kernel call: the kernel may drop it as soon as it is spent."""
+    y, X = state.pop(0), state.pop(0)
     ts, ys, Xs, xs = rows
     kernel, eta, stride, n_steps = KERNELS[config.scheme], config.eta, config.stride, config.steps
     t, force, i, k = 0.0, None, 0, 1
     for i in range(1, n_steps + 1):
         try:
-            y_next, X_next, force = kernel(flow, t, y, X, x, force, eta)
+            y_next, X_next, force = kernel(flow, t, y, X, state.pop() if state else None, force, eta)
         except NonFinitePayoff:  # a stage point or a kick
             return k, i, NON_FINITE, y, X
-        x = None
         reason = _blow_up(y_next, flow)
         if reason is not None:
             return k, i, reason, y, X
         t, y, X = i * eta, y_next, X_next  # t: no running sum, whose error would enter b t
         if i % stride == 0 or i == n_steps:
-            x = flow.choice(y)  # also the next step's first stage
             ts[k] = t
-            _put(ys[k], y), _put(Xs[k], X), _put(xs[k], x)
+            _put(ys[k], y)
+            if Xs is not None:  # x: the record's, and the next step's first stage
+                state.append(flow.choice(y))
+                _put(Xs[k], X), _put(xs[k], state[-1])
             k += 1
     return k, i, None, y, X
 
@@ -707,10 +717,11 @@ def _put(row, a):
     row.reshape(-1, len(a))[...] = a.T
 
 
-def _record(rows, shape):
-    """The empty record: t, then y, X and x as (rows, batch..., D) arrays."""
+def _record(rows, shape, motions_only):
+    """The empty record: t, then y, X and x (None if motions_only) as (rows, batch..., D) arrays."""
     try:
-        return tuple(np.empty((rows,) + s) for s in ((), shape, shape, shape))
+        t, y = np.empty(rows), np.empty((rows,) + shape)
+        return (t, y, None, None) if motions_only else (t, y, np.empty_like(y), np.empty_like(y))
     except (ValueError, MemoryError) as err:  # numpy's own messages name neither
         raise ValueError(f"cannot allocate {rows} snapshot rows of shape {shape}: {err}") from None
 
@@ -722,6 +733,7 @@ def simulate(
     config: IntegratorConfig,
     ref=None,
     energy: str = "auto",
+    motions_only: bool = False,
 ) -> Trajectory:
     """Iterate the configured stepper from (t=0, X=0, y=y0).
 
@@ -741,11 +753,15 @@ def simulate(
     spent writing the trajectory, is 0 until a writer fills it in.  The
     metadata also names the Python and numpy versions of the run; its y0 are
     views of the start row y[0] and its ref float copies, which the sidecar
-    writer turns into lists.
+    writer turns into lists.  With motions_only the record holds t and y
+    alone (X and x None), and no choice map runs for an x row; it takes
+    energy="none" and no ref, the readings being of X and x.
     """
     from .hamiltonian import select_energy  # here: hamiltonian imports this module
 
     eta, stride = config.eta, config.stride
+    if motions_only and (ref is not None or energy != "none"):
+        raise ValueError('motions_only=True records no X or x to read: pass energy="none" and no ref')
     flow = _Flow(game, regs, y0)
     if config.scheme == "symplectic_leapfrog" and game.sigma not in (-1, 1):
         raise ValueError("no Hamiltonian structure certified: game has no sigma tag")
@@ -758,24 +774,30 @@ def simulate(
     y = flow.y0 if single else np.ascontiguousarray(flow.y0.reshape(-1, shape[-1]).T)
     x = flow.choice(y)  # a non-finite start raises here
     n_steps = config.steps
-    ts, ys, Xs, xs = record = _record(n_steps // stride + 1 + (n_steps % stride != 0), shape)
-    ts[0], ys[0], Xs[0] = 0.0, flow.y0, 0.0
-    _put(xs[0], x)
+    ts, ys, Xs, xs = record = _record(n_steps // stride + 1 + (n_steps % stride != 0), shape, motions_only)
+    ts[0], ys[0] = 0.0, flow.y0
+    if Xs is not None:
+        Xs[0] = 0.0
+        _put(xs[0], x)
     # the start row serves as y0 (a transposed view in a batch): no second copy lives through the run
     if single:
         flow.y0 = ys[0]
-        k, i, reason, y, X = _run_single(flow, config, record, *(v.tolist() for v in (ys[0], Xs[0], xs[0])))
+        k, i, reason, y, X = _run_single(flow, config, record, y.tolist(), [0.0] * len(y), x.tolist())
     else:
-        flow.y0, state = ys[0].reshape(-1, shape[-1]).T, [y, np.zeros_like(y), x]
+        # a motions-only run hands its first kernel no x, which Python 3.10
+        # would keep alive through the step: the kernel maps the start again
+        flow.y0, state = ys[0].reshape(-1, shape[-1]).T, [y, np.zeros_like(y)] + [x] * (Xs is not None)
         del y, x
         k, i, reason, y, X = _run_batched(flow, config, record, state)
     diagnostics = {"truncated": reason is not None, "blow_up_step": None if reason is None else i, "reason": reason}
     if reason is not None and (i - 1) % stride:  # the last finite state ends the record
         y, X = np.asarray(y), np.asarray(X)  # lists of floats, after a single run
         ts[k] = (i - 1) * eta
-        _put(ys[k], y), _put(Xs[k], X), _put(xs[k], flow.choice(y))
+        _put(ys[k], y)
+        if Xs is not None:
+            _put(Xs[k], X), _put(xs[k], flow.choice(y))
         k += 1
-    ts, ys, Xs, xs = ts[:k], ys[:k], Xs[:k], xs[:k]
+    ts, ys, Xs, xs = (None if a is None else a[:k] for a in record)
     step_s = perf_counter() - start
 
     start = perf_counter()
@@ -819,8 +841,8 @@ def sample_payoff_ball(center, radius: float, n: int, seed: int):
     Returns one (n, k_i) array per agent; the same seed reproduces the same
     cloud exactly.
     """
-    if not np.isfinite(radius):
-        raise ValueError(f"radius must be finite, got {radius}")
+    if not 0 <= radius < np.inf:
+        raise ValueError(f"radius must be {'nonnegative' if radius < 0 else 'finite'}, got {radius}")
     rng = np.random.default_rng(seed)
     center = [np.asarray(v, dtype=float) for v in center]
     dims = [v.shape[-1] for v in center]

@@ -22,6 +22,7 @@ from hamgame import (
     solve_2x2_fully_mixed_nash,
     volume_ratio,
 )
+from hamgame import analysis
 
 from conftest import (
     energy_rows,
@@ -31,6 +32,7 @@ from conftest import (
     run,
     triangle_zero_sum,
     uniform_profile,
+    zero_sum_from_edges,
 )
 
 
@@ -315,6 +317,40 @@ class TestVolume:
         config = IntegratorConfig("rk4", 1e-2, 1.0, 1)
         with pytest.raises(ValueError, match="cloud too small"):
             volume_ratio(red.game, red.regularizers, cloud, config)
+
+    @pytest.mark.parametrize("n", [10, 12, 13])
+    def test_cloud_of_at_most_dimension_starts_rejected(self, n):
+        # the benchmark's 12 coordinates: n <= 12 starts span no 12-volume
+        counts = (3, 2, 4, 3)
+        rng = np.random.default_rng(1)
+        game = zero_sum_from_edges(counts, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], rng, centered=True)
+        regs = default_regularizers(game, "entropy")
+        cloud = sample_payoff_ball([0.1 * rng.normal(size=k) for k in counts], 0.01, n, 1)
+        config = IntegratorConfig("rk4", 0.05, 0.5, 1)
+        if n > sum(counts):
+            assert np.isfinite(volume_ratio(game, regs, cloud, config).ratio)
+            return
+        with pytest.raises(ValueError, match=f"a cloud of {n} starts in 12 coordinates has no covariance volume"):
+            volume_ratio(game, regs, cloud, config)
+
+    def test_cloud_without_volume_rejected_before_stepping(self, monkeypatch):
+        red, cloud = self.setup_cloud(n=50, radius=0.0)
+        monkeypatch.setattr(analysis, "simulate", None)  # no run starts
+        with pytest.raises(ValueError, match=r"the cloud's 50 starts have no covariance volume \(determinant 0\)"):
+            volume_ratio(red.game, red.regularizers, cloud, IntegratorConfig("rk4", 1e-2, 1.0, 1))
+
+    def test_non_finite_start_blamed_on_its_payoffs(self):
+        # its covariance is nan, not a missing volume: the choice map names it
+        red, cloud = self.setup_cloud(n=50)
+        cloud[0][3, 0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="choice map requires finite payoff vector"):
+            volume_ratio(red.game, red.regularizers, cloud, IntegratorConfig("rk4", 1e-2, 1.0, 1))
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius must be nonnegative, got -0.01"):
+            sample_payoff_ball((np.zeros(2), np.zeros(2)), -0.01, 20, 0)
+        # a zero radius is the centre itself
+        assert all(np.array_equal(v, np.zeros((3, 2))) for v in sample_payoff_ball((np.zeros(2),) * 2, 0.0, 3, 0))
 
     @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
     def test_non_finite_radius_rejected(self, radius):

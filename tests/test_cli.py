@@ -362,6 +362,14 @@ class TestSimulate:
             blobs.append((tmp_path / sub / "mp_rk4.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_zero_radius_starts_at_the_centre(self, tmp_path):
+        # one seeded start in a ball of radius 0 is the file's y0 itself
+        game_path = mp_file(tmp_path)
+        for sub, extra in (("ball", ["--seed", "1", "--radius", "0"]), ("file", [])):
+            assert main(["simulate", "--game", game_path, "--eta", "0.1", "--horizon", "0.5",
+                         *extra, "--out", str(tmp_path / sub)]) == 0
+        assert (tmp_path / "ball" / "mp_rk4.csv").read_bytes() == (tmp_path / "file" / "mp_rk4.csv").read_bytes()
+
     def test_explicit_y0_override(self, tmp_path):
         game_path = mp_file(tmp_path)
         code = main(
@@ -676,6 +684,10 @@ def sidecar(change):
                  "radius must be finite, got inf", id="simulate-radius-inf"),
     pytest.param(lambda tmp_path: run_args("cloud", tmp_path, "--n", "20", "--radius", "nan"),
                  "radius must be finite, got nan", id="cloud-radius-nan"),
+    pytest.param(lambda tmp_path: run_args("cloud", tmp_path, "--n", "20", "--radius", "0"),
+                 "the cloud's 20 starts have no covariance volume (determinant 0)", id="cloud-radius-zero"),
+    pytest.param(lambda tmp_path: run_args("cloud", tmp_path, "--n", "20", "--radius", "-0.01"),
+                 "radius must be nonnegative, got -0.01", id="cloud-radius-negative"),
     pytest.param(lambda tmp_path: run_args("cloud", tmp_path, "--n", "20", "--scheme", ""),
                  "--scheme names no scheme", id="cloud-no-scheme"),
     pytest.param(lambda tmp_path: run_args("cloud", tmp_path, "--n", "20", "--scheme", ","),

@@ -860,3 +860,79 @@ def test_colliding_fragment_names_are_refused(monkeypatch, extra):
     monkeypatch.setattr(dynamics, "_loop", dynamics._loop.__wrapped__)  # past the cache
     with pytest.raises(AssertionError, match="generated names collide"):
         _Flow(game, regs, y0).advance("rk4")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("family", ["zero_sum", "affine"])
+def test_kernels_write_into_no_argument(scheme, family):
+    # y, X and a handed x stay the caller's: a record, or a reference that
+    # keeps each step's arrays, still holds them after the step.  With a
+    # drift, a kick carried from another time is recomputed
+    game, regs, y0 = _random_case(family, [2, 3, 2], 5, 6)
+    flow = _Flow(game, regs, y0)
+    assert (flow.op.drift is not None) == (family == "affine")
+    flow.y0 = np.ascontiguousarray(flow.y0.T)
+    rng = np.random.default_rng(2)
+    y, X = flow.y0 + 0.1 * rng.normal(size=flow.y0.shape), 0.1 * rng.normal(size=flow.y0.shape)
+    kernel, force, eta = dynamics.KERNELS[scheme], None, 0.05
+    for t, hand in ((0.0, True), (eta, False), (np.nextafter(eta, 1.0), True), (2 * eta, True)):
+        x = flow.choice(y) if hand else None
+        kept = [a.copy() for a in (y, X, x) if a is not None]
+        y_next, X_next, force = kernel(flow, t, y, X, x, force, eta)
+        for a, b in zip((a for a in (y, X, x) if a is not None), kept):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        outputs = [y_next, X_next] + ([] if force is None else [force[1]])
+        assert not any(np.shares_memory(a, b) for a in outputs for b in (y, X, x) if b is not None)
+        y, X = y_next, X_next
+
+
+def _motions_only_cases():
+    """(game, regs, single start, config) of plain runs and of runs that truncate off the stride."""
+    game, regs, y0 = _random_case("zero_sum", [2, 3, 2], 11, None)
+    for scheme in SCHEMES:
+        yield game, regs, y0, IntegratorConfig(scheme, 0.05, 1.0, 3)
+    # agent 1's payoff grows by 7e10 a step: |y| passes 1e12 at step 15 under Euler
+    a = 7e10 * np.array([[1.0, 1.0], [-1.0, -1.0]])
+    game = NetworkGame((2, 2), {(0, 1): a, (1, 0): -a.T}, sigma=-1)
+    for scheme in SCHEMES:
+        yield game, default_regularizers(game, "entropy"), (np.array([3.0, -3.0]), np.array([2.0, 1.0])), \
+            IntegratorConfig(scheme, 1.0, 30.0, 4)
+    # a non-finite third stage point (see _overflowing_stage_game)
+    game, regs, y0 = _overflowing_stage_game()
+    for scheme in ("euler", "rk4"):
+        yield game, regs, y0, IntegratorConfig(scheme, 8.0, 48.0, 2)
+
+
+MOTIONS_ONLY_CASES = list(_motions_only_cases())
+
+
+@pytest.mark.parametrize("case", range(len(MOTIONS_ONLY_CASES)))
+@pytest.mark.parametrize("batched", [False, True])
+def test_motions_only_records_the_same_motions(case, batched):
+    game, regs, y0, config = MOTIONS_ONLY_CASES[case]
+    if batched:  # the start and a copy pushed off it
+        y0 = tuple(np.stack([v, v + 0.25]) for v in y0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = simulate(game, regs, y0, config, energy="none")
+        lean = simulate(game, regs, y0, config, energy="none", motions_only=True)
+    assert lean.X is None and lean.x is None and full.x is not None
+    for a, b in ((lean.t, full.t), (lean.y, full.y)):
+        assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert lean.metadata["diagnostics"] == full.metadata["diagnostics"]
+    assert full.metadata["diagnostics"]["truncated"] == (case >= len(SCHEMES))
+    assert np.isnan(lean.energy).all() and lean.fenchel is None and lean.bregman is None
+    assert len(lean.states) == len(full.states) == len(full.t)
+    with pytest.raises(ValueError, match="motions_only=True"):
+        lean.states[-1]
+    if not batched:
+        with pytest.raises(ValueError, match="motions_only=True"):
+            lean.strategy_matrix()
+
+
+def test_motions_only_takes_no_reading():
+    game, regs, y0 = mp_start("entropy")
+    config = IntegratorConfig("rk4", 0.05, 0.5, 1)
+    profile = [np.full(2, 0.5), np.full(2, 0.5)]
+    for kwargs in ({}, {"energy": "auto"}, {"energy": "network"}, {"energy": "none", "ref": profile}):
+        with pytest.raises(ValueError, match='motions_only=True records no X or x to read'):
+            simulate(game, regs, y0, config, motions_only=True, **kwargs)

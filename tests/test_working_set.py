@@ -2,7 +2,8 @@
 single run's generated loop takes to compile.
 
 A batched `simulate` holds only the arrays its step needs: the recorded
-rows, y, X, the stage arrays of one step and the choice map's temporaries.
+rows (motions only, under `volume_ratio`), y, X, the stage arrays of one
+step and the choice map's temporaries.
 The bound is on the tracemalloc peak of `volume_ratio` on a (2000, 12)
 cloud, the shape of the benchmark's `cloud` workload, counted in units of
 one (2000, 12) float64 state array.  tracemalloc counts the bytes numpy
@@ -22,11 +23,14 @@ from conftest import zero_sum_from_edges
 
 N, COUNTS = 2000, (3, 2, 4, 3)
 EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]  # a ring plus a chord
-# the measured peaks plus a margin of one state array: 14.18, 14.03 and
-# 12.07 state arrays on the coordinate-major layout (14.04, 14.48 and 12.03
-# before it, when the leapfrog's spent kick lived through its second kick);
-# the code before the working set was trimmed peaked at 21.0, 19.7 and 18.7
-BOUNDS = {"rk4": 15.0, "symplectic_leapfrog": 15.1, "euler": 13.0}
+# the measured peaks plus a margin of one state array: 8.89, 8.89 and 6.03
+# state arrays since the run records motions only and the kernels scale
+# into arrays they allocated (14.03, 14.03 and 12.03 before, with X and x
+# rows and a fresh array for each u + h v; 14.04, 14.48 and 12.03 before
+# the coordinate-major layout, when the leapfrog's spent kick lived through
+# its second kick); the code before the working set was first trimmed
+# peaked at 21.0, 19.7 and 18.7
+BOUNDS = {"rk4": 9.9, "symplectic_leapfrog": 9.9, "euler": 7.05}
 
 
 @pytest.mark.parametrize("scheme", sorted(BOUNDS))
