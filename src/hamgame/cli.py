@@ -26,7 +26,9 @@ from .analysis import MONOTONE_SLACK, build_report, largest_drop, make_reference
 from .dynamics import SCHEMA_VERSION, IntegratorConfig, sample_payoff_ball, simulate
 from .fileio import (
     game_fingerprint,
+    json_field,
     load_game_file,
+    read_json_object,
     read_trajectory_csv,
     write_trajectory_csv,
     write_trajectory_metadata,
@@ -44,14 +46,10 @@ CLOUD_SCHEMA_VERSION = 1  # of the *_cloud.json report
 
 
 def _parse_inline_or_file(spec: str):
-    if spec.startswith("@"):
-        with open(spec[1:]) as handle:
-            return json.load(handle)
     try:
         return json.loads(spec)
-    except json.JSONDecodeError:
-        with open(spec) as handle:
-            return json.load(handle)
+    except json.JSONDecodeError:  # as "@path" always is: the file's JSON
+        return json.loads(Path(spec.removeprefix("@")).read_text())
 
 
 def _vectors(values, what: str) -> tuple[np.ndarray, ...]:
@@ -62,7 +60,7 @@ def _vectors(values, what: str) -> tuple[np.ndarray, ...]:
         vectors = tuple(np.asarray(v, dtype=float) for v in values)
     except (TypeError, ValueError) as err:  # a string, an object, or ragged rows
         raise ValueError(f"{what} must hold numbers, one vector per agent ({err})") from None
-    if not all(v.ndim and np.all(np.isfinite(v)) for v in vectors):
+    if not all(v.ndim == 1 and np.all(np.isfinite(v)) for v in vectors):
         raise ValueError(f"{what} must hold finite numbers, one vector per agent")
     return vectors
 
@@ -71,7 +69,7 @@ def _resolve_y0(loaded, args):
     if getattr(args, "y0", None):
         return _vectors(_parse_inline_or_file(args.y0), "--y0")
     if getattr(args, "seed", None) is not None:
-        return sample_payoff_ball(loaded.y0, args.radius, 1, args.seed)
+        return tuple(v[0] for v in sample_payoff_ball(loaded.y0, args.radius, 1, args.seed))  # its one row
     return loaded.y0
 
 
@@ -86,11 +84,6 @@ def _resolve_ref(loaded, spec):
     else:
         profile = MixedProfile(_vectors(_parse_inline_or_file(spec), "--ref"))
     return make_reference(loaded.game, profile)
-
-
-def _squeeze_batch(y0):
-    # sample_payoff_ball returns (1, k) arrays for a single draw
-    return tuple(v[0] if v.ndim == 2 and v.shape[0] == 1 else v for v in y0)
 
 
 def _note_rounded_horizon(config: IntegratorConfig):
@@ -143,7 +136,7 @@ def cmd_simulate(args) -> int:
     loaded = load_game_file(args.game)
     config = IntegratorConfig(args.scheme, args.eta, args.horizon, args.stride)
     _note_rounded_horizon(config)
-    y0 = _squeeze_batch(_resolve_y0(loaded, args))
+    y0 = _resolve_y0(loaded, args)
     ref = _resolve_ref(loaded, args.ref)
     traj = simulate(loaded.game, loaded.regularizers, y0, config, ref=ref)
     csv_path, meta_path = _out_paths(args, loaded)
@@ -175,22 +168,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# the sidecar fields a replay reads: their JSON types, and what those are called
-_REPLAY_FIELDS = {"scheme": (str, "a string"), "eta": ((int, float), "a number"),
-                  "horizon": ((int, float), "a number"), "stride": (int, "an integer"), "y0": (list, "a list")}
-
-
-def _replay(loaded, meta, meta_path, ref):
-    for field, (kind, name) in _REPLAY_FIELDS.items():
-        if not isinstance(meta.get(field), kind):
-            got = repr(meta[field]) if field in meta else "nothing"
-            raise ValueError(f"{meta_path}: sidecar field {field!r} must be {name}, got {got}")
-    config = IntegratorConfig(meta["scheme"], meta["eta"], meta["horizon"], meta["stride"])
-    y0 = _vectors(meta["y0"], f"{meta_path}: sidecar field 'y0'")
-    if ref is None and meta.get("ref") is not None:
-        ref = make_reference(loaded.game, MixedProfile(_vectors(meta["ref"], f"{meta_path}: sidecar field 'ref'")))
-    traj = simulate(loaded.game, loaded.regularizers, y0, config, ref=ref, energy=meta.get("energy_variant") or "auto")
-    return traj, ref
+def _replay(loaded, field, meta_path, ref):
+    """The run the sidecar at meta_path records, replayed; field(key, kinds) reads its keys."""
+    config = IntegratorConfig(field("scheme", (str,)), field("eta", (float,)), field("horizon", (float,)),
+                              field("stride", (int,)))
+    y0 = _vectors(field("y0", (list,)), f"{meta_path}: sidecar field 'y0'")
+    if ref is None and field("ref", (), None) is not None:
+        ref = make_reference(loaded.game, MixedProfile(_vectors(field("ref", ()), f"{meta_path}: sidecar field 'ref'")))
+    variant = field("energy_variant", (str, type(None)), None) or "auto"  # None: the run read no energy
+    return simulate(loaded.game, loaded.regularizers, y0, config, ref=ref, energy=variant), ref
 
 
 def _csv_matches_replay(csv_path, traj) -> bool:
@@ -213,18 +199,16 @@ def cmd_analyze(args) -> int:
     for csv_path in args.traj:
         csv_path = Path(csv_path)
         meta_path = csv_path.with_name(csv_path.stem + ".meta.json")  # as _out_paths names it
-        with open(meta_path) as handle:
-            meta = json.load(handle)
-        if not isinstance(meta, dict):
-            raise ValueError(f"{meta_path}: a sidecar must be a JSON object, got {type(meta).__name__}")
-        if meta.get("game_hash") != game_hash:
+        meta = read_json_object(meta_path, "a sidecar", ValueError)
+        field = functools.partial(json_field, meta, f"{meta_path}: sidecar", error=ValueError)
+        if field("game_hash", (str,)) != game_hash:
             raise ValueError(f"{csv_path} was produced from a different game "
-                             f"(hash {meta.get('game_hash')} != {game_hash})")
-        version = meta.get("schema_version")
+                             f"(hash {field('game_hash', (str,))} != {game_hash})")
+        version = field("schema_version", (int,), None)
         if version != SCHEMA_VERSION:  # schema 3 changed the bits of single runs
             raise ValueError(f"{meta_path} has sidecar schema {version}; analyze replays schema "
                              f"{SCHEMA_VERSION} runs only: re-run simulate to record the run again")
-        traj, used_ref = _replay(loaded, meta, meta_path, ref)
+        traj, used_ref = _replay(loaded, field, meta_path, ref)
         if not _csv_matches_replay(csv_path, traj):
             raise ValueError(f"{csv_path} does not match a deterministic replay of its "
                              "metadata (file edited or corrupted)")

@@ -264,7 +264,6 @@ class _Flow:
         self.choice = BlockChoiceMap(regs)
         self.field = self.op.field
         self.y0 = self.op.join(y0)
-        self.sigma = game.sigma
         # per agent, the |y| past which a step counts as a blow-up; the
         # array path checks their minimum first, against the whole of y
         self.limits = tuple(min(BLOW_UP_LIMIT, payoff_limit(reg)) for reg in regs)
@@ -290,14 +289,14 @@ class _Flow:
         return scheme, self.choice.leaves, tuple(game.strategy_counts), edges, drift, self.limits
 
 
-# Array kernels: (flow, t, y, X, x, force, eta) -> (y, X, force), on
+# Array kernels: (flow, t, y, X, x, carry, eta) -> (y, X, carry), on
 # coordinate-major (D, n) arrays.  x is the choice map of y when the caller
-# already has it (None otherwise); force is the leapfrog's last kick, [time,
-# kick at X], carried over from the previous step and updated in place.  A
+# already has it (None otherwise); carry is the leapfrog's last kick, (time,
+# kick at X), carried over from the previous step (None from the others).  A
 # kernel writes only into arrays it allocated, never into y, X or a handed x.
 
 
-def _euler(flow, t, y, X, x, force, eta):
+def _euler(flow, t, y, X, x, carry, eta):
     """Explicit Euler, the learning rule itself: X advances with the pre-step x.
 
     Deliberately first-order: the monotone-energy statements are about this map.
@@ -307,7 +306,7 @@ def _euler(flow, t, y, X, x, force, eta):
     return _shift(y, eta, flow.field(x), spent=True), _shift(X, eta, x, spent), None
 
 
-def _rk4(flow, t, y, X, x, force, eta):
+def _rk4(flow, t, y, X, x, carry, eta):
     """Classical RK4 on the joint (X, y) field, which depends on y only.
 
     Each stage's choice map serves both dX and dy: y = y0 + sum A X holds to rounding.
@@ -337,7 +336,7 @@ def _rk4(flow, t, y, X, x, force, eta):
     return _shift(y, sixth, sy, spent=True), _shift(X, sixth, sx, spent=True), None
 
 
-def _leapfrog(flow, t, y, X, x, force, eta):
+def _leapfrog(flow, t, y, X, x, carry, eta):
     """Kick-drift-kick leapfrog: kicks move y by the force at the positions alone
     (the motions y0 + A X), the drift moves X by the choice map of the kicked y.
 
@@ -346,15 +345,12 @@ def _leapfrog(flow, t, y, X, x, force, eta):
     """
     del x  # not read: the first kick needs no choice of y
     half = 0.5 * eta
-    if force is None:
-        force = [None, None]
-    if force[0] is None or force[0] != t and flow.op.drift is not None:  # t - eta + eta may not be t
-        force[:] = t, flow.kick(X, t)
-    y_half = _shift(y, half, force[1], spent=True)  # the spent kick holds the half step
-    force[:] = None, None
+    if carry is None or carry[0] != t and flow.op.drift is not None:  # t - eta + eta may not be t
+        carry = t, flow.kick(X, t)
+    y_half = _shift(y, half, carry[1], spent=True)  # the spent kick holds the half step
     X = _shift(X, eta, flow.choice(y_half), spent=True)
-    force[:] = t + eta, flow.kick(X, t + eta)
-    return _shift(y_half, half, force[1]), X, force
+    kick = flow.kick(X, t + eta)
+    return _shift(y_half, half, kick), X, (t + eta, kick)
 
 
 KERNELS = {"euler": _euler, "rk4": _rk4, "symplectic_leapfrog": _leapfrog}
@@ -684,18 +680,18 @@ def _run_batched(flow, config, rows, state):
     """_run_single for a batch of starts, coordinate-major (D, n) arrays,
     one kernel call per step; each snapshot is written back transposed.
 
-    state is [y, X, x], which the runner empties, and the leapfrog's force
-    a list, [time, kick], that its kernel updates in place, so that no
-    caller's name keeps the start's X or a spent kick alive.  The x left in
-    state, the start's choice map and then each recorded x, is popped into
-    the next kernel call: the kernel may drop it as soon as it is spent."""
+    state is [y, X, x], which the runner empties, so that no caller's name
+    keeps the start's X alive; carry is the leapfrog's last kick, which each
+    kernel call hands back for the next.  The x left in state, the start's
+    choice map and then each recorded x, is popped into the next kernel
+    call: the kernel may drop it as soon as it is spent."""
     y, X = state.pop(0), state.pop(0)
     ts, ys, Xs, xs = rows
     kernel, eta, stride, n_steps = KERNELS[config.scheme], config.eta, config.stride, config.steps
-    t, force, i, k = 0.0, None, 0, 1
+    t, carry, i, k = 0.0, None, 0, 1
     for i in range(1, n_steps + 1):
         try:
-            y_next, X_next, force = kernel(flow, t, y, X, state.pop() if state else None, force, eta)
+            y_next, X_next, carry = kernel(flow, t, y, X, state.pop() if state else None, carry, eta)
         except NonFinitePayoff:  # a stage point or a kick
             return k, i, NON_FINITE, y, X
         reason = _blow_up(y_next, flow)
@@ -747,7 +743,8 @@ def simulate(
     that is not finite still raises, as does a leapfrog run on a game with
     no sigma tag).  Exploding means |y| past BLOW_UP_LIMIT, or, for an
     agent with a euclidean simplex block, past the lower
-    regularizers.payoff_limit, where its projection can miss the simplex.  The last finite state then ends the record.  The metadata's
+    regularizers.payoff_limit, where its projection can miss the simplex.
+    The last finite state then ends the record.  The metadata's
     timing block holds the wall time of the stepping loop and of the
     readings, and the steps taken per second of stepping; its io_s, the time
     spent writing the trajectory, is 0 until a writer fills it in.  The

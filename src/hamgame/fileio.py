@@ -56,13 +56,37 @@ class LoadedGame:
     path: str
 
 
-def _need(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise GameFileError(f"{where}: missing field {key!r}")
-    return obj[key]
+_KINDS = {str: "a string", int: "an integer", float: "a number", list: "a list", type(None): "null"}
 
 
-def _finite(values, where: str, field: str) -> np.ndarray:
+def json_field(obj, where: str, key: str, kinds: tuple, default=Ellipsis, error=GameFileError):
+    """obj[key] as one of kinds, the types of _KINDS as json.load gives them
+    (float: any number, never true or false; (): any value), or default if
+    the key is absent (Ellipsis: the key is required).  where names the file
+    and the place of obj, as "g.json: agents[0]", and starts each message."""
+    if not isinstance(obj, dict):
+        raise error(f"{where} must be a JSON object, got {type(obj).__name__}")
+    value = obj.get(key, default)
+    types = (*kinds, int) if float in kinds else kinds
+    if value is Ellipsis or key in obj and kinds and (isinstance(value, bool) or not isinstance(value, types)):
+        got = "nothing" if value is Ellipsis else repr(value)
+        raise error(f"{where} field {key!r} must be {' or '.join(map(_KINDS.get, kinds))}, got {got}")
+    return value
+
+
+def read_json_object(path, what: str, error=GameFileError) -> dict:
+    """The JSON object in the file at path; what names the document, as "a sidecar"."""
+    with open(path) as handle:
+        try:
+            doc = json.load(handle)
+        except json.JSONDecodeError as err:
+            raise error(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: {what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _finite(values, where: str, field: str, shape: tuple) -> np.ndarray:
     try:
         a = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as err:  # a string, an object, or ragged rows
@@ -70,56 +94,43 @@ def _finite(values, where: str, field: str) -> np.ndarray:
     # json.load reads NaN, Infinity and -Infinity literals
     if not np.all(np.isfinite(a)):
         raise GameFileError(f"{where}: {field!r} must be finite")
+    if a.shape != shape:
+        raise GameFileError(f"{where}: {field!r} must have shape {shape}, got {a.shape}")
     return a
 
 
 def load_game_file(path) -> LoadedGame:
     path = str(path)
-    with open(path) as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise GameFileError(
-                f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
-            ) from None
-    if not isinstance(raw, dict):
-        raise GameFileError(f"{path}: top level must be an object")
-
-    agents = _need(raw, "agents", path)
-    if not isinstance(agents, list) or not agents:
-        raise GameFileError(f"{path}: 'agents' must be a non-empty list")
+    raw = read_json_object(path, "a game file")
+    agents = json_field(raw, path, "agents", (list,))
+    if not agents:
+        raise GameFileError(f"{path} field 'agents' must be a non-empty list, got []")
     ids, counts, regs, y0 = [], [], [], []
     for pos, agent in enumerate(agents):
         where = f"{path}: agents[{pos}]"
-        agent_id = _need(agent, "id", where)
+        agent_id = json_field(agent, where, "id", (int, str))
         if agent_id in ids:
             raise GameFileError(f"{where}: duplicate agent id {agent_id!r}")
-        k = _need(agent, "strategies", where)
-        if not isinstance(k, int) or k < 1:
-            raise GameFileError(f"{where}: 'strategies' must be a positive integer")
-        kind = _need(agent, "regularizer", where)
+        k = json_field(agent, where, "strategies", (int,))
+        if k < 1:
+            raise GameFileError(f"{where} field 'strategies' must be a positive integer, got {k}")
+        kind = json_field(agent, where, "regularizer", (str,))
         if kind not in KINDS:
             raise GameFileError(f"{where}: unknown regularizer {kind!r}")
-        vec = _finite(agent.get("y0", [0.0] * k), where, "y0")
-        if vec.shape != (k,):
-            raise GameFileError(f"{where}: 'y0' must have length {k}")
+        vec = _finite(json_field(agent, where, "y0", (), [0.0] * k), where, "y0", (k,))
+        scale = float(_finite(json_field(agent, where, "scale", (float,), 1.0), where, "scale", ()))
+        if scale <= 0:
+            raise GameFileError(f"{where} field 'scale' must be a positive number, got {scale:g}")
         ids.append(agent_id)
         counts.append(k)
-        try:
-            scale = float(agent.get("scale", 1.0))
-            if not np.isfinite(scale):
-                raise ValueError("'scale' must be finite")
-            regs.append(Regularizer(kind, dim=k, scale=scale))
-        except (TypeError, ValueError) as err:
-            raise GameFileError(f"{where}: {err}") from None
+        regs.append(Regularizer(kind, dim=k, scale=scale))
         y0.append(vec)
     index = {agent_id: pos for pos, agent_id in enumerate(ids)}
 
     payoffs = {}
-    for pos, edge in enumerate(raw.get("edges", [])):
+    for pos, edge in enumerate(json_field(raw, path, "edges", (list,), [])):
         where = f"{path}: edges[{pos}]"
-        i_id = _need(edge, "i", where)
-        j_id = _need(edge, "j", where)
+        i_id, j_id = (json_field(edge, where, key, (int, str)) for key in ("i", "j"))
         for agent_id in (i_id, j_id):
             if agent_id not in index:
                 raise GameFileError(f"{where}: unknown agent id {agent_id!r}")
@@ -128,14 +139,9 @@ def load_game_file(path) -> LoadedGame:
             raise GameFileError(f"{where}: self edge on agent {i_id!r}")
         if (i, j) in payoffs:
             raise GameFileError(f"{where}: duplicate edge ({i_id!r}, {j_id!r})")
-        a = _finite(_need(edge, "A", where), where, "A")
-        if a.shape != (counts[i], counts[j]):
-            raise GameFileError(
-                f"{where}: matrix shape {a.shape} does not match ({counts[i]}, {counts[j]})"
-            )
-        payoffs[(i, j)] = a
+        payoffs[(i, j)] = _finite(json_field(edge, where, "A", (list,)), where, "A", (counts[i], counts[j]))
 
-    declared = raw.get("sigma", "auto")
+    declared = json_field(raw, path, "sigma", (float, str), "auto")
     game = NetworkGame(tuple(counts), payoffs, sigma=None)
     classification = classify_game(game)
     normalization = None
@@ -158,7 +164,7 @@ def load_game_file(path) -> LoadedGame:
                 f"{path}: declared sigma {declared} contradicts the matrices ({err})"
             ) from None
     else:
-        raise GameFileError(f"{path}: 'sigma' must be -1, 1, or \"auto\"")
+        raise GameFileError(f"{path} field 'sigma' must be -1, 1 or \"auto\", got {declared!r}")
     return LoadedGame(
         game=game,
         regularizers=tuple(regs),

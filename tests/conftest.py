@@ -454,7 +454,7 @@ class _FrozenFlow:
     def __init__(self, flow):
         product = FrozenFloatProduct(flow.op.game)
         self.choice, self.field, self.motion = FrozenFloatChoice(flow.choice.leaves), product.field, product.motion
-        self.drift, self.sigma = product.drift, flow.sigma
+        self.drift, self.sigma = product.drift, flow.op.game.sigma
         self.y0, self.slices, self.limits = flow.y0.tolist(), flow.op.slices, flow.limits
 
     def kick(self, X, t):

@@ -414,6 +414,17 @@ class TestBuildReport:
         assert "fenchel_nondecreasing" in report.checks
         assert report.all_passed
 
+    def test_every_bregman_reading_unavailable(self):
+        # the first agent's entropy strategy sits on the boundary all run long
+        game, regs, _ = mp_start("entropy")
+        y0 = (np.array([800.0, -800.0]), np.zeros(2))
+        ref = mp_reference()
+        traj = run(game, regs, y0, eta=0.01, horizon=0.05, stride=1, ref=ref)
+        assert traj.x[:, 1].max() == 0.0 and np.isnan(traj.bregman).all()
+        report = build_report(traj, game, regs, ref=ref).to_dict()
+        assert report["bregman"]["min"] is None and report["bregman"]["max"] is None
+        assert report["bregman"]["unavailable_snapshots"] == len(traj.t)
+
     def test_report_without_reference_omits_series(self):
         game, regs, y0 = mp_start("euclidean")
         traj = run(game, regs, y0, eta=0.01, horizon=1.0, stride=10)

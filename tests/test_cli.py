@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hamgame import GameFileError, IntegratorConfig, load_game_file
+from hamgame import GameFileError, GeneralizedGame, IntegratorConfig, game_fingerprint, load_game_file
 from hamgame.cli import main
 
-from conftest import MP_MATRIX
+from conftest import MP_MATRIX, triangle_zero_sum
+
+GAMES = Path(__file__).resolve().parents[1] / "games"
 
 
 def write_game(path, doc):
@@ -166,6 +168,92 @@ class TestLoader:
         assert main(["validate", "--game", path]) == 1
         assert f"'{field}' must be numbers" in capsys.readouterr().err
 
+    def test_sigma_as_a_float_loads(self, tmp_path):
+        assert load_game_file(mp_file(tmp_path, sigma=-1.0)).game.sigma == -1
+        doc = json.loads(Path(coordination_triangle_file(tmp_path)).read_text())
+        doc["sigma"] = 1.0
+        assert load_game_file(write_game(tmp_path / "tri1.json", doc)).game.sigma == 1
+
+    def test_auto_sigma_tags_a_coordination_game(self, tmp_path):
+        doc = json.loads(Path(coordination_triangle_file(tmp_path)).read_text())
+        doc["sigma"] = "auto"
+        loaded = load_game_file(write_game(tmp_path / "auto.json", doc))
+        assert loaded.classification.kind.value == "coordination" and loaded.game.sigma == 1
+
+
+def edit_game(make, edit):
+    """A game file made by make(tmp_path), once edit(doc) changed its JSON."""
+    def path(tmp_path):
+        doc = json.loads(Path(make(tmp_path)).read_text())
+        edit(doc)
+        return write_game(tmp_path / "bad.json", doc)
+    return path
+
+
+def set_in(*keys, value):
+    """An edit that sets doc[keys[0]]...[keys[-1]] to value."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("game, message", [
+    pytest.param(edit_game(mp_file, set_in("agents", value=[1, 2])), "agents[0] must be a JSON object, got int",
+                 id="agent-not-an-object"),
+    pytest.param(edit_game(mp_file, set_in("edges", 1, value=[2, 1])), "edges[1] must be a JSON object, got list",
+                 id="edge-not-an-object"),
+    pytest.param(edit_game(mp_file, set_in("edges", value=None)), "field 'edges' must be a list, got None",
+                 id="edges-null"),
+    pytest.param(edit_game(mp_file, set_in("edges", value={"a": 1})), "field 'edges' must be a list, got {'a': 1}",
+                 id="edges-an-object"),
+    pytest.param(edit_game(mp_file, set_in("agents", value=[])), "field 'agents' must be a non-empty list, got []",
+                 id="agents-empty"),
+    pytest.param(edit_game(mp_file, set_in("agents", 0, "id", value=[1])),
+                 "agents[0] field 'id' must be an integer or a string, got [1]", id="id-a-list"),
+    pytest.param(edit_game(mp_file, set_in("agents", 0, "id", value={"n": 1})),
+                 "agents[0] field 'id' must be an integer or a string, got {'n': 1}", id="id-an-object"),
+    pytest.param(edit_game(mp_file, set_in("agents", 0, "id", value=True)),
+                 "agents[0] field 'id' must be an integer or a string, got True", id="id-true"),
+    pytest.param(edit_game(mp_file, set_in("edges", 0, "i", value=[1])),
+                 "edges[0] field 'i' must be an integer or a string, got [1]", id="edge-i-a-list"),
+    pytest.param(edit_game(mp_file, set_in("edges", 1, "j", value=[1])),
+                 "edges[1] field 'j' must be an integer or a string, got [1]", id="edge-j-a-list"),
+    pytest.param(edit_game(mp_file, set_in("agents", 1, "strategies", value=True)),
+                 "agents[1] field 'strategies' must be an integer, got True", id="strategies-true"),
+    pytest.param(edit_game(mp_file, set_in("agents", 1, "strategies", value=0)),
+                 "agents[1] field 'strategies' must be a positive integer, got 0", id="strategies-zero"),
+    pytest.param(edit_game(mp_file, set_in("agents", 1, "scale", value=True)),
+                 "agents[1] field 'scale' must be a number, got True", id="scale-true"),
+    pytest.param(edit_game(mp_file, set_in("agents", 1, "scale", value=0)),
+                 "agents[1] field 'scale' must be a positive number, got 0", id="scale-zero"),
+    pytest.param(edit_game(mp_file, set_in("agents", 1, "y0", value=[1, 2, 3])),
+                 "agents[1]: 'y0' must have shape (2,), got (3,)", id="y0-too-long"),
+    pytest.param(edit_game(coordination_triangle_file, set_in("sigma", value=True)),
+                 "field 'sigma' must be a number or a string, got True", id="sigma-true"),
+    pytest.param(edit_game(mp_file, set_in("sigma", value=0)), "field 'sigma' must be -1, 1 or \"auto\", got 0",
+                 id="sigma-zero"),
+    pytest.param(lambda tmp_path: write_game(tmp_path / "bad.json", [1]), "a game file must be a JSON object, got list",
+                 id="game-a-list"),
+    pytest.param(edit_game(mp_file, set_in("agents", 1, "id", value=1)), "agents[1]: duplicate agent id 1",
+                 id="duplicate-id"),
+    pytest.param(edit_game(mp_file, set_in("agents", 0, "regularizer", value="bogus")),
+                 "agents[0]: unknown regularizer 'bogus'", id="unknown-regularizer"),
+    pytest.param(edit_game(mp_file, set_in("edges", 0, "i", value=7)), "edges[0]: unknown agent id 7",
+                 id="edge-unknown-agent"),
+    pytest.param(edit_game(mp_file, set_in("edges", 0, "j", value=1)), "edges[0]: self edge on agent 1",
+                 id="self-edge"),
+])
+def test_malformed_game_file_prints_one_error_line(tmp_path, capsys, game, message):
+    # the loader names the file, the place and the field in one line, with no traceback
+    path = game(tmp_path)
+    assert main(["validate", "--game", path]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}") and message in err
+    with pytest.raises(GameFileError):
+        load_game_file(path)
+
 
 class TestValidate:
     def test_matching_pennies(self, tmp_path, capsys):
@@ -190,12 +278,38 @@ class TestValidate:
         path.write_text("{}")
         assert main(["validate", "--game", str(path)]) == 1
 
+    def test_zero_sum_triangle_is_non_bipartite(self, tmp_path, capsys):
+        game = triangle_zero_sum()
+        doc = {
+            "agents": [{"id": i, "strategies": k, "regularizer": "entropy"} for i, k in enumerate(game.strategy_counts)],
+            "edges": [{"i": i, "j": j, "A": a.tolist()} for (i, j), a in game.payoffs.items()],
+        }
+        assert main(["validate", "--game", write_game(tmp_path / "tri.json", doc)]) == 0
+        assert capsys.readouterr().out == "zero-sum, non-bipartite\n"
+
     def test_json_flag(self, tmp_path, capsys):
         assert main(["validate", "--game", mp_file(tmp_path), "--json"]) == 0
         out = capsys.readouterr().out
         doc = json.loads(out[out.index("{") :])
         assert doc["classification"] == "zero_sum"
         assert doc["bipartite"] is True
+
+
+class TestFingerprint:
+    def test_network_game_hash_is_unchanged(self):
+        game = load_game_file(GAMES / "matching_pennies.json").game
+        assert game_fingerprint(game) == "7de27e0fe2f459e833fc5ec7ca77b797d4929ef7bb7f3e9248984a6a0e8693e4"
+
+    @pytest.mark.parametrize("change", [
+        {"b": {(0, 1): np.array([0.5, 0.0])}},
+        {"d": {(0, 1): np.array([0.0, 0.5])}},
+        {"c": {(0, 1): 0.5}},
+        {"spaces": ("box", "simplex")},
+    ], ids=["b", "d", "c", "spaces"])
+    def test_generalized_game_hash_reads_its_affine_terms(self, change):
+        payoffs = {(0, 1): MP_MATRIX, (1, 0): -MP_MATRIX.T}
+        plain = GeneralizedGame((2, 2), payoffs, sigma=-1)
+        assert game_fingerprint(GeneralizedGame((2, 2), payoffs, sigma=-1, **change)) != game_fingerprint(plain)
 
 
 class TestSimulate:
@@ -394,6 +508,16 @@ class TestSimulate:
         # euclidean choice of y = (0.1, -0.1): x = proj(y/2) = (0.55, 0.45)
         assert data[0, 1] == pytest.approx(0.55)
 
+    def test_y0_read_from_a_file(self, tmp_path):
+        # inline JSON, @path and a bare path give the same run
+        game_path, spec = mp_file(tmp_path), tmp_path / "y0.json"
+        spec.write_text("[[0.1, -0.1], [0.2, 0.0]]")
+        runs = {"inline": spec.read_text(), "at": f"@{spec}", "path": str(spec)}
+        for name, value in runs.items():
+            argv = ["--eta", "0.1", "--horizon", "0.5", "--y0", value, "--out", str(tmp_path / name)]
+            assert main(["simulate", "--game", game_path, *argv]) == 0
+        assert len({(tmp_path / name / "mp_rk4.csv").read_bytes() for name in runs}) == 1
+
 
 class TestAnalyze:
     def simulate_mp(self, tmp_path, scheme="rk4", eta="0.005", horizon="3"):
@@ -462,7 +586,7 @@ class TestAnalyze:
         game_path, csv_path = self.simulate_mp(tmp_path)
         other = mp_file(tmp_path, y0=((0.4, -0.4), (0.0, 0.0)))
         # tamper: different matrices under the same agents
-        doc = json.loads(open(other).read())
+        doc = json.loads(Path(other).read_text())
         doc["edges"][0]["A"] = [[2, -2], [-2, 2]]
         doc["edges"][1]["A"] = [[-2, 2], [2, -2]]
         tampered = write_game(tmp_path / "other.json", doc)
@@ -718,6 +842,23 @@ def sidecar(change):
     pytest.param(sidecar(lambda m: {**m, "y0": [[1, "a"], [0, 0]]}),
                  "mp_rk4.meta.json: sidecar field 'y0' must hold numbers, one vector per agent",
                  id="sidecar-y0-not-numbers"),
+    pytest.param(sidecar(lambda m: {**m, "eta": True}), "mp_rk4.meta.json: sidecar field 'eta' must be a number, got True",
+                 id="sidecar-eta-true"),
+    pytest.param(sidecar(lambda m: {**m, "horizon": True}),
+                 "mp_rk4.meta.json: sidecar field 'horizon' must be a number, got True", id="sidecar-horizon-true"),
+    pytest.param(sidecar(lambda m: {**m, "stride": True}),
+                 "mp_rk4.meta.json: sidecar field 'stride' must be an integer, got True", id="sidecar-stride-true"),
+    pytest.param(sidecar(lambda m: {**m, "y0": [[v, v] for v in m["y0"]]}),
+                 "mp_rk4.meta.json: sidecar field 'y0' must hold finite numbers, one vector per agent",
+                 id="sidecar-y0-a-batch"),
+    pytest.param(analyze_after(lambda csv, meta: meta.write_text("{")),
+                 "mp_rk4.meta.json: invalid JSON at line 1, column 2", id="sidecar-not-json"),
+    pytest.param(analyze_after(lambda csv, meta: csv.write_text("t,x_1_1\nabc,1\n")),
+                 "does not match a deterministic replay", id="csv-unparsable"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--y0", "[[[0, 0], [1, 1]], [[0, 0], [1, 1]]]"),
+                 "--y0 must hold finite numbers, one vector per agent", id="y0-a-batch"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--y0", "[[0, NaN], [0, 0]]"),
+                 "--y0 must hold finite numbers, one vector per agent", id="y0-not-finite"),
 ])
 def test_failure_prints_one_error_line(tmp_path, capsys, argv, message):
     # commands raise and main reports: exit 1, one line on stderr, no report written
@@ -727,3 +868,12 @@ def test_failure_prints_one_error_line(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
     assert not [*tmp_path.rglob("*.report.json"), *tmp_path.rglob("*_cloud.json")]
+
+
+def test_usage_error_exits_one(capsys):
+    # argparse's own exit code 2 is kept for blow-ups
+    with pytest.raises(SystemExit) as stop:
+        main(["simulate"])
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hamgame simulate") and "error: the following arguments are required: --game" in err

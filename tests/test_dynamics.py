@@ -418,6 +418,13 @@ class TestTrajectoryFiles:
             blobs.append((tmp_path / name).read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_batched_run_has_no_csv(self, tmp_path):
+        game, regs, y0 = mp_start("entropy")
+        traj = run(game, regs, tuple(np.stack([v, v]) for v in y0), eta=0.1, horizon=0.5, stride=1)
+        with pytest.raises(ValueError, match="CSV output is defined for single trajectories only"):
+            write_trajectory_csv(traj, game, tmp_path / "batch.csv")
+        assert not (tmp_path / "batch.csv").exists()
+
     def test_metadata_sidecar(self, tmp_path):
         game, regs, y0 = mp_start("entropy")
         traj = run(game, regs, y0, scheme="rk4", eta=0.1, horizon=1.0, stride=5)
@@ -764,6 +771,46 @@ def test_each_agent_blows_up_at_its_own_limit():
             _assert_same_run(got, simulate(game, regs, y0, config))
         assert not got.metadata["diagnostics"]["truncated"] and got.t[-1] == 2.0
         assert 2.25e6 < np.abs(got.y[-1, :2]).max() < 1e12
+
+
+def test_agent_past_another_agents_limit_keeps_running():
+    # the entropy agent's |y| of 5e6 passes the euclidean agent's limit of
+    # 2.25e6, so the screen against the smallest limit fails, yet no agent
+    # passes its own: neither the single run nor the batch truncates
+    game = NetworkGame((2, 2), {(0, 1): MP_MATRIX, (1, 0): -MP_MATRIX.T}, sigma=-1)
+    regs = (Regularizer("entropy"), Regularizer("euclidean"))
+    y0 = (np.array([5e6, -5e6]), np.array([0.1, -0.1]))
+    config = IntegratorConfig("rk4", 0.01, 0.1, 1)
+    single = simulate(game, regs, y0, config)
+    batch = simulate(game, regs, tuple(np.stack([v, v]) for v in y0), config)
+    for traj in (single, batch):
+        assert not traj.metadata["diagnostics"]["truncated"] and len(traj.t) == 11
+    for row in (0, 1):
+        assert np.array_equal(batch.y[:, row].view(np.int64), single.y.view(np.int64))
+
+
+MP_GAME = NetworkGame((2, 2), {(0, 1): MP_MATRIX, (1, 0): -MP_MATRIX.T}, sigma=-1)
+MP_REGS = (Regularizer("entropy"), Regularizer("entropy"))
+SHORT = IntegratorConfig("rk4", 0.1, 0.2, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: simulate(MP_GAME, (Regularizer("entropy", dim=3), MP_REGS[1]), (np.zeros(3), np.zeros(2)),
+                                  SHORT), "regularizer dimensions do not match the game's strategy counts",
+                 id="regularizer-dimension"),
+    pytest.param(lambda: simulate(MP_GAME, MP_REGS, (np.zeros(3), np.zeros(2)), SHORT),
+                 "initial payoff vector does not match the regularizer", id="start-dimension"),
+    pytest.param(lambda: simulate(MP_GAME, MP_REGS, (np.zeros((2, 2)), np.zeros((2, 2))), SHORT).strategy_matrix(),
+                 "strategy matrix is only defined for single trajectories", id="strategy-matrix-of-a-batch"),
+])
+def test_malformed_run_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_energy_drift_of_a_run_without_energy_is_nan():
+    drift = simulate(MP_GAME, MP_REGS, (np.zeros(2), np.zeros(2)), SHORT, energy="none").energy_drift()
+    assert all(np.isnan(v) for v in drift)
 
 
 def test_non_finite_start_still_raises():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hamgame import (
     GameKind,
+    GeneralizedGame,
     MixedProfile,
     NetworkGame,
     bipartite_partition,
@@ -402,6 +403,39 @@ class TestMixedProfile:
     def test_fully_mixed_flag(self):
         assert MixedProfile((np.array([0.5, 0.5]),)).is_fully_mixed()
         assert not MixedProfile((np.array([1.0, 0.0]),)).is_fully_mixed()
+
+
+MP_PAYOFFS = {(0, 1): MP_MATRIX, (1, 0): -MP_MATRIX.T}
+HALF = np.array([0.5, 0.5])
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: NetworkGame((2, 0), {}), "strategy counts must be positive", id="no-strategies"),
+    pytest.param(lambda: NetworkGame((2, 2), {(0, 0): np.eye(2)}), r"self edge \(0, 0\) is not allowed",
+                 id="self-edge"),
+    pytest.param(lambda: NetworkGame((2, 2), {(0, 2): np.eye(2)}), r"edge \(0, 2\) references an unknown agent",
+                 id="unknown-agent"),
+    pytest.param(lambda: NetworkGame((2, 2), MP_PAYOFFS, sigma=0), r"sigma must be -1, \+1, or None", id="sigma-zero"),
+    pytest.param(lambda: GeneralizedGame((2, 2), MP_PAYOFFS), r"a generalized game needs sigma in \{-1, \+1\}",
+                 id="generalized-no-sigma"),
+    pytest.param(lambda: GeneralizedGame((2, 2), MP_PAYOFFS, sigma=-1, spaces=("simplex",)),
+                 "spaces must tag every agent as simplex or box", id="generalized-short-spaces"),
+    pytest.param(lambda: GeneralizedGame((2, 2), MP_PAYOFFS, sigma=-1, b={(0, 1): np.ones(3)}),
+                 r"b\[0, 1\] must have length 2", id="generalized-long-b"),
+    pytest.param(lambda: MixedProfile((np.full((2, 2), 0.25), HALF)), "component 0 must be a vector",
+                 id="profile-a-matrix"),
+    pytest.param(lambda: verify_nash(matching_pennies(), [HALF]), "profile does not cover every agent",
+                 id="nash-short-sequence"),
+    pytest.param(lambda: verify_nash(matching_pennies(), MixedProfile((HALF, np.full(3, 1 / 3)))),
+                 "component 1 has the wrong dimension", id="nash-wrong-dimension"),
+    pytest.param(lambda: reduce_2x2_to_generalized(triangle_zero_sum(), None, None),
+                 "reduction only covers two agents with two strategies each", id="reduce-three-agents"),
+    pytest.param(lambda: shift_payoffs_to_zero_drift(coordination_identity(), MixedProfile((HALF, HALF))),
+                 "drift normalization is defined for zero-sum games", id="shift-coordination"),
+])
+def test_malformed_game_or_profile_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -403,3 +403,15 @@ class TestSelectEnergy:
         traj = simulate(game, regs, y0, IntegratorConfig("rk4", 0.1, 0.5, 1))
         assert traj.metadata["energy_variant"] == "network"
         assert not np.any(np.isnan(traj.energy))
+
+
+@pytest.mark.parametrize("make, variant, message", [
+    (matching_pennies, "bogus", "unknown energy variant 'bogus'"),
+    (matching_pennies, "generalized", "generalized energy needs a generalized game"),
+    (triangle_zero_sum, "two_agent", "two-agent energy needs exactly two agents"),
+    (triangle_zero_sum, "bipartite", "bipartite energy needs a bipartite game"),
+])
+def test_energy_variant_that_does_not_fit_the_game_is_refused(make, variant, message):
+    game = make()
+    with pytest.raises(ValueError, match=message):
+        select_energy(game, default_regularizers(game, "entropy"), variant)

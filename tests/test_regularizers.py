@@ -323,3 +323,36 @@ def test_payoffs_from_profile_round_trip(rng):
         x = rng.dirichlet([3.0, 3.0, 3.0])
         y = payoffs_from_profile(reg, x)
         np.testing.assert_allclose(choice_map(reg, y), x, atol=1e-10)
+
+
+BOX_ENTROPY = Regularizer("entropy", domain="box", dim=2, scale=1.5)
+BOX_EUCLIDEAN = Regularizer("euclidean", domain="box", dim=1, scale=0.5)
+
+
+@pytest.mark.parametrize("reg, x", [
+    (BOX_ENTROPY, [0.3, 0.8]),
+    (BOX_EUCLIDEAN, [0.7]),
+    (ProductRegularizer((ENTROPY, BOX_EUCLIDEAN, Regularizer("euclidean", dim=3))), [0.6, 0.4, 0.2, 0.1, 0.3, 0.6]),
+])
+def test_payoffs_from_profile_inverts_box_and_product_choice_maps(reg, x):
+    np.testing.assert_allclose(choice_map(reg, payoffs_from_profile(reg, x)), x, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Regularizer("bogus"), "unknown regularizer kind 'bogus'", id="unknown-kind"),
+    pytest.param(lambda: Regularizer("entropy", domain="ball"), "unknown domain 'ball'", id="unknown-domain"),
+    pytest.param(lambda: Regularizer("entropy", dim=0), "dimension must be >= 1", id="no-dimension"),
+    pytest.param(lambda: Regularizer("entropy", scale=0.0), "scale must be positive", id="zero-scale"),
+    pytest.param(lambda: ProductRegularizer(()), "product regularizer needs at least one block", id="no-blocks"),
+    pytest.param(lambda: payoffs_from_profile(ENTROPY, np.full(3, 1 / 3)), "point has dimension 3, expected 2",
+                 id="point-dimension"),
+    pytest.param(lambda: choice_map(ENTROPY, np.zeros(3)), "payoff vector has dimension 3, expected 2",
+                 id="payoff-dimension"),
+    pytest.param(lambda: conjugate_value(EUCLIDEAN, [np.inf, 0.0]), "conjugate requires finite payoff vector",
+                 id="conjugate-not-finite"),
+    pytest.param(lambda: restrict_to_interval(Regularizer("entropy", dim=3)),
+                 "only a two-strategy simplex regularizer can be collapsed", id="collapse-three-strategies"),
+])
+def test_malformed_regularizer_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
