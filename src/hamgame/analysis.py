@@ -174,8 +174,8 @@ def recurrence_report(traj: Trajectory, epsilon: float):
     payoff vectors.  The head of the horizon, its first WARMUP_FRACTION, is
     skipped so the trivial near-start match does not count as a return.
     """
-    if epsilon <= 0:
-        raise ValueError("recurrence threshold must be positive")
+    if not epsilon > 0:  # nan fails too
+        raise ValueError(f"recurrence threshold must be positive, got {epsilon:g}")
     xs = traj.strategy_matrix()
     t = traj.t
     d = np.max(np.abs(xs - xs[0]), axis=1)
@@ -276,7 +276,8 @@ class AnalysisReport:
         return asdict(self)
 
     def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, **kwargs)
+        """The report as RFC 8259 JSON: a nan raises rather than print NaN."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False, **kwargs)
 
     @property
     def all_passed(self) -> bool:
@@ -315,17 +316,18 @@ def build_report(
     coupling) for Euler runs on zero-sum games.
     """
     drift_abs, drift_rel = traj.energy_drift()
+    available = drift_abs == drift_abs  # nan: the run read no energy
     report = AnalysisReport(
         energy_drift={
-            "max_abs": drift_abs,
-            "relative": drift_rel,
+            "max_abs": drift_abs if available else None,
+            "relative": drift_rel if available else None,
             "variant": traj.metadata.get("energy_variant"),
         }
     )
     scheme = traj.metadata.get("scheme")
     zero_sum = game.sigma == -1 or classify_game(game).kind == GameKind.ZERO_SUM
 
-    if scheme in ("rk4", "symplectic_leapfrog") and drift_abs == drift_abs:
+    if scheme in ("rk4", "symplectic_leapfrog") and available:
         report.checks["energy_invariance"] = _check(drift_rel, energy_tolerance)
 
     if ref is not None:

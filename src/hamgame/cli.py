@@ -17,6 +17,7 @@ import functools
 import json
 import platform
 import sys
+from math import inf
 from pathlib import Path
 from time import perf_counter
 
@@ -26,6 +27,7 @@ from .analysis import MONOTONE_SLACK, build_report, largest_drop, make_reference
 from .dynamics import SCHEMA_VERSION, IntegratorConfig, sample_payoff_ball, simulate
 from .fileio import (
     game_fingerprint,
+    holds_bool,
     json_field,
     load_game_file,
     read_json_object,
@@ -52,22 +54,30 @@ def _parse_inline_or_file(spec: str):
         return json.loads(Path(spec.removeprefix("@")).read_text())
 
 
-def _vectors(values, what: str) -> tuple[np.ndarray, ...]:
-    """JSON values as one finite float vector per agent; what names their source and field."""
+def _vectors(values, what: str, counts) -> tuple[np.ndarray, ...]:
+    """JSON values as one finite float vector per agent, of the agents'
+    strategy counts; what names their source and field."""
     if not isinstance(values, list):
         raise ValueError(f"{what} must be a list of per-agent vectors, got {values!r}")
+    if holds_bool(values):
+        raise ValueError(f"{what} must hold numbers, never true or false")
     try:
         vectors = tuple(np.asarray(v, dtype=float) for v in values)
     except (TypeError, ValueError) as err:  # a string, an object, or ragged rows
         raise ValueError(f"{what} must hold numbers, one vector per agent ({err})") from None
     if not all(v.ndim == 1 and np.all(np.isfinite(v)) for v in vectors):
         raise ValueError(f"{what} must hold finite numbers, one vector per agent")
+    if len(vectors) != len(counts):
+        raise ValueError(f"{what} must hold one vector per agent, {len(counts)} in all, got {len(vectors)}")
+    for agent, (v, k) in enumerate(zip(vectors, counts), 1):
+        if len(v) != k:
+            raise ValueError(f"{what}: agent {agent}'s vector must have length {k}, got {len(v)}")
     return vectors
 
 
 def _resolve_y0(loaded, args):
     if getattr(args, "y0", None):
-        return _vectors(_parse_inline_or_file(args.y0), "--y0")
+        return _vectors(_parse_inline_or_file(args.y0), "--y0", loaded.game.strategy_counts)
     if getattr(args, "seed", None) is not None:
         return tuple(v[0] for v in sample_payoff_ball(loaded.y0, args.radius, 1, args.seed))  # its one row
     return loaded.y0
@@ -82,7 +92,7 @@ def _resolve_ref(loaded, spec):
             print("note: no fully mixed 2x2 equilibrium found; continuing without a reference")
             return None
     else:
-        profile = MixedProfile(_vectors(_parse_inline_or_file(spec), "--ref"))
+        profile = MixedProfile(_vectors(_parse_inline_or_file(spec), "--ref", loaded.game.strategy_counts))
     return make_reference(loaded.game, profile)
 
 
@@ -172,9 +182,11 @@ def _replay(loaded, field, meta_path, ref):
     """The run the sidecar at meta_path records, replayed; field(key, kinds) reads its keys."""
     config = IntegratorConfig(field("scheme", (str,)), field("eta", (float,)), field("horizon", (float,)),
                               field("stride", (int,)))
-    y0 = _vectors(field("y0", (list,)), f"{meta_path}: sidecar field 'y0'")
+    counts = loaded.game.strategy_counts
+    y0 = _vectors(field("y0", (list,)), f"{meta_path}: sidecar field 'y0'", counts)
     if ref is None and field("ref", (), None) is not None:
-        ref = make_reference(loaded.game, MixedProfile(_vectors(field("ref", ()), f"{meta_path}: sidecar field 'ref'")))
+        profile = _vectors(field("ref", ()), f"{meta_path}: sidecar field 'ref'", counts)
+        ref = make_reference(loaded.game, MixedProfile(profile))
     variant = field("energy_variant", (str, type(None)), None) or "auto"  # None: the run read no energy
     return simulate(loaded.game, loaded.regularizers, y0, config, ref=ref, energy=variant), ref
 
@@ -192,6 +204,11 @@ def _csv_matches_replay(csv_path, traj) -> bool:
 
 
 def cmd_analyze(args) -> int:
+    for flag, tol in (("--energy-tol", args.energy_tol), ("--fenchel-tol", args.fenchel_tol)):
+        if not 0.0 <= tol < inf:  # nan fails both comparisons
+            raise ValueError(f"{flag} must be a finite number >= 0, got {tol:g}")
+    if args.recurrence_eps is not None and not 0.0 < args.recurrence_eps < inf:
+        raise ValueError(f"--recurrence-eps must be a finite number > 0, got {args.recurrence_eps:g}")
     loaded = load_game_file(args.game)
     game_hash = game_fingerprint(loaded.game)
     ref = _resolve_ref(loaded, args.ref)

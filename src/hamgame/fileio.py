@@ -86,7 +86,15 @@ def read_json_object(path, what: str, error=GameFileError) -> dict:
     return doc
 
 
+def holds_bool(value) -> bool:
+    """Whether a JSON value is true or false, or a list that holds one at any
+    depth: numpy would read it as 1.0 or 0.0."""
+    return isinstance(value, bool) or isinstance(value, list) and any(map(holds_bool, value))
+
+
 def _finite(values, where: str, field: str, shape: tuple) -> np.ndarray:
+    if holds_bool(values):
+        raise GameFileError(f"{where}: {field!r} must hold numbers, never true or false")
     try:
         a = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as err:  # a string, an object, or ragged rows

@@ -31,7 +31,7 @@ import numpy as np
 
 from .dynamics import PayoffOperator
 from .games import GeneralizedGame, NetworkGame, bipartite_partition
-from .regularizers import _leaves, choice_map, conjugate_value, spans
+from .regularizers import BlockChoiceMap, _leaves, conjugate_value, spans
 
 FD_STEP = 1e-6  # relative central-difference step of verify_hamiltonian_structure
 
@@ -189,7 +189,7 @@ def verify_hamiltonian_structure(
     y = op.motion(y0, X, t)  # a new array, perturbed in place
     if not np.all(np.isfinite(y)):
         raise ValueError("structure check undefined: non-finite payoff vector y")
-    x = op.join([choice_map(reg, y[s]) for reg, s in zip(regs, op.slices)])  # dX/dt
+    x = BlockChoiceMap(regs)(y)  # dX/dt
     for i, (reg, xv) in enumerate(zip(regs, op.split(x))):
         for block, s in spans(_leaves([reg])):  # a product regularizer's blocks, side by side
             if block.kind == "entropy" and np.min(xv[s]) < 1e-8:

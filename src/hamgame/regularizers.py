@@ -180,12 +180,13 @@ def project_simplex(v, out=None):
     Exact sorted-threshold rule; no iteration, no tolerance.  With u the
     entries in decreasing order, the thresholds are (u_1 + ... + u_j - 1) / j,
     rho counts the entries above their threshold and tau is the rho-th
-    threshold; the projection is max(v - tau, 0).  Two coordinates a, b take
-    no sort: the thresholds are max(a, b) - 1 and (a + b - 1) / 2, and tau is
-    the second exactly when min(a, b) exceeds it.  These are the sorted
-    rule's own operations, so the bits are the same while |v| < 2^53, where
-    c - 1 < c for the largest entry c.  An entry of -inf sorts last, its
-    threshold is -inf, which never counts toward rho, and it maps to 0.
+    threshold; the projection is max(v - tau, 0).  An entry of -inf sorts
+    last, its threshold is -inf, which never counts toward rho, and it maps
+    to 0.  Two coordinates a, b take no sort, on every path (choice_lines
+    too): the thresholds are max(a, b) - 1 and (a + b - 1) / 2, and tau is
+    the second exactly when min(a, b) exceeds it.  That is the sorted rule
+    while |v| < 2^53, where c - 1 < c for the larger entry c; payoff_limit
+    ends a run long before.
 
     Many short rows sort their columns by a compare-exchange network
     (_sorted_columns) instead: a few ufunc calls on whole columns in place
@@ -200,22 +201,12 @@ def project_simplex(v, out=None):
     near 96 rows at width 3, 200 at widths 4 and 5 and 450 at 6 and 7.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape[-1] == 2:
+    width = v.shape[-1]
+    if width == 2:
         a, b = v[..., 0], v[..., 1]
         wide = (a + b - 1.0) / 2
         tau = np.where(np.minimum(a, b) > wide, wide, np.maximum(a, b) - 1.0)
         return _clipped_shift(v, tau[..., None], out)
-    return _sorted_projection(v, out)
-
-
-def _clipped_shift(v, tau, out):  # max(v - tau, 0), into out when given
-    out = np.subtract(v, tau, out=out)
-    return np.maximum(out, 0.0, out=out)
-
-
-def _sorted_projection(v, out):
-    """project_simplex by the sorted rule at every width, two included."""
-    width = v.shape[-1]
     if width < _PAIRWISE_FROM and v.size // width >= _ROWS_PER_EXCHANGE * width * (width - 1) // 2:
         # every array below takes the layout of v's columns: a count or a
         # pick in another layout costs a strided loop
@@ -244,6 +235,11 @@ def _sorted_projection(v, out):
     # the rho-th threshold, or 0.0 at rho = 0, in 1-D too; the other summands are exact zeros
     tau = np.add.reduce(np.where(k == rho, thresholds, 0.0), axis=-1, keepdims=True)
     return _clipped_shift(v, tau, out)
+
+
+def _clipped_shift(v, tau, out):  # max(v - tau, 0), into out when given
+    out = np.subtract(v, tau, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 @cache
@@ -331,15 +327,6 @@ def _factor(reg: Regularizer) -> float:
     return reg.scale * _PRESCALE.get((reg.kind, reg.domain), 1.0)
 
 
-def _pair_rule(leaves) -> bool:
-    """Whether euclidean simplex blocks of one or two coordinates take the
-    two-coordinate rule: when no euclidean simplex block of 3 to 7 is there,
-    else the sorted rule, as when such blocks shared one call, padded with
-    -inf.  The rules differ only once |y| / (2 s) reaches 2^53."""
-    narrow = [r.dim for r in leaves if (r.kind, r.domain) == ("euclidean", "simplex") and r.dim < _PAIRWISE_FROM]
-    return max(narrow, default=0) == 2
-
-
 def payoff_limit(reg: AnyRegularizer) -> float:
     """|y| below which choice_map(reg, y) lands on its domain within DOMAIN_TOL.
 
@@ -412,10 +399,7 @@ def _add_reduce_source(terms) -> str:
 
 
 def _pair_source(u, x):
-    """project_simplex's two-coordinate rule on the names u, into the names x;
-    one coordinate is the rule with b = -inf: wide is -inf, tau is a - 1."""
-    if len(u) == 1:
-        return [f"{x[0]} = d if (d := {u[0]} - ({u[0]} - 1.0)) > 0.0 else 0.0"]
+    """project_simplex's two-coordinate rule on the names u, into the names x."""
     a, b = u
     return [
         f"w = ({a} + {b} - 1.0) / 2",
@@ -454,15 +438,13 @@ def choice_lines(leaves, y, x) -> list[str]:
     round alike in Python, every sum (the finiteness check's too) is
     written out in numpy's order, and numpy keeps one np.exp and one
     np.tanh call, as numpy's may differ from libm's.  A euclidean simplex
-    block of one or two coordinates takes the two-coordinate rule where
-    _pair_rule says so, as BlockChoiceMap does; it differs from the sorted
-    rule only once |y| / (2 s) reaches 2^53, far past payoff_limit.
+    block takes project_simplex's rule for its width: the two-coordinate
+    rule at two, the sorted rule at any other.
     """
     body = [  # nan and inf both poison the sum
         f"if not isfinite({_add_reduce_source(y)}):",
         "    raise NonFinitePayoff('choice map requires finite payoff vector')",
     ]
-    pair = _pair_rule(leaves)
     shifted, halved = [], []  # the inputs of the one np.exp and the one np.tanh call
     exps, tanhs = [], []  # their outputs: entropy simplex blocks, entropy box coordinates
     start = 0
@@ -484,7 +466,7 @@ def choice_lines(leaves, y, x) -> list[str]:
             tanhs += xs
         elif reg.domain == "box":  # min(max(u + 0.5, 0.0), 1.0)
             body += [f"{xi} = 1.0 if (v := {c} + 0.5) >= 1.0 else v if v > 0.0 else 0.0" for xi, c in zip(xs, u)]
-        elif pair and reg.dim <= 2:
+        elif reg.dim == 2:
             body += _pair_source(u, xs)
         else:
             body += _sorted_source(u, xs)
@@ -508,7 +490,8 @@ class BlockChoiceMap:
     a contiguous range of rows, mapped on those rows into the same rows of
     one output laid out as y is: no gather, no padding.  A 1-D y is one
     start; a (batch..., D) array is mapped as np.moveaxis(y, -1, 0), a view
-    (choice_map does so).  Every block is mapped exactly as the block alone
+    (choice_map does so).  Each block's rule follows from its kind, domain
+    and width alone, so every block is mapped exactly as the block alone
     would be, and choice_lines writes the same map, bit for bit, as
     straight-line Python.
 
@@ -521,13 +504,9 @@ class BlockChoiceMap:
 
     def __init__(self, regs):
         self.leaves = tuple(_leaves(regs))
-        pair = _pair_rule(self.leaves)
         plans, start = [], 0  # (rows, factor, unit map) per block
         for reg in self.leaves:
-            unit_map = _UNIT_CHOICE[reg.kind, reg.domain]
-            if unit_map is project_simplex and reg.dim == 2 and not pair:
-                unit_map = _sorted_projection
-            plans.append((slice(start, start + reg.dim), _factor(reg), unit_map))
+            plans.append((slice(start, start + reg.dim), _factor(reg), _UNIT_CHOICE[reg.kind, reg.domain]))
             start += reg.dim
         self.plans = tuple(plans)
 

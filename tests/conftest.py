@@ -346,26 +346,20 @@ class FrozenFloatChoice:
         self.sigmoid = [i for i, _ in single.get(("entropy", "box"), [])]
         self.clip = [i for i, _ in single.get(("euclidean", "box"), [])]
         euclid = single.get(("euclidean", "simplex"), [])
-        pair = max((b - a for a, b in euclid if b - a < 8), default=0) == 2
-        self.pair = [b for b in euclid if pair and b[1] - b[0] <= 2]
-        self.sort = [b for b in euclid if not (pair and b[1] - b[0] <= 2)]
+        self.pair = [b for b in euclid if b[1] - b[0] == 2]
+        self.sort = [b for b in euclid if b[1] - b[0] != 2]
 
     def __call__(self, v):
         if not isfinite(frozen_add_reduce(v)):
             raise NonFinitePayoff("choice map requires finite payoff vector")
         u = list(map(truediv, v, self.factors))
         x = u[:]
-        for first, stop in self.pair:
-            if stop - first == 2:
-                a, b = u[first], u[first + 1]
-                wide = (a + b - 1.0) / 2
-                tau = wide if (a if a < b else b) > wide else (b if a < b else a) - 1.0
-                d, e = a - tau, b - tau
-                x[first], x[first + 1] = d if d > 0.0 else 0.0, e if e > 0.0 else 0.0
-            else:
-                a = u[first]
-                d = a - (a - 1.0)
-                x[first] = d if d > 0.0 else 0.0
+        for first, _ in self.pair:
+            a, b = u[first], u[first + 1]
+            wide = (a + b - 1.0) / 2
+            tau = wide if (a if a < b else b) > wide else (b if a < b else a) - 1.0
+            d, e = a - tau, b - tau
+            x[first], x[first + 1] = d if d > 0.0 else 0.0, e if e > 0.0 else 0.0
         for first, stop in self.sort:
             x[first:stop] = frozen_project_floats(u[first:stop])
         for i in self.clip:

@@ -264,6 +264,13 @@ class TestRecurrence:
         with pytest.raises(ValueError, match="positive"):
             recurrence_report(traj, epsilon=0.0)
 
+    def test_rejects_nan_epsilon(self):
+        # nan <= 0 is False: the threshold is tested as not epsilon > 0
+        game, regs, y0 = mp_start("euclidean")
+        traj = run(game, regs, y0, eta=0.1, horizon=1.0, stride=1)
+        with pytest.raises(ValueError, match="positive"):
+            recurrence_report(traj, epsilon=float("nan"))
+
 
 class TestBoundaryApproach:
     def test_euler_drifts_to_boundary_rk4_does_not(self):

@@ -330,6 +330,42 @@ def test_two_coordinate_ties_and_signed_zeros():
         np.testing.assert_array_equal(project_simplex(w), _ref_project_simplex(w))
 
 
+def _euclid(dim, scale=1.0):
+    return Regularizer("euclidean", "simplex", dim, scale)
+
+
+# euclidean simplex blocks of one, two and three to seven coordinates, beside
+# each other and inside products
+MIXED_WIDTHS = [
+    [_euclid(1), _euclid(2), _euclid(3)],
+    [_euclid(2, 0.37), ProductRegularizer((_euclid(5), _euclid(1, 3.1))), _euclid(7, 0.5)],
+    [ProductRegularizer((_euclid(2), _euclid(4, 2.0))), _euclid(1), Regularizer("entropy", "simplex", 3),
+     Regularizer("euclidean", "box", 2), _euclid(6, 1e-3)],
+]
+
+
+@pytest.mark.parametrize("magnitude", [1.0, 1e6, 1e16, 1e18])
+@pytest.mark.parametrize("case", range(len(MIXED_WIDTHS)))
+def test_game_choice_map_is_its_leaves_maps(case, magnitude):
+    # each block's rule follows from its own kind, domain and width, so the
+    # whole map, each leaf's map alone and the loops' fragment give the same
+    # bits at every scale, far past payoff_limit too (|y| / (2 s) >= 2^53)
+    regs = MIXED_WIDTHS[case]
+    leaves = [b for r in regs for b in (r.blocks if isinstance(r, ProductRegularizer) else (r,))]
+    bounds = np.cumsum([0] + [r.dim for r in leaves]).tolist()
+    rng = np.random.default_rng(10 * case + int(np.log10(magnitude)))
+    y = magnitude * rng.normal(size=(bounds[-1], 200))  # (D, n): columns are starts
+    y[rng.uniform(size=y.shape) < 0.1] = -0.0
+    y[:, :20] = np.round(y[:, :20] / magnitude) * magnitude  # exact ties
+    block, choice = BlockChoiceMap(regs), float_choice(regs)
+    batch = block(y)
+    side_by_side = np.concatenate([choice_map(r, y.T[:, a:b]) for r, a, b in zip(leaves, bounds, bounds[1:])], axis=-1)
+    _assert_same_bits(batch, side_by_side.T, any_nan=True)
+    for column, want in zip(y.T, batch.T):
+        _assert_same_bits(block(column), want, any_nan=True)
+        _assert_same_bits(choice(column.tolist()), want, any_nan=True)
+
+
 def test_wide_blocks_group_by_dimension():
     # numpy sums 8 or more terms of a contiguous row pairwise, and any other
     # row in order: each wide block sums pairwise, in every layout, as the

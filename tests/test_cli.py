@@ -244,6 +244,10 @@ def set_in(*keys, value):
                  id="edge-unknown-agent"),
     pytest.param(edit_game(mp_file, set_in("edges", 0, "j", value=1)), "edges[0]: self edge on agent 1",
                  id="self-edge"),
+    pytest.param(edit_game(mp_file, set_in("agents", 0, "y0", value=[True, False])),
+                 "agents[0]: 'y0' must hold numbers, never true or false", id="y0-booleans"),
+    pytest.param(edit_game(mp_file, set_in("edges", 0, "A", value=[[True, -1], [-1, 1]])),
+                 "edges[0]: 'A' must hold numbers, never true or false", id="A-holds-true"),
 ])
 def test_malformed_game_file_prints_one_error_line(tmp_path, capsys, game, message):
     # the loader names the file, the place and the field in one line, with no traceback
@@ -703,6 +707,24 @@ class TestAnalyze:
         report = json.loads((tmp_path / "out" / "dom_rk4.report.json").read_text())
         assert report["fenchel"] is None and report["bregman"] is None
 
+    def test_report_without_energy_is_strict_json(self, tmp_path, capsys):
+        # a general-sum game has no energy: its drift is unavailable, written
+        # null, never the NaN token that RFC 8259 parsers reject
+        doc = json.loads(Path(mp_file(tmp_path)).read_text())
+        for edge in doc["edges"]:
+            edge["A"] = [[3, 0], [5, 1]]
+        doc["sigma"] = "auto"
+        game_path = write_game(tmp_path / "gs.json", doc)
+        out = tmp_path / "out"
+        assert main(["simulate", "--game", game_path, "--eta", "0.05", "--horizon", "1", "--out", str(out)]) == 0
+        assert main(["analyze", "--game", game_path, "--traj", str(out / "gs_rk4.csv")]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        report = json.loads((out / "gs_rk4.report.json").read_text(), parse_constant=refuse)
+        assert report["energy_drift"]["max_abs"] is None and report["energy_drift"]["relative"] is None
+
 
 class TestCloud:
     def test_small_cloud_usage_error(self, tmp_path, capsys):
@@ -793,6 +815,11 @@ def analyze_after(edit):
     return argv
 
 
+def analyze_with(*flags):
+    """analyze's argv on a recorded Matching Pennies run, with flags added."""
+    return lambda tmp_path: analyze_after(lambda csv, meta: None)(tmp_path) + list(flags)
+
+
 def sidecar(change):
     return analyze_after(lambda csv, meta: meta.write_text(json.dumps(change(json.loads(meta.read_text())))))
 
@@ -859,6 +886,42 @@ def sidecar(change):
                  "--y0 must hold finite numbers, one vector per agent", id="y0-a-batch"),
     pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--y0", "[[0, NaN], [0, 0]]"),
                  "--y0 must hold finite numbers, one vector per agent", id="y0-not-finite"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--y0", "[[true, 0], [0, 0]]"),
+                 "--y0 must hold numbers, never true or false", id="y0-holds-true"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--ref", "[[true, false], [0.5, 0.5]]"),
+                 "--ref must hold numbers, never true or false", id="ref-holds-booleans"),
+    pytest.param(sidecar(lambda m: {**m, "y0": [[0.0, 0.0], [False, 0.0]]}),
+                 "mp_rk4.meta.json: sidecar field 'y0' must hold numbers, never true or false",
+                 id="sidecar-y0-holds-false"),
+    pytest.param(sidecar(lambda m: {**m, "ref": [[True, 0.0], [0.5, 0.5]]}),
+                 "mp_rk4.meta.json: sidecar field 'ref' must hold numbers, never true or false",
+                 id="sidecar-ref-holds-true"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--y0", "[[0, 0]]"),
+                 "--y0 must hold one vector per agent, 2 in all, got 1", id="y0-one-agent-short"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--y0", "[[0, 0, 0], [0, 0]]"),
+                 "--y0: agent 1's vector must have length 2, got 3", id="y0-too-long"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--ref", "[[0.5, 0.5]]"),
+                 "--ref must hold one vector per agent, 2 in all, got 1", id="ref-one-agent-short"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--ref", "[[0.5, 0.5], [0.5, 0.25, 0.25]]"),
+                 "--ref: agent 2's vector must have length 2, got 3", id="ref-too-long"),
+    pytest.param(sidecar(lambda m: {**m, "y0": [[0.0, 0.0], [0.0]]}),
+                 "mp_rk4.meta.json: sidecar field 'y0': agent 2's vector must have length 2, got 1",
+                 id="sidecar-y0-too-short"),
+    pytest.param(sidecar(lambda m: {**m, "ref": [[0.5, 0.5]] * 3}),
+                 "mp_rk4.meta.json: sidecar field 'ref' must hold one vector per agent, 2 in all, got 3",
+                 id="sidecar-ref-one-agent-too-many"),
+    pytest.param(analyze_with("--energy-tol", "nan"), "--energy-tol must be a finite number >= 0, got nan",
+                 id="energy-tol-nan"),
+    pytest.param(analyze_with("--energy-tol=-1e-6"), "--energy-tol must be a finite number >= 0, got -1e-06",
+                 id="energy-tol-negative"),
+    pytest.param(analyze_with("--fenchel-tol", "nan"), "--fenchel-tol must be a finite number >= 0, got nan",
+                 id="fenchel-tol-nan"),
+    pytest.param(analyze_with("--fenchel-tol=-1"), "--fenchel-tol must be a finite number >= 0, got -1",
+                 id="fenchel-tol-negative"),
+    pytest.param(analyze_with("--recurrence-eps", "nan"), "--recurrence-eps must be a finite number > 0, got nan",
+                 id="recurrence-eps-nan"),
+    pytest.param(analyze_with("--recurrence-eps", "inf"), "--recurrence-eps must be a finite number > 0, got inf",
+                 id="recurrence-eps-inf"),
 ])
 def test_failure_prints_one_error_line(tmp_path, capsys, argv, message):
     # commands raise and main reports: exit 1, one line on stderr, no report written
