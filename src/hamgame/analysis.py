@@ -17,8 +17,7 @@ import numpy as np
 
 from .dynamics import IntegratorConfig, Trajectory, simulate
 from .games import GameKind, MixedProfile, NetworkGame, classify_game, verify_nash
-from .regularizers import bregman_distance, conjugate_value, fenchel_bregman, project_simplex
-from .regularizers import regularizer_records, spans
+from .regularizers import AgentReadings, _added, bregman_distance, project_simplex, regularizer_records
 
 MONOTONE_SLACK = 1e-10
 WARMUP_FRACTION = 0.01  # of the horizon, skipped by recurrence_report
@@ -73,10 +72,13 @@ def fenchel_bregman_series(traj: Trajectory, regs, ref) -> SeriesReport:
     """
     ref, read = tuple(ref), traj.metadata.get("ref") or ()
     same = len(read) == len(ref) and all(map(np.array_equal, read, ref))
-    if traj.fenchel is not None and same and traj.metadata.get("regularizers") == regularizer_records(regs):
+    mapped = traj.metadata.get("regularizers") == regularizer_records(regs)  # x is y's choice map under regs
+    if traj.fenchel is not None and same and mapped:
         F, D = traj.fenchel, traj.bregman
     else:
-        F, D = fenchel_bregman(regs, ref, traj.y, traj.x)
+        readings = AgentReadings(regs, ref)
+        conjugates = readings.conjugates(traj.y, traj.x if mapped else None)
+        F, D = readings.fenchel_bregman(traj.y, traj.x, conjugates, mapped)
     defined = ~np.isnan(D)
     return SeriesReport(
         fenchel=F,
@@ -149,13 +151,18 @@ def monotone_energy_check(traj: Trajectory, game: NetworkGame, regs) -> Monotone
     That sum is invariant under the continuous zero-sum flow and has convex
     sublevel sets, so the explicit Euler update can only keep or grow it;
     any decrease beyond rounding slack indicates a bug or a game outside
-    the zero-sum class.
+    the zero-sum class.  The sum is the one the trajectory's readings
+    recorded (traj.conjugates) when they read it with these regularizers,
+    else read here from traj.y.
     """
     if traj.metadata.get("scheme") != "euler":
         raise ValueError("monotone energy statement covers Euler trajectories only")
     if game.sigma != -1 and classify_game(game).kind != GameKind.ZERO_SUM:
         raise ValueError("monotone energy statement covers zero-sum games only")
-    H = sum(conjugate_value(reg, traj.y[..., s]) for reg, s in spans(regs))
+    mapped = traj.metadata.get("regularizers") == regularizer_records(regs)
+    H = traj.conjugates if mapped else None
+    if H is None:
+        H = _added(AgentReadings(regs).conjugates(traj.y, traj.x if mapped else None))
     max_decrease = largest_drop(H)
     total = float(np.sum(np.maximum(np.diff(H, axis=0), 0.0)))
     return MonotoneReport(max_decrease <= MONOTONE_SLACK, max_decrease, total)

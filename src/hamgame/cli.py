@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import platform
+import re
 import sys
 from math import inf
 from pathlib import Path
@@ -25,6 +26,7 @@ import numpy as np
 
 from .analysis import MONOTONE_SLACK, build_report, largest_drop, make_reference, volume_ratio
 from .dynamics import SCHEMA_VERSION, IntegratorConfig, sample_payoff_ball, simulate
+from .hamiltonian import ReadingsPlan
 from .fileio import (
     game_fingerprint,
     holds_bool,
@@ -179,28 +181,51 @@ def cmd_simulate(args) -> int:
 
 
 def _replay(loaded, field, meta_path, ref):
-    """The run the sidecar at meta_path records, replayed; field(key, kinds) reads its keys."""
+    """The run the sidecar at meta_path records, replayed without readings;
+    field(key, kinds) reads its keys.  Returns the trajectory, the plan of
+    its readings, their reference (ref, else the sidecar's) and whether
+    that reference is the sidecar's."""
     config = IntegratorConfig(field("scheme", (str,)), field("eta", (float,)), field("horizon", (float,)),
                               field("stride", (int,)))
     counts = loaded.game.strategy_counts
     y0 = _vectors(field("y0", (list,)), f"{meta_path}: sidecar field 'y0'", counts)
-    if ref is None and field("ref", (), None) is not None:
-        profile = _vectors(field("ref", ()), f"{meta_path}: sidecar field 'ref'", counts)
-        ref = make_reference(loaded.game, MixedProfile(profile))
+    recorded = field("ref", (), None)
+    if recorded is not None:
+        recorded = _vectors(recorded, f"{meta_path}: sidecar field 'ref'", counts)
+    if ref is None and recorded is not None:
+        ref = make_reference(loaded.game, MixedProfile(recorded))
+    same = ref is None if recorded is None else ref is not None and all(map(np.array_equal, ref, recorded))
     variant = field("energy_variant", (str, type(None)), None) or "auto"  # None: the run read no energy
-    return simulate(loaded.game, loaded.regularizers, y0, config, ref=ref, energy=variant), ref
+    readings = ReadingsPlan(loaded.game, loaded.regularizers, variant, ref)
+    return simulate(loaded.game, loaded.regularizers, y0, config, energy="none"), readings, ref, same
 
 
-def _csv_matches_replay(csv_path, traj) -> bool:
-    """Exact match of every stored row's time and strategies against the replayed run."""
+def _same_cells(cells, values) -> bool:
+    """Exact match of a CSV column and a replayed series: the same bits,
+    an empty cell (NaN) matching NaN."""
+    nan = np.isnan(values)
+    return np.array_equal(np.isnan(cells), nan) and cells[~nan].tobytes() == values[~nan].tobytes()
+
+
+def _csv_rows(csv_path, traj):
+    """The CSV's rows when their number, times and strategies match the replayed run, else None."""
     try:
         _, data = read_trajectory_csv(csv_path)
     except (OSError, ValueError):
-        return False
-    if data.shape[0] != len(traj.t):
-        return False
+        return None
     xs = traj.strategy_matrix()
-    return np.array_equal(data[:, 0], traj.t) and np.array_equal(data[:, 1 : 1 + xs.shape[1]], xs)
+    if data.ndim != 2 or data.shape != (len(traj.t), 1 + xs.shape[1] + 3):
+        return None
+    if not (_same_cells(data[:, 0], traj.t) and _same_cells(data[:, 1 : 1 + xs.shape[1]], xs)):
+        return None
+    return data
+
+
+def _readings_match(data, traj, with_coupling) -> bool:
+    """The CSV's H (and F and D, with_coupling) against the replay's readings."""
+    nan = np.full(len(traj.t), np.nan)
+    columns = [traj.energy] + ([nan if v is None else v for v in (traj.fenchel, traj.bregman)] if with_coupling else [])
+    return all(_same_cells(data[:, j - 3], v) for j, v in enumerate(columns))
 
 
 def cmd_analyze(args) -> int:
@@ -225,8 +250,11 @@ def cmd_analyze(args) -> int:
         if version != SCHEMA_VERSION:  # schema 3 changed the bits of single runs
             raise ValueError(f"{meta_path} has sidecar schema {version}; analyze replays schema "
                              f"{SCHEMA_VERSION} runs only: re-run simulate to record the run again")
-        traj, used_ref = _replay(loaded, field, meta_path, ref)
-        if not _csv_matches_replay(csv_path, traj):
+        traj, readings, used_ref, same_ref = _replay(loaded, field, meta_path, ref)
+        data = _csv_rows(csv_path, traj)  # t and x first: an edited file reads nothing
+        if data is not None:
+            readings.record(traj)
+        if data is None or not _readings_match(data, traj, same_ref):
             raise ValueError(f"{csv_path} does not match a deterministic replay of its "
                              "metadata (file edited or corrupted)")
         report = build_report(
@@ -296,7 +324,18 @@ def cmd_cloud(args) -> int:
     return 0
 
 
+# what float() reads with a minus sign in front: argparse's own pattern
+# takes only -<digits> and -<digits>.<digits> for a negative number and any
+# other argument that starts with a dash, -1e-3 and -inf among them, for an
+# option, so a flag's value would never reach the flag's own check
+_NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER  # argparse's attribute on Python 3.10 to 3.13
+
     # argparse exits with 2 on usage errors; keep 2 reserved for blow-ups
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -56,8 +56,7 @@ import numpy as np
 
 from .games import GeneralizedGame, NetworkGame
 from .regularizers import (
-    BlockChoiceMap, NonFinitePayoff, choice_lines, define, fenchel_bregman, literal, payoff_limit,
-    regularizer_records, summed,
+    BlockChoiceMap, NonFinitePayoff, choice_lines, define, literal, payoff_limit, regularizer_records, summed,
 )
 
 SCHEMES = ("euler", "rk4", "symplectic_leapfrog")
@@ -592,7 +591,9 @@ class Trajectory:
     unavailable: no sigma tag, a payoff or drift coefficient that is not
     finite, no reference profile, or a boundary strategy under an entropy
     regularizer); fenchel and bregman are None without the
-    reference profile that metadata["ref"] records.
+    reference profile that metadata["ref"] records.  conjugates is the sum
+    of every agent's conjugate h_i*(y_i) per snapshot, which the Euler
+    check reads, when the readings covered every agent (None otherwise).
     """
 
     t: np.ndarray
@@ -604,6 +605,7 @@ class Trajectory:
     fenchel: np.ndarray | None
     bregman: np.ndarray | None
     metadata: dict = dataclass_field(default_factory=dict)
+    conjugates: np.ndarray | None = None
 
     @property
     def states(self) -> Sequence[SystemState]:
@@ -754,7 +756,7 @@ def simulate(
     alone (X and x None), and no choice map runs for an x row; it takes
     energy="none" and no ref, the readings being of X and x.
     """
-    from .hamiltonian import select_energy  # here: hamiltonian imports this module
+    from .hamiltonian import ReadingsPlan  # here: hamiltonian imports this module
 
     eta, stride = config.eta, config.stride
     if motions_only and (ref is not None or energy != "none"):
@@ -762,8 +764,7 @@ def simulate(
     flow = _Flow(game, regs, y0)
     if config.scheme == "symplectic_leapfrog" and game.sigma not in (-1, 1):
         raise ValueError("no Hamiltonian structure certified: game has no sigma tag")
-    ref = None if ref is None else [np.array(v, dtype=float) for v in ref]  # small copies
-    energy_fn, variant = select_energy(game, regs, energy)
+    readings = ReadingsPlan(game, regs, energy, ref)
 
     start = perf_counter()
     shape, single = flow.y0.shape, flow.y0.ndim == 1
@@ -797,17 +798,8 @@ def simulate(
     ts, ys, Xs, xs = (None if a is None else a[:k] for a in record)
     step_s = perf_counter() - start
 
-    start = perf_counter()
-    H = np.full(k, np.nan)
-    coefficients = (*game.payoffs.values(), 0.0 if flow.op.drift is None else flow.op.drift)
-    if energy_fn is not None and all(np.isfinite(c).all() for c in coefficients):  # else A X, b t are nan at 0
-        # t as a (snapshots, 1, ...) column against the states
-        H = energy_fn(ys, Xs, ys[0], np.reshape(ts, (-1,) + (1,) * (ys.ndim - 1))).value
-    F, D = (None, None) if ref is None else fenchel_bregman(regs, ref, ys, xs)
-    instruments_s = perf_counter() - start
-
-    return Trajectory(
-        ts, ys, Xs, xs, flow.op.slices, energy=H, fenchel=F, bregman=D,
+    traj = Trajectory(
+        ts, ys, Xs, xs, flow.op.slices, energy=np.full(k, np.nan), fenchel=None, bregman=None,
         metadata={
             "schema_version": SCHEMA_VERSION,
             "python_version": platform.python_version(),
@@ -817,19 +809,21 @@ def simulate(
             "horizon": config.horizon,
             "effective_horizon": config.effective_horizon,
             "stride": config.stride,
-            "energy_variant": variant,
+            "energy_variant": None,
             "regularizers": regularizer_records(regs),
             "y0": list(flow.op.split(ys[0])),  # views of the recorded start
-            "ref": ref,
+            "ref": None,
             "diagnostics": diagnostics,
             "timing": {
                 "step_s": step_s,
-                "instruments_s": instruments_s,
+                "instruments_s": 0.0,
                 "io_s": 0.0,
                 "steps_per_s": i / step_s if step_s > 0 else 0.0,
             },
         },
     )
+    readings.record(traj)
+    return traj
 
 
 def sample_payoff_ball(center, radius: float, n: int, seed: int):

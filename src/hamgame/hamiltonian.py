@@ -26,12 +26,13 @@ canonical one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
 from .dynamics import PayoffOperator
 from .games import GeneralizedGame, NetworkGame, bipartite_partition
-from .regularizers import BlockChoiceMap, _leaves, conjugate_value, spans
+from .regularizers import AgentReadings, BlockChoiceMap, _added, _block_sums, _grouped, _leaves, spans
 
 FD_STEP = 1e-6  # relative central-difference step of verify_hamiltonian_structure
 
@@ -61,16 +62,42 @@ class EnergyReading:
     correction: float | np.ndarray = 0.0
 
 
-class _Spec:
-    """A variant compiled for one game: the data of the energy formula.
+def _auto_variant(game: NetworkGame) -> str | None:
+    """The default variant of a game (see select_energy); None without a sigma tag."""
+    if game.sigma not in (-1, 1):
+        return None
+    one_sided = game.sigma == 1 and bipartite_partition(game) is not None
+    if isinstance(game, GeneralizedGame):
+        return "generalized_bipartite" if one_sided else "generalized"
+    return "bipartite" if one_sided else "network"
 
-    kinetic and potential hold (regularizer, slice) per agent of K and P,
-    drift is beta (None without affine terms), and correction holds (slice,
-    block of c) per agent whose block is nonzero.  Bipartite variants
-    split the agents by the game's own bipartition.
+
+class ReadingsPlan:
+    """The instrument readings of one run, compiled from (game, regs,
+    energy, ref): H of a variant, and F and D against ref.
+
+    energy is a variant name, "auto" (select_energy's pick) or "none"; ref
+    None reads no F and D.  The variant is data: the kinetic agents K and
+    potential agents P (agents 1 and 2, the two sides of a bipartition, or
+    every agent in both), the drift beta (None without affine terms) and
+    the correction c (None when it is zero).  Conjugates are read by
+    regularizers.AgentReadings, a group of leaves per numpy call: at the
+    motions y for the agents of K, or for every agent when F is read or K
+    holds them all, once per reading, shared by H's kinetic sum, F and the
+    Euler check's sum over every agent (conjugates); at the reconstructed
+    motions z for those of P.  h(ref) is computed once, here.  A plan is
+    built per run, as the run's flow is, and kept by nothing.
     """
 
-    def __init__(self, game: NetworkGame, regs, variant: str, canonical=False):
+    def __init__(self, game: NetworkGame, regs, energy: str = "auto", ref=None, canonical=False):
+        variant = None if energy == "none" else _auto_variant(game) if energy == "auto" else energy
+        self.variant, self.ref, self.at_y = variant, None, None
+        if ref is not None:  # small copies, which the trajectory's metadata keeps
+            self.ref = [np.array(v, dtype=float) for v in ref]
+        if variant is None:
+            if self.ref is not None:
+                self.at_y = AgentReadings(regs, self.ref)
+            return
         if game.sigma not in (-1, 1):
             raise ValueError("energy undefined: game has no sigma tag (general game)")
         if variant not in VARIANTS:
@@ -89,11 +116,14 @@ class _Spec:
         else:
             raise ValueError(f"{variant} energy needs a bipartite game")
 
-        self.variant = variant
         self.sigma = game.sigma
         self.op = op = PayoffOperator(game)
-        self.kinetic = tuple((regs[i], op.slices[i]) for i in kinetic)
-        self.potential = tuple((regs[j], op.slices[j]) for j in potential)
+        self.kinetic = kinetic
+        every = len(kinetic) == game.n or self.ref is not None
+        self.at_y = AgentReadings(regs, self.ref, None if every else kinetic)
+        # where K's conjugates sit among at_y's, when not all of them
+        self.kinetic_at = np.array(kinetic) if every and len(kinetic) < game.n else None
+        self.at_z = self.at_y if every and len(potential) == game.n else AgentReadings(regs, agents=potential)
         in_k = set(kinetic)
 
         def weighted(table):
@@ -102,45 +132,73 @@ class _Spec:
 
         self.drift = weighted(drift)
         c = weighted(canon if canonical else conserved)
-        self.correction = () if c is None else tuple((s, c[s]) for s in op.slices if np.any(c[s]))
+        nonzero = [] if c is None else [s for s in op.slices if np.any(c[s])]
+        self.correction = (c, _grouped(nonzero), len(nonzero)) if nonzero else None
+        # A X and b t are nan at X = 0, t = 0 when a coefficient is not finite
+        coefficients = [a.ravel() for a in game.payoffs.values()] + ([] if op.drift is None else [op.drift])
+        self.finite = bool(np.isfinite(np.concatenate(coefficients)).all()) if coefficients else True
+
+    def record(self, traj):
+        """Read the trajectory's H, F and D, and the Euler check's sum of
+        conjugates, into it, and note the variant, ref and reading time in
+        its metadata.  H stays NaN without a variant or with a coefficient
+        that is not finite; F, D and the sum stay None when not read.  traj.x
+        must be the choice maps of traj.y under the plan's regularizers."""
+        start = perf_counter()
+        y, x = traj.y, traj.x
+        conjugates = None if self.at_y is None else self.at_y.conjugates(y, x)
+        if self.variant is not None and self.finite:
+            t = np.reshape(traj.t, (-1,) + (1,) * (y.ndim - 1))  # a column against the states
+            traj.energy = energy_of(self, y, traj.X, y[0], t, x, conjugates).value
+        if self.ref is not None:
+            traj.fenchel, traj.bregman = self.at_y.fenchel_bregman(y, x, conjugates, mapped=True)
+        if conjugates is not None and self.at_y.n == len(traj.slices):  # every agent's
+            traj.conjugates = _added(conjugates)
+        traj.metadata.update(energy_variant=self.variant, ref=self.ref)
+        traj.metadata["timing"]["instruments_s"] = perf_counter() - start
 
 
-def energy_of(spec: _Spec, y, X, y0, t) -> EnergyReading:
-    """The energy of a compiled variant at flat (batch..., D) motions y and positions X."""
-    kin = sum(conjugate_value(reg, y[..., s]) for reg, s in spec.kinetic)
-    z = y0 + spec.op.linear(X)
-    if spec.drift is not None:
-        z = z + spec.drift * t
-    pot = -spec.sigma * sum(conjugate_value(reg, z[..., s]) for reg, s in spec.potential)
-    corr = sum(np.sum(X[..., s] * c, axis=-1) for s, c in spec.correction)
-    return EnergyReading(spec.variant, kin + pot + corr, kin, pot, corr)
+def _finite(a):
+    if not np.all(np.isfinite(a)):
+        raise ValueError("conjugate requires finite payoff vector")
 
 
-def _auto_variant(game: NetworkGame) -> str | None:
-    """The default variant of a game (see select_energy); None without a sigma tag."""
-    if game.sigma not in (-1, 1):
-        return None
-    one_sided = game.sigma == 1 and bipartite_partition(game) is not None
-    if isinstance(game, GeneralizedGame):
-        return "generalized_bipartite" if one_sided else "generalized"
-    return "bipartite" if one_sided else "network"
+def energy_of(plan: ReadingsPlan, y, X, y0, t, x=None, conjugates=None) -> EnergyReading:
+    """The energy of a compiled variant at flat (batch..., D) motions y and positions X.
+
+    x, when given, holds the choice maps of y (a record's own), and
+    conjugates plan.at_y's conjugates at y, when already read."""
+    if conjugates is None:
+        if x is None:
+            _finite(y)
+        conjugates = plan.at_y.conjugates(y, x)
+    kin = _added(conjugates if plan.kinetic_at is None else conjugates[..., plan.kinetic_at])
+    z = y0 + plan.op.linear(X)
+    if plan.drift is not None:
+        z = z + plan.drift * t
+    _finite(z)
+    pot = -plan.sigma * _added(plan.at_z.conjugates(z))
+    corr = 0
+    if plan.correction is not None:
+        c, blocks, count = plan.correction
+        corr = _added(_block_sums(blocks, count, X * c))
+    return EnergyReading(plan.variant, kin + pot + corr, kin, pot, corr)
 
 
 def select_energy(game: NetworkGame, regs, mode: str = "auto"):
     """Pick the instrument energy for a trajectory: (reader, variant name).
 
-    The variant is compiled once; reader(y, X, y0, t) reads it at flat
-    (batch..., D) arrays.  Zero-sum games use the network energy;
+    The variant is compiled once (ReadingsPlan); reader(y, X, y0, t) reads
+    it at flat (batch..., D) arrays.  Zero-sum games use the network energy;
     coordination games fall back to the one-sided variant when a
     bipartition exists, because their network energy is identically zero.
     Games without a sigma tag have no energy, and mode "none" asks for
     none: both give (None, None).
     """
-    variant = None if mode == "none" else _auto_variant(game) if mode == "auto" else mode
-    if variant is None:
+    plan = ReadingsPlan(game, regs, mode)
+    if plan.variant is None:
         return None, None
-    spec = _Spec(game, regs, variant)
-    return (lambda y, X, y0, t: energy_of(spec, y, X, y0, t)), variant
+    return (lambda y, X, y0, t: energy_of(plan, y, X, y0, t)), plan.variant
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +236,8 @@ def verify_hamiltonian_structure(
                 "coordination network without bipartition has an identically "
                 "zero energy; no structure check is defined there"
             )
-    spec = _Spec(game, regs, variant, canonical=True)
-    op = spec.op
+    plan = ReadingsPlan(game, regs, variant, canonical=True)
+    op = plan.op
     y0, X = np.array(y0, dtype=float), np.array(X, dtype=float)  # X a copy, perturbed in place
     if y0.shape != (op.dim,) or X.shape != (op.dim,):
         raise ValueError(
@@ -204,14 +262,14 @@ def verify_hamiltonian_structure(
         """Central difference of the canonical reading along coordinate c of v."""
         h = FD_STEP * max(1.0, abs(v[c]))
         v[c] += h
-        up = float(energy_of(spec, y, X, y0, t).value)
+        up = float(energy_of(plan, y, X, y0, t).value)
         v[c] -= 2.0 * h
-        down = float(energy_of(spec, y, X, y0, t).value)
+        down = float(energy_of(plan, y, X, y0, t).value)
         v[c] += h
         return (up - down) / (2.0 * h)
 
     res_pos = res_mot = 0.0
-    for c in (c for _, s in spec.kinetic for c in range(s.start, s.stop)):
+    for c in (c for i in plan.kinetic for c in range(op.slices[i].start, op.slices[i].stop)):
         res_pos = max(res_pos, abs(slope(y, c) - x[c]))
         res_mot = max(res_mot, abs(slope(X, c) + dy[c]))
     return StructureReport(variant, res_pos, res_mot)

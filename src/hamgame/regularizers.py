@@ -250,10 +250,8 @@ def _counts(width: int) -> np.ndarray:  # the thresholds' divisors 1..width; nev
 def _outside(reg: Regularizer, x):
     """Points (leading axes) of x outside the domain beyond DOMAIN_TOL."""
     if reg.domain == "simplex":
-        return (np.abs(np.sum(x, axis=-1) - 1.0) > DOMAIN_TOL) | np.any(
-            x < -DOMAIN_TOL, axis=-1
-        )
-    return np.any((x < -DOMAIN_TOL) | (x > 1.0 + DOMAIN_TOL), axis=-1)
+        return (np.abs(np.add.reduce(x, axis=-1) - 1.0) > DOMAIN_TOL) | np.logical_or.reduce(x < -DOMAIN_TOL, axis=-1)
+    return np.logical_or.reduce((x < -DOMAIN_TOL) | (x > 1.0 + DOMAIN_TOL), axis=-1)
 
 
 def _on_boundary(reg: Regularizer, x):
@@ -261,8 +259,8 @@ def _on_boundary(reg: Regularizer, x):
     if reg.kind != "entropy":
         return np.zeros(x.shape[:-1], dtype=bool)
     if reg.domain == "simplex":
-        return np.any(x <= 0.0, axis=-1)
-    return np.any((x <= 0.0) | (x >= 1.0), axis=-1)
+        return np.logical_or.reduce(x <= 0.0, axis=-1)
+    return np.logical_or.reduce((x <= 0.0) | (x >= 1.0), axis=-1)
 
 
 def _check_domain(reg: Regularizer, x):
@@ -600,34 +598,234 @@ def fenchel_coupling(reg: AnyRegularizer, x_ref, y):
     return conjugate_value(reg, y) - np.sum(y * x_ref, axis=-1) + h_value(reg, x_ref)
 
 
-def _undefined(reg: AnyRegularizer, x):
-    """Points (leading axes) where bregman_distance(reg, ., x) raises."""
-    if isinstance(reg, ProductRegularizer):
-        return np.any([_undefined(b, x[..., s]) for b, s in reg.slices()], axis=0)
-    return _outside(reg, x) | _on_boundary(reg, x)
+def _span(positions):
+    """positions as a slice when they run on consecutively, else as an index array."""
+    first, last = positions[0], positions[-1]
+    return slice(first, last + 1) if positions == list(range(first, last + 1)) else np.array(positions)
+
+
+class _Group:
+    """m blocks of width k of the last axis, read as one (..., m, k) array:
+    members are their positions among the blocks (at, to index with), and
+    index their coordinates side by side; a slice, when they are adjacent,
+    gathers a view."""
+
+    def __init__(self, blocks):  # (position, slice) pairs
+        self.members = [n for n, _ in blocks]
+        self.at = _span(self.members)
+        self.index = _span([c for _, s in blocks for c in range(s.start, s.stop)])
+        self.shape = (len(blocks), blocks[0][1].stop - blocks[0][1].start)
+
+    def __call__(self, a):
+        return a[..., self.index].reshape(a.shape[:-1] + self.shape)
+
+
+def _grouped(blocks, key=lambda n: None):
+    """The blocks (slices of the last axis) as _Groups of one key (of the
+    position) and one width k: a reduction over each block runs on the
+    last axis, in numpy's order for k terms.  A block of 8 or more
+    coordinates, which numpy sums pairwise, keeps a group of its own."""
+    found = {}
+    for n, s in enumerate(blocks):
+        k = s.stop - s.start
+        found.setdefault((key(n), k) if k < _PAIRWISE_FROM else (n,), []).append((n, s))
+    return [_Group(blocks) for blocks in found.values()]
+
+
+def _by_column(a) -> bool:
+    """Whether a reduction over a's last axis of k < 8 terms is faster as
+    one numpy call per column than as one reduction, which pays per row:
+    from about 32 k rows on (2-core x86, numpy 2.4)."""
+    k = a.shape[-1]
+    return k < _PAIRWISE_FROM and a.size >= 32 * k * k
+
+
+def _added(values):
+    """The last axis added to 0.0 left to right, as Python's sum adds a
+    list, and as numpy reduces fewer than 8 terms."""
+    if not _by_column(values) and values.shape[-1] < _PAIRWISE_FROM:
+        return np.add.reduce(values, axis=-1)
+    total = values[..., 0] + 0.0
+    for j in range(1, values.shape[-1]):
+        total += values[..., j]
+    return total
+
+
+def _summed(a):
+    """np.add.reduce(a, axis=-1), bit for bit: _added's order below 8
+    terms, numpy's pairwise sum from 8 on."""
+    return _added(a) if a.shape[-1] < _PAIRWISE_FROM else np.add.reduce(a, axis=-1)
+
+
+def _top(a):
+    """np.maximum.reduce(a, axis=-1), column by column where that is faster."""
+    if not _by_column(a):
+        return np.maximum.reduce(a, axis=-1)
+    top = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        top = np.maximum(top, a[..., j])
+    return top
+
+
+def _block_sums(groups, count, a):
+    """The sum of a over each of count blocks: (..., count)."""
+    out = np.empty(a.shape[:-1] + (count,))
+    for g in groups:
+        out[..., g.at] = _summed(g(a))
+    return out
+
+
+def _h_terms(leaf: Regularizer, x):
+    """The terms of h(x) / scale on the last axis."""
+    if leaf.kind == "entropy":
+        return _xlogx(x) if leaf.domain == "simplex" else _xlogx(x) + _xlogx(1.0 - x)
+    return x * x if leaf.domain == "simplex" else x * x + (1.0 - x) * (1.0 - x)
+
+
+class AgentReadings:
+    """The agents' conjugates h_i*(y_i), and F and D against a reference,
+    read on whole records: (rows..., D) arrays holding every agent's block
+    side by side on the last axis.  agents picks the agents read (all by
+    default; F and D read all).
+
+    Leaves (a product regularizer's blocks) that share kind, domain and
+    width are read as one (rows..., m, k) group, one numpy call per step of
+    the formula, so the cost is per group, not per agent.  A product
+    agent's terms are added from 0 in block order, and the agents' from 0
+    in agent order, as Python's sum adds them, so every value keeps the bits
+    of conjugate_value, fenchel_coupling and bregman_distance on the
+    agent's slice.  h(ref) is computed once, after ref's domain check.
+    """
+
+    def __init__(self, regs, ref=None, agents=None):
+        placed = list(spans(regs))
+        chosen = range(len(placed)) if agents is None else agents
+        if ref is not None and agents is not None:
+            raise ValueError("F and D are read over every agent")
+        self.n = len(chosen)
+        leaves, owners = [], []  # (leaf, its coordinates), and its agent's position
+        for n, i in enumerate(chosen):
+            reg, s = placed[i]
+            for leaf, b in spans(_leaves([reg])):
+                leaves.append((leaf, slice(s.start + b.start, s.start + b.stop)))
+                owners.append(n)
+        self.count = len(leaves)
+        # per group: a leaf (its kind, domain and width) and the leaves' scales as an (m, 1) column
+        self.groups = [
+            (g, leaves[g.members[0]][0], np.array([[leaves[n][0].scale] for n in g.members]))
+            for g in _grouped([s for _, s in leaves], lambda n: (leaves[n][0].kind, leaves[n][0].domain))
+        ]
+        # a product agent's leaves, added from 0; any other agent is its one leaf
+        self.products = [(n, [m for m, o in enumerate(owners) if o == n])
+                         for n, i in enumerate(chosen) if isinstance(placed[i][0], ProductRegularizer)]
+        self.first = np.array([owners.index(n) for n in range(self.n)])
+        self.ref = self.h_ref = None
+        if ref is not None:
+            ref = [np.asarray(v, dtype=float) for v in ref]
+            if len(ref) != self.n or any(v.ndim != 1 for v in ref):
+                raise ValueError(f"reference must hold one vector per agent, {self.n} in all")
+            for (reg, _), v in zip(placed, ref):
+                if len(v) != reg.dim:
+                    raise ValueError(f"point has dimension {len(v)}, expected {reg.dim}")
+            self.ref = np.concatenate(ref)
+            for g, leaf, _ in self.groups:
+                if np.any(_outside(leaf, g(self.ref))):
+                    raise ValueError(f"point outside {leaf.domain} domain beyond {DOMAIN_TOL}")
+            self.agents = _grouped([s for _, s in placed])
+            self.h_ref = self._h(self.ref)
+
+    def _per_agent(self, values):
+        """Leaf values (..., leaves) as agent values (..., agents)."""
+        if not self.products:
+            return values
+        out = values[..., self.first]
+        for n, members in self.products:
+            total = 0
+            for m in members:
+                total = total + values[..., m]
+            out[..., n] = total
+        return out
+
+    def _h(self, x):
+        """h_i(x_i) per agent."""
+        out = np.empty(x.shape[:-1] + (self.count,))
+        for g, leaf, scale in self.groups:
+            out[..., g.at] = scale[:, 0] * _summed(_h_terms(leaf, g(x)))
+        return self._per_agent(out)
+
+    def conjugates(self, y, x=None):
+        """h_i*(y_i) per agent, (..., agents).  x, when given, holds the
+        choice maps of y under these regularizers (a record's own x), which
+        a euclidean conjugate reads; without it, they are mapped here."""
+        out = np.empty(y.shape[:-1] + (self.count,))
+        for g, leaf, scale in self.groups:
+            yg = g(y)
+            if leaf.kind == "entropy":  # the closed forms of conjugate_value
+                u = yg / scale
+                if leaf.domain == "simplex":
+                    top = _top(u)
+                    val = top + np.log(_summed(np.exp(u - top[..., None])))
+                else:
+                    val = _summed(np.logaddexp(0.0, u))
+                out[..., g.at] = scale[:, 0] * val
+                continue
+            if x is None:  # y / (s * prescale), as BlockChoiceMap divides
+                xg = _UNIT_CHOICE[leaf.kind, leaf.domain](yg / (scale * _PRESCALE[leaf.kind, leaf.domain]))
+            else:
+                xg = g(x)
+            out[..., g.at] = _summed(xg * yg) - scale[:, 0] * _summed(_h_terms(leaf, xg))
+        return self._per_agent(out)
+
+    def _undefined(self, x, mapped):
+        """Rows (axis 0) where some agent's D is undefined: an entropy
+        strategy on its boundary, or, unless x holds choice maps under these
+        regularizers (mapped), which land on their domains, a point off it."""
+        bad = np.zeros(len(x), dtype=bool)
+        for g, leaf, _ in self.groups:
+            xg = g(x)
+            if not mapped:
+                bad |= np.logical_or.reduce(_outside(leaf, xg).reshape(len(x), -1), axis=1)
+            if leaf.kind == "entropy":
+                off = xg <= 0.0 if leaf.domain == "simplex" else (xg <= 0.0) | (xg >= 1.0)
+                bad |= np.logical_or.reduce(off.reshape(len(x), -1), axis=1)
+        return bad
+
+    def _gradients(self, x):
+        out = np.empty_like(x)
+        for g, leaf, s in self.groups:
+            xg = g(x)
+            if leaf.kind == "entropy":
+                grad = s * (1.0 + np.log(xg)) if leaf.domain == "simplex" else s * (np.log(xg) - np.log(1.0 - xg))
+            else:
+                grad = 2.0 * s * xg if leaf.domain == "simplex" else s * (4.0 * xg - 2.0)
+            out[..., g.index] = grad.reshape(xg.shape[:-2] + (-1,))
+        return out
+
+    def fenchel_bregman(self, y, x, conjugates, mapped=False):
+        """Summed F(ref_i, y_i) and D(ref_i, x_i) over agents, row by row.
+
+        conjugates are the agents' h_i*(y_i) (self.conjugates), and mapped
+        tells that x holds the choice maps of y under these regularizers.
+        F raises ValueError as fenchel_coupling does.  D is NaN on every
+        row (axis 0) where bregman_distance would raise for some agent and
+        batch entry: an entropy strategy on the boundary, or a point
+        outside the domain.
+        """
+        F = _added(conjugates - _block_sums(self.agents, self.n, y * self.ref) + self.h_ref)
+        bad = self._undefined(x, mapped)
+        D = np.full(F.shape, np.nan)
+        if not bad.all():
+            good = x[~bad] if bad.any() else x
+            gaps = _block_sums(self.agents, self.n, self._gradients(good) * (self.ref - good))
+            D[~bad] = _added(self.h_ref - self._h(good) - gaps)
+        return F, D
 
 
 def fenchel_bregman(regs, ref, y, x):
-    """Summed F(ref_i, y_i) and D(ref_i, x_i) over agents, row by row.
-
-    y and x are stacks of rows (first axis, any batch axes next) holding
-    the agents' blocks side by side on the last axis; the work loops over
-    agents, not rows.  F raises ValueError as fenchel_coupling does.  D is
-    NaN on every row where bregman_distance would raise for some agent and
-    batch entry: an entropy strategy on the boundary, or a point outside
-    the domain.
-    """
-    F, bad = 0, np.zeros(len(x), dtype=bool)
-    for (reg, s), xr in zip(spans(regs), ref):
-        F = F + fenchel_coupling(reg, xr, y[..., s])
-        bad |= _undefined(reg, x[..., s]).reshape(len(x), -1).any(axis=1)
-    D = np.full(np.shape(F), np.nan)
-    if not bad.all():
-        good = x[~bad]
-        D[~bad] = sum(
-            bregman_distance(reg, xr, good[..., s]) for (reg, s), xr in zip(spans(regs), ref)
-        )
-    return F, D
+    """Summed F(ref_i, y_i) and D(ref_i, x_i) over agents, row by row
+    (AgentReadings.fenchel_bregman); y's conjugates are read from y alone."""
+    readings = AgentReadings(regs, ref)
+    return readings.fenchel_bregman(y, x, readings.conjugates(y))
 
 
 def restrict_to_interval(reg: Regularizer) -> Regularizer:

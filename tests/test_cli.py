@@ -670,6 +670,42 @@ class TestAnalyze:
         assert code == 1
         assert "replay" in capsys.readouterr().err
 
+    def replicator_euler(self, tmp_path, *flags):
+        """CSV path of a recorded Euler run on games/matching_pennies_replicator.json."""
+        game = str(GAMES / "matching_pennies_replicator.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--game", game, "--scheme", "euler", "--eta", "0.1", "--horizon", "3",
+                     "--stride", "1", "--out", str(out), *flags]) == 0
+        return game, out / "matching_pennies_replicator_euler.csv"
+
+    @pytest.mark.parametrize("columns", [("H",), ("F",), ("D",), ("H", "F")])
+    def test_edited_readings_rejected(self, tmp_path, capsys, columns):
+        # t and x match the replay; only the H, F or D cells of row 10 are edited
+        game, csv_path = self.replicator_euler(tmp_path, "--ref", "solve2x2")
+        lines = csv_path.read_text().splitlines()
+        header, cells = lines[0].split(","), lines[10].split(",")
+        for name in columns:
+            j = header.index(name)
+            assert cells[j], "the reading is available in this row"
+            cells[j] = repr(float(cells[j]) + 1e-3)
+        lines[10] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", "--game", game, "--traj", str(csv_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "replay" in err
+        assert not list(tmp_path.rglob("*.report.json"))
+
+    def test_coupling_cells_compared_only_against_the_recorded_reference(self, tmp_path):
+        # recorded without a reference, F and D are empty cells: a replay
+        # against --ref reads them, which the file never held
+        game, csv_path = self.replicator_euler(tmp_path)
+        assert main(["analyze", "--game", game, "--traj", str(csv_path), "--ref", "solve2x2"]) == 0
+        report = json.loads(csv_path.with_name(csv_path.stem + ".report.json").read_text())
+        assert report["fenchel"] is not None and report["checks"]["fenchel_nondecreasing"]["passed"]
+        # its empty cells match the replay's NaN readings when no --ref is given
+        assert main(["analyze", "--game", game, "--traj", str(csv_path)]) == 0
+
     def test_no_reference_game_still_reports(self, tmp_path, capsys):
         # a game without a fully mixed 2x2 equilibrium: dominant strategies
         doc = {
@@ -922,6 +958,23 @@ def sidecar(change):
                  id="recurrence-eps-nan"),
     pytest.param(analyze_with("--recurrence-eps", "inf"), "--recurrence-eps must be a finite number > 0, got inf",
                  id="recurrence-eps-inf"),
+    # a negative value in exponent form, or -inf, is a value, not an option
+    pytest.param(lambda tmp_path: run_args("cloud", tmp_path, "--n", "20", "--radius", "-1e-3"),
+                 "radius must be nonnegative, got -0.001", id="radius-negative-exponent"),
+    pytest.param(lambda tmp_path: run_args("cloud", tmp_path, "--n", "20", "--radius", "-1E-3"),
+                 "radius must be nonnegative, got -0.001", id="radius-negative-capital-exponent"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--eta", "-1e-3"),
+                 "step size must be positive and finite, got -0.001", id="eta-negative-exponent"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--eta", "-inf"),
+                 "step size must be positive and finite, got -inf", id="eta-minus-inf"),
+    pytest.param(lambda tmp_path: run_args("cloud", tmp_path, "--n", "20", "--horizon", "-2e0"),
+                 "horizon must be nonnegative and finite, got -2.0", id="horizon-negative-exponent"),
+    pytest.param(analyze_with("--energy-tol", "-1e-6"), "--energy-tol must be a finite number >= 0, got -1e-06",
+                 id="energy-tol-negative-exponent"),
+    pytest.param(analyze_with("--fenchel-tol", "-.5e-7"), "--fenchel-tol must be a finite number >= 0, got -5e-08",
+                 id="fenchel-tol-negative-exponent"),
+    pytest.param(analyze_with("--recurrence-eps", "-1e-2"), "--recurrence-eps must be a finite number > 0, got -0.01",
+                 id="recurrence-eps-negative-exponent"),
 ])
 def test_failure_prints_one_error_line(tmp_path, capsys, argv, message):
     # commands raise and main reports: exit 1, one line on stderr, no report written

@@ -255,8 +255,8 @@ def test_energies_match_closed_forms(family, counts, seed, batch):
         assert reading.variant == variant
         for got, ref in zip((reading.value, reading.kinetic, reading.potential, reading.correction), want):
             _agree(got, ref, exact)
-        spec = hamiltonian._Spec(game, regs, variant, canonical=True)
-        canonical = hamiltonian.energy_of(spec, *point)
+        plan = hamiltonian.ReadingsPlan(game, regs, variant, canonical=True)
+        canonical = hamiltonian.energy_of(plan, *point)
         _agree(canonical.value, _ref_canonical(variant, state, game, regs, partition), exact)
 
 
