@@ -76,9 +76,7 @@ def fenchel_bregman_series(traj: Trajectory, regs, ref) -> SeriesReport:
     if traj.fenchel is not None and same and mapped:
         F, D = traj.fenchel, traj.bregman
     else:
-        readings = AgentReadings(regs, ref)
-        conjugates = readings.conjugates(traj.y, traj.x if mapped else None)
-        F, D = readings.fenchel_bregman(traj.y, traj.x, conjugates, mapped)
+        _, F, D = AgentReadings(regs, ref).read(traj.y, traj.x, mapped)
     defined = ~np.isnan(D)
     return SeriesReport(
         fenchel=F,

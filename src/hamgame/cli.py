@@ -182,8 +182,8 @@ def cmd_simulate(args) -> int:
 
 def _replay(loaded, field, meta_path, ref):
     """The run the sidecar at meta_path records, replayed without readings;
-    field(key, kinds) reads its keys.  Returns the trajectory, the plan of
-    its readings, their reference (ref, else the sidecar's) and whether
+    field(key, kinds) reads its keys.  Returns the trajectory, the energy
+    variant to read, the reference (ref, else the sidecar's) and whether
     that reference is the sidecar's."""
     config = IntegratorConfig(field("scheme", (str,)), field("eta", (float,)), field("horizon", (float,)),
                               field("stride", (int,)))
@@ -196,8 +196,7 @@ def _replay(loaded, field, meta_path, ref):
         ref = make_reference(loaded.game, MixedProfile(recorded))
     same = ref is None if recorded is None else ref is not None and all(map(np.array_equal, ref, recorded))
     variant = field("energy_variant", (str, type(None)), None) or "auto"  # None: the run read no energy
-    readings = ReadingsPlan(loaded.game, loaded.regularizers, variant, ref)
-    return simulate(loaded.game, loaded.regularizers, y0, config, energy="none"), readings, ref, same
+    return simulate(loaded.game, loaded.regularizers, y0, config, energy="none"), variant, ref, same
 
 
 def _same_cells(cells, values) -> bool:
@@ -250,10 +249,10 @@ def cmd_analyze(args) -> int:
         if version != SCHEMA_VERSION:  # schema 3 changed the bits of single runs
             raise ValueError(f"{meta_path} has sidecar schema {version}; analyze replays schema "
                              f"{SCHEMA_VERSION} runs only: re-run simulate to record the run again")
-        traj, readings, used_ref, same_ref = _replay(loaded, field, meta_path, ref)
+        traj, variant, used_ref, same_ref = _replay(loaded, field, meta_path, ref)
         data = _csv_rows(csv_path, traj)  # t and x first: an edited file reads nothing
         if data is not None:
-            readings.record(traj)
+            ReadingsPlan(loaded.game, loaded.regularizers, variant, used_ref).record(traj)
         if data is None or not _readings_match(data, traj, same_ref):
             raise ValueError(f"{csv_path} does not match a deterministic replay of its "
                              "metadata (file edited or corrupted)")

@@ -146,21 +146,18 @@ class ReadingsPlan:
         must be the choice maps of traj.y under the plan's regularizers."""
         start = perf_counter()
         y, x = traj.y, traj.x
-        conjugates = None if self.at_y is None else self.at_y.conjugates(y, x)
+        conjugates = None
+        if self.at_y is not None:
+            conjugates, F, D = self.at_y.read(y, x)
+            if self.ref is not None:
+                traj.fenchel, traj.bregman = F, D
         if self.variant is not None and self.finite:
             t = np.reshape(traj.t, (-1,) + (1,) * (y.ndim - 1))  # a column against the states
             traj.energy = energy_of(self, y, traj.X, y[0], t, x, conjugates).value
-        if self.ref is not None:
-            traj.fenchel, traj.bregman = self.at_y.fenchel_bregman(y, x, conjugates, mapped=True)
         if conjugates is not None and self.at_y.n == len(traj.slices):  # every agent's
             traj.conjugates = _added(conjugates)
         traj.metadata.update(energy_variant=self.variant, ref=self.ref)
         traj.metadata["timing"]["instruments_s"] = perf_counter() - start
-
-
-def _finite(a):
-    if not np.all(np.isfinite(a)):
-        raise ValueError("conjugate requires finite payoff vector")
 
 
 def energy_of(plan: ReadingsPlan, y, X, y0, t, x=None, conjugates=None) -> EnergyReading:
@@ -169,14 +166,11 @@ def energy_of(plan: ReadingsPlan, y, X, y0, t, x=None, conjugates=None) -> Energ
     x, when given, holds the choice maps of y (a record's own), and
     conjugates plan.at_y's conjugates at y, when already read."""
     if conjugates is None:
-        if x is None:
-            _finite(y)
         conjugates = plan.at_y.conjugates(y, x)
     kin = _added(conjugates if plan.kinetic_at is None else conjugates[..., plan.kinetic_at])
     z = y0 + plan.op.linear(X)
     if plan.drift is not None:
         z = z + plan.drift * t
-    _finite(z)
     pot = -plan.sigma * _added(plan.at_z.conjugates(z))
     corr = 0
     if plan.correction is not None:

@@ -682,6 +682,13 @@ def _h_terms(leaf: Regularizer, x):
     return x * x if leaf.domain == "simplex" else x * x + (1.0 - x) * (1.0 - x)
 
 
+def _gradient(leaf: Regularizer, scale, x):
+    """grad h(x) of the leaves (..., m, k) of one group, scale their (m, 1) scales."""
+    if leaf.kind == "entropy":
+        return scale * (1.0 + np.log(x)) if leaf.domain == "simplex" else scale * (np.log(x) - np.log(1.0 - x))
+    return 2.0 * scale * x if leaf.domain == "simplex" else scale * (4.0 * x - 2.0)
+
+
 class AgentReadings:
     """The agents' conjugates h_i*(y_i), and F and D against a reference,
     read on whole records: (rows..., D) arrays holding every agent's block
@@ -756,76 +763,70 @@ class AgentReadings:
     def conjugates(self, y, x=None):
         """h_i*(y_i) per agent, (..., agents).  x, when given, holds the
         choice maps of y under these regularizers (a record's own x), which
-        a euclidean conjugate reads; without it, they are mapped here."""
-        out = np.empty(y.shape[:-1] + (self.count,))
-        for g, leaf, scale in self.groups:
-            yg = g(y)
-            if leaf.kind == "entropy":  # the closed forms of conjugate_value
-                u = yg / scale
-                if leaf.domain == "simplex":
-                    top = _top(u)
-                    val = top + np.log(_summed(np.exp(u - top[..., None])))
-                else:
-                    val = _summed(np.logaddexp(0.0, u))
-                out[..., g.at] = scale[:, 0] * val
-                continue
-            if x is None:  # y / (s * prescale), as BlockChoiceMap divides
-                xg = _UNIT_CHOICE[leaf.kind, leaf.domain](yg / (scale * _PRESCALE[leaf.kind, leaf.domain]))
-            else:
-                xg = g(x)
-            out[..., g.at] = _summed(xg * yg) - scale[:, 0] * _summed(_h_terms(leaf, xg))
-        return self._per_agent(out)
+        a euclidean conjugate reads; without it, y must be finite, and is
+        mapped here."""
+        return self._read(y, x, x is not None, False)[0]
 
-    def _undefined(self, x, mapped):
-        """Rows (axis 0) where some agent's D is undefined: an entropy
-        strategy on its boundary, or, unless x holds choice maps under these
-        regularizers (mapped), which land on their domains, a point off it."""
-        bad = np.zeros(len(x), dtype=bool)
-        for g, leaf, _ in self.groups:
-            xg = g(x)
-            if not mapped:
-                bad |= np.logical_or.reduce(_outside(leaf, xg).reshape(len(x), -1), axis=1)
-            if leaf.kind == "entropy":
-                off = xg <= 0.0 if leaf.domain == "simplex" else (xg <= 0.0) | (xg >= 1.0)
-                bad |= np.logical_or.reduce(off.reshape(len(x), -1), axis=1)
-        return bad
+    def read(self, y, x, mapped=True):
+        """(conjugates, F, D) of a record: the agents' h_i*(y_i), and, with
+        a reference, the summed F(ref_i, y_i) and D(ref_i, x_i) row by row
+        (None, None without one), in one pass over the groups.
 
-    def _gradients(self, x):
-        out = np.empty_like(x)
-        for g, leaf, s in self.groups:
-            xg = g(x)
-            if leaf.kind == "entropy":
-                grad = s * (1.0 + np.log(xg)) if leaf.domain == "simplex" else s * (np.log(xg) - np.log(1.0 - xg))
-            else:
-                grad = 2.0 * s * xg if leaf.domain == "simplex" else s * (4.0 * xg - 2.0)
-            out[..., g.index] = grad.reshape(xg.shape[:-2] + (-1,))
-        return out
-
-    def fenchel_bregman(self, y, x, conjugates, mapped=False):
-        """Summed F(ref_i, y_i) and D(ref_i, x_i) over agents, row by row.
-
-        conjugates are the agents' h_i*(y_i) (self.conjugates), and mapped
-        tells that x holds the choice maps of y under these regularizers.
-        F raises ValueError as fenchel_coupling does.  D is NaN on every
-        row (axis 0) where bregman_distance would raise for some agent and
-        batch entry: an entropy strategy on the boundary, or a point
-        outside the domain.
+        mapped tells that x holds the choice maps of y under these
+        regularizers (a record's own x): a euclidean conjugate reads it, as
+        does h(x), and no point of it is off its domain; else y is mapped
+        here, and a y that is not finite raises ValueError, as
+        fenchel_coupling does.  D is NaN on
+        every row (axis 0) where bregman_distance would raise for some
+        agent and batch entry: an entropy strategy on its boundary, or a
+        point off its domain.
         """
-        F = _added(conjugates - _block_sums(self.agents, self.n, y * self.ref) + self.h_ref)
-        bad = self._undefined(x, mapped)
-        D = np.full(F.shape, np.nan)
-        if not bad.all():
-            good = x[~bad] if bad.any() else x
-            gaps = _block_sums(self.agents, self.n, self._gradients(good) * (self.ref - good))
-            D[~bad] = _added(self.h_ref - self._h(good) - gaps)
-        return F, D
+        return self._read(y, x, mapped, self.ref is not None)
+
+    def _read(self, y, x, mapped, coupled):
+        if not mapped and not np.isfinite(y).all():  # y is mapped here: not a record's own
+            raise ValueError("conjugate requires finite payoff vector")
+        conjugates = np.empty(y.shape[:-1] + (self.count,))
+        if coupled:  # D's terms at every row, NaN rows (bad) set at the end
+            h, grad, bad = np.empty(x.shape[:-1] + (self.count,)), np.empty_like(x), np.zeros(len(x), dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):  # log(0) at a boundary row
+            for g, leaf, scale in self.groups:
+                yg, xg, s = g(y), None if x is None else g(x), scale[:, 0]
+                if leaf.kind == "entropy":  # the closed forms of conjugate_value
+                    u = yg / scale
+                    if leaf.domain == "simplex":
+                        top = _top(u)
+                        conjugates[..., g.at] = s * (top + np.log(_summed(np.exp(u - top[..., None]))))
+                    else:
+                        conjugates[..., g.at] = s * _summed(np.logaddexp(0.0, u))
+                else:  # y / (s * prescale), as BlockChoiceMap divides
+                    own = xg if mapped else _UNIT_CHOICE[leaf.kind, leaf.domain](yg / (scale * _PRESCALE[leaf.kind, leaf.domain]))
+                    h_own = s * _summed(_h_terms(leaf, own))
+                    conjugates[..., g.at] = _summed(own * yg) - h_own
+                if not coupled:
+                    continue
+                h[..., g.at] = h_own if leaf.kind == "euclidean" and mapped else s * _summed(_h_terms(leaf, xg))
+                grad[..., g.index] = _gradient(leaf, scale, xg).reshape(xg.shape[:-2] + (-1,))
+                off = _outside(leaf, xg) if not mapped else None
+                if leaf.kind == "entropy":
+                    edge = xg <= 0.0 if leaf.domain == "simplex" else (xg <= 0.0) | (xg >= 1.0)
+                    off = edge if off is None else off | np.logical_or.reduce(edge, axis=-1)
+                if off is not None:
+                    bad |= np.logical_or.reduce(off.reshape(len(x), -1), axis=1)
+            conjugates = self._per_agent(conjugates)
+            if not coupled:
+                return conjugates, None, None
+            F = _added(conjugates - _block_sums(self.agents, self.n, y * self.ref) + self.h_ref)
+            gaps = _block_sums(self.agents, self.n, grad * (self.ref - x))
+            D = _added(self.h_ref - self._per_agent(h) - gaps)
+        D[bad] = np.nan
+        return conjugates, F, D
 
 
 def fenchel_bregman(regs, ref, y, x):
     """Summed F(ref_i, y_i) and D(ref_i, x_i) over agents, row by row
-    (AgentReadings.fenchel_bregman); y's conjugates are read from y alone."""
-    readings = AgentReadings(regs, ref)
-    return readings.fenchel_bregman(y, x, readings.conjugates(y))
+    (AgentReadings.read); y's conjugates are read from y alone."""
+    return AgentReadings(regs, ref).read(y, x, mapped=False)[1:]
 
 
 def restrict_to_interval(reg: Regularizer) -> Regularizer:
