@@ -136,11 +136,6 @@ def _softmax(u, out=None):
     return e
 
 
-def _logsumexp(u):
-    m = u.max(axis=-1, keepdims=True)
-    return np.squeeze(m, axis=-1) + np.log(np.exp(u - m).sum(axis=-1))
-
-
 def _sigmoid(u, out=None):
     # tanh form is stable for large |u|: 0.5 * (1.0 + tanh(0.5 * u))
     s = np.tanh(np.multiply(u, 0.5, out=out), out=out)
@@ -277,18 +272,7 @@ def h_value(reg: AnyRegularizer, x):
     if isinstance(reg, ProductRegularizer):
         x = np.asarray(x, dtype=float)
         return sum(h_value(b, x[..., s]) for b, s in reg.slices())
-    x = _check_domain(reg, x)
-    if reg.kind == "entropy":
-        if reg.domain == "simplex":
-            val = np.sum(_xlogx(x), axis=-1)
-        else:
-            val = np.sum(_xlogx(x) + _xlogx(1.0 - x), axis=-1)
-    else:
-        if reg.domain == "simplex":
-            val = np.sum(x * x, axis=-1)
-        else:
-            val = np.sum(x * x + (1.0 - x) * (1.0 - x), axis=-1)
-    return reg.scale * val
+    return reg.scale * np.sum(_h_terms(reg, _check_domain(reg, x)), axis=-1)
 
 
 def _clip_centered(u, out=None):
@@ -536,19 +520,10 @@ def conjugate_value(reg: AnyRegularizer, y):
     Entropy kinds use the closed forms (scaled logsumexp / softplus), which
     agree with the generic expression but stay accurate for large y.
     """
-    if isinstance(reg, ProductRegularizer):
-        y = np.asarray(y, dtype=float)
-        return sum(conjugate_value(b, y[..., s]) for b, s in reg.slices())
     y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("conjugate requires finite payoff vector")
-    if reg.kind == "entropy":
-        u = y / reg.scale
-        if reg.domain == "simplex":
-            return reg.scale * _logsumexp(u)
-        return reg.scale * np.sum(np.logaddexp(0.0, u), axis=-1)
-    x = choice_map(reg, y)
-    return np.sum(x * y, axis=-1) - h_value(reg, x)
+    if y.shape[-1] != reg.dim:
+        raise ValueError(f"payoff vector has dimension {y.shape[-1]}, expected {reg.dim}")
+    return AgentReadings([reg]).conjugates(y)[..., 0][()]  # a float for one y, as a sum's would be
 
 
 def gradient_h(reg: AnyRegularizer, x):
@@ -562,13 +537,7 @@ def gradient_h(reg: AnyRegularizer, x):
     if np.any(_on_boundary(reg, x)):
         where = "zero coordinate" if reg.domain == "simplex" else "coordinate at 0 or 1"
         raise ValueError(f"gradient undefined on boundary ({where})")
-    if reg.kind == "entropy":
-        if reg.domain == "simplex":
-            return reg.scale * (1.0 + np.log(x))
-        return reg.scale * (np.log(x) - np.log(1.0 - x))
-    if reg.domain == "simplex":
-        return 2.0 * reg.scale * x
-    return reg.scale * (4.0 * x - 2.0)
+    return _gradient(reg, reg.scale, x)
 
 
 def bregman_distance(reg: AnyRegularizer, x_ref, x):
