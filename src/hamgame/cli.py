@@ -26,7 +26,6 @@ import numpy as np
 
 from .analysis import MONOTONE_SLACK, build_report, largest_drop, make_reference, volume_ratio
 from .dynamics import SCHEMA_VERSION, IntegratorConfig, sample_payoff_ball, simulate
-from .hamiltonian import ReadingsPlan
 from .fileio import (
     game_fingerprint,
     holds_bool,
@@ -43,6 +42,7 @@ from .games import (
     bipartite_partition,
     solve_2x2_fully_mixed_nash,
 )
+from .hamiltonian import ReadingsPlan
 
 USAGE_ERROR = 1
 BLOW_UP_ERROR = 2
@@ -190,11 +190,13 @@ def _replay(loaded, field, meta_path, ref):
     counts = loaded.game.strategy_counts
     y0 = _vectors(field("y0", (list,)), f"{meta_path}: sidecar field 'y0'", counts)
     recorded = field("ref", (), None)
-    if recorded is not None:
+    if recorded is None:
+        same = ref is None
+    else:
         recorded = _vectors(recorded, f"{meta_path}: sidecar field 'ref'", counts)
-    if ref is None and recorded is not None:
-        ref = make_reference(loaded.game, MixedProfile(recorded))
-    same = ref is None if recorded is None else ref is not None and all(map(np.array_equal, ref, recorded))
+        if ref is None:
+            ref = make_reference(loaded.game, MixedProfile(recorded))
+        same = all(map(np.array_equal, ref, recorded))
     variant = field("energy_variant", (str, type(None)), None) or "auto"  # None: the run read no energy
     return simulate(loaded.game, loaded.regularizers, y0, config, energy="none"), variant, ref, same
 
@@ -221,10 +223,14 @@ def _csv_rows(csv_path, traj):
 
 
 def _readings_match(data, traj, with_coupling) -> bool:
-    """The CSV's H (and F and D, with_coupling) against the replay's readings."""
-    nan = np.full(len(traj.t), np.nan)
-    columns = [traj.energy] + ([nan if v is None else v for v in (traj.fenchel, traj.bregman)] if with_coupling else [])
-    return all(_same_cells(data[:, j - 3], v) for j, v in enumerate(columns))
+    """The CSV's H, the third column from the end, and with_coupling its F
+    and D, the last two, against the replay's readings."""
+    if not _same_cells(data[:, -3], traj.energy):
+        return False
+    unread = np.full(len(traj.t), np.nan)
+    return not with_coupling or all(
+        _same_cells(data[:, j], unread if v is None else v) for j, v in ((-2, traj.fenchel), (-1, traj.bregman))
+    )
 
 
 def cmd_analyze(args) -> int:

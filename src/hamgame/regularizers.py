@@ -27,7 +27,10 @@ map as straight-line Python statements on named floats, the fragment that
 dynamics writes into its single-trajectory loops (and compiles with
 define); both give the same bits: IEEE
 arithmetic rounds alike in both, the written-out sums follow numpy's
-order, and numpy keeps the exp and the tanh.
+order, and numpy keeps the exp and the tanh.  AgentReadings reads the
+agents' conjugates, and F and D, of whole records, a group of leaves of one
+kind, domain and width per numpy call, with the bits of the per-agent
+functions above.
 """
 
 from __future__ import annotations
@@ -245,8 +248,10 @@ def _counts(width: int) -> np.ndarray:  # the thresholds' divisors 1..width; nev
 def _outside(reg: Regularizer, x):
     """Points (leading axes) of x outside the domain beyond DOMAIN_TOL."""
     if reg.domain == "simplex":
-        return (np.abs(np.add.reduce(x, axis=-1) - 1.0) > DOMAIN_TOL) | np.logical_or.reduce(x < -DOMAIN_TOL, axis=-1)
-    return np.logical_or.reduce((x < -DOMAIN_TOL) | (x > 1.0 + DOMAIN_TOL), axis=-1)
+        return (np.abs(np.sum(x, axis=-1) - 1.0) > DOMAIN_TOL) | np.any(
+            x < -DOMAIN_TOL, axis=-1
+        )
+    return np.any((x < -DOMAIN_TOL) | (x > 1.0 + DOMAIN_TOL), axis=-1)
 
 
 def _on_boundary(reg: Regularizer, x):
@@ -254,8 +259,8 @@ def _on_boundary(reg: Regularizer, x):
     if reg.kind != "entropy":
         return np.zeros(x.shape[:-1], dtype=bool)
     if reg.domain == "simplex":
-        return np.logical_or.reduce(x <= 0.0, axis=-1)
-    return np.logical_or.reduce((x <= 0.0) | (x >= 1.0), axis=-1)
+        return np.any(x <= 0.0, axis=-1)
+    return np.any((x <= 0.0) | (x >= 1.0), axis=-1)
 
 
 def _check_domain(reg: Regularizer, x):
@@ -790,12 +795,6 @@ class AgentReadings:
             D = _added(self.h_ref - self._per_agent(h) - gaps)
         D[bad] = np.nan
         return conjugates, F, D
-
-
-def fenchel_bregman(regs, ref, y, x):
-    """Summed F(ref_i, y_i) and D(ref_i, x_i) over agents, row by row
-    (AgentReadings.read); y's conjugates are read from y alone."""
-    return AgentReadings(regs, ref).read(y, x, mapped=False)[1:]
 
 
 def restrict_to_interval(reg: Regularizer) -> Regularizer:

@@ -15,6 +15,7 @@ from hamgame import (
     NetworkGame,
     ProductRegularizer,
     Regularizer,
+    bipartite_partition,
     default_regularizers,
     payoffs_from_profile,
     reduce_bipartite_to_two_agent,
@@ -23,7 +24,8 @@ from hamgame import (
 )
 from hamgame import dynamics
 from hamgame.dynamics import BLOW_UP_LIMIT, PayoffOperator, _Flow, product_lines
-from hamgame.regularizers import BlockChoiceMap, NonFinitePayoff, choice_lines, define, literal
+from hamgame.hamiltonian import VARIANTS
+from hamgame.regularizers import BlockChoiceMap, NonFinitePayoff, choice_lines, define, literal, spans
 
 MP_MATRIX = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -603,6 +605,148 @@ def _random_case(family, counts, seed, batch):
         red = reduce_bipartite_to_two_agent(game)  # along the BFS bipartition: side's two colors
         return red.game, red.meta_regularizers(regs), red.meta_vectors(y0)
     return game, regs, y0
+
+
+# ---------------------------------------------------------------------------
+# frozen per-agent readings: H, F and D as simulate read them one agent at a
+# time before the grouped plan (hamiltonian.ReadingsPlan), with the
+# per-agent conjugate, h and gradient they called.  The choice map and the
+# payoff operator they used are unchanged, and are called as they are.
+
+
+def _frozen_xlogx(x):
+    return x * np.log(np.where(x > 0.0, x, 1.0))
+
+
+def _frozen_outside(reg, x):
+    if reg.domain == "simplex":
+        return (np.abs(np.sum(x, axis=-1) - 1.0) > 1e-9) | np.any(x < -1e-9, axis=-1)
+    return np.any((x < -1e-9) | (x > 1.0 + 1e-9), axis=-1)
+
+
+def _frozen_on_boundary(reg, x):
+    if reg.kind != "entropy":
+        return np.zeros(x.shape[:-1], dtype=bool)
+    if reg.domain == "simplex":
+        return np.any(x <= 0.0, axis=-1)
+    return np.any((x <= 0.0) | (x >= 1.0), axis=-1)
+
+
+def frozen_h(reg, x):
+    x = np.asarray(x, dtype=float)
+    if isinstance(reg, ProductRegularizer):
+        return sum(frozen_h(b, x[..., s]) for b, s in reg.slices())
+    if np.any(_frozen_outside(reg, x)):
+        raise ValueError("point outside domain")
+    if reg.kind == "entropy":
+        terms = _frozen_xlogx(x) if reg.domain == "simplex" else _frozen_xlogx(x) + _frozen_xlogx(1.0 - x)
+    else:
+        terms = x * x if reg.domain == "simplex" else x * x + (1.0 - x) * (1.0 - x)
+    return reg.scale * np.sum(terms, axis=-1)
+
+
+def frozen_conjugate(reg, y):
+    y = np.asarray(y, dtype=float)
+    if isinstance(reg, ProductRegularizer):
+        return sum(frozen_conjugate(b, y[..., s]) for b, s in reg.slices())
+    if not np.all(np.isfinite(y)):
+        raise ValueError("conjugate requires finite payoff vector")
+    if reg.kind == "entropy":
+        u = y / reg.scale
+        if reg.domain == "simplex":
+            m = u.max(axis=-1, keepdims=True)
+            return reg.scale * (np.squeeze(m, axis=-1) + np.log(np.exp(u - m).sum(axis=-1)))
+        return reg.scale * np.sum(np.logaddexp(0.0, u), axis=-1)
+    x = np.moveaxis(BlockChoiceMap([reg])(np.moveaxis(y, -1, 0)), 0, -1)
+    return np.sum(x * y, axis=-1) - frozen_h(reg, x)
+
+
+def _frozen_gradient(reg, x):
+    if isinstance(reg, ProductRegularizer):
+        return np.concatenate([_frozen_gradient(b, x[..., s]) for b, s in reg.slices()], axis=-1)
+    if np.any(_frozen_outside(reg, x)) or np.any(_frozen_on_boundary(reg, x)):
+        raise ValueError("gradient undefined")
+    if reg.kind == "entropy":
+        if reg.domain == "simplex":
+            return reg.scale * (1.0 + np.log(x))
+        return reg.scale * (np.log(x) - np.log(1.0 - x))
+    return 2.0 * reg.scale * x if reg.domain == "simplex" else reg.scale * (4.0 * x - 2.0)
+
+
+def _frozen_undefined(reg, x):
+    if isinstance(reg, ProductRegularizer):
+        return np.any([_frozen_undefined(b, x[..., s]) for b, s in reg.slices()], axis=0)
+    return _frozen_outside(reg, x) | _frozen_on_boundary(reg, x)
+
+
+def frozen_fenchel_bregman(regs, ref, y, x):
+    """Summed F and D over agents, one agent at a time; D NaN on undefined rows."""
+    F, bad = 0, np.zeros(len(x), dtype=bool)
+    for (reg, s), xr in zip(spans(regs), ref):
+        F = F + (frozen_conjugate(reg, y[..., s]) - np.sum(y[..., s] * xr, axis=-1) + frozen_h(reg, xr))
+        bad |= _frozen_undefined(reg, x[..., s]).reshape(len(x), -1).any(axis=1)
+    D = np.full(np.shape(F), np.nan)
+    if not bad.all():
+        good = x[~bad]
+        D[~bad] = sum(
+            frozen_h(reg, xr) - frozen_h(reg, good[..., s]) - np.sum(_frozen_gradient(reg, good[..., s]) * (xr - good[..., s]), axis=-1)
+            for (reg, s), xr in zip(spans(regs), ref)
+        )
+    return F, D
+
+
+class FrozenSpec:
+    """A variant compiled for one game, as the per-agent reader compiled it:
+    (regularizer, slice) per agent of K and P, the drift beta and the
+    (slice, block of c) pairs of the nonzero correction."""
+
+    def __init__(self, game, regs, variant, canonical=False):
+        sides, affine, drift, conserved, canon = VARIANTS[variant]
+        if sides == "pair":
+            kinetic, potential = (0,), (1,)
+        elif sides == "all":
+            kinetic = potential = tuple(range(game.n))
+        else:
+            kinetic, potential = bipartite_partition(game)
+        self.sigma = game.sigma
+        self.op = op = PayoffOperator(game)
+        self.kinetic = tuple((regs[i], op.slices[i]) for i in kinetic)
+        self.potential = tuple((regs[j], op.slices[j]) for j in potential)
+        in_k = set(kinetic)
+
+        def weighted(table):
+            w = {edge: a + s * game.sigma for edge, (a, s) in table.items()}
+            return op.weighted_drift(lambda i, j: w.get((i in in_k, j in in_k), 0))
+
+        self.drift = weighted(drift)
+        c = weighted(canon if canonical else conserved)
+        self.correction = () if c is None else tuple((s, c[s]) for s in op.slices if np.any(c[s]))
+
+
+def frozen_energy(spec, y, X, y0, t):
+    """(H, kinetic sum) of a FrozenSpec, summed agent by agent."""
+    kin = sum(frozen_conjugate(reg, y[..., s]) for reg, s in spec.kinetic)
+    z = y0 + spec.op.linear(X)
+    if spec.drift is not None:
+        z = z + spec.drift * t
+    pot = -spec.sigma * sum(frozen_conjugate(reg, z[..., s]) for reg, s in spec.potential)
+    corr = sum(np.sum(X[..., s] * c, axis=-1) for s, c in spec.correction)
+    return kin + pot + corr, kin
+
+
+def frozen_readings(game, regs, traj, ref):
+    """H, F, D and the Euler check's sum of conjugates of a record, as the
+    per-agent readers gave them (H NaN without a sigma tag or with a
+    coefficient that is not finite)."""
+    H = np.full(len(traj.t), np.nan)
+    variant = traj.metadata["energy_variant"]
+    coefficients = [*game.payoffs.values()] + [v for v in getattr(game, "b", {}).values()]
+    if variant is not None and all(np.isfinite(a).all() for a in coefficients):
+        t = np.reshape(traj.t, (-1,) + (1,) * (traj.y.ndim - 1))
+        H = frozen_energy(FrozenSpec(game, regs, variant), traj.y, traj.X, traj.y[0], t)[0]
+    F, D = (None, None) if ref is None else frozen_fenchel_bregman(regs, ref, traj.y, traj.x)
+    conjugates = sum(frozen_conjugate(reg, traj.y[..., s]) for reg, s in spans(regs))
+    return H, F, D, conjugates
 
 
 @pytest.fixture

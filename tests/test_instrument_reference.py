@@ -1,4 +1,4 @@
-"""Differential test: H, F and D read once per run on stacked snapshots.
+"""Differential tests: H, F and D read once per run on stacked snapshots.
 
 `simulate`, `fenchel_bregman_series` and `monotone_energy_check` read the
 instruments on (snapshots, batch..., D) stacks.  The reference below is a
@@ -6,7 +6,8 @@ frozen copy of the earlier readers, which went one snapshot and one agent
 at a time: simulate's per-snapshot reader, the analysis module's
 per-snapshot series with its try/except, and the monotone check's loop.
 The entropy gradient rule is frozen with them, since it decides where D
-is unavailable.
+is unavailable.  The grouped readings plan is held to the per-agent
+reader it replaced (conftest.frozen_readings) bit for bit.
 """
 
 import numpy as np
@@ -18,17 +19,30 @@ from hamgame import (
     IntegratorConfig,
     NetworkGame,
     ProductRegularizer,
+    Regularizer,
+    build_report,
     conjugate_value,
     default_regularizers,
     fenchel_bregman_series,
     fenchel_coupling,
     h_value,
     monotone_energy_check,
+    reduce_2x2_to_generalized,
+    reduce_bipartite_to_two_agent,
     select_energy,
     simulate,
 )
+from hamgame.analysis import largest_drop
+from hamgame.regularizers import AgentReadings
 
-from conftest import MP_MATRIX, _random_case, _ref_choice
+from conftest import (
+    MP_MATRIX,
+    _random_case,
+    _ref_choice,
+    frozen_fenchel_bregman,
+    frozen_readings,
+    zero_sum_from_edges,
+)
 
 TOL = 1e-12
 
@@ -178,3 +192,118 @@ def test_softmax_underflow_gives_nan_rows(batch, scheme):
     assert nan.shape[0] == len(traj.states)
     assert nan[0].all() and not nan[-1].any()
     assert not np.isnan(traj.fenchel).any()
+
+
+# ---------------------------------------------------------------------------
+# the grouped readings plan against the per-agent reader it replaced
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _check_bits(game, regs, y0, ref, config):
+    traj = simulate(game, regs, y0, config, ref=ref)
+    H, F, D, conjugates = frozen_readings(game, regs, traj, ref)
+    _same_bits(traj.energy, H)
+    _same_bits(traj.fenchel, F)
+    _same_bits(traj.bregman, D)
+    _same_bits(traj.conjugates, conjugates)  # F reads every agent's conjugate
+    # x not known to be y's choice maps: the plan maps y itself and checks x's domain
+    for got, want in zip(AgentReadings(regs, ref).read(traj.y, traj.x, mapped=False)[1:], (F, D)):
+        _same_bits(got, want)
+    if config.scheme == "euler" and game.sigma == -1:  # the Euler check reads the same sum
+        assert build_report(traj, game, regs).checks["energy_nondecreasing"]["value"] == largest_drop(conjugates)
+        bare = simulate(game, regs, y0, config, energy="none")  # reads no sum: the check reads its own
+        assert bare.conjugates is None
+        assert monotone_energy_check(bare, game, regs).max_decrease == largest_drop(conjugates)
+    return traj
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(["zero_sum", "coordination", "affine", "bipartite_fold"]),
+    counts=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.sampled_from([None, 3]),
+    scheme=st.sampled_from(["euler", "rk4", "symplectic_leapfrog"]),
+    steps=st.integers(1, 12),
+    stride=st.integers(1, 5),
+    push=st.sampled_from([0.0, 800.0]),
+)
+def test_plan_readings_match_per_agent_reader_bit_for_bit(family, counts, seed, batch, scheme, steps, stride, push):
+    if family == "bipartite_fold" and len(counts) < 3:
+        counts = counts + [2]
+    game, regs, y0 = _random_case(family, counts, seed, batch)
+    first = np.array(y0[0], dtype=float)
+    first[..., 0] += push  # an entropy agent on its boundary: NaN rows of D
+    y0 = (first,) + tuple(y0[1:])
+    rng = np.random.default_rng(seed)
+    ref = tuple(_ref_choice(reg, rng.normal(size=reg.dim)) for reg in regs)
+    _check_bits(game, regs, y0, ref, IntegratorConfig(scheme, 0.05, steps * 0.05, stride))
+
+
+def _grouped_network(batch, push):
+    """Six agents whose leaves share (kind, domain, width) in pairs, and two
+    of width 9, whose sums numpy adds pairwise."""
+    counts = (9, 2, 3, 2, 3, 9)
+    kinds = ("entropy", "entropy", "euclidean", "entropy", "euclidean", "entropy")
+    rng = np.random.default_rng(9)
+    game = zero_sum_from_edges(counts, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)], rng)
+    regs = tuple(Regularizer(kind, dim=k, scale=float(s)) for kind, k, s in zip(kinds, counts, rng.uniform(0.5, 2, 6)))
+    lead = () if batch is None else (batch,)
+    y0 = [rng.normal(size=lead + (k,)) for k in counts]
+    y0[1][..., 0] += push
+    return game, regs, tuple(y0)
+
+
+@pytest.mark.parametrize("push", [0.0, 800.0])
+@pytest.mark.parametrize("batch", [None, 4])
+@pytest.mark.parametrize("scheme", ["euler", "rk4", "symplectic_leapfrog"])
+def test_grouped_leaves_and_wide_agents_match_bit_for_bit(scheme, batch, push):
+    game, regs, y0 = _grouped_network(batch, push)
+    ref = tuple(np.full(k, 1.0 / k) for k in game.strategy_counts)
+    _check_bits(game, regs, y0, ref, IntegratorConfig(scheme, 0.05, 0.6, 2))
+
+
+@pytest.mark.parametrize("batch", [None, 4])
+@pytest.mark.parametrize("scheme", ["euler", "rk4", "symplectic_leapfrog"])
+def test_product_agents_match_bit_for_bit(scheme, batch):
+    # the fold of a 6-cycle: two product agents of three blocks each, whose
+    # terms are added from 0 in block order before the agents' are
+    game, regs, y0 = _grouped_network(batch, 0.0)
+    six = zero_sum_from_edges((2, 3, 2, 3, 2, 3), [(i, (i + 1) % 6) for i in range(6)], np.random.default_rng(4))
+    red = reduce_bipartite_to_two_agent(six)
+    regs = red.meta_regularizers((regs[1], regs[2], regs[3], regs[4], regs[1], regs[2]))
+    y0 = red.meta_vectors((y0[1], y0[2], y0[3], y0[4], y0[1], y0[2]))
+    assert [len(reg.blocks) for reg in regs] == [3, 3]
+    ref = tuple(_ref_choice(reg, np.zeros(reg.dim)) for reg in regs)
+    _check_bits(red.game, regs, y0, ref, IntegratorConfig(scheme, 0.05, 0.6, 1))
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4", "symplectic_leapfrog"])
+def test_box_agents_with_correction_match_bit_for_bit(scheme):
+    # the affine game of a 2x2 reduction: box agents, a drift and a correction
+    a = np.array([[1.0, -0.5], [-1.2, 0.8]])
+    two = NetworkGame((2, 2), {(0, 1): a, (1, 0): -a.T}, sigma=-1)
+    regs = (Regularizer("entropy", dim=2), Regularizer("euclidean", dim=2, scale=1.5))
+    red = reduce_2x2_to_generalized(two, regs, (np.array([0.3, -0.1]), np.array([0.2, 0.4])))
+    assert {reg.domain for reg in red.regularizers} == {"box"}
+    ref = (np.array([0.4]), np.array([0.6]))
+    _check_bits(red.game, red.regularizers, red.y0, ref, IntegratorConfig(scheme, 0.05, 1.0, 1))
+
+
+def test_unmapped_strategies_off_their_domain_read_no_d():
+    # D of strategies that are not the record's own choice maps: a point off
+    # its simplex is undefined, as the per-agent reader had it
+    game, regs, y0 = _grouped_network(None, 0.0)
+    ref = tuple(np.full(k, 1.0 / k) for k in game.strategy_counts)
+    traj = simulate(game, regs, y0, IntegratorConfig("rk4", 0.05, 0.3, 1), ref=ref)
+    x = traj.x.copy()
+    x[2, 2] += 1e-3  # row 2 off agent 0's simplex
+    _, F, D = AgentReadings(regs, ref).read(traj.y, x, mapped=False)
+    want_F, want_D = frozen_fenchel_bregman(regs, ref, traj.y, x)
+    _same_bits(F, want_F)
+    _same_bits(D, want_D)
+    assert np.isnan(D[2]) and not np.isnan(D[1])

@@ -35,9 +35,16 @@ from hamgame import (
     solve_2x2_fully_mixed_nash,
 )
 from hamgame.analysis import largest_drop
-from hamgame.regularizers import fenchel_bregman, spans
+from hamgame.regularizers import spans
 
-from conftest import coordination_triangle, interior_start, mp_start, triangle_zero_sum, uniform_profile
+from conftest import (
+    coordination_triangle,
+    frozen_fenchel_bregman,
+    interior_start,
+    mp_start,
+    triangle_zero_sum,
+    uniform_profile,
+)
 
 SLACK = 1e-10
 
@@ -51,7 +58,7 @@ def _ref_series(traj, regs, ref):
     if traj.fenchel is not None and len(read) == len(ref) and all(map(np.array_equal, read, ref)):
         F, D = traj.fenchel, traj.bregman
     else:
-        F, D = fenchel_bregman(regs, ref, traj.y, traj.x)
+        F, D = frozen_fenchel_bregman(regs, ref, traj.y, traj.x)
     defined = ~np.isnan(D)
     gap = np.abs(F[defined] - D[defined]) if np.any(defined) else np.array([0.0])
     diffs = np.diff(D[defined]) if np.sum(defined) > 1 else np.array([0.0])
@@ -227,7 +234,7 @@ def test_batched_run_reports_match_frozen_copy(name, scheme):
             got = json.loads(build_report(traj, game, regs, ref=given).to_json())
             want = json.loads(_ref_report_json(traj, game, regs, ref=given))
             if given is not None:
-                F, D = fenchel_bregman(regs, given, traj.y, traj.x)
+                F, D = frozen_fenchel_bregman(regs, given, traj.y, traj.x)
                 _time_axis_oracle(got, F, D)
                 for part in ("fenchel", "bregman"):
                     for key in ("max_increase", "monotone"):
