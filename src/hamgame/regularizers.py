@@ -631,16 +631,6 @@ def _summed(a):
     return _added(a) if a.shape[-1] < _PAIRWISE_FROM else np.add.reduce(a, axis=-1)
 
 
-def _top(a):
-    """np.maximum.reduce(a, axis=-1), column by column where that is faster."""
-    if not _by_column(a):
-        return np.maximum.reduce(a, axis=-1)
-    top = a[..., 0]
-    for j in range(1, a.shape[-1]):
-        top = np.maximum(top, a[..., j])
-    return top
-
-
 def _block_sums(groups, count, a):
     """The sum of a over each of count blocks: (..., count)."""
     out = np.empty(a.shape[:-1] + (count,))
@@ -769,7 +759,7 @@ class AgentReadings:
                 if leaf.kind == "entropy":  # the closed forms of conjugate_value
                     u = yg / scale
                     if leaf.domain == "simplex":
-                        top = _top(u)
+                        top = np.maximum.reduce(u, axis=-1)
                         conjugates[..., g.at] = s * (top + np.log(_summed(np.exp(u - top[..., None]))))
                     else:
                         conjugates[..., g.at] = s * _summed(np.logaddexp(0.0, u))
