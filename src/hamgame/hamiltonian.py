@@ -62,16 +62,6 @@ class EnergyReading:
     correction: float | np.ndarray = 0.0
 
 
-def _auto_variant(game: NetworkGame) -> str | None:
-    """The default variant of a game (see select_energy); None without a sigma tag."""
-    if game.sigma not in (-1, 1):
-        return None
-    one_sided = game.sigma == 1 and bipartite_partition(game) is not None
-    if isinstance(game, GeneralizedGame):
-        return "generalized_bipartite" if one_sided else "generalized"
-    return "bipartite" if one_sided else "network"
-
-
 class ReadingsPlan:
     """The instrument readings of one run, compiled from (game, regs,
     energy, ref): H of a variant, and F and D against ref.
@@ -177,6 +167,16 @@ def energy_of(plan: ReadingsPlan, y, X, y0, t, x=None, conjugates=None) -> Energ
         c, blocks, count = plan.correction
         corr = _added(_block_sums(blocks, count, X * c))
     return EnergyReading(plan.variant, kin + pot + corr, kin, pot, corr)
+
+
+def _auto_variant(game: NetworkGame) -> str | None:
+    """The default variant of a game (see select_energy); None without a sigma tag."""
+    if game.sigma not in (-1, 1):
+        return None
+    one_sided = game.sigma == 1 and bipartite_partition(game) is not None
+    if isinstance(game, GeneralizedGame):
+        return "generalized_bipartite" if one_sided else "generalized"
+    return "bipartite" if one_sided else "network"
 
 
 def select_energy(game: NetworkGame, regs, mode: str = "auto"):
