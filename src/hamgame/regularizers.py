@@ -247,11 +247,10 @@ def _counts(width: int) -> np.ndarray:  # the thresholds' divisors 1..width; nev
 
 def _outside(reg: Regularizer, x):
     """Points (leading axes) of x outside the domain beyond DOMAIN_TOL."""
+    # the ufuncs' own reductions: np.sum and np.any wrap them, at a cost per call
     if reg.domain == "simplex":
-        return (np.abs(np.sum(x, axis=-1) - 1.0) > DOMAIN_TOL) | np.any(
-            x < -DOMAIN_TOL, axis=-1
-        )
-    return np.any((x < -DOMAIN_TOL) | (x > 1.0 + DOMAIN_TOL), axis=-1)
+        return (np.abs(np.add.reduce(x, axis=-1) - 1.0) > DOMAIN_TOL) | np.logical_or.reduce(x < -DOMAIN_TOL, axis=-1)
+    return np.logical_or.reduce((x < -DOMAIN_TOL) | (x > 1.0 + DOMAIN_TOL), axis=-1)
 
 
 def _on_boundary(reg: Regularizer, x):
@@ -573,9 +572,9 @@ def fenchel_coupling(reg: AnyRegularizer, x_ref, y):
 
 
 def _span(positions):
-    """positions as a slice when they run on consecutively, else as an index array."""
+    """Increasing positions as a slice when they run on consecutively, else as an index array."""
     first, last = positions[0], positions[-1]
-    return slice(first, last + 1) if positions == list(range(first, last + 1)) else np.array(positions)
+    return slice(first, last + 1) if last - first + 1 == len(positions) else np.array(positions)
 
 
 class _Group:
@@ -629,6 +628,17 @@ def _summed(a):
     """np.add.reduce(a, axis=-1), bit for bit: _added's order below 8
     terms, numpy's pairwise sum from 8 on."""
     return _added(a) if a.shape[-1] < _PAIRWISE_FROM else np.add.reduce(a, axis=-1)
+
+
+def _top(a):
+    """np.maximum.reduce(a, axis=-1), bit for bit, column by column where
+    that is faster (_by_column): a maximum is exact in any order."""
+    if not _by_column(a):
+        return np.maximum.reduce(a, axis=-1)
+    top = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        top = np.maximum(top, a[..., j])
+    return top
 
 
 def _block_sums(groups, count, a):
@@ -698,12 +708,14 @@ class AgentReadings:
             for (reg, _), v in zip(placed, ref):
                 if len(v) != reg.dim:
                     raise ValueError(f"point has dimension {len(v)}, expected {reg.dim}")
-            self.ref = np.concatenate(ref)
-            for g, leaf, _ in self.groups:
-                if np.any(_outside(leaf, g(self.ref))):
+            self.ref, h = np.concatenate(ref), np.empty(self.count)
+            for g, leaf, scale in self.groups:
+                rg = g(self.ref)
+                if _outside(leaf, rg).any():
                     raise ValueError(f"point outside {leaf.domain} domain beyond {DOMAIN_TOL}")
+                h[g.at] = scale[:, 0] * _summed(_h_terms(leaf, rg))
             self.agents = _grouped([s for _, s in placed])
-            self.h_ref = self._h(self.ref)
+            self.h_ref = self._per_agent(h)
 
     def _per_agent(self, values):
         """Leaf values (..., leaves) as agent values (..., agents)."""
@@ -716,13 +728,6 @@ class AgentReadings:
                 total = total + values[..., m]
             out[..., n] = total
         return out
-
-    def _h(self, x):
-        """h_i(x_i) per agent."""
-        out = np.empty(x.shape[:-1] + (self.count,))
-        for g, leaf, scale in self.groups:
-            out[..., g.at] = scale[:, 0] * _summed(_h_terms(leaf, g(x)))
-        return self._per_agent(out)
 
     def conjugates(self, y, x=None):
         """h_i*(y_i) per agent, (..., agents).  x, when given, holds the
@@ -759,7 +764,7 @@ class AgentReadings:
                 if leaf.kind == "entropy":  # the closed forms of conjugate_value
                     u = yg / scale
                     if leaf.domain == "simplex":
-                        top = np.maximum.reduce(u, axis=-1)
+                        top = _top(u)
                         conjugates[..., g.at] = s * (top + np.log(_summed(np.exp(u - top[..., None]))))
                     else:
                         conjugates[..., g.at] = s * _summed(np.logaddexp(0.0, u))
@@ -775,7 +780,7 @@ class AgentReadings:
                 if leaf.kind == "entropy":
                     edge = xg <= 0.0 if leaf.domain == "simplex" else (xg <= 0.0) | (xg >= 1.0)
                     off = edge if off is None else off | np.logical_or.reduce(edge, axis=-1)
-                if off is not None:
+                if off is not None and off.any():  # rows are looked for only where some point is off
                     bad |= np.logical_or.reduce(off.reshape(len(x), -1), axis=1)
             conjugates = self._per_agent(conjugates)
             if not coupled:
