@@ -227,11 +227,10 @@ class VolumeReport:
 
 
 def _cloud_volume(y) -> float:
-    cov = np.cov(y, rowvar=False)
-    sign, logdet = np.linalg.slogdet(np.atleast_2d(cov))
-    if sign <= 0:
-        return 0.0
-    return float(np.exp(0.5 * logdet))
+    """sqrt(det cov(y)), inf or nan where it overflows; numpy warns of none of it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sign, logdet = np.linalg.slogdet(np.atleast_2d(np.cov(y, rowvar=False)))
+        return 0.0 if sign <= 0 else float(np.exp(0.5 * logdet))
 
 
 def volume_ratio(game: NetworkGame, regs, cloud, config: IntegratorConfig) -> VolumeReport:
@@ -242,7 +241,8 @@ def volume_ratio(game: NetworkGame, regs, cloud, config: IntegratorConfig) -> Vo
     stable at sample sizes in the hundreds; it is an estimate, not a
     measure-theoretic certificate.  Conservative integrators should return
     a ratio near one, the Euler update a ratio above it.  A cloud with no
-    volume (n <= D starts in D coordinates, a singular start) raises first.
+    volume (n <= D starts in D coordinates, a singular start), or with one
+    that overflows, raises first.
     """
     n, dim = len(cloud[0]), sum(np.shape(v)[-1] for v in cloud)
     if n < 10:
@@ -250,8 +250,10 @@ def volume_ratio(game: NetworkGame, regs, cloud, config: IntegratorConfig) -> Vo
     if n <= dim:
         raise ValueError(f"a cloud of {n} starts in {dim} coordinates has no covariance volume (need > {dim})")
     before = _cloud_volume(np.concatenate([np.asarray(v, dtype=float) for v in cloud], axis=-1))
-    if before == 0.0:  # a start that is not finite reads nan here, and simulate names it
+    if before == 0.0:
         raise ValueError(f"the cloud's {n} starts have no covariance volume (determinant {before:g})")
+    if not np.isfinite(before) and all(np.isfinite(v).all() for v in cloud):  # else simulate names the start
+        raise ValueError(f"the cloud's {n} starts have no finite covariance volume (determinant {before:g})")
     # only the motions at the start and the end are read, so only they are recorded
     traj = simulate(game, regs, cloud, replace(config, stride=max(1, config.steps)), energy="none", motions_only=True)
     after = _cloud_volume(traj.y[-1])

@@ -322,7 +322,7 @@ def cmd_cloud(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / (Path(loaded.path).stem + "_cloud.json")
-    report_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    report_path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     for scheme, rep in results.items():
         print(f"{scheme}: volume ratio {rep.ratio:.4f} ({rep.note})")
     print(f"report written to {report_path}")

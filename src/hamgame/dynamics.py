@@ -653,9 +653,9 @@ def _blow_up(y, flow):
     return None
 
 
-def _run_single(flow, config, rows, y, X, x):
-    """Step one start (lists of floats) through its generated loop, one call
-    per snapshot interval, writing the snapshots into rows from row 1.
+def _run_single(flow, advance, config, rows, y, X, x):
+    """Step one start (lists of floats) through its generated loop advance,
+    one call per snapshot interval, writing the snapshots into rows from row 1.
 
     Returns (rows written, steps taken, the reason the run ended early or
     None, and the last finite y and X).  x, the start's choice map, is the
@@ -664,7 +664,6 @@ def _run_single(flow, config, rows, y, X, x):
     ts, ys, Xs, xs = rows
     eta, stride, n_steps = config.eta, config.stride, config.steps
     ends = [*range(stride, n_steps + 1, stride)] + [n_steps] * (n_steps % stride != 0)
-    advance = flow.advance(config.scheme) if ends else None  # no step: no code, no check
     start, carry, i, k = y, None, 0, 1
     for end in ends:
         i, y, X, x, carry, stop = advance(start, y, X, x, carry, i, end, eta)
@@ -747,7 +746,9 @@ def simulate(
     agent with a euclidean simplex block, past the lower
     regularizers.payoff_limit, where its projection can miss the simplex.
     The last finite state then ends the record.  The metadata's
-    timing block holds the wall time of the stepping loop and of the
+    timing block holds the wall time of writing and compiling a single
+    run's loop (generate_s, 0.0 when an earlier run of the same content left
+    it in the cache), of the stepping loop, that time left out, and of the
     readings, and the steps taken per second of stepping; its io_s, the time
     spent writing the trajectory, is 0 until a writer fills it in.  The
     metadata also names the Python and numpy versions of the run; its y0 are
@@ -766,11 +767,12 @@ def simulate(
         raise ValueError("no Hamiltonian structure certified: game has no sigma tag")
     readings = ReadingsPlan(game, regs, energy, ref)
 
-    start = perf_counter()
+    start, generate_s = perf_counter(), 0.0
     shape, single = flow.y0.shape, flow.y0.ndim == 1
     # a batch steps on its start transposed once into (D, n)
     y = flow.y0 if single else np.ascontiguousarray(flow.y0.reshape(-1, shape[-1]).T)
-    x = flow.choice(y)  # a non-finite start raises here
+    with np.errstate(over="ignore"):  # a non-finite start raises here, with no warning of its sum's overflow
+        x = flow.choice(y)
     n_steps = config.steps
     ts, ys, Xs, xs = record = _record(n_steps // stride + 1 + (n_steps % stride != 0), shape, motions_only)
     ts[0], ys[0] = 0.0, flow.y0
@@ -780,7 +782,11 @@ def simulate(
     # the start row serves as y0 (a transposed view in a batch): no second copy lives through the run
     if single:
         flow.y0 = ys[0]
-        k, i, reason, y, X = _run_single(flow, config, record, y.tolist(), [0.0] * len(y), x.tolist())
+        misses, looked_up = _loop.cache_info().misses, perf_counter()
+        advance = flow.advance(config.scheme) if n_steps else None  # no step: no code, no check
+        if _loop.cache_info().misses > misses:  # written and compiled now, not found in the cache
+            generate_s = perf_counter() - looked_up
+        k, i, reason, y, X = _run_single(flow, advance, config, record, y.tolist(), [0.0] * len(y), x.tolist())
     else:
         # a motions-only run hands its first kernel no x, which Python 3.10
         # would keep alive through the step: the kernel maps the start again
@@ -796,7 +802,7 @@ def simulate(
             _put(Xs[k], X), _put(xs[k], flow.choice(y))
         k += 1
     ts, ys, Xs, xs = (None if a is None else a[:k] for a in record)
-    step_s = perf_counter() - start
+    step_s = perf_counter() - start - generate_s
 
     traj = Trajectory(
         ts, ys, Xs, xs, flow.op.slices, energy=np.full(k, np.nan), fenchel=None, bregman=None,
@@ -815,6 +821,7 @@ def simulate(
             "ref": None,
             "diagnostics": diagnostics,
             "timing": {
+                "generate_s": generate_s,
                 "step_s": step_s,
                 "instruments_s": 0.0,
                 "io_s": 0.0,

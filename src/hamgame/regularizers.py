@@ -414,6 +414,24 @@ def _sorted_source(u, x):
     return lines + [f"{xi} = d if (d := {ui} - tau) > 0.0 else 0.0" for ui, xi in zip(u, x)]
 
 
+# values per choice map up to which numpy's exp (or tanh) is called once per
+# value, float(exp(a)), rather than once on the list of them all: about
+# 0.12 us a scalar call against 0.7 us + 0.05 us a value for a list call and
+# its tolist, which break even at 7 to 10 values (Python 3.11, numpy 2.4, a
+# 2-core x86 machine)
+_SCALAR_CALLS = 8
+
+
+def _numpy_call(name, args, outs):
+    """Statements that set the names outs to numpy's name (exp or tanh) of
+    the expressions args.  A 0-d call runs the ufunc loop that a whole
+    array's element runs, so both forms give numpy's bits (the guard is
+    tests/test_regularizers.py's TestNumpyCallForms)."""
+    if len(outs) <= _SCALAR_CALLS:
+        return [f"{out} = float({name}({arg}))" for arg, out in zip(args, outs)]
+    return [f"{', '.join(outs)}, = {name}([{', '.join(args)}]).tolist()"]
+
+
 def choice_lines(leaves, y, x) -> list[str]:
     """Statements that map the names y, the payoffs of the leaf regularizers
     laid side by side, into the names x, their choice maps; the finiteness
@@ -422,16 +440,17 @@ def choice_lines(leaves, y, x) -> list[str]:
 
     They keep BlockChoiceMap's bits and errors: its single IEEE operations
     round alike in Python, every sum (the finiteness check's too) is
-    written out in numpy's order, and numpy keeps one np.exp and one
-    np.tanh call, as numpy's may differ from libm's.  A euclidean simplex
-    block takes project_simplex's rule for its width: the two-coordinate
-    rule at two, the sorted rule at any other.
+    written out in numpy's order, and numpy keeps the exp of the entropy
+    simplex blocks and the tanh of the entropy box coordinates, as numpy's
+    may differ from libm's (_numpy_call).  A euclidean simplex block takes
+    project_simplex's rule for its width: the two-coordinate rule at two,
+    the sorted rule at any other.
     """
     body = [  # nan and inf both poison the sum
         f"if not isfinite({_add_reduce_source(y)}):",
         "    raise NonFinitePayoff('choice map requires finite payoff vector')",
     ]
-    shifted, halved = [], []  # the inputs of the one np.exp and the one np.tanh call
+    shifted, halved = [], []  # the inputs of np.exp and of np.tanh
     exps, tanhs = [], []  # their outputs: entropy simplex blocks, entropy box coordinates
     start = 0
     for reg in leaves:
@@ -457,10 +476,10 @@ def choice_lines(leaves, y, x) -> list[str]:
         else:
             body += _sorted_source(u, xs)
     if tanhs:
-        body.append(f"{', '.join(tanhs)}, = tanh([{', '.join(halved)}]).tolist()")
+        body += _numpy_call("tanh", halved, tanhs)
         body += [f"{h} = 0.5 * (1.0 + {h})" for h in tanhs]
     if exps:
-        body.append(f"{', '.join(e for block in exps for e in block)}, = exp([{', '.join(shifted)}]).tolist()")
+        body += _numpy_call("exp", shifted, [e for block in exps for e in block])
         for block in exps:
             body.append(f"z = {_add_reduce_source(block)}")
             body += [f"{e} = {e} / z" for e in block]

@@ -554,7 +554,7 @@ def frozen_float_path():
     fails unless the frozen loop ran."""
     runs = []
 
-    def run_single(flow, config, rows, y, X, x):
+    def run_single(flow, advance, config, rows, y, X, x):  # the generated loop advance is not run
         snaps, i, reason, (_, y, X) = frozen_run(flow, config)
         for k, snap in enumerate(snaps[1:], 1):
             for row, v in zip(rows, snap):

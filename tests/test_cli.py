@@ -2,6 +2,7 @@
 
 import json
 import platform
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -975,14 +976,26 @@ def sidecar(change):
                  id="fenchel-tol-negative-exponent"),
     pytest.param(analyze_with("--recurrence-eps", "-1e-2"), "--recurrence-eps must be a finite number > 0, got -0.01",
                  id="recurrence-eps-negative-exponent"),
+    # a start volume that overflows, and a start whose sum overflows: no nan
+    # ratio in a report, and no numpy warning ahead of the error line
+    pytest.param(lambda tmp_path: run_args("cloud", tmp_path, "--n", "20", "--radius", "1e200", "--scheme", "rk4"),
+                 "the cloud's 20 starts have no finite covariance volume (determinant nan)", id="radius-1e200"),
+    pytest.param(lambda tmp_path: run_args("cloud", tmp_path, "--n", "20", "--radius", "1e300", "--scheme", "rk4"),
+                 "the cloud's 20 starts have no finite covariance volume (determinant nan)", id="radius-1e300"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--y0", "[[1e308, 1e308], [0, 0]]"),
+                 "choice map requires finite payoff vector", id="y0-sum-overflows"),
 ])
 def test_failure_prints_one_error_line(tmp_path, capsys, argv, message):
-    # commands raise and main reports: exit 1, one line on stderr, no report written
+    # commands raise and main reports: exit 1, one line on stderr, no report
+    # written; a warning would print lines of its own outside pytest
     argv = argv(tmp_path)
     capsys.readouterr()
-    assert main(argv) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+    assert [str(w.message) for w in caught] == []
     assert not [*tmp_path.rglob("*.report.json"), *tmp_path.rglob("*_cloud.json")]
 
 

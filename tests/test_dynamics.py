@@ -2,6 +2,7 @@
 
 import json
 import platform
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -445,7 +446,7 @@ class TestTrajectoryFiles:
             assert meta["schema_version"] == 3
             assert meta["python_version"] == platform.python_version()
             assert meta["numpy_version"] == np.__version__
-            assert set(meta["timing"]) == {"step_s", "instruments_s", "io_s", "steps_per_s"}
+            assert set(meta["timing"]) == {"generate_s", "step_s", "instruments_s", "io_s", "steps_per_s"}
             assert all(v >= 0.0 for v in meta["timing"].values())
         game_file = Path(__file__).resolve().parent.parent / "games" / "matching_pennies.json"
         argv = ["simulate", "--game", str(game_file), "--scheme", "rk4", "--eta", "0.1",
@@ -453,6 +454,22 @@ class TestTrajectoryFiles:
         assert main(argv) == 0  # the command fills in the time of its CSV write
         meta = json.loads((tmp_path / "matching_pennies_rk4.meta.json").read_text())
         assert meta["schema_version"] == 3 and meta["timing"]["io_s"] > 0.0
+
+
+    def test_loop_generation_is_timed_apart_from_stepping(self, monkeypatch):
+        # a loop written now (slowed by 0.25 s) counts in generate_s, not in
+        # step_s; a second run finds it in the cache and a batch writes none
+        game, regs, y0 = mp_start("entropy")
+        game = replace(game, payoffs={e: 1.3125 * a for e, a in game.payoffs.items()})  # content no other test runs
+        real = dynamics._loop_source
+        monkeypatch.setattr(dynamics, "_loop_source", lambda *args: time.sleep(0.25) or real(*args))
+        config = IntegratorConfig("euler", 0.1, 1.0, 5)
+        first, again = (simulate(game, regs, y0, config).metadata["timing"] for _ in range(2))
+        assert first["generate_s"] >= 0.25 > first["step_s"]
+        assert first["steps_per_s"] == 10 / first["step_s"]
+        assert again["generate_s"] == 0.0
+        batch = tuple(np.stack([v, v]) for v in y0)
+        assert simulate(game, regs, batch, config).metadata["timing"]["generate_s"] == 0.0
 
 
 class TestIntegratorConfig:

@@ -21,9 +21,9 @@ from hamgame import (
     restrict_to_interval,
 )
 
-from hamgame.regularizers import DOMAIN_TOL, payoff_limit
+from hamgame.regularizers import _SCALAR_CALLS, DOMAIN_TOL, BlockChoiceMap, choice_lines, payoff_limit
 
-from conftest import grid_argmax
+from conftest import float_choice, grid_argmax
 
 ENTROPY = Regularizer("entropy", dim=2)
 EUCLIDEAN = Regularizer("euclidean", dim=2)
@@ -356,3 +356,57 @@ def test_payoffs_from_profile_inverts_box_and_product_choice_maps(reg, x):
 def test_malformed_regularizer_input_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+class TestNumpyCallForms:
+    """The generated choice maps call numpy's exp and tanh once per value
+    while a map holds at most _SCALAR_CALLS of them, else once on a list of
+    them all, and BlockChoiceMap calls each on whole arrays.  Every form must
+    give the bits of the array call: where numpy's 0-d and array loops
+    disagree, these tests fail, and name the values."""
+
+    SEED = 27
+
+    @staticmethod
+    def _inputs(name):
+        rng = np.random.default_rng(TestNumpyCallForms.SEED)
+        if name == "exp":  # u - max <= 0: normal, subnormal (below -708.4) and underflowed (below -745.1) results
+            parts = [rng.uniform(-760.0, 0.0, 40_000), rng.uniform(-746.0, -708.0, 30_000),
+                     -(10.0 ** rng.uniform(-320.0, 1.0, 30_000)),
+                     [0.0, -0.0, -5e-324, -708.3964185322641, -708.4, -745.1332191019411, -745.2]]
+        else:
+            parts = [rng.uniform(-30.0, 30.0, 90_000), rng.normal(0.0, 1e-3, 10_000), [0.0, -0.0]]
+        return np.concatenate(parts)
+
+    @pytest.mark.parametrize("name", ["exp", "tanh"])
+    def test_scalar_and_list_calls_give_the_array_call_bits(self, name):
+        ufunc, v = getattr(np, name), self._inputs(name)
+        assert v.size > 10**5
+        whole = ufunc(v).view(np.uint64)
+        values, width = v.tolist(), _SCALAR_CALLS + 1  # the generated code's arguments are Python floats
+        forms = {
+            "a scalar call": [float(ufunc(a)) for a in values],
+            "a list call": [out for j in range(0, len(values), width) for out in ufunc(values[j : j + width]).tolist()],
+        }
+        for form, outs in forms.items():
+            bad = np.flatnonzero(np.array(outs).view(np.uint64) != whole)
+            assert not bad.size, f"np.{name} by {form} differs from the array call at {v[bad[:5]].tolist()}"
+
+    @pytest.mark.parametrize("domain, name", [("simplex", "exp"), ("box", "tanh")])
+    @pytest.mark.parametrize("values", [_SCALAR_CALLS, _SCALAR_CALLS + 1])
+    def test_generated_map_at_the_switch_is_block_choice_map(self, domain, name, values):
+        # one block and two: the count is the whole map's, not a block's
+        splits = [[values], [3, values - 3]]
+        for dims in splits:
+            regs = [Regularizer("entropy", domain=domain, dim=k, scale=0.75) for k in dims]
+            leaves = BlockChoiceMap(regs).leaves
+            y, x = ([f"{c}{i}" for i in range(values)] for c in "yx")
+            source = "\n".join(choice_lines(leaves, y, x))
+            assert source.count(f"float({name}(") == (values if values <= _SCALAR_CALLS else 0)
+            assert source.count(f"= {name}([") == (values > _SCALAR_CALLS)
+            generated, array = float_choice(regs), BlockChoiceMap(regs)
+            rng = np.random.default_rng(self.SEED)
+            for spread in (1.0, 100.0, 2000.0):  # 2000 underflows exp and saturates tanh
+                for row in rng.normal(0.0, spread, (300, values)):
+                    expected = array(row).view(np.uint64)
+                    assert (np.array(generated(row.tolist())).view(np.uint64) == expected).all(), row.tolist()
