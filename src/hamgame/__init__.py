@@ -50,7 +50,6 @@ from .games import (
 from .hamiltonian import (
     EnergyReading,
     StructureReport,
-    select_energy,
     verify_hamiltonian_structure,
 )
 from .regularizers import (

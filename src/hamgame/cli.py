@@ -49,11 +49,25 @@ BLOW_UP_ERROR = 2
 CLOUD_SCHEMA_VERSION = 1  # of the *_cloud.json report
 
 
-def _parse_inline_or_file(spec: str):
+def _parse_inline_or_file(spec: str, flag: str):
+    """The JSON value a flag names: inline JSON, or the JSON in the file
+    @path, or at a bare path that names a file."""
+    path = spec.removeprefix("@")
+    if path == spec:
+        try:
+            return json.loads(spec)
+        except json.JSONDecodeError as err:
+            if not Path(spec).is_file():
+                raise ValueError(f"{flag}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg} "
+                                 f"(and no file {spec!r}; for a file, pass @path)") from None
     try:
-        return json.loads(spec)
-    except json.JSONDecodeError:  # as "@path" always is: the file's JSON
-        return json.loads(Path(spec.removeprefix("@")).read_text())
+        text = Path(path).read_text()
+    except OSError as err:
+        raise ValueError(f"{flag}: cannot read {path}: {err.strerror}") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{flag}: {path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}") from None
 
 
 def _vectors(values, what: str, counts) -> tuple[np.ndarray, ...]:
@@ -79,7 +93,7 @@ def _vectors(values, what: str, counts) -> tuple[np.ndarray, ...]:
 
 def _resolve_y0(loaded, args):
     if getattr(args, "y0", None):
-        return _vectors(_parse_inline_or_file(args.y0), "--y0", loaded.game.strategy_counts)
+        return _vectors(_parse_inline_or_file(args.y0, "--y0"), "--y0", loaded.game.strategy_counts)
     if getattr(args, "seed", None) is not None:
         return tuple(v[0] for v in sample_payoff_ball(loaded.y0, args.radius, 1, args.seed))  # its one row
     return loaded.y0
@@ -94,7 +108,7 @@ def _resolve_ref(loaded, spec):
             print("note: no fully mixed 2x2 equilibrium found; continuing without a reference")
             return None
     else:
-        profile = MixedProfile(_vectors(_parse_inline_or_file(spec), "--ref", loaded.game.strategy_counts))
+        profile = MixedProfile(_vectors(_parse_inline_or_file(spec, "--ref"), "--ref", loaded.game.strategy_counts))
     return make_reference(loaded.game, profile)
 
 

@@ -39,8 +39,13 @@ and the drift's bytes, the leaves, the counts and the limits), and it
 keeps the bits of the array kernels' operations in their order, every
 stored payoff term in a fixed order; numpy keeps only the choice map's
 exp and tanh, the start's choice map (and a truncation row's), the
-recorded rows and the readings.  A stage point or a kick whose payoffs
-are not finite truncates the run, as a blow-up does.  SystemState is the
+recorded rows and the readings.  A batch steps through the same
+contract, advance(y0, y, X, x, carry, i, n, eta), as an array loop of one
+kernel call per step, and one runner steps both, writing each snapshot
+into the record's rows as the loop lays its state out: a single start's
+lists into (D,) rows, a batch's (D, n) arrays into coordinate-major views
+of its (batch..., D) rows.  A stage point or a kick whose payoffs are not
+finite truncates the run, as a blow-up does.  SystemState is the
 per-agent view of one phase-space point.
 """
 
@@ -49,7 +54,7 @@ from __future__ import annotations
 import platform
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import lru_cache, partial
 from time import perf_counter
 
 import numpy as np
@@ -249,7 +254,7 @@ def _shift(u, h, v, spent=False):  # u + h v as h v + u, the same bits: in v if 
 
 class _Flow:
     """A game, its regularizers and a start y0 (a flat array), compiled for
-    flat stepping: a 1-D start through its generated loop (advance), a
+    flat stepping (advance): a 1-D start through its generated loop, a
     batched one through the array kernels on coordinate-major (D, n)
     arrays, y0 among them once simulate has transposed it."""
 
@@ -257,8 +262,15 @@ class _Flow:
         if tuple(r.dim for r in regs) != tuple(game.strategy_counts):
             raise ValueError("regularizer dimensions do not match the game's strategy counts")
         y0 = tuple(np.asarray(v, dtype=float) for v in y0)
+        if any(v.ndim == 0 for v in y0):
+            raise ValueError("initial payoff vector must be an array whose last axis holds the strategies, got a scalar")
         if len(y0) != len(regs) or any(v.shape[-1] != reg.dim for reg, v in zip(regs, y0)):
             raise ValueError("initial payoff vector does not match the regularizer")
+        if len({v.shape[:-1] for v in y0}) > 1:
+            shapes = ", ".join(str(v.shape[:-1]) for v in y0)
+            raise ValueError(f"initial payoff vectors must share one batch shape, got {shapes}")
+        if y0[0].size == 0:
+            raise ValueError(f"a batch of starts must hold at least one start, got batch shape {y0[0].shape[:-1]}")
         self.op = PayoffOperator(game, transposed=True)
         self.choice = BlockChoiceMap(regs)
         self.field = self.op.field
@@ -273,9 +285,12 @@ class _Flow:
         return self.field(self.choice(self.op.motion(self.y0, X, t)))
 
     def advance(self, scheme):
-        """The single-trajectory loop of scheme on this flow (_loop_source),
-        looked up by content."""
-        return _loop(self.loop_key(scheme))
+        """The loop that steps this flow under scheme: a 1-D start's
+        generated loop (_loop_source), looked up by content, or a batch's
+        array loop over the scheme's kernel."""
+        if self.y0.ndim == 1:
+            return _loop(self.loop_key(scheme))
+        return partial(_array_loop, self, KERNELS[scheme])
 
     def loop_key(self, scheme):
         """All that the loop's source reads: the scheme, the leaves, the
@@ -288,24 +303,23 @@ class _Flow:
         return scheme, self.choice.leaves, tuple(game.strategy_counts), edges, drift, self.limits
 
 
-# Array kernels: (flow, t, y, X, x, carry, eta) -> (y, X, carry), on
-# coordinate-major (D, n) arrays.  x is the choice map of y when the caller
-# already has it (None otherwise); carry is the leapfrog's last kick, (time,
-# kick at X), carried over from the previous step (None from the others).  A
-# kernel writes only into arrays it allocated, never into y, X or a handed x.
+# Array kernels: (flow, t, y, X, carry, eta) -> (y, X, carry), on
+# coordinate-major (D, n) arrays; each maps its own first stage.  carry is
+# the leapfrog's last kick, (time, kick at X), carried over from the
+# previous step (None from the others).  A kernel writes only into arrays
+# it allocated, never into y or X.
 
 
-def _euler(flow, t, y, X, x, carry, eta):
+def _euler(flow, t, y, X, carry, eta):
     """Explicit Euler, the learning rule itself: X advances with the pre-step x.
 
     Deliberately first-order: the monotone-energy statements are about this map.
     """
-    spent = x is None  # a choice mapped here is scaled into the new X
-    x = flow.choice(y) if spent else x
-    return _shift(y, eta, flow.field(x), spent=True), _shift(X, eta, x, spent), None
+    x = flow.choice(y)  # scaled into the new X
+    return _shift(y, eta, flow.field(x), spent=True), _shift(X, eta, x, spent=True), None
 
 
-def _rk4(flow, t, y, X, x, carry, eta):
+def _rk4(flow, t, y, X, carry, eta):
     """Classical RK4 on the joint (X, y) field, which depends on y only.
 
     Each stage's choice map serves both dX and dy: y = y0 + sum A X holds to rounding.
@@ -313,8 +327,7 @@ def _rk4(flow, t, y, X, x, carry, eta):
     # k1 + 2 k2 + 2 k3 + k4 as two running sums, added in that order (the same bits); each
     # stage is released before the next choice map runs.  A spent choice holds the running
     # sum it is added into, a spent field the next stage's point; the sums become y and X
-    sx = flow.choice(y) if x is None else x
-    del x  # a handed x is the caller's: released once sx moves into k2's choice
+    sx = flow.choice(y)
     sy = flow.field(sx)
     kx = flow.choice(_shift(y, 0.5 * eta, sy))
     ky = flow.field(kx)
@@ -335,14 +348,13 @@ def _rk4(flow, t, y, X, x, carry, eta):
     return _shift(y, sixth, sy, spent=True), _shift(X, sixth, sx, spent=True), None
 
 
-def _leapfrog(flow, t, y, X, x, carry, eta):
+def _leapfrog(flow, t, y, X, carry, eta):
     """Kick-drift-kick leapfrog: kicks move y by the force at the positions alone
     (the motions y0 + A X), the drift moves X by the choice map of the kicked y.
 
     Each is a shear, so a step is volume-preserving, time-symmetric and second-order.
     It needs sigma in {-1, +1}, which simulate checks: only then is the kick force a gradient.
     """
-    del x  # not read: the first kick needs no choice of y
     half = 0.5 * eta
     if carry is None or carry[0] != t and flow.op.drift is not None:  # t - eta + eta may not be t
         carry = t, flow.kick(X, t)
@@ -355,18 +367,43 @@ def _leapfrog(flow, t, y, X, x, carry, eta):
 KERNELS = {"euler": _euler, "rk4": _rk4, "symplectic_leapfrog": _leapfrog}
 
 
+def _array_loop(flow, kernel, y0, y, X, x, carry, i, n, eta):
+    """advance for a batch, in the single-trajectory loops' contract
+    (below): kernel, a KERNELS entry, from step i to step n on
+    coordinate-major (D, n) arrays, one call per step.
+
+    The start comes as views of the record, which cost the caller nothing
+    to hold: they are copied here into C order, and a later call's arrays
+    are taken as they are.  The kernels map their own first stage, so x
+    only tells whether the record keeps x, and the returned y is mapped
+    only then.
+    """
+    del y0  # the kicks read it as flow.y0
+    y, X = np.ascontiguousarray(y), np.ascontiguousarray(X)
+    for step in range(i + 1, n + 1):
+        try:  # t: no running sum, whose error would enter b t
+            y_next, X_next, carry = kernel(flow, (step - 1) * eta, y, X, carry, eta)
+        except NonFinitePayoff as err:  # a stage point or a kick
+            return step, y, X, None, None, err
+        if _blow_up(y_next, flow) is not None:
+            return step, y, X, None, None, y_next
+        y, X = y_next, X_next
+    return n, y, X, None if x is None else flow.choice(y), carry, None
+
+
 # The single-trajectory loops: one generated function per (scheme, leaves,
 # game), advance(y0, y, X, x, carry, i, n, eta), runs one start from step i
 # to step n on local floats and returns (n, y, X, x, carry, None), x the
 # choice map of the returned y, which euler and rk4 take back as the next
 # call's first stage (the leapfrog reads none); carry is the leapfrog's
-# last kick, (time, force).  The step that fails returns (step, y, X, None,
-# None, stop), with y and X the last finite state and stop either the
-# step's y, some |y_c| past its agent's limit or not finite, or the
-# NonFinitePayoff that a stage point or a kick raised.  The operations are
-# the array kernels' in their order; the choice map and the payoff product
-# are the fragments choice_lines and product_lines write, each written
-# once per loop: its tokens set the compile's memory.
+# last kick, (time, force).  The step that fails returns (step, y, X,
+# None, None, stop), with y and X the last finite state and stop either
+# the step's y, some |y_c| past its agent's limit or not finite, or the
+# NonFinitePayoff that a stage point or a kick raised.  _array_loop keeps
+# this contract for a batch.  The operations are the array kernels' in
+# their order; the choice map and the payoff product are the fragments
+# choice_lines and product_lines write, each written once per loop: its
+# tokens set the compile's memory.
 
 
 class _Writer:
@@ -653,13 +690,17 @@ def _blow_up(y, flow):
     return None
 
 
-def _run_single(flow, advance, config, rows, y, X, x):
-    """Step one start (lists of floats) through its generated loop advance,
-    one call per snapshot interval, writing the snapshots into rows from row 1.
+def _run(flow, advance, config, rows, y, X, x):
+    """Step a start through advance, one call per snapshot interval,
+    writing the snapshots into rows from row 1.
 
+    rows are the record's t, y, X and x (X and x None when it keeps
+    motions only) laid out as advance lays out y: (D,) rows, which take a
+    single start's lists, or a batch's coordinate-major (D, n) views.
     Returns (rows written, steps taken, the reason the run ended early or
-    None, and the last finite y and X).  x, the start's choice map, is the
-    first call's x; each call hands back its snapshot's.
+    None, and the last finite y and X).  x, the start's choice map (None
+    for a batch whose record keeps no x), is the first call's x; each call
+    hands back its snapshot's.
     """
     ts, ys, Xs, xs = rows
     eta, stride, n_steps = config.eta, config.stride, config.steps
@@ -668,50 +709,13 @@ def _run_single(flow, advance, config, rows, y, X, x):
     for end in ends:
         i, y, X, x, carry, stop = advance(start, y, X, x, carry, i, end, eta)
         if stop is not None:  # the step's y, or what a stage point or a kick raised
-            reason = NON_FINITE if isinstance(stop, NonFinitePayoff) else _blow_up(np.array(stop), flow)
+            reason = NON_FINITE if isinstance(stop, NonFinitePayoff) else _blow_up(np.asarray(stop), flow)
             return k, i, reason, y, X
         ts[k], ys[k] = end * eta, y
         if Xs is not None:
             Xs[k], xs[k] = X, x
         k += 1
     return k, i, None, y, X
-
-
-def _run_batched(flow, config, rows, state):
-    """_run_single for a batch of starts, coordinate-major (D, n) arrays,
-    one kernel call per step; each snapshot is written back transposed.
-
-    state is [y, X, x], which the runner empties, so that no caller's name
-    keeps the start's X alive; carry is the leapfrog's last kick, which each
-    kernel call hands back for the next.  The x left in state, the start's
-    choice map and then each recorded x, is popped into the next kernel
-    call: the kernel may drop it as soon as it is spent."""
-    y, X = state.pop(0), state.pop(0)
-    ts, ys, Xs, xs = rows
-    kernel, eta, stride, n_steps = KERNELS[config.scheme], config.eta, config.stride, config.steps
-    t, carry, i, k = 0.0, None, 0, 1
-    for i in range(1, n_steps + 1):
-        try:
-            y_next, X_next, carry = kernel(flow, t, y, X, state.pop() if state else None, carry, eta)
-        except NonFinitePayoff:  # a stage point or a kick
-            return k, i, NON_FINITE, y, X
-        reason = _blow_up(y_next, flow)
-        if reason is not None:
-            return k, i, reason, y, X
-        t, y, X = i * eta, y_next, X_next  # t: no running sum, whose error would enter b t
-        if i % stride == 0 or i == n_steps:
-            ts[k] = t
-            _put(ys[k], y)
-            if Xs is not None:  # x: the record's, and the next step's first stage
-                state.append(flow.choice(y))
-                _put(Xs[k], X), _put(xs[k], state[-1])
-            k += 1
-    return k, i, None, y, X
-
-
-def _put(row, a):
-    """Write the coordinate-major a, (D,) or (D, n), into a record row (batch..., D)."""
-    row.reshape(-1, len(a))[...] = a.T
 
 
 def _record(rows, shape, motions_only):
@@ -768,38 +772,32 @@ def simulate(
     readings = ReadingsPlan(game, regs, energy, ref)
 
     start, generate_s = perf_counter(), 0.0
-    shape, single = flow.y0.shape, flow.y0.ndim == 1
-    # a batch steps on its start transposed once into (D, n)
-    y = flow.y0 if single else np.ascontiguousarray(flow.y0.reshape(-1, shape[-1]).T)
+    shape, n_steps = flow.y0.shape, config.steps
+    record = _record(n_steps // stride + 1 + (n_steps % stride != 0), shape, motions_only)
+    record[0][0], record[1][0] = 0.0, flow.y0
+    # a batch steps on (D, n) arrays, into its rows as views of that layout
+    ts, ys, Xs, xs = rows = record if len(shape) == 1 else [
+        record[0], *(None if a is None else a.reshape(len(a), -1, shape[-1]).transpose(0, 2, 1) for a in record[1:])
+    ]
+    flow.y0 = ys[0]  # the start row serves as y0: no second copy lives through the run
     with np.errstate(over="ignore"):  # a non-finite start raises here, with no warning of its sum's overflow
-        x = flow.choice(y)
-    n_steps = config.steps
-    ts, ys, Xs, xs = record = _record(n_steps // stride + 1 + (n_steps % stride != 0), shape, motions_only)
-    ts[0], ys[0] = 0.0, flow.y0
+        x = flow.choice(np.ascontiguousarray(flow.y0))
     if Xs is not None:
-        Xs[0] = 0.0
-        _put(xs[0], x)
-    # the start row serves as y0 (a transposed view in a batch): no second copy lives through the run
-    if single:
-        flow.y0 = ys[0]
-        misses, looked_up = _loop.cache_info().misses, perf_counter()
-        advance = flow.advance(config.scheme) if n_steps else None  # no step: no code, no check
-        if _loop.cache_info().misses > misses:  # written and compiled now, not found in the cache
-            generate_s = perf_counter() - looked_up
-        k, i, reason, y, X = _run_single(flow, advance, config, record, y.tolist(), [0.0] * len(y), x.tolist())
-    else:
-        # a motions-only run hands its first kernel no x, which Python 3.10
-        # would keep alive through the step: the kernel maps the start again
-        flow.y0, state = ys[0].reshape(-1, shape[-1]).T, [y, np.zeros_like(y)] + [x] * (Xs is not None)
-        del y, x
-        k, i, reason, y, X = _run_batched(flow, config, record, state)
+        Xs[0], xs[0] = 0.0, x
+    misses, looked_up = _loop.cache_info().misses, perf_counter()
+    advance = flow.advance(config.scheme) if n_steps else None  # no step: no code, no check
+    if _loop.cache_info().misses > misses:  # written and compiled now, not found in the cache
+        generate_s = perf_counter() - looked_up
+    if len(shape) == 1:
+        y, X, x = flow.y0.tolist(), [0.0] * len(flow.y0), x.tolist()
+    else:  # views, which cost nothing held: the array loop copies the start and maps its own first stage
+        y, X, x = flow.y0, np.broadcast_to(0.0, flow.y0.shape), None if xs is None else xs[0]
+    k, i, reason, y, X = _run(flow, advance, config, rows, y, X, x)
     diagnostics = {"truncated": reason is not None, "blow_up_step": None if reason is None else i, "reason": reason}
     if reason is not None and (i - 1) % stride:  # the last finite state ends the record
-        y, X = np.asarray(y), np.asarray(X)  # lists of floats, after a single run
-        ts[k] = (i - 1) * eta
-        _put(ys[k], y)
+        ts[k], ys[k] = (i - 1) * eta, y
         if Xs is not None:
-            _put(Xs[k], X), _put(xs[k], flow.choice(y))
+            Xs[k], xs[k] = X, flow.choice(np.asarray(y))
         k += 1
     ts, ys, Xs, xs = (None if a is None else a[:k] for a in record)
     step_s = perf_counter() - start - generate_s

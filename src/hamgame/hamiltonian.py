@@ -18,9 +18,9 @@ For affine games the reading that makes Hamilton's equations hold instant
 by instant (the canonical one) and the conserved one differ by a multiple
 of sum b[i, j] . X_i: the canonical reading carries explicit time
 dependence through the b t drift inside the conjugate, so its partial time
-derivative, not the flow, accounts for the energy change.  select_energy
-reads the conserved reading; the structure check differentiates the
-canonical one.
+derivative, not the flow, accounts for the energy change.  A
+ReadingsPlan compiles the conserved reading, which energy_of reads, unless
+asked for the canonical one, which the structure check differentiates.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .dynamics import PayoffOperator
 from .games import GeneralizedGame, NetworkGame, bipartite_partition
-from .regularizers import AgentReadings, BlockChoiceMap, _added, _block_sums, _grouped, _leaves, spans
+from .regularizers import AgentReadings, BlockChoiceMap, _added, _block_sums, _grouped, _leaves, _span, spans
 
 FD_STEP = 1e-6  # relative central-difference step of verify_hamiltonian_structure
 
@@ -66,27 +66,26 @@ class ReadingsPlan:
     """The instrument readings of one run, compiled from (game, regs,
     energy, ref): H of a variant, and F and D against ref.
 
-    energy is a variant name, "auto" (select_energy's pick) or "none"; ref
+    energy is a variant name, "auto" (_auto_variant's pick) or "none"; ref
     None reads no F and D.  The variant is data: the kinetic agents K and
     potential agents P (agents 1 and 2, the two sides of a bipartition, or
     every agent in both), the drift beta (None without affine terms) and
     the correction c (None when it is zero).  Conjugates are read by
-    regularizers.AgentReadings, a group of leaves per numpy call: at the
-    motions y for the agents of K, or for every agent when F is read or K
-    holds them all, once per reading, shared by H's kinetic sum, F and the
-    Euler check's sum over every agent (conjugates); at the reconstructed
-    motions z for those of P.  h(ref) is computed once, here.  A plan is
-    built per run, as the run's flow is, and kept by nothing.
+    regularizers.AgentReadings, a group of leaves per numpy call, for
+    every agent: at the motions y once per reading, shared by H's kinetic
+    sum (K's, picked by index), F and the Euler check's sum (conjugates);
+    at the reconstructed motions z for H's potential sum (P's).  h(ref) is
+    computed once, here.  A plan is built per run, as the run's flow is,
+    and kept by nothing; energy_of reads its H at any flat arrays.
     """
 
     def __init__(self, game: NetworkGame, regs, energy: str = "auto", ref=None, canonical=False):
         variant = None if energy == "none" else _auto_variant(game) if energy == "auto" else energy
-        self.variant, self.ref, self.at_y = variant, None, None
+        self.variant, self.ref = variant, None
         if ref is not None:  # small copies, which the trajectory's metadata keeps
             self.ref = [np.array(v, dtype=float) for v in ref]
+        self.at_y = None if variant is None and self.ref is None else AgentReadings(regs, self.ref)
         if variant is None:
-            if self.ref is not None:
-                self.at_y = AgentReadings(regs, self.ref)
             return
         if game.sigma not in (-1, 1):
             raise ValueError("energy undefined: game has no sigma tag (general game)")
@@ -108,12 +107,8 @@ class ReadingsPlan:
 
         self.sigma = game.sigma
         self.op = op = PayoffOperator(game)
-        self.kinetic = kinetic
-        every = len(kinetic) == game.n or self.ref is not None
-        self.at_y = AgentReadings(regs, self.ref, None if every else kinetic)
-        # where K's conjugates sit among at_y's, when not all of them
-        self.kinetic_at = np.array(kinetic) if every and len(kinetic) < game.n else None
-        self.at_z = self.at_y if every and len(potential) == game.n else AgentReadings(regs, agents=potential)
+        # indices of K's and P's conjugates among every agent's: slices, views, where the agents run on
+        self.kinetic, self.potential = _span(kinetic), _span(potential)
         in_k = set(kinetic)
 
         def weighted(table):
@@ -144,7 +139,7 @@ class ReadingsPlan:
         if self.variant is not None and self.finite:
             t = np.reshape(traj.t, (-1,) + (1,) * (y.ndim - 1))  # a column against the states
             traj.energy = energy_of(self, y, traj.X, y[0], t, x, conjugates).value
-        if conjugates is not None and self.at_y.n == len(traj.slices):  # every agent's
+        if conjugates is not None:
             traj.conjugates = _added(conjugates)
         traj.metadata.update(energy_variant=self.variant, ref=self.ref)
         traj.metadata["timing"]["instruments_s"] = perf_counter() - start
@@ -154,14 +149,14 @@ def energy_of(plan: ReadingsPlan, y, X, y0, t, x=None, conjugates=None) -> Energ
     """The energy of a compiled variant at flat (batch..., D) motions y and positions X.
 
     x, when given, holds the choice maps of y (a record's own), and
-    conjugates plan.at_y's conjugates at y, when already read."""
+    conjugates every agent's conjugate at y, when already read."""
     if conjugates is None:
         conjugates = plan.at_y.conjugates(y, x)
-    kin = _added(conjugates if plan.kinetic_at is None else conjugates[..., plan.kinetic_at])
+    kin = _added(conjugates[..., plan.kinetic])
     z = y0 + plan.op.linear(X)
     if plan.drift is not None:
         z = z + plan.drift * t
-    pot = -plan.sigma * _added(plan.at_z.conjugates(z))
+    pot = -plan.sigma * _added(plan.at_y.conjugates(z)[..., plan.potential])
     corr = 0
     if plan.correction is not None:
         c, blocks, count = plan.correction
@@ -170,29 +165,16 @@ def energy_of(plan: ReadingsPlan, y, X, y0, t, x=None, conjugates=None) -> Energ
 
 
 def _auto_variant(game: NetworkGame) -> str | None:
-    """The default variant of a game (see select_energy); None without a sigma tag."""
+    """The default variant of a game, None without a sigma tag.  Zero-sum
+    games use the network energy; coordination games fall back to the
+    one-sided variant when a bipartition exists, because their network
+    energy is identically zero."""
     if game.sigma not in (-1, 1):
         return None
     one_sided = game.sigma == 1 and bipartite_partition(game) is not None
     if isinstance(game, GeneralizedGame):
         return "generalized_bipartite" if one_sided else "generalized"
     return "bipartite" if one_sided else "network"
-
-
-def select_energy(game: NetworkGame, regs, mode: str = "auto"):
-    """Pick the instrument energy for a trajectory: (reader, variant name).
-
-    The variant is compiled once (ReadingsPlan); reader(y, X, y0, t) reads
-    it at flat (batch..., D) arrays.  Zero-sum games use the network energy;
-    coordination games fall back to the one-sided variant when a
-    bipartition exists, because their network energy is identically zero.
-    Games without a sigma tag have no energy, and mode "none" asks for
-    none: both give (None, None).
-    """
-    plan = ReadingsPlan(game, regs, mode)
-    if plan.variant is None:
-        return None, None
-    return (lambda y, X, y0, t: energy_of(plan, y, X, y0, t)), plan.variant
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +245,7 @@ def verify_hamiltonian_structure(
         return (up - down) / (2.0 * h)
 
     res_pos = res_mot = 0.0
-    for c in (c for i in plan.kinetic for c in range(op.slices[i].start, op.slices[i].stop)):
+    for c in (c for i in np.arange(game.n)[plan.kinetic] for c in range(op.slices[i].start, op.slices[i].stop)):
         res_pos = max(res_pos, abs(slope(y, c) - x[c]))
         res_mot = max(res_mot, abs(slope(X, c) + dy[c]))
     return StructureReport(variant, res_pos, res_mot)

@@ -683,10 +683,10 @@ def _gradient(leaf: Regularizer, scale, x):
 
 
 class AgentReadings:
-    """The agents' conjugates h_i*(y_i), and F and D against a reference,
+    """Every agent's conjugate h_i*(y_i), and F and D against a reference,
     read on whole records: (rows..., D) arrays holding every agent's block
-    side by side on the last axis.  agents picks the agents read (all by
-    default; F and D read all).
+    side by side on the last axis.  A caller that needs some agents' values
+    picks them from the (rows..., agents) result by index.
 
     Leaves (a product regularizer's blocks) that share kind, domain and
     width are read as one (rows..., m, k) group, one numpy call per step of
@@ -697,15 +697,11 @@ class AgentReadings:
     agent's slice.  h(ref) is computed once, after ref's domain check.
     """
 
-    def __init__(self, regs, ref=None, agents=None):
+    def __init__(self, regs, ref=None):
         placed = list(spans(regs))
-        chosen = range(len(placed)) if agents is None else agents
-        if ref is not None and agents is not None:
-            raise ValueError("F and D are read over every agent")
-        self.n = len(chosen)
-        leaves, owners = [], []  # (leaf, its coordinates), and its agent's position
-        for n, i in enumerate(chosen):
-            reg, s = placed[i]
+        self.n = len(placed)
+        leaves, owners = [], []  # (leaf, its coordinates), and its agent
+        for n, (reg, s) in enumerate(placed):
             for leaf, b in spans(_leaves([reg])):
                 leaves.append((leaf, slice(s.start + b.start, s.start + b.stop)))
                 owners.append(n)
@@ -717,7 +713,7 @@ class AgentReadings:
         ]
         # a product agent's leaves, added from 0; any other agent is its one leaf
         self.products = [(n, [m for m, o in enumerate(owners) if o == n])
-                         for n, i in enumerate(chosen) if isinstance(placed[i][0], ProductRegularizer)]
+                         for n, (reg, _) in enumerate(placed) if isinstance(reg, ProductRegularizer)]
         self.first = np.array([owners.index(n) for n in range(self.n)])
         self.ref = self.h_ref = None
         if ref is not None:

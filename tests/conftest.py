@@ -19,12 +19,11 @@ from hamgame import (
     default_regularizers,
     payoffs_from_profile,
     reduce_bipartite_to_two_agent,
-    select_energy,
     simulate,
 )
 from hamgame import dynamics
 from hamgame.dynamics import BLOW_UP_LIMIT, PayoffOperator, _Flow, product_lines
-from hamgame.hamiltonian import VARIANTS
+from hamgame.hamiltonian import VARIANTS, ReadingsPlan, energy_of
 from hamgame.regularizers import BlockChoiceMap, NonFinitePayoff, choice_lines, define, literal, spans
 
 MP_MATRIX = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -105,8 +104,8 @@ def run(game, regs, y0, scheme="rk4", eta=1e-3, horizon=10.0, stride=10, **kw):
 
 def energy_rows(traj, game, regs, variant):
     """The energy variant read at each row of a single trajectory, one row at a time."""
-    read, _ = select_energy(game, regs, variant)
-    return np.array([float(read(y, X, traj.y[0], t).value) for t, y, X in zip(traj.t, traj.y, traj.X)])
+    plan = ReadingsPlan(game, regs, variant)
+    return np.array([float(energy_of(plan, y, X, traj.y[0], t).value) for t, y, X in zip(traj.t, traj.y, traj.X)])
 
 
 def consistent_point(game, y0, X, t=0.0):
@@ -550,11 +549,14 @@ def frozen_snapshots(flow, config):
 
 @contextlib.contextmanager
 def frozen_float_path():
-    """simulate steps single starts through the frozen list loop; the block
-    fails unless the frozen loop ran."""
-    runs = []
+    """simulate steps single starts through the frozen list loop, batches
+    through the runner as before; the block fails unless the frozen loop
+    ran."""
+    runs, run = [], dynamics._run
 
-    def run_single(flow, advance, config, rows, y, X, x):  # the generated loop advance is not run
+    def run_single(flow, advance, config, rows, y, X, x):  # a single start's generated loop advance is not run
+        if flow.y0.ndim > 1:
+            return run(flow, advance, config, rows, y, X, x)
         snaps, i, reason, (_, y, X) = frozen_run(flow, config)
         for k, snap in enumerate(snaps[1:], 1):
             for row, v in zip(rows, snap):
@@ -563,13 +565,14 @@ def frozen_float_path():
         return len(snaps), i, reason, y, X
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_run_single", run_single)
+        mp.setattr(dynamics, "_run", run_single)
         yield
     assert runs, "no single start ran through the frozen loop"
 
 
 def _random_case(family, counts, seed, batch):
-    """A random game of the family, with regularizers and a start y0 (batched when batch is set)."""
+    """A random game of the family, with regularizers and a start y0 (batched when batch, a
+    count of starts or a batch shape, is set)."""
     rng = np.random.default_rng(seed)
     n = len(counts)
     kinds = rng.choice(["entropy", "euclidean"], size=n)
@@ -599,7 +602,7 @@ def _random_case(family, counts, seed, batch):
         Regularizer(str(kd), domain=str(sp), dim=k, scale=float(sc))
         for kd, sp, k, sc in zip(kinds, spaces, counts, scales)
     )
-    lead = () if batch is None else (batch,)
+    lead = () if batch is None else batch if isinstance(batch, tuple) else (batch,)
     y0 = tuple(0.7 * rng.normal(size=lead + (k,)) for k in counts)
     if family == "bipartite_fold":
         red = reduce_bipartite_to_two_agent(game)  # along the BFS bipartition: side's two colors

@@ -35,10 +35,10 @@ from hamgame import (
     Regularizer,
     choice_map,
     project_simplex,
-    select_energy,
     simulate,
 )
 from hamgame.dynamics import PayoffOperator, _loop
+from hamgame.hamiltonian import ReadingsPlan, energy_of
 from hamgame.regularizers import BlockChoiceMap, _add_reduce_source, define
 
 from conftest import (
@@ -635,9 +635,8 @@ def test_array_use_generates_no_code():
     for x in (rng.uniform(size=7), rng.uniform(size=(5, 7))):
         op.linear(x), op.field(x), op.motion(x, x, 0.5)
         _mapped(BlockChoiceMap(regs), x)
-    energy, _ = select_energy(game, regs)
     y = rng.normal(size=(3, 7))
-    energy(y, y, y[0], np.zeros((3, 1)))
+    energy_of(ReadingsPlan(game, regs), y, y, y[0], np.zeros((3, 1)))
     y0 = tuple(rng.normal(size=(4, k)) for k in game.strategy_counts)
     for scheme in ("euler", "rk4", "leapfrog"):
         simulate(game, regs, y0, IntegratorConfig(scheme, 0.05, 0.5, 2))

@@ -861,6 +861,13 @@ def sidecar(change):
     return analyze_after(lambda csv, meta: meta.write_text(json.dumps(change(json.loads(meta.read_text())))))
 
 
+def bad_json_file(tmp_path, prefix=""):
+    """A file whose JSON breaks on its second line, as prefix + its path."""
+    path = tmp_path / "bad.json"
+    path.write_text("[[0, 0],\n [0 0]]")
+    return prefix + str(path)
+
+
 @pytest.mark.parametrize("argv, message", [
     pytest.param(out_is_a_file, "File exists", id="simulate-out-is-a-file"),
     pytest.param(lambda tmp_path: ["simulate", "--game", str(tmp_path)], "Is a directory", id="game-is-a-directory"),
@@ -984,6 +991,19 @@ def sidecar(change):
                  "the cloud's 20 starts have no finite covariance volume (determinant nan)", id="radius-1e300"),
     pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--y0", "[[1e308, 1e308], [0, 0]]"),
                  "choice map requires finite payoff vector", id="y0-sum-overflows"),
+    # JSON that does not parse: the flag, and a file's path, line and column
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--y0", "[[0,0],[0,0]"),
+                 "--y0: invalid JSON at line 1, column 13: Expecting ',' delimiter", id="y0-inline-not-json"),
+    pytest.param(analyze_with("--ref", "[[0.5,0.5],[0.5,0.5]"),
+                 "--ref: invalid JSON at line 1, column 21: Expecting ',' delimiter", id="ref-inline-not-json"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--y0", bad_json_file(tmp_path, "@")),
+                 "bad.json: invalid JSON at line 2, column 5: Expecting ',' delimiter", id="y0-file-not-json"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--y0", bad_json_file(tmp_path)),
+                 "bad.json: invalid JSON at line 2, column 5: Expecting ',' delimiter", id="y0-bare-path-not-json"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--ref", bad_json_file(tmp_path, "@")),
+                 "bad.json: invalid JSON at line 2, column 5: Expecting ',' delimiter", id="ref-file-not-json"),
+    pytest.param(lambda tmp_path: run_args("simulate", tmp_path, "--ref", f"@{tmp_path / 'missing.json'}"),
+                 "--ref: cannot read ", id="ref-file-missing"),
 ])
 def test_failure_prints_one_error_line(tmp_path, capsys, argv, message):
     # commands raise and main reports: exit 1, one line on stderr, no report

@@ -817,6 +817,16 @@ SHORT = IntegratorConfig("rk4", 0.1, 0.2, 1)
                  id="regularizer-dimension"),
     pytest.param(lambda: simulate(MP_GAME, MP_REGS, (np.zeros(3), np.zeros(2)), SHORT),
                  "initial payoff vector does not match the regularizer", id="start-dimension"),
+    pytest.param(lambda: simulate(MP_GAME, MP_REGS, (0.0, np.zeros(2)), SHORT),
+                 "initial payoff vector must be an array whose last axis holds the strategies, got a scalar",
+                 id="start-a-scalar"),
+    pytest.param(lambda: simulate(MP_GAME, MP_REGS, (np.zeros((3, 2)), np.zeros((4, 2))), SHORT),
+                 r"initial payoff vectors must share one batch shape, got \(3,\), \(4,\)", id="batch-shapes-differ"),
+    pytest.param(lambda: simulate(MP_GAME, MP_REGS, (np.zeros((0, 2)), np.zeros((0, 2))), SHORT),
+                 r"a batch of starts must hold at least one start, got batch shape \(0,\)", id="batch-of-no-starts"),
+    pytest.param(lambda: simulate(MP_GAME, MP_REGS, (np.zeros((2, 0, 2)), np.zeros((2, 0, 2))), SHORT),
+                 r"a batch of starts must hold at least one start, got batch shape \(2, 0\)",
+                 id="two-axis-batch-of-no-starts"),
     pytest.param(lambda: simulate(MP_GAME, MP_REGS, (np.zeros((2, 2)), np.zeros((2, 2))), SHORT).strategy_matrix(),
                  "strategy matrix is only defined for single trajectories", id="strategy-matrix-of-a-batch"),
 ])
@@ -929,9 +939,9 @@ def test_colliding_fragment_names_are_refused(monkeypatch, extra):
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("family", ["zero_sum", "affine"])
 def test_kernels_write_into_no_argument(scheme, family):
-    # y, X and a handed x stay the caller's: a record, or a reference that
-    # keeps each step's arrays, still holds them after the step.  With a
-    # drift, a kick carried from another time is recomputed
+    # y and X stay the caller's: a record, or a reference that keeps each
+    # step's arrays, still holds them after the step.  With a drift, a kick
+    # carried from another time is recomputed
     game, regs, y0 = _random_case(family, [2, 3, 2], 5, 6)
     flow = _Flow(game, regs, y0)
     assert (flow.op.drift is not None) == (family == "affine")
@@ -939,14 +949,13 @@ def test_kernels_write_into_no_argument(scheme, family):
     rng = np.random.default_rng(2)
     y, X = flow.y0 + 0.1 * rng.normal(size=flow.y0.shape), 0.1 * rng.normal(size=flow.y0.shape)
     kernel, force, eta = dynamics.KERNELS[scheme], None, 0.05
-    for t, hand in ((0.0, True), (eta, False), (np.nextafter(eta, 1.0), True), (2 * eta, True)):
-        x = flow.choice(y) if hand else None
-        kept = [a.copy() for a in (y, X, x) if a is not None]
-        y_next, X_next, force = kernel(flow, t, y, X, x, force, eta)
-        for a, b in zip((a for a in (y, X, x) if a is not None), kept):
+    for t in (0.0, eta, np.nextafter(eta, 1.0), 2 * eta):
+        kept = [a.copy() for a in (y, X)]
+        y_next, X_next, force = kernel(flow, t, y, X, force, eta)
+        for a, b in zip((y, X), kept):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
         outputs = [y_next, X_next] + ([] if force is None else [force[1]])
-        assert not any(np.shares_memory(a, b) for a in outputs for b in (y, X, x) if b is not None)
+        assert not any(np.shares_memory(a, b) for a in outputs for b in (y, X))
         y, X = y_next, X_next
 
 
@@ -971,11 +980,13 @@ MOTIONS_ONLY_CASES = list(_motions_only_cases())
 
 
 @pytest.mark.parametrize("case", range(len(MOTIONS_ONLY_CASES)))
-@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("batched", [False, True, pytest.param((2, 3), id="2x3")])
 def test_motions_only_records_the_same_motions(case, batched):
     game, regs, y0, config = MOTIONS_ONLY_CASES[case]
-    if batched:  # the start and a copy pushed off it
+    if batched is True:  # the start and a copy pushed off it
         y0 = tuple(np.stack([v, v + 0.25]) for v in y0)
+    elif batched:  # a batch of two axes: the start and five copies pushed off it
+        y0 = tuple(v + 0.25 * np.arange(6.0).reshape(batched + (1,)) for v in y0)
     with np.errstate(over="ignore", invalid="ignore"):
         full = simulate(game, regs, y0, config, energy="none")
         lean = simulate(game, regs, y0, config, energy="none", motions_only=True)

@@ -28,7 +28,6 @@ from hamgame import (
     bipartite_partition,
     choice_map,
     conjugate_value,
-    select_energy,
     verify_hamiltonian_structure,
 )
 from hamgame import hamiltonian
@@ -250,7 +249,7 @@ def test_energies_match_closed_forms(family, counts, seed, batch):
     variants, partition = _variants(game)
     exact = game.n == 2
     for variant in variants:
-        reading = select_energy(game, regs, variant)[0](*point)
+        reading = hamiltonian.energy_of(hamiltonian.ReadingsPlan(game, regs, variant), *point)
         want = _ref_energy(variant, state, game, regs, partition)
         assert reading.variant == variant
         for got, ref in zip((reading.value, reading.kinetic, reading.potential, reading.correction), want):

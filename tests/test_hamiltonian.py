@@ -10,11 +10,11 @@ from hamgame import (
     default_regularizers,
     reduce_2x2_to_generalized,
     reduce_bipartite_to_two_agent,
-    select_energy,
     simulate,
     verify_hamiltonian_structure,
 )
 from hamgame.dynamics import PayoffOperator
+from hamgame.hamiltonian import ReadingsPlan, energy_of
 
 from conftest import (
     consistent_point,
@@ -38,9 +38,9 @@ def drift(values):
 
 def energy_at_start(game, regs, variant, y0):
     """The variant read at the start (t = 0, X = 0) of per-agent payoff vectors y0."""
-    read, _ = select_energy(game, regs, variant)
+    plan = ReadingsPlan(game, regs, variant)
     y0 = np.concatenate(y0)
-    return read(y0, np.zeros_like(y0), y0, 0.0)
+    return energy_of(plan, y0, np.zeros_like(y0), y0, 0.0)
 
 
 class TestClosedFormsAtStart:
@@ -271,8 +271,8 @@ class TestDegeneracies:
         y0 = tuple(0.3 * rng.normal(size=k) for k in game.strategy_counts)
         X = tuple(0.5 * np.abs(rng.normal(size=k)) for k in game.strategy_counts)
         point = consistent_point(game, y0, X, t=0.7)
-        a = float(select_energy(game, regs, "generalized")[0](*point, 0.7).value)
-        b = float(select_energy(game, regs, "network")[0](*point, 0.7).value)
+        a = float(energy_of(ReadingsPlan(game, regs, "generalized"), *point, 0.7).value)
+        b = float(energy_of(ReadingsPlan(game, regs, "network"), *point, 0.7).value)
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -373,20 +373,17 @@ class TestStructure:
 class TestSelectEnergy:
     def test_zero_sum_uses_network(self):
         game, regs, _ = mp_start()
-        _, variant = select_energy(game, regs)
-        assert variant == "network"
+        assert ReadingsPlan(game, regs).variant == "network"
 
     def test_bipartite_coordination_uses_one_sided(self):
         game = coordination_identity()
         regs = default_regularizers(game, "entropy")
-        _, variant = select_energy(game, regs)
-        assert variant == "bipartite"
+        assert ReadingsPlan(game, regs).variant == "bipartite"
 
     def test_triangle_coordination_falls_back_to_network(self):
         game = coordination_triangle()
         regs = default_regularizers(game, "entropy")
-        _, variant = select_energy(game, regs)
-        assert variant == "network"
+        assert ReadingsPlan(game, regs).variant == "network"
 
     def test_general_game_has_no_energy(self):
         from hamgame import NetworkGame
@@ -395,8 +392,8 @@ class TestSelectEnergy:
             (2, 2),
             {(0, 1): np.array([[1.0, 2.0], [3.0, 4.0]]), (1, 0): np.zeros((2, 2))},
         )
-        fn, variant = select_energy(game, default_regularizers(game, "entropy"))
-        assert fn is None and variant is None
+        plan = ReadingsPlan(game, default_regularizers(game, "entropy"))
+        assert plan.variant is None and plan.at_y is None
 
     def test_simulate_records_selected_variant(self):
         game, regs, y0 = mp_start("entropy")
@@ -414,4 +411,4 @@ class TestSelectEnergy:
 def test_energy_variant_that_does_not_fit_the_game_is_refused(make, variant, message):
     game = make()
     with pytest.raises(ValueError, match=message):
-        select_energy(game, default_regularizers(game, "entropy"), variant)
+        ReadingsPlan(game, default_regularizers(game, "entropy"), variant)

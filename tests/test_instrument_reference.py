@@ -29,10 +29,10 @@ from hamgame import (
     monotone_energy_check,
     reduce_2x2_to_generalized,
     reduce_bipartite_to_two_agent,
-    select_energy,
     simulate,
 )
 from hamgame.analysis import largest_drop
+from hamgame.hamiltonian import ReadingsPlan, energy_of
 from hamgame.regularizers import AgentReadings
 
 from conftest import (
@@ -76,12 +76,12 @@ def _ref_bregman(reg, x_ref, x):
 
 def _ref_read(game, regs, ref, traj):
     """simulate's former per-snapshot reader: H, then F, then D under try/except."""
-    energy_fn, _ = select_energy(game, regs, "auto")
+    plan = ReadingsPlan(game, regs, "auto")
     y0 = np.concatenate(traj.states[0].y0, axis=-1)
     H, F, D = [], [], []
     for state in traj.states:
         y, X = np.concatenate(state.y, axis=-1), np.concatenate(state.X, axis=-1)
-        H.append(energy_fn(y, X, y0, state.t).value if energy_fn is not None else np.nan)
+        H.append(energy_of(plan, y, X, y0, state.t).value if plan.variant is not None else np.nan)
         F.append(sum(fenchel_coupling(reg, xr, yv) for reg, xr, yv in zip(regs, ref, state.y)))
         try:
             D.append(sum(_ref_bregman(reg, xr, xv) for reg, xr, xv in zip(regs, ref, state.x)))
@@ -226,7 +226,7 @@ def _check_bits(game, regs, y0, ref, config):
     family=st.sampled_from(["zero_sum", "coordination", "affine", "bipartite_fold"]),
     counts=st.lists(st.integers(1, 9), min_size=2, max_size=5),
     seed=st.integers(0, 2**32 - 1),
-    batch=st.sampled_from([None, 3]),
+    batch=st.sampled_from([None, 3, (2, 3)]),
     scheme=st.sampled_from(["euler", "rk4", "symplectic_leapfrog"]),
     steps=st.integers(1, 12),
     stride=st.integers(1, 5),

@@ -90,21 +90,18 @@ def _batched_snapshots(flow, config):
     the start, each listed state transposed back to the start's shape."""
     kernel, shape = KERNELS[config.scheme], flow.y0.shape
     flow.y0 = np.ascontiguousarray(flow.y0.reshape(-1, shape[-1]).T)
-    t, y, X = 0.0, flow.y0, np.zeros_like(flow.y0)
-    x, force = flow.choice(y), None
-    snaps = [(t, y, X, x)]
+    t, y, X, force = 0.0, flow.y0, np.zeros_like(flow.y0), None
+    snaps = [(t, y, X, flow.choice(y))]
     for i in range(1, config.steps + 1):
         last = t, y, X
-        y, X, force = kernel(flow, t, y, X, x, force, config.eta)
+        y, X, force = kernel(flow, t, y, X, force, config.eta)
         t = i * config.eta
-        x = None
         if _blow_up(y, flow) is not None:
             if (i - 1) % config.stride:
                 snaps.append(last + (flow.choice(last[1]),))
             break
         if i % config.stride == 0 or i == config.steps:
-            x = flow.choice(y)
-            snaps.append((t, y, X, x))
+            snaps.append((t, y, X, flow.choice(y)))
     return [(t, *(a.T.reshape(shape) for a in arrays)) for t, *arrays in snaps]
 
 
@@ -133,7 +130,7 @@ def _assert_same_states(traj, expected):
     family=st.sampled_from(["zero_sum", "coordination", "affine", "bipartite_fold"]),
     counts=st.lists(st.integers(1, 4), min_size=2, max_size=4),
     seed=st.integers(0, 2**32 - 1),
-    batch=st.sampled_from([None, 3]),
+    batch=st.sampled_from([None, 3, (2, 3)]),
     scheme=st.sampled_from(["euler", "rk4", "symplectic_leapfrog"]),
     steps=st.integers(0, 12),
     stride=st.integers(1, 5),
